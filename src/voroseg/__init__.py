@@ -7,7 +7,6 @@ from .lattice import (
     commensurate,
     coset_minima,
     eval_form,
-    facet_normals,
     layer_index,
     make_form,
 )

@@ -10,7 +10,8 @@ Commands
     report        per-lattice summary table (markdown + JSON)
 
 All JSON payloads use exact rational strings; only the OFF export renders
-decimals.  Exit code is nonzero when a check's report invariants fail.
+decimals.  Exit code is 1 when a check's report invariants fail and 2 when
+the input is bad (as for argparse's own usage errors).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import extension, jsonio, lattice, polytope
-from .lattice import catalog, coset_minima, facet_normals
+from .lattice import catalog, coset_minima
 
 
 def _load_form(args) -> lattice.QuadForm:
@@ -38,12 +39,21 @@ def _load_form(args) -> lattice.QuadForm:
     raise SystemExit("one of --form/--lattice is required")
 
 
-def _parse_csv_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(","))
-
-
 def _parse_csv_rats(s: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in s.split(","))
+
+
+def _direction(entries, dim: int) -> tuple[int, ...]:
+    """The direction e as integers; any other input exits with status 2."""
+    try:
+        e = tuple(Fraction(x) for x in entries)
+    except (TypeError, ValueError, ZeroDivisionError):
+        e = ()
+    if len(e) != dim or not any(e) or any(x.denominator != 1 for x in e):
+        why = f"e must be {dim} integers, not all zero; got {entries!r}"
+        print(f"voroseg check: error: {why}", file=sys.stderr)
+        raise SystemExit(2)  # 1 means a check's invariants failed
+    return tuple(int(x) for x in e)
 
 
 def _emit(args, doc: dict, summary: str) -> None:
@@ -55,9 +65,7 @@ def _emit(args, doc: dict, summary: str) -> None:
 
 def cmd_cell(args) -> int:
     a = _load_form(args)
-    cs = coset_minima(a)
-    normals = facet_normals(cs)
-    h = polytope.build_cell(a, normals)
+    h = polytope.build_cell(a, coset_minima(a).facet_normals())
     doc: dict = {"form": jsonio.form_to_dict(a)}
     if a.dim <= args.vcap:
         v = polytope.enumerate_vertices(h, cap=args.vcap)
@@ -97,7 +105,7 @@ def cmd_relevant(args) -> int:
 
 def cmd_dual_set(args) -> int:
     a = _load_form(args)
-    ds = extension.dual_set(facet_normals(coset_minima(a)))
+    ds = extension.dual_set(coset_minima(a).facet_normals())
     doc = {"form": jsonio.form_to_dict(a), "dual_set": jsonio.dual_set_to_dict(ds)}
     _emit(args, doc, f"dual-set: {len(ds.members)} members")
     return 0
@@ -109,10 +117,11 @@ def cmd_check(args) -> int:
     bs = args.b
     if getattr(args, "job", None):
         doc_in = json.loads(Path(args.job).read_text())
-        e = e or tuple(int(Fraction(x)) for x in doc_in["e"])
+        e = e or doc_in.get("e")
         bs = bs or tuple(Fraction(x) for x in doc_in["b"])
     if e is None:
         raise SystemExit("check needs --e (or a --job file with an e entry)")
+    e = _direction(e, a.dim)
     bs = bs or (Fraction(1),)
     rep = extension.check_theorem(a, e, bs, cap=args.vcap)
     doc = {"form": jsonio.form_to_dict(a), "report": jsonio.report_to_dict(rep)}
@@ -163,7 +172,7 @@ def cmd_report(args) -> int:
         name, n = _parse_lattice_spec(spec.strip())
         a = catalog(name, n)
         cs = coset_minima(a)
-        normals = facet_normals(cs)
+        normals = cs.facet_normals()
         ds = extension.dual_set(normals)
         if a.dim <= args.vcap:
             cell = polytope.voronoi_cell(a, cap=args.vcap)
@@ -240,7 +249,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("check", help="segment-extension equivalence check")
     _add_form_args(p, with_job=True)
-    p.add_argument("--e", type=_parse_csv_ints, help="direction, e.g. 0,1")
+    p.add_argument("--e", type=lambda s: s.split(","), help="direction, e.g. 0,1")
     p.add_argument("--b", type=_parse_csv_rats, help="weights, e.g. 1/2,1,3")
     p.set_defaults(fn=cmd_check)
 

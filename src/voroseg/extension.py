@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg, lattice, polytope
-from .lattice import IntVec, QuadForm, coset_minima, eval_form, facet_normals
-from .linalg import Mat, Vec
+from .lattice import IntVec, QuadForm, coset_minima, eval_form
+from .linalg import Vec
 from .polytope import (
     HPolytope,
     ParallelotopeVerdict,
@@ -85,13 +85,6 @@ def a_e(p: Sequence, dir: Direction) -> Fraction:
     return dir.b * t * t
 
 
-def rank_one_gram(dir: Direction) -> Mat:
-    d = len(dir.e)
-    return tuple(
-        tuple(dir.b * dir.e[i] * dir.e[j] for j in range(d)) for i in range(d)
-    )
-
-
 def perturbed_form(a: QuadForm, dir: Direction) -> QuadForm:
     g = tuple(
         tuple(a.gram[i][j] + dir.b * dir.e[i] * dir.e[j] for j in range(a.dim))
@@ -100,12 +93,17 @@ def perturbed_form(a: QuadForm, dir: Direction) -> QuadForm:
     return lattice.make_form(g)
 
 
+def _free(p: Sequence, e: Sequence) -> bool:
+    """True iff <p, e> lies in {0, +1, -1}."""
+    return linalg.dot(p, e) in (0, 1, -1)
+
+
 def p_e_set(normals: Iterable[Sequence], e: Sequence) -> tuple[IntVec, ...]:
     """The normals whose product with e lies in {0, +1, -1}."""
     ev = linalg.vec(e)
     out = []
     for p in normals:
-        if linalg.dot(linalg.vec(p), ev) in (0, 1, -1):
+        if _free(p, ev):
             out.append(tuple(int(x) for x in p))
     return tuple(sorted(out))
 
@@ -167,18 +165,18 @@ def dual_set(normals: Sequence[Sequence]) -> DualSet:
         ei = _integer_vec(e)
         if ei is None:
             continue
-        if all(linalg.dot(p, ei) in (0, 1, -1) for p in ns):
+        if all(_free(p, ei) for p in ns):
             members.append(ei)
     return DualSet(members=tuple(sorted(members)), basis_used=tuple(basis))
 
 
 def in_dual_set(normals: Sequence[Sequence], e: Sequence) -> tuple[bool, tuple[IntVec, ...]]:
     """Membership test with the violating normals as witness."""
-    ei = [Fraction(x) for x in e]
+    ev = linalg.vec(e)
     bad = tuple(
-        tuple(int(x) for x in p)
+        p
         for p in sorted(tuple(int(t) for t in q) for q in normals)
-        if linalg.dot(p, ei) not in (0, 1, -1)
+        if not _free(p, ev)
     )
     return (not bad, bad)
 
@@ -203,11 +201,13 @@ def normalize_direction(e_raw: Sequence, normals: Sequence[Sequence]) -> IntVec:
     if len(by_value) > 1:
         (w1, p1), (w2, p2) = sorted(by_value.items())[:2]
         raise CannotNormalizeError(witnesses=((p1, w1), (p2, w2)))
-    assert by_value, "normals span R^d, so a nonzero e has a nonzero product"
+    if not by_value:
+        raise ExtensionError("e is orthogonal to every normal; the normals do not span R^d")
     w = next(iter(by_value))
     scaled = linalg.vscale(1 / w, ev)
     ei = _integer_vec(scaled)
-    assert ei is not None, "facet normals generate Z^d, so e/w must be integral"
+    if ei is None:
+        raise ExtensionError(f"e/{w} is not integral; the normals do not generate Z^d")
     return ei
 
 
@@ -225,17 +225,17 @@ def sum_with_segment(cell: VPolytope, dir: Direction, cap: int = polytope.DEFAUL
         (iq.normal, iq.support + f_e(iq.normal, dir)) for iq in h.ineqs
     ]
     for face in polytope.codim2_faces(cell):
-        fids = polytope.face_facets(cell, face)
-        prods = [(i, linalg.dot(h.ineqs[i].normal, dir.e)) for i in fids]
-        pos = [(i, t) for i, t in prods if t > 0]
-        neg = [(i, t) for i, t in prods if t < 0]
-        for (i, ti), (j, tj) in itertools.product(pos, neg):
-            q = linalg.vadd(
-                linalg.vscale(-tj, h.ineqs[i].normal),
-                linalg.vscale(ti, h.ineqs[j].normal),
-            )
-            supp = -tj * h.ineqs[i].support + ti * h.ineqs[j].support
-            pairs.append((q, supp))
+        if polytope.classify_face(cell, face, dir.e) != polytope.DIRECT_SUM:
+            continue
+        # a transversal ridge lies on two facets whose products with e have opposite signs
+        i, j = face.facets
+        wi, wj = (abs(linalg.dot(h.ineqs[k].normal, dir.e)) for k in (i, j))
+        q = linalg.vadd(
+            linalg.vscale(wj, h.ineqs[i].normal),
+            linalg.vscale(wi, h.ineqs[j].normal),
+        )
+        supp = wj * h.ineqs[i].support + wi * h.ineqs[j].support
+        pairs.append((q, supp))
     summed = polytope.hpolytope(cell.dim, pairs)
     return prune_to_facets(enumerate_vertices(summed, cap=cap))
 
@@ -246,7 +246,7 @@ def voronoi_of_sum_form(a: QuadForm, dir: Direction) -> HPolytope:
     if ei is None:
         raise ValueError("voronoi_of_sum_form needs an integer (normalized) e")
     a2 = perturbed_form(a, dir)
-    return build_cell(a2, facet_normals(coset_minima(a2)))
+    return build_cell(a2, coset_minima(a2).facet_normals())
 
 
 def subset_check(
@@ -286,24 +286,17 @@ def lemma_l8_check(a: QuadForm, cell: VPolytope, e: Sequence) -> bool:
     p1 + p2 (its two facet normals), have <p1 + p2, e> = 0, and sit on a
     4-belt.  Returns False as soon as one face violates any of these.
     """
-    ns = [tuple(int(x) for x in iq.normal) for iq in cell.hpoly.ineqs]
-    ok, bad = in_dual_set(ns, e)
+    ok, bad = in_dual_set(cell.hpoly.normals, e)
     if not ok:
         raise NotInDualSetError(f"e = {tuple(e)} has products outside {{0,+1,-1}}: {bad[:3]}")
     ev = linalg.vec(e)
     cs = coset_minima(a)
     faces = polytope.codim2_faces(cell)
-    all_belts = polytope.belts(cell)
-    belt_of_face: dict[int, int] = {}
-    for bi, belt in enumerate(all_belts):
-        for fi in belt.face_ids:
-            belt_of_face[fi] = bi
+    on_4_belt = {fi for belt in polytope.belts(cell) if belt.length == 4 for fi in belt.face_ids}
     for fi, face in enumerate(faces):
-        fids = polytope.face_facets(cell, face)
-        prods = [linalg.dot(cell.hpoly.ineqs[i].normal, ev) for i in fids]
-        if not (any(t > 0 for t in prods) and any(t < 0 for t in prods)):
+        if polytope.classify_face(cell, face, ev) != polytope.DIRECT_SUM:
             continue
-        i, j = fids
+        i, j = face.facets
         p = tuple(
             int(x + y)
             for x, y in zip(cell.hpoly.ineqs[i].normal, cell.hpoly.ineqs[j].normal)
@@ -316,7 +309,7 @@ def lemma_l8_check(a: QuadForm, cell: VPolytope, e: Sequence) -> bool:
         cf = polytope.contact_face(cell.hpoly, cell, p, eval_form(a, p))
         if cf is None or cf.vertex_ids != face.vertex_ids:
             return False
-        if all_belts[belt_of_face[fi]].length != 4:
+        if fi not in on_4_belt:
             return False
     return True
 
@@ -370,8 +363,7 @@ def check_theorem(
     """
     ev = linalg.vec(e_raw)
     bs = tuple(Fraction(b) for b in b_samples)
-    cs = coset_minima(a)
-    normals = facet_normals(cs)
+    normals = coset_minima(a).facet_normals()
     notes: list[str] = []
     try:
         norm_e: IntVec | None = normalize_direction(ev, normals)

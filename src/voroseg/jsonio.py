@@ -80,18 +80,11 @@ def verdict_to_dict(v: ParallelotopeVerdict) -> dict:
 
 
 def cell_to_dict(v: VPolytope, belts: Sequence[Belt] | None = None) -> dict:
-    h = v.hpoly
-    out = {
-        "dim": h.dim,
-        "ineqs": [
-            {"normal": rat_vec(iq.normal), "support": rat(iq.support)}
-            for iq in h.ineqs
-        ],
-        "facet_count": len(v.facet_ids),
-        "vertex_count": len(v.vertices),
-        "vertices": [rat_vec(x) for x in v.vertices],
-        "incidence": [list(inc) for inc in v.incidence],
-    }
+    out = hrep_to_dict(v.hpoly)
+    out["facet_count"] = len(v.facet_ids)  # inequalities that are not facets are listed too
+    out["vertex_count"] = len(v.vertices)
+    out["vertices"] = [rat_vec(x) for x in v.vertices]
+    out["incidence"] = [list(inc) for inc in v.incidence]
     if belts is not None:
         out["belt_lengths"] = sorted(b.length for b in belts)
     return out
@@ -159,8 +152,7 @@ def _cycle_vertex_ids(v: VPolytope, ids: Sequence[int]) -> list[int]:
     centroid = linalg.vscale(Fraction(1, len(pts)), functools.reduce(linalg.vadd, pts))
     rel = [linalg.vsub(p, centroid) for p in pts]
     if len(rel[0]) > 2:
-        base = linalg.rref(tuple(rel))
-        plane = tuple(base)
+        plane = linalg.rref(tuple(rel))
         rel = [linalg.coords_in_basis(plane, r) for r in rel]
     order = polytope._angular_order(list(enumerate(rel)))
     return [ids[i] for i in order]

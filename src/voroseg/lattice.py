@@ -22,6 +22,10 @@ IntVec = tuple[int, ...]
 
 DEFAULT_DIM_CAP = 8
 
+# Forms whose minima stay memoized: a `check` asks for 1 + len(b) forms and a
+# `report` for one per lattice, so no single command should evict its own.
+MINIMA_CACHE_SIZE = 256
+
 
 class LatticeError(Exception):
     pass
@@ -211,12 +215,13 @@ def _enumerate_class_minima(
             x += 2
 
     descend(d - 1, Fraction(0), (Fraction(0),) * d, True)
-    assert found and best_norm[0] is not None
+    if best_norm[0] is None:
+        raise LatticeError(f"no vector of parity {parity} within the start bound {bound}")
     full = sorted(set(found) | {tuple(-x for x in v) for v in found})
     return best_norm[0], full
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MINIMA_CACHE_SIZE)
 def coset_minima(a: QuadForm, cap: int = DEFAULT_DIM_CAP) -> ContactVectorSet:
     """Minimal vectors of every nonzero parity class of Z^d under the form a.
 
@@ -242,11 +247,6 @@ def coset_minima(a: QuadForm, cap: int = DEFAULT_DIM_CAP) -> ContactVectorSet:
         )
     classes.sort(key=lambda cl: cl.parity)
     return ContactVectorSet(dim=d, classes=tuple(classes))
-
-
-def facet_normals(cs: ContactVectorSet) -> tuple[IntVec, ...]:
-    """The relevant vectors: normals of all facets of the Voronoi cell."""
-    return cs.facet_normals()
 
 
 def commensurate(a: QuadForm, p) -> Vec:

@@ -44,10 +44,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return m
 
 
-def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def identity(d: int) -> Mat:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)
@@ -193,14 +189,13 @@ def invert(m: Mat) -> Mat:
 
 
 def is_positive_definite(m: Mat) -> bool:
-    """Exact Sylvester test: all leading principal minors positive."""
+    """Exact test: the LDL^T pivots, ratios of leading principal minors, are all positive."""
     if not is_symmetric(m):
         raise NonSymmetricError("positive-definiteness test needs a symmetric matrix")
-    n = len(m)
-    for k in range(1, n + 1):
-        sub = tuple(r[:k] for r in m[:k])
-        if det(sub) <= 0:
-            return False
+    try:
+        ldl(m)
+    except LinAlgError:  # ldl's only failure on a symmetric matrix: a pivot <= 0
+        return False
     return True
 
 
@@ -279,10 +274,6 @@ def primitive_direction(v: Sequence) -> tuple[tuple[int, ...], Fraction]:
         g = gcd(g, abs(x))
     p = tuple(x // g for x in ints)
     return p, Fraction(g, den)
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
 
 
 def parse_rational(s: str) -> Fraction:

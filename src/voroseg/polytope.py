@@ -68,10 +68,6 @@ class HPolytope:
     def normals(self) -> tuple[Vec, ...]:
         return tuple(iq.normal for iq in self.ineqs)
 
-    @property
-    def supports(self) -> tuple[Fraction, ...]:
-        return tuple(iq.support for iq in self.ineqs)
-
 
 def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
     by_dir: dict[tuple[int, ...], tuple[Fraction, Vec, Fraction]] = {}
@@ -106,15 +102,14 @@ class VPolytope:
     """Exact vertex representation with facet incidences.
 
     vertices are deduplicated and lexicographically sorted, so polytope
-    equality is plain list comparison.  incidence[i] lists the vertex ids
-    lying on inequality i with equality; facet_ids are the inequalities
-    whose tight vertex set is (d-1)-dimensional.
+    equality is plain list comparison.  tights[v] is the set of inequalities
+    vertex v satisfies with equality; facet_ids are the inequalities whose
+    tight vertex set is (d-1)-dimensional.
     """
 
     hpoly: HPolytope
     vertices: tuple[Vec, ...]
     tights: tuple[frozenset[int], ...]
-    incidence: tuple[tuple[int, ...], ...]
     facet_ids: tuple[int, ...]
     affine_rank: int
 
@@ -122,12 +117,41 @@ class VPolytope:
     def dim(self) -> int:
         return self.hpoly.dim
 
+    @functools.cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """incidence[i] lists the vertex ids lying on inequality i with equality."""
+        return _incidence(self.tights, len(self.hpoly.ineqs))
 
-def _affine_rank(points: Sequence[Vec]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return linalg.rank(tuple(linalg.vsub(p, base) for p in points[1:]))
+    @functools.cached_property
+    def _ridges(self) -> tuple[Face, ...]:
+        """The (d-2)-faces, via the diamond property: each lies on 2 facets."""
+        found: dict[tuple[int, ...], Face | None] = {}
+        members = {i: frozenset(self.incidence[i]) for i in self.facet_ids}
+        for i, j in itertools.combinations(self.facet_ids, 2):
+            ids = tuple(sorted(members[i] & members[j]))
+            if ids and ids not in found:
+                face = _face_from_vertices(self, ids)
+                found[ids] = face if face.dim == self.dim - 2 else None
+        return tuple(found[k] for k in sorted(found) if found[k] is not None)
+
+
+def _incidence(tights: Sequence[frozenset[int]], n_ineqs: int) -> tuple[tuple[int, ...], ...]:
+    """Transpose per-vertex tight sets into per-inequality vertex id lists."""
+    rows: list[list[int]] = [[] for _ in range(n_ineqs)]
+    for vid, ts in enumerate(tights):
+        for i in ts:
+            rows[i].append(vid)
+    return tuple(tuple(r) for r in rows)
+
+
+def _direction_space(points: Sequence[Vec]) -> Mat:
+    """RREF basis rows of aff(points) - aff(points); empty for at most one point."""
+    return linalg.rref(tuple(linalg.vsub(p, points[0]) for p in points[1:]))
+
+
+def _tight_set(h: HPolytope, ids: Iterable[int], x: Vec) -> set[int]:
+    """The inequalities among ids that x satisfies with equality."""
+    return {i for i in ids if linalg.dot(h.ineqs[i].normal, x) == h.ineqs[i].support}
 
 
 def _initial_box(h: HPolytope) -> tuple[list[Vec], list[set[int]], list[int]]:
@@ -162,13 +186,7 @@ def _initial_box(h: HPolytope) -> tuple[list[Vec], list[set[int]], list[int]]:
         m = tuple(h.ineqs[i].normal for i in sel)
         rhs = tuple(h.ineqs[i].support for i in sel)
         x = linalg.solve_linear(m, rhs)
-        tight = {
-            i for i in init_ids if linalg.dot(h.ineqs[i].normal, x) == h.ineqs[i].support
-        }
-        if x in verts:
-            verts[x] |= tight
-        else:
-            verts[x] = tight
+        verts.setdefault(x, set()).update(_tight_set(h, init_ids, x))
     pts = sorted(verts)
     return pts, [verts[p] for p in pts], init_ids
 
@@ -215,15 +233,7 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
                     continue
                 t = (s - vals[iu]) / (vals[iw] - vals[iu])
                 x = linalg.vadd(verts[iu], linalg.vscale(t, linalg.vsub(verts[iw], verts[iu])))
-                tight = {
-                    j
-                    for j in processed_set
-                    if linalg.dot(h.ineqs[j].normal, x) == h.ineqs[j].support
-                }
-                if x in new_pts:
-                    new_pts[x] |= tight
-                else:
-                    new_pts[x] = tight
+                new_pts.setdefault(x, set()).update(_tight_set(h, processed_set, x))
         keep = [i for i in range(len(verts)) if i not in set(minus)]
         for i in zero:
             tights[i].add(k)
@@ -232,41 +242,32 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     order = sorted(range(len(verts)), key=lambda i: verts[i])
     vertices = tuple(verts[i] for i in order)
     tight_sets = tuple(frozenset(tights[i]) for i in order)
-    incidence = tuple(
-        tuple(vid for vid, ts in enumerate(tight_sets) if i in ts)
-        for i in range(len(h.ineqs))
-    )
     facet_ids = tuple(
         i
-        for i, inc in enumerate(incidence)
-        if inc and _affine_rank([vertices[j] for j in inc]) == d - 1
+        for i, inc in enumerate(_incidence(tight_sets, len(h.ineqs)))
+        if inc and len(_direction_space([vertices[j] for j in inc])) == d - 1
     )
     return VPolytope(
         hpoly=h,
         vertices=vertices,
         tights=tight_sets,
-        incidence=incidence,
         facet_ids=facet_ids,
-        affine_rank=_affine_rank(vertices),
+        affine_rank=len(_direction_space(vertices)),
     )
 
 
 def prune_to_facets(v: VPolytope) -> VPolytope:
-    """Drop redundant inequalities, keeping only facet-supporting ones."""
-    h2 = hpolytope(v.dim, [(iq.normal, iq.support) for i, iq in enumerate(v.hpoly.ineqs) if i in v.facet_ids])
-    tight_sets = tuple(
-        frozenset(j for j, iq in enumerate(h2.ineqs) if linalg.dot(iq.normal, x) == iq.support)
-        for x in v.vertices
-    )
-    incidence = tuple(
-        tuple(vid for vid, ts in enumerate(tight_sets) if i in ts)
-        for i in range(len(h2.ineqs))
-    )
+    """Drop redundant inequalities, keeping only facet-supporting ones.
+
+    The facets keep their sorted order, so the H-polytope stays canonical;
+    each vertex keeps its tight set, restricted to the facets and renumbered.
+    """
+    renumber = {old: new for new, old in enumerate(v.facet_ids)}
+    h2 = HPolytope(dim=v.dim, ineqs=tuple(v.hpoly.ineqs[i] for i in v.facet_ids))
     return VPolytope(
         hpoly=h2,
         vertices=v.vertices,
-        tights=tight_sets,
-        incidence=incidence,
+        tights=tuple(frozenset(renumber[i] for i in ts if i in renumber) for ts in v.tights),
         facet_ids=tuple(range(len(h2.ineqs))),
         affine_rank=v.affine_rank,
     )
@@ -281,9 +282,9 @@ def support_value(v: VPolytope, q: Sequence) -> Fraction:
 
 @dataclass(frozen=True)
 class Face:
-    """A proper face, carried as its tight inequalities and vertices."""
+    """A proper face, carried as the facets containing it and its vertices."""
 
-    tight: tuple[int, ...]
+    facets: tuple[int, ...]
     vertex_ids: tuple[int, ...]
     dim: int
     direction_space: Mat  # RREF basis rows of (aff F - aff F)
@@ -292,12 +293,10 @@ class Face:
 def _face_from_vertices(v: VPolytope, vertex_ids: Sequence[int]) -> Face:
     ids = tuple(sorted(vertex_ids))
     pts = [v.vertices[i] for i in ids]
-    tight = tuple(
-        sorted(frozenset.intersection(*[v.tights[i] for i in ids]))
-    )
-    base = pts[0]
-    dirs = linalg.rref(tuple(linalg.vsub(p, base) for p in pts[1:])) if len(pts) > 1 else ()
-    return Face(tight=tight, vertex_ids=ids, dim=len(dirs), direction_space=dirs)
+    tight = frozenset.intersection(*[v.tights[i] for i in ids])
+    dirs = _direction_space(pts)
+    facets = tuple(i for i in v.facet_ids if i in tight)
+    return Face(facets=facets, vertex_ids=ids, dim=len(dirs), direction_space=dirs)
 
 
 def facet_face(v: VPolytope, facet_id: int) -> Face:
@@ -319,22 +318,8 @@ def contact_face(h: HPolytope, v: VPolytope, p: Sequence, supp) -> Face | None:
 
 
 def codim2_faces(v: VPolytope) -> tuple[Face, ...]:
-    """All (d-2)-faces, via the diamond property: each lies on 2 facets."""
-    seen: dict[tuple[int, ...], Face] = {}
-    for i, j in itertools.combinations(v.facet_ids, 2):
-        ids = tuple(sorted(set(v.incidence[i]) & set(v.incidence[j])))
-        if not ids or ids in seen:
-            continue
-        pts = [v.vertices[t] for t in ids]
-        if _affine_rank(pts) == v.dim - 2:
-            seen[ids] = _face_from_vertices(v, ids)
-    return tuple(seen[k] for k in sorted(seen))
-
-
-def face_facets(v: VPolytope, face: Face) -> tuple[int, ...]:
-    """Facets whose boundary contains the face."""
-    ids = set(face.vertex_ids)
-    return tuple(i for i in v.facet_ids if ids <= set(v.incidence[i]))
+    """All (d-2)-faces, sorted by vertex ids; computed once per cell and kept on it."""
+    return v._ridges
 
 
 @dataclass(frozen=True)
@@ -375,9 +360,10 @@ def belts(v: VPolytope) -> tuple[Belt, ...]:
         face_ids = tuple(groups[key])
         facet_set: set[int] = set()
         for fi in face_ids:
-            facet_set.update(face_facets(v, faces[fi]))
+            facet_set.update(faces[fi].facets)
         plane = linalg.null_space(key, v.dim)
-        assert len(plane) == 2, "belt direction space must have codimension 2"
+        if len(plane) != 2:
+            raise PolytopeError("belt direction space must have codimension 2")
         projected = []
         for i in sorted(facet_set):
             n = v.hpoly.ineqs[i].normal
@@ -432,17 +418,13 @@ def irreducibility_graph(v: VPolytope) -> FacetGraph:
     verdict = is_parallelotope(v)
     if not verdict.ok:
         raise NotParallelotopeError(f"input is not a parallelotope: {verdict}")
+    by_vertices = {frozenset(v.vertices[j] for j in v.incidence[i]): i for i in v.facet_ids}
     pair_of: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
     for i in v.facet_ids:
         if i in pair_of:
             continue
-        mirror = {tuple(linalg.vneg(v.vertices[j])) for j in v.incidence[i]}
-        partner = next(
-            j
-            for j in v.facet_ids
-            if {tuple(v.vertices[t]) for t in v.incidence[j]} == mirror
-        )
+        partner = by_vertices[frozenset(linalg.vneg(v.vertices[j]) for j in v.incidence[i])]
         pair_of[i] = pair_of[partner] = len(pairs)
         pairs.append((min(i, partner), max(i, partner)))
     faces = codim2_faces(v)
@@ -451,7 +433,7 @@ def irreducibility_graph(v: VPolytope) -> FacetGraph:
         if belt.length != 6:
             continue
         for fi in belt.face_ids:
-            a, b = face_facets(v, faces[fi])[:2]
+            a, b = faces[fi].facets
             pa, pb = pair_of[a], pair_of[b]
             if pa != pb:
                 edges.add((min(pa, pb), max(pa, pb)))
@@ -480,32 +462,21 @@ class ShadowFace:
     parallel: bool  # parallel to e (else transversal)
 
 
-def _tight_facet_products(v: VPolytope, face: Face, e: Vec) -> list[Fraction]:
-    facet_tight = [i for i in face.tight if i in set(v.facet_ids)]
-    return [linalg.dot(v.hpoly.ineqs[i].normal, e) for i in facet_tight]
-
-
 def shadow_boundary(v: VPolytope, e: Sequence) -> tuple[ShadowFace, ...]:
     """Facets and codim-2 faces met by lines in direction e only in themselves.
 
-    A face is in the shadow boundary iff its tight facet normals either all
-    vanish on e (parallel face) or take both strict signs (transversal).
+    These are the facets and codim-2 faces that classify_face finds parallel
+    or transversal to e rather than shifted along it.  A facet of a
+    full-dimensional cell lies on no other facet, so it is never transversal.
     """
     ev = linalg.vec(e)
     if linalg.is_zero_vec(ev):
         raise ValueError("direction e must be nonzero")
     out = []
-    for i in v.facet_ids:
-        f = facet_face(v, i)
-        prods = _tight_facet_products(v, f, ev)
-        if all(p == 0 for p in prods):
-            out.append(ShadowFace(face=f, parallel=True))
-    for f in codim2_faces(v):
-        prods = _tight_facet_products(v, f, ev)
-        if all(p == 0 for p in prods):
-            out.append(ShadowFace(face=f, parallel=True))
-        elif any(p > 0 for p in prods) and any(p < 0 for p in prods):
-            out.append(ShadowFace(face=f, parallel=False))
+    for f in [facet_face(v, i) for i in v.facet_ids] + list(codim2_faces(v)):
+        kind = classify_face(v, f, ev)
+        if kind != SHIFT:
+            out.append(ShadowFace(face=f, parallel=kind == PARALLEL_EXTENSION))
     return tuple(out)
 
 
@@ -515,9 +486,14 @@ DIRECT_SUM = "direct-sum"
 
 
 def classify_face(v: VPolytope, face: Face, e: Sequence) -> str:
-    """How the face behaves under Minkowski sum with a segment along e."""
+    """How the face behaves under Minkowski sum with a segment along e.
+
+    The products <p, e> over the normals p of the facets containing the
+    face decide: all zero is a parallel extension, both strict signs a
+    direct sum (the face is transversal to e), anything else a shift.
+    """
     ev = linalg.vec(e)
-    prods = _tight_facet_products(v, face, ev)
+    prods = [linalg.dot(v.hpoly.ineqs[i].normal, ev) for i in face.facets]
     if all(p == 0 for p in prods):
         return PARALLEL_EXTENSION
     if any(p > 0 for p in prods) and any(p < 0 for p in prods):
@@ -527,7 +503,7 @@ def classify_face(v: VPolytope, face: Face, e: Sequence) -> str:
 
 def voronoi_cell(a: QuadForm, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     """The Voronoi cell of the form, with exact vertices and incidences."""
-    normals = lattice.facet_normals(lattice.coset_minima(a))
+    normals = lattice.coset_minima(a).facet_normals()
     return enumerate_vertices(build_cell(a, normals), cap=cap)
 
 

@@ -24,7 +24,7 @@ from voroseg.extension import (
     sum_with_segment,
     voronoi_of_sum_form,
 )
-from voroseg.lattice import catalog, coset_minima, facet_normals, layer_index
+from voroseg.lattice import catalog, coset_minima, layer_index
 from voroseg.polytope import (
     build_cell,
     enumerate_vertices,
@@ -50,7 +50,7 @@ def test_acceptance_1_theorem_forward():
     for name, n in [("An", 2), ("An", 3), ("Dn", 4)]:
         a = catalog(name, n)
         cell = voronoi_cell(a)
-        members = dual_set(facet_normals(coset_minima(a))).members
+        members = dual_set(coset_minima(a).facet_normals()).members
         assert members, (name, n)
         for e in _pair_reps(members):
             for b in B_SAMPLES:
@@ -69,7 +69,7 @@ def test_acceptance_2_theorem_converse():
     rng = random.Random(20250810)
     for name, n in [("An", 2), ("An", 3), ("Dn", 4)]:
         a = catalog(name, n)
-        normals = facet_normals(coset_minima(a))
+        normals = coset_minima(a).facet_normals()
         cell = voronoi_cell(a)
         assert irreducibility_graph(cell).connected, (name, n)
         done = 0
@@ -95,7 +95,7 @@ def test_acceptance_3_empty_dual_sets_of_dual_root_lattices():
     t0 = time.time()
     for name in ("E6*", "E7*"):
         a = catalog(name)
-        ds = dual_set(facet_normals(coset_minima(a)))
+        ds = dual_set(coset_minima(a).facet_normals())
         assert ds.members == (), name
     _report(3, "dual sets of E6* and E7* are empty (no free directions)", t0)
 
@@ -105,7 +105,7 @@ def test_acceptance_4_nonempty_dual_sets_of_root_lattices():
     sizes = {}
     for name, n in [("Dn", 4), ("Dn", 5), ("E6", None), ("E7", None)]:
         a = catalog(name, n)
-        ds = dual_set(facet_normals(coset_minima(a)))
+        ds = dual_set(coset_minima(a).facet_normals())
         assert ds.members, (name, n)
         sizes[f"{name}{n or ''}"] = len(ds.members)
     _report(4, f"dual sets nonempty: {sizes}", t0)

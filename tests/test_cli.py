@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +151,31 @@ def test_form_file_input(tmp_path, capsys):
     f.write_text(jsonio.dumps({"dim": 2, "gram": [["2", "-1"], ["-1", "2"]]}))
     assert main(["cell", "--form", str(f)]) == 0
     assert "6 facets" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("e", [["1/2", "1"], [0, 0], [1, 0, 0], "0,1"])
+def test_check_job_bad_direction_exits_2(tmp_path, capsys, e):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"catalogName": "An", "n": 2, "e": e, "b": ["1"]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--job", str(job)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("voroseg check: error: e ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("e", ["0,0", "1,0,0", "1/2,1"])
+def test_check_bad_direction_flag_exits_2(capsys, e):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--lattice", "An", "--n", "2", "--e", e])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("voroseg check: error: e ") and err.count("\n") == 1
+
+
+def test_report_default_json_golden(tmp_path):
+    # `report` output is pinned byte for byte; the bench does not run `report`
+    out = tmp_path / "report.json"
+    assert main(["report", "--json", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "report_default.json"
+    assert out.read_bytes() == golden.read_bytes()

@@ -26,13 +26,13 @@ from voroseg.extension import (
     sum_with_segment,
     voronoi_of_sum_form,
 )
-from voroseg.lattice import catalog, coset_minima, eval_form, facet_normals
+from voroseg.lattice import catalog, coset_minima, eval_form
 from voroseg.polytope import build_cell, enumerate_vertices, is_parallelotope, voronoi_cell
 
 Z2 = catalog("Zn", 2)
 A2 = catalog("An", 2)
-SQ_NORMALS = facet_normals(coset_minima(Z2))
-A2_NORMALS = facet_normals(coset_minima(A2))
+SQ_NORMALS = coset_minima(Z2).facet_normals()
+A2_NORMALS = coset_minima(A2).facet_normals()
 
 
 def test_f_e_examples():
@@ -51,7 +51,7 @@ def test_a_e_examples():
 def test_rank_one_bridge_on_p_e():
     for name, n in [("Zn", 2), ("An", 2), ("An", 3), ("Dn", 4)]:
         a = catalog(name, n)
-        normals = facet_normals(coset_minima(a))
+        normals = coset_minima(a).facet_normals()
         for e in dual_set(normals).members:
             d = Direction(e, F(5, 3))
             for p in p_e_set(normals, e):
@@ -108,7 +108,7 @@ def test_dual_set_a2():
 
 def test_dual_set_closed_under_negation():
     for name, n in [("An", 3), ("Dn", 4)]:
-        ds = dual_set(facet_normals(coset_minima(catalog(name, n))))
+        ds = dual_set(coset_minima(catalog(name, n)).facet_normals())
         members = set(ds.members)
         assert {tuple(-x for x in e) for e in members} == members
         assert all(any(x for x in e) for e in members)  # zero excluded
@@ -192,7 +192,7 @@ def test_forward_equality_catalog_d_le_3():
     for name, n in [("Zn", 2), ("An", 2), ("Zn", 3), ("An", 3), ("An*", 3)]:
         a = catalog(name, n)
         cell = voronoi_cell(a)
-        for e in dual_set(facet_normals(coset_minima(a))).members:
+        for e in dual_set(coset_minima(a).facet_normals()).members:
             d = Direction(e, F(1, 2))
             s = sum_with_segment(cell, d)
             v = enumerate_vertices(voronoi_of_sum_form(a, d))
@@ -216,9 +216,9 @@ def test_sum_matches_vertex_minkowski_oracle():
 def test_b_stability_of_perturbed_normals():
     for name, n in [("Zn", 2), ("An", 2), ("An", 3)]:
         a = catalog(name, n)
-        for e in dual_set(facet_normals(coset_minima(a))).members:
+        for e in dual_set(coset_minima(a).facet_normals()).members:
             seen = {
-                facet_normals(coset_minima(perturbed_form(a, Direction(e, b))))
+                coset_minima(perturbed_form(a, Direction(e, b))).facet_normals()
                 for b in (F(1, 2), F(1), F(3))
             }
             assert len(seen) == 1, (name, e)
@@ -249,7 +249,7 @@ def test_subset_check_random_pairs_shared_normals():
             continue
         a2 = catalog("An", 3)
         normals = tuple(
-            sorted(set(facet_normals(coset_minima(a1))) | set(facet_normals(coset_minima(a2))))
+            sorted(set(coset_minima(a1).facet_normals()) | set(coset_minima(a2).facet_normals()))
         )
         h1 = polytope.hpolytope(3, [(p, eval_form(a1, p)) for p in normals])
         h2 = polytope.hpolytope(3, [(p, eval_form(a2, p)) for p in normals])
@@ -270,7 +270,7 @@ def test_lemma_l8_examples():
     assert lemma_l8_check(A2, voronoi_cell(A2), (0, 1))
     d4 = catalog("Dn", 4)
     cell = voronoi_cell(d4)
-    for e in dual_set(facet_normals(coset_minima(d4))).members[:6]:
+    for e in dual_set(coset_minima(d4).facet_normals()).members[:6]:
         assert lemma_l8_check(d4, cell, e)
     with pytest.raises(NotInDualSetError):
         lemma_l8_check(A2, voronoi_cell(A2), (1, 1))

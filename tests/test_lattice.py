@@ -16,7 +16,6 @@ from voroseg.lattice import (
     commensurate,
     coset_minima,
     eval_form,
-    facet_normals,
     layer_index,
     make_form,
 )
@@ -88,27 +87,27 @@ def test_coset_minima_square():
 def test_coset_minima_a2():
     cs = coset_minima(catalog("An", 2))
     assert all(cl.relevant for cl in cs.classes)
-    assert facet_normals(cs) == (
+    assert cs.facet_normals() == (
         (-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1),
     )
 
 
 def test_coset_minima_d4_facets():
     cs = coset_minima(catalog("Dn", 4))
-    assert len(facet_normals(cs)) == 24
+    assert len(cs.facet_normals()) == 24
 
 
 def test_e7_facet_normals_are_the_roots():
     a = catalog("E7")
     cs = coset_minima(a)
-    normals = facet_normals(cs)
+    normals = cs.facet_normals()
     assert len(normals) == 126
     assert all(eval_form(a, p) == 2 for p in normals)
 
 
 def test_e8_facet_normals_at_dim_cap():
     a = catalog("E8")
-    normals = facet_normals(coset_minima(a))
+    normals = coset_minima(a).facet_normals()
     assert len(normals) == 240
     assert all(eval_form(a, p) == 2 for p in normals)
 
@@ -133,7 +132,7 @@ def test_classes_partition_and_negation_closure():
 def test_facet_count_bound():
     for name, n in [("Zn", 2), ("An", 3), ("Dn", 4), ("An*", 3)]:
         a = catalog(name, n)
-        assert len(facet_normals(coset_minima(a))) <= 2 * (2 ** a.dim - 1)
+        assert len(coset_minima(a).facet_normals()) <= 2 * (2 ** a.dim - 1)
 
 
 def test_oracle_equivalence_random_forms():
@@ -184,8 +183,12 @@ def test_layer_partition_over_dual_set():
 
     rng = random.Random(5)
     a = catalog("An", 3)
-    ds = dual_set(facet_normals(coset_minima(a)))
+    ds = dual_set(coset_minima(a).facet_normals())
     for e in ds.members[:6]:
         for _ in range(200):
             v = tuple(rng.randint(-20, 20) for _ in range(3))
             layer_index(e, v)  # must not raise
+
+
+def test_coset_minima_cache_is_bounded():
+    assert coset_minima.cache_info().maxsize is not None

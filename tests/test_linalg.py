@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from voroseg import linalg
+from voroseg import jsonio, linalg
 from voroseg.linalg import (
     InconsistentSystemError,
     NonSymmetricError,
@@ -140,6 +140,6 @@ def test_null_space_and_coords():
 
 
 def test_rational_io():
-    assert linalg.format_rational(F(3, 2)) == "3/2"
-    assert linalg.format_rational(F(4, 2)) == "2"
+    assert jsonio.rat(F(3, 2)) == "3/2"
+    assert jsonio.rat(F(4, 2)) == "2"
     assert linalg.parse_rational("-7/3") == F(-7, 3)

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import brute_force_vertices
-from voroseg import lattice, linalg, polytope
-from voroseg.lattice import catalog, coset_minima, facet_normals
+from voroseg import extension, lattice, linalg, polytope
+from voroseg.lattice import catalog, coset_minima
 from voroseg.polytope import (
     NotFacetNormalError,
     NotParallelotopeError,
@@ -42,7 +42,7 @@ def test_build_cell_square():
 
 def test_build_cell_hexagon_supports():
     a2 = catalog("An", 2)
-    h = build_cell(a2, facet_normals(coset_minima(a2)))
+    h = build_cell(a2, coset_minima(a2).facet_normals())
     assert len(h.ineqs) == 6
     assert all(iq.support == 2 for iq in h.ineqs)
 
@@ -261,10 +261,10 @@ def test_shadow_boundary_cube():
 def test_shadow_boundary_facets_iff_orthogonal_normal():
     v = cell_of("An", 3)
     e = (0, 0, 1)
-    sb_facets = {f.face.tight for f in shadow_boundary(v, e) if f.face.dim == 2}
+    sb_facets = {f.face.facets for f in shadow_boundary(v, e) if f.face.dim == 2}
     for i in v.facet_ids:
         n = v.hpoly.ineqs[i].normal
-        in_sb = facet_face(v, i).tight in sb_facets
+        in_sb = facet_face(v, i).facets in sb_facets
         assert in_sb == (linalg.dot(n, e) == 0)
 
 
@@ -291,7 +291,7 @@ def test_adjacency_all_catalog_facets():
     for name, n in [("Zn", 2), ("An", 3), ("An*", 3), ("Dn", 4)]:
         a = catalog(name, n)
         v = cell_of(name, n)
-        for p in facet_normals(coset_minima(a)):
+        for p in coset_minima(a).facet_normals():
             assert adjacency_check(a, v, p), (name, p)
 
 
@@ -321,3 +321,32 @@ def test_one_dimensional_cell():
     assert belts(v) == ()
     assert is_parallelotope(v).ok
     assert irreducibility_graph(v).connected  # a segment is irreducible
+
+
+def _dot_tights(v):
+    """Tight sets recomputed from scratch: <n_i, x> == s_i for every vertex x."""
+    return tuple(
+        frozenset(i for i, iq in enumerate(v.hpoly.ineqs) if linalg.dot(iq.normal, x) == iq.support)
+        for x in v.vertices
+    )
+
+
+def test_prune_tight_sets_match_dot_products():
+    cells = [prune_to_facets(cell_of(name, n)) for name, n, _ in lattice.catalog_entries(max_dim=4)]
+    for name, n in [("Dn", 4), ("An", 3)]:
+        a = catalog(name, n)
+        cell = voronoi_cell(a)
+        free = extension.dual_set(coset_minima(a).facet_normals()).members[0]
+        for e in (free, (1, 2) + (0,) * (n - 2)):
+            cells.append(extension.sum_with_segment(cell, extension.Direction(e, F(1, 2))))
+    cells.append(prune_to_facets(enumerate_vertices(hpolytope(
+        2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1), ((1, 1), 5), ((-1, -1), 5)]
+    ))))
+    for v in cells:
+        assert v.tights == _dot_tights(v)
+        assert v.facet_ids == tuple(range(len(v.hpoly.ineqs)))
+
+
+def test_codim2_faces_computed_once_per_cell():
+    v = cell_of("An", 3)
+    assert codim2_faces(v) is codim2_faces(v)
