@@ -21,6 +21,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from . import extension, jsonio, lattice, polytope
 from .lattice import catalog, coset_minima
@@ -39,21 +40,39 @@ def _load_form(args) -> lattice.QuadForm:
     raise SystemExit("one of --form/--lattice is required")
 
 
-def _parse_csv_rats(s: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in s.split(","))
+def _input_error(why: str) -> NoReturn:
+    print(f"voroseg check: error: {why}", file=sys.stderr)
+    raise SystemExit(2)  # 1 means a check's invariants failed
+
+
+def _rationals(entries) -> tuple[Fraction, ...] | None:
+    """A list's entries as Fractions, or None unless it is a list of exact rationals.
+
+    Entries are integers or strings such as "1/2"; a float is refused, since
+    it would be taken at its binary value (0.1 is not 1/10).
+    """
+    if not isinstance(entries, list) or any(isinstance(x, float) for x in entries):
+        return None
+    try:
+        return tuple(Fraction(x) for x in entries)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
 
 
 def _direction(entries, dim: int) -> tuple[int, ...]:
     """The direction e as integers; any other input exits with status 2."""
-    try:
-        e = tuple(Fraction(x) for x in entries)
-    except (TypeError, ValueError, ZeroDivisionError):
-        e = ()
-    if len(e) != dim or not any(e) or any(x.denominator != 1 for x in e):
-        why = f"e must be {dim} integers, not all zero; got {entries!r}"
-        print(f"voroseg check: error: {why}", file=sys.stderr)
-        raise SystemExit(2)  # 1 means a check's invariants failed
+    e = _rationals(entries)
+    if e is None or len(e) != dim or not any(e) or any(x.denominator != 1 for x in e):
+        _input_error(f"e must be {dim} integers, not all zero; got {entries!r}")
     return tuple(int(x) for x in e)
+
+
+def _weights(entries) -> tuple[Fraction, ...]:
+    """The segment weights b; any other input than positive rationals exits with status 2."""
+    b = _rationals(entries)
+    if not b or any(x <= 0 for x in b):
+        _input_error(f"b must be a non-empty list of positive rationals; got {entries!r}")
+    return b
 
 
 def _emit(args, doc: dict, summary: str) -> None:
@@ -118,11 +137,11 @@ def cmd_check(args) -> int:
     if getattr(args, "job", None):
         doc_in = json.loads(Path(args.job).read_text())
         e = e or doc_in.get("e")
-        bs = bs or tuple(Fraction(x) for x in doc_in["b"])
+        bs = bs or doc_in.get("b")
     if e is None:
         raise SystemExit("check needs --e (or a --job file with an e entry)")
     e = _direction(e, a.dim)
-    bs = bs or (Fraction(1),)
+    bs = (Fraction(1),) if bs is None else _weights(bs)
     rep = extension.check_theorem(a, e, bs, cap=args.vcap)
     doc = {"form": jsonio.form_to_dict(a), "report": jsonio.report_to_dict(rep)}
     status = "ok" if rep.invariants_ok else "INVARIANT VIOLATION"
@@ -250,7 +269,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="segment-extension equivalence check")
     _add_form_args(p, with_job=True)
     p.add_argument("--e", type=lambda s: s.split(","), help="direction, e.g. 0,1")
-    p.add_argument("--b", type=_parse_csv_rats, help="weights, e.g. 1/2,1,3")
+    p.add_argument("--b", type=lambda s: s.split(","), help="weights, e.g. 1/2,1,3")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("verify", help="parallelotope verdict and irreducibility")

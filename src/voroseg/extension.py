@@ -12,6 +12,7 @@ live here.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -95,7 +96,9 @@ def perturbed_form(a: QuadForm, dir: Direction) -> QuadForm:
 
 def _free(p: Sequence, e: Sequence) -> bool:
     """True iff <p, e> lies in {0, +1, -1}."""
-    return linalg.dot(p, e) in (0, 1, -1)
+    if len(p) != len(e):
+        raise linalg.DimensionMismatchError(f"product of lengths {len(p)} and {len(e)}")
+    return sum(map(operator.mul, p, e)) in (0, 1, -1)
 
 
 def p_e_set(normals: Iterable[Sequence], e: Sequence) -> tuple[IntVec, ...]:
@@ -142,9 +145,10 @@ def _integer_vec(v: Vec) -> IntVec | None:
 def dual_set(normals: Sequence[Sequence]) -> DualSet:
     """All integer e with <e, p> in {0, +1, -1} for every normal p.
 
-    Complete enumeration: e is determined by its products with d linearly
-    independent normals, so solving for all 3^d sign patterns over a basis
-    and filtering against the full set cannot miss a member.
+    Complete enumeration: e is determined by its products sigma with d
+    linearly independent normals B, so e = adj(B) sigma / det(B) over all
+    3^d sign patterns, kept when integral and free against the full set,
+    cannot miss a member.  adj(B) and det(B) are computed once, in integers.
     """
     ns = sorted(tuple(int(x) for x in p) for p in normals)
     d = len(ns[0])
@@ -156,17 +160,17 @@ def dual_set(normals: Sequence[Sequence]) -> DualSet:
             break
     if len(basis) < d:
         raise ValueError("facet normals do not span R^d")
-    m = linalg.mat(basis)
+    adj, det = linalg.adjugate(basis)
     members = []
     for sigma in itertools.product((0, 1, -1), repeat=d):
-        if all(s == 0 for s in sigma):
+        if not any(sigma):
             continue
-        e = linalg.solve_linear(m, sigma)
-        ei = _integer_vec(e)
-        if ei is None:
+        num = [sum(x * s for x, s in zip(row, sigma)) for row in adj]
+        if any(x % det for x in num):
             continue
-        if all(_free(p, ei) for p in ns):
-            members.append(ei)
+        e = tuple(x // det for x in num)
+        if all(_free(p, e) for p in ns):
+            members.append(e)
     return DualSet(members=tuple(sorted(members)), basis_used=tuple(basis))
 
 

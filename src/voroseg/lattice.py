@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterator
 
 from . import linalg
 from .linalg import Mat, Vec
 
 IntVec = tuple[int, ...]
+IntMat = tuple[IntVec, ...]
 
 DEFAULT_DIM_CAP = 8
 
@@ -125,56 +126,53 @@ class ContactVectorSet:
         return None
 
 
-def _floor_sqrt_shift(t: Fraction, s: Fraction) -> int:
-    """floor(sqrt(t) - s) for t >= 0, computed exactly (no floating point)."""
-    n = t.numerator * t.denominator
-    approx = Fraction(isqrt(n), t.denominator) - s
-    x = approx.numerator // approx.denominator
-    # x <= sqrt(t) - s  iff  x + s <= 0 or (x + s)^2 <= t
-    while (x + 1 + s) <= 0 or (x + 1 + s) * (x + 1 + s) <= t:
-        x += 1
-    while (x + s) > 0 and (x + s) * (x + s) > t:
-        x -= 1
-    return x
+def _lcm_denominator(entries) -> int:
+    return lcm(*(x.denominator for x in entries))
 
 
-def _class_start_bound(a: QuadForm, parity: IntVec) -> Fraction:
-    """Upper bound for the class minimum: greedy descent from the 0/1 rep."""
-    d = a.dim
-    rep = list(parity)
-    val = eval_form(a, rep)
+def _class_start_bound(g: IntMat, parity: IntVec) -> int:
+    """Upper bound for the class minimum under g: greedy descent from the 0/1 rep.
+
+    g is the integer Gram den * A and the bound is in its units.  A step
+    p -> p + s e_j changes the norm by 2s (gp)_j + s^2 g_jj, so each trial
+    costs O(1) with gp = g p kept up to date; p itself is not needed.
+    """
+    d = len(g)
+    gp = [sum(row[k] for k in range(d) if parity[k]) for row in g]
+    val = sum(gp[k] for k in range(d) if parity[k])
     improved = True
     while improved:
         improved = False
         for j in range(d):
             for step in (2, -2):
-                rep[j] += step
-                v = eval_form(a, rep)
-                if v < val:
-                    val = v
+                delta = 2 * step * gp[j] + step * step * g[j][j]
+                if delta < 0:
+                    val += delta
+                    gp = [x + step * y for x, y in zip(gp, g[j])]
                     improved = True
-                else:
-                    rep[j] -= step
     return val
 
 
 def _enumerate_class_minima(
-    L: Mat, D: Vec, parity: IntVec, bound: Fraction
-) -> tuple[Fraction, list[IntVec]]:
-    """All minimum-norm vectors of a parity class, by exact LDL enumeration.
+    lm: IntMat, w: IntVec, m: int, parity: IntVec, bound: int
+) -> tuple[int, list[IntVec]]:
+    """All minimum-norm vectors of a parity class, by exact LDL enumeration in integers.
 
-    Uses <v, A v> = sum_i D_i (v_i + s_i)^2 with s_i = sum_{j>i} L_ji v_j.
-    Coordinates are fixed from the last down; only representatives whose
-    trailing nonzero coordinate is positive are visited, mirrors are added
-    by the caller.  The bound shrinks as better vectors appear.
+    With A = L D L^T, m a common denominator of L and K one of D, the scaled
+    norm K m^2 <v, A v> = sum_i w_i (m v_i + S_i)^2, where w_i = K D_i,
+    lm = m L and S_i = sum_{j>i} lm_ji v_j are all integers; bound and the
+    returned norm are in these units.  Coordinates are fixed from the last
+    down; only representatives whose trailing nonzero coordinate is positive
+    are visited, mirrors are added here.  The bound shrinks as better
+    vectors appear.
     """
-    d = len(D)
-    best: list[Fraction] = [bound]
-    best_norm: list[Fraction | None] = [None]
+    d = len(w)
+    best: list[int] = [bound]
+    best_norm: list[int | None] = [None]
     found: list[IntVec] = []
     coords = [0] * d
 
-    def descend(i: int, partial: Fraction, svec: tuple[Fraction, ...], all_zero: bool) -> None:
+    def descend(i: int, partial: int, svec: tuple[int, ...], all_zero: bool) -> None:
         if i < 0:
             norm = partial
             if best_norm[0] is None or norm < best_norm[0]:
@@ -188,21 +186,23 @@ def _enumerate_class_minima(
         budget = best[0] - partial
         if budget < 0:
             return
-        t = budget / D[i]
+        # w_i (m x + s)^2 <= budget  iff  |m x + s| <= r, as m x + s is an integer
+        r = isqrt(budget // w[i])
         s = svec[i]
-        hi = _floor_sqrt_shift(t, s)
-        lo = -_floor_sqrt_shift(t, -s)
+        hi = (r - s) // m
+        lo = -((r + s) // m)
         if all_zero and lo < 0:
             lo = 0
         if (lo - parity[i]) % 2:
             lo += 1
+        wi = w[i]
+        row = lm[i]
         x = lo
         while x <= hi:
-            w = x + s
-            nxt = partial + D[i] * w * w
+            t = m * x + s
+            nxt = partial + wi * t * t
             if nxt <= best[0]:
                 coords[i] = x
-                row = L[i]
                 descend(
                     i - 1,
                     nxt,
@@ -210,13 +210,13 @@ def _enumerate_class_minima(
                     all_zero and x == 0,
                 )
                 coords[i] = 0
-            elif w > 0:
+            elif t > 0:
                 break  # products only grow to the right of the window
             x += 2
 
-    descend(d - 1, Fraction(0), (Fraction(0),) * d, True)
+    descend(d - 1, 0, (0,) * d, True)
     if best_norm[0] is None:
-        raise LatticeError(f"no vector of parity {parity} within the start bound {bound}")
+        raise LatticeError(f"no vector of parity {parity} within the start bound")
     full = sorted(set(found) | {tuple(-x for x in v) for v in found})
     return best_norm[0], full
 
@@ -226,21 +226,31 @@ def coset_minima(a: QuadForm, cap: int = DEFAULT_DIM_CAP) -> ContactVectorSet:
     """Minimal vectors of every nonzero parity class of Z^d under the form a.
 
     Complete by construction: per class the enumeration radius starts at the
-    norm of a feasible representative and only shrinks.
+    norm of a feasible representative and only shrinks.  The search runs in
+    integers over the Gram scaled by the lcm of its denominators; only the
+    returned minimum norms are Fractions.
     """
     d = a.dim
     if d > cap:
         raise DimensionCapError(f"dimension {d} exceeds enumeration cap {cap}")
+    den = _lcm_denominator(x for row in a.gram for x in row)
+    g = tuple(tuple(int(x * den) for x in row) for row in a.gram)
     L, D = linalg.ldl(a.gram)
+    m = _lcm_denominator(x for row in L for x in row)
+    k = _lcm_denominator(D)
+    lm = tuple(tuple(int(x * m) for x in row) for row in L)
+    w = tuple(int(x * k) for x in D)
+    scale = k * m * m
     classes = []
     for bits in range(1, 2 ** d):
-        parity = tuple((bits >> (d - 1 - k)) & 1 for k in range(d))
-        bound = _class_start_bound(a, parity)
-        norm, minima = _enumerate_class_minima(L, D, parity, bound)
+        parity = tuple((bits >> (d - 1 - j)) & 1 for j in range(d))
+        # every vector's scaled norm is an integer, so this division is exact
+        bound = _class_start_bound(g, parity) * scale // den
+        norm, minima = _enumerate_class_minima(lm, w, m, parity, bound)
         classes.append(
             ClassMinima(
                 parity=parity,
-                min_norm=norm,
+                min_norm=Fraction(norm, scale),
                 minima=tuple(minima),
                 relevant=len(minima) == 2,
             )

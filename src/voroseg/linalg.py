@@ -1,7 +1,8 @@
 """Exact rational linear algebra over tuple-based vectors and matrices.
 
-All arithmetic uses `fractions.Fraction`; nothing in here ever rounds.
-Vectors are tuples of Fractions, matrices are tuples of row tuples.
+All arithmetic uses `fractions.Fraction`, except `adjugate`, which stays in
+integers; nothing in here ever rounds.  Vectors are tuples of Fractions,
+matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -186,6 +187,34 @@ def invert(m: Mat) -> Mat:
     cols = [solve_linear(m, tuple(Fraction(1 if i == j else 0) for i in range(n)))
             for j in range(n)]
     return transpose(mat(cols))
+
+
+def adjugate(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """adj(m) and det(m) of a nonsingular integer matrix, in integers only.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [m | I]: every
+    division is exact, and the left block ends as det(P m) I and the right
+    one as det(P m) m^-1, where P is the row permutation of the pivoting.
+    """
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise DimensionMismatchError("adjugate of non-square matrix")
+    rows = [[int(x) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    prev, sign = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k] != 0), None)
+        if pivot is None:
+            raise LinAlgError("adjugate needs a nonsingular matrix")
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        pk = rows[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pk[k] * x - f * y) // prev for x, y in zip(rows[i], pk)]
+        prev = pk[k]
+    return tuple(tuple(sign * x for x in r[n:]) for r in rows), sign * prev
 
 
 def is_positive_definite(m: Mat) -> bool:

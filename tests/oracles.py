@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to validate the exact engines.
 
 These deliberately avoid the production code paths: minima come from a
-plain box scan, vertices from solving all d-subsets of inequalities, and
-Minkowski sums from translating vertex sets.
+plain box scan, dual sets from a box scan bounded by an inverse computed
+here, vertices from solving all d-subsets of inequalities, and Minkowski
+sums from translating vertex sets.
 """
 
 from __future__ import annotations
@@ -78,6 +79,49 @@ def box_scan_minima(gram, radius: int):
         parity: (Fraction(norm, den), tuple(sorted(vs)))
         for parity, (norm, vs) in best.items()
     }
+
+
+def _reduced_rows(rows) -> list:
+    """Reduced row echelon form of rational rows, zero rows dropped (own elimination)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    out = []
+    col = 0
+    while rows and col < len(rows[0]):
+        pivot = next((r for r in rows if r[col] != 0), None)
+        if pivot is not None:
+            rows.remove(pivot)
+            pivot = [x / pivot[col] for x in pivot]
+            rows = [[x - r[col] * y for x, y in zip(r, pivot)] for r in rows]
+            out = [[x - r[col] * y for x, y in zip(r, pivot)] for r in out]
+            out.append(pivot)
+        col += 1
+    return out
+
+
+def box_scan_dual_set(normals) -> tuple:
+    """All integer e != 0 with every <p, e> in {0, +1, -1}, by scanning a box.
+
+    For d independent normals B, e = B^-1 sigma with |sigma_j| <= 1, so
+    |e_i| is at most the i-th row sum of |B^-1|; the box of those radii
+    holds every member.  B^-1 comes from the elimination above, not from
+    voroseg.
+    """
+    ns = [tuple(int(x) for x in p) for p in normals]
+    d = len(ns[0])
+    basis: list = []
+    for p in ns:
+        if len(_reduced_rows(basis + [p])) > len(basis):
+            basis.append(p)
+    if len(basis) != d:
+        raise ValueError("normals do not span R^d")
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    inverse = [r[d:] for r in _reduced_rows([list(b) + e for b, e in zip(basis, eye)])]
+    radii = [int(sum(abs(x) for x in row)) for row in inverse]
+    return tuple(
+        e
+        for e in itertools.product(*(range(-r, r + 1) for r in radii))
+        if any(e) and all(sum(a * b for a, b in zip(p, e)) in (-1, 0, 1) for p in ns)
+    )
 
 
 def brute_force_vertices(h) -> tuple:

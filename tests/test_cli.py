@@ -153,7 +153,7 @@ def test_form_file_input(tmp_path, capsys):
     assert "6 facets" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("e", [["1/2", "1"], [0, 0], [1, 0, 0], "0,1"])
+@pytest.mark.parametrize("e", [["1/2", "1"], [0, 0], [1, 0, 0], "0,1", "12"])
 def test_check_job_bad_direction_exits_2(tmp_path, capsys, e):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"catalogName": "An", "n": 2, "e": e, "b": ["1"]}))
@@ -171,6 +171,37 @@ def test_check_bad_direction_flag_exits_2(capsys, e):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("voroseg check: error: e ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("b", [["x"], ["-1"], "12", [], [0.1]])
+def test_check_job_bad_weights_exits_2(tmp_path, capsys, b):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"catalogName": "An", "n": 2, "e": [0, 1], "b": b}))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--job", str(job)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("voroseg check: error: b ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("b", ["0", "-1", "1,x"])
+def test_check_bad_weights_flag_exits_2(capsys, b):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--lattice", "An", "--n", "2", "--e", "0,1", f"--b={b}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("voroseg check: error: b ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["relevant", "dual-set"])
+def test_mixed_denominator_form_json_golden(tmp_path, command):
+    # a d = 4 form with thirds and fifths; the bench's random forms have only
+    # denominators 1 and 2, so the integer scaling by their lcm is pinned here
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "out.json"
+    assert main([command, "--form", str(data / "form_d4_mixed.json"), "--json", str(out)]) == 0
+    golden = data / f"{command.replace('-', '_')}_d4_mixed.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_report_default_json_golden(tmp_path):

@@ -1,10 +1,13 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import check_sum_against_candidates
+from oracles import box_scan_dual_set, box_scan_minima, check_sum_against_candidates
 from voroseg import extension, lattice, linalg, polytope
 from voroseg.extension import (
     CannotNormalizeError,
@@ -117,6 +120,41 @@ def test_dual_set_closed_under_negation():
 def test_dual_set_rank_deficient():
     with pytest.raises(ValueError):
         dual_set([(1, 0), (-1, 0)])
+
+
+def test_dual_set_matches_box_scan_oracle_catalog():
+    for name, n, a in lattice.catalog_entries(4):
+        normals = coset_minima(a).facet_normals()
+        assert dual_set(normals).members == box_scan_dual_set(normals), (name, n)
+
+
+@st.composite
+def mixed_denominator_forms(draw):
+    """Forms of dimension 2 to 4, diagonally dominant with margin >= 1,
+    whose off-diagonal entries have denominators 3, 5 and 7."""
+    d = draw(st.integers(2, 4))
+    g = [[F(0)] * d for _ in range(d)]
+    for i, j in itertools.combinations(range(d), 2):
+        q = draw(st.sampled_from((3, 5, 7)))
+        g[i][j] = g[j][i] = F(draw(st.integers(-q, q)), q)
+    for i in range(d):
+        extra = F(draw(st.integers(0, 2)), draw(st.sampled_from((3, 5, 7))))
+        g[i][i] = 1 + sum(abs(x) for x in g[i]) + extra
+    return lattice.make_form(g)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(mixed_denominator_forms())
+def test_minima_and_dual_set_match_oracles_mixed_denominators(a):
+    # margin 1 gives a(v) >= |v|_inf^2, and every class has a 0/1 vector of
+    # norm <= sum |A_ij|, so all minima lie in the box of radius isqrt(sum)
+    radius = isqrt(int(sum(abs(x) for row in a.gram for x in row)))
+    cs = coset_minima(a)
+    oracle = box_scan_minima(a.gram, radius)
+    for cl in cs.classes:
+        assert (cl.min_norm, cl.minima) == oracle[cl.parity], (a.gram, cl.parity)
+    normals = cs.facet_normals()
+    assert dual_set(normals).members == box_scan_dual_set(normals), a.gram
 
 
 def test_in_dual_set_witnesses():

@@ -350,3 +350,8 @@ def test_prune_tight_sets_match_dot_products():
 def test_codim2_faces_computed_once_per_cell():
     v = cell_of("An", 3)
     assert codim2_faces(v) is codim2_faces(v)
+
+
+def test_belts_computed_once_per_cell():
+    v = cell_of("Dn", 4)
+    assert belts(v) is belts(v)
