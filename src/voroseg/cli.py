@@ -27,22 +27,26 @@ from . import extension, jsonio, lattice, polytope
 from .lattice import catalog, coset_minima
 
 
-def _load_form(args) -> lattice.QuadForm:
-    if getattr(args, "job", None):
-        doc = json.loads(Path(args.job).read_text())
-        if "catalogName" in doc:
-            return catalog(doc["catalogName"], doc.get("n"))
-        return jsonio.form_from_dict(doc["form"] if "form" in doc else doc)
-    if args.form:
-        return jsonio.form_from_dict(json.loads(Path(args.form).read_text()))
-    if args.lattice:
-        return catalog(args.lattice, args.n)
-    raise SystemExit("one of --form/--lattice is required")
-
-
-def _input_error(why: str) -> NoReturn:
-    print(f"voroseg check: error: {why}", file=sys.stderr)
+def _input_error(command: str, why: str) -> NoReturn:
+    print(f"voroseg {command}: error: {why}", file=sys.stderr)
     raise SystemExit(2)  # 1 means a check's invariants failed
+
+
+def _load_form(args) -> lattice.QuadForm:
+    """The form of --job, --form or --lattice; unreadable or invalid input exits with status 2."""
+    try:
+        if getattr(args, "job", None):
+            doc = json.loads(Path(args.job).read_text())
+            if "catalogName" in doc:
+                return catalog(doc["catalogName"], doc.get("n"))
+            return jsonio.form_from_dict(doc)
+        if args.form:
+            return jsonio.form_from_dict(json.loads(Path(args.form).read_text()))
+        if args.lattice:
+            return catalog(args.lattice, args.n)
+    except (OSError, ValueError, lattice.LatticeError) as exc:  # JSONDecodeError is a ValueError
+        _input_error(args.command, str(exc))
+    _input_error(args.command, "one of --form/--lattice is required")
 
 
 def _rationals(entries) -> tuple[Fraction, ...] | None:
@@ -63,7 +67,7 @@ def _direction(entries, dim: int) -> tuple[int, ...]:
     """The direction e as integers; any other input exits with status 2."""
     e = _rationals(entries)
     if e is None or len(e) != dim or not any(e) or any(x.denominator != 1 for x in e):
-        _input_error(f"e must be {dim} integers, not all zero; got {entries!r}")
+        _input_error("check", f"e must be {dim} integers, not all zero; got {entries!r}")
     return tuple(int(x) for x in e)
 
 
@@ -71,7 +75,7 @@ def _weights(entries) -> tuple[Fraction, ...]:
     """The segment weights b; any other input than positive rationals exits with status 2."""
     b = _rationals(entries)
     if not b or any(x <= 0 for x in b):
-        _input_error(f"b must be a non-empty list of positive rationals; got {entries!r}")
+        _input_error("check", f"b must be a non-empty list of positive rationals; got {entries!r}")
     return b
 
 
@@ -84,6 +88,8 @@ def _emit(args, doc: dict, summary: str) -> None:
 
 def cmd_cell(args) -> int:
     a = _load_form(args)
+    if args.off and a.dim > min(3, args.vcap):
+        _input_error("cell", f"--off needs vertices and d <= 3; got d {a.dim}, --vcap {args.vcap}")
     h = polytope.build_cell(a, coset_minima(a).facet_normals())
     doc: dict = {"form": jsonio.form_to_dict(a)}
     if a.dim <= args.vcap:
@@ -96,16 +102,12 @@ def cmd_cell(args) -> int:
             f"{len(v.vertices)} vertices, belt lengths {lengths}"
         )
         if args.off:
-            if a.dim > 3:
-                raise SystemExit("--off needs d <= 3")
             Path(args.off).write_text(jsonio.to_off(v))
             summary += f"; wrote OFF to {args.off}"
     else:
         doc["cell"] = jsonio.hrep_to_dict(h)
         doc["cell"]["note"] = f"dim {a.dim} above V-rep cap {args.vcap}: H-representation only"
         summary = f"cell: dim {a.dim}, {len(h.ineqs)} facets (H-rep only, above V-rep cap)"
-        if args.off:
-            raise SystemExit("--off needs vertices; dim above the V-rep cap")
     _emit(args, doc, summary)
     return 0
 
@@ -132,19 +134,19 @@ def cmd_dual_set(args) -> int:
 
 def cmd_check(args) -> int:
     a = _load_form(args)
-    e = args.e
-    bs = args.b
-    if getattr(args, "job", None):
-        doc_in = json.loads(Path(args.job).read_text())
-        e = e or doc_in.get("e")
-        bs = bs or doc_in.get("b")
+    doc_in = json.loads(Path(args.job).read_text()) if args.job else {}
+    e = args.e or doc_in.get("e")
+    bs = args.b or doc_in.get("b")
     if e is None:
-        raise SystemExit("check needs --e (or a --job file with an e entry)")
+        _input_error("check", "needs --e (or a --job file with an e entry)")
     e = _direction(e, a.dim)
     bs = (Fraction(1),) if bs is None else _weights(bs)
     rep = extension.check_theorem(a, e, bs, cap=args.vcap)
     doc = {"form": jsonio.form_to_dict(a), "report": jsonio.report_to_dict(rep)}
     status = "ok" if rep.invariants_ok else "INVARIANT VIOLATION"
+    if all(r.skipped for r in rep.results):
+        status += (f", dual-set verdict only: dim {a.dim} above V-rep cap {args.vcap},"
+                   " no vertex-level checks")
     summary = (
         f"check: e={list(e)} in_dual_set={rep.in_dual_set} "
         f"normalized={list(rep.normalized_e) if rep.normalized_e else None} "
@@ -157,7 +159,7 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     a = _load_form(args)
     if a.dim > args.vcap:
-        raise SystemExit(f"verify needs vertices; dim {a.dim} above V-rep cap {args.vcap}")
+        _input_error("verify", f"needs vertices; dim {a.dim} above V-rep cap {args.vcap}")
     v = polytope.voronoi_cell(a, cap=args.vcap)
     verdict = polytope.is_parallelotope(v)
     graph = polytope.irreducibility_graph(v) if verdict.ok else None
@@ -175,21 +177,17 @@ def cmd_verify(args) -> int:
     return 0 if verdict.ok else 1
 
 
-def _parse_lattice_spec(spec: str) -> tuple[str, int | None]:
-    if ":" in spec:
-        name, _, n = spec.partition(":")
-        return name, int(n)
-    return spec, None
-
-
 DEFAULT_REPORT = "Zn:2,Zn:3,An:2,An:3,An*:3,Dn:4"
 
 
 def cmd_report(args) -> int:
     rows = []
     for spec in args.lattices.split(","):
-        name, n = _parse_lattice_spec(spec.strip())
-        a = catalog(name, n)
+        name, _, n = spec.strip().partition(":")
+        try:
+            a = catalog(name, int(n) if n else None)
+        except (ValueError, lattice.LatticeError) as exc:
+            _input_error("report", f"lattice spec {spec.strip()!r}: {exc}")
         cs = coset_minima(a)
         normals = cs.facet_normals()
         ds = extension.dual_set(normals)

@@ -310,7 +310,7 @@ def lemma_l8_check(a: QuadForm, cell: VPolytope, e: Sequence) -> bool:
         cl = cs.class_of(p)
         if cl is None or p not in cl.minima:
             return False
-        cf = polytope.contact_face(cell.hpoly, cell, p, eval_form(a, p))
+        cf = polytope.contact_face(cell, p, eval_form(a, p))
         if cf is None or cf.vertex_ids != face.vertex_ids:
             return False
         if fi not in on_4_belt:

@@ -43,6 +43,8 @@ def form_to_dict(a: QuadForm) -> dict:
 def form_from_dict(doc: dict) -> QuadForm:
     if "form" in doc:  # allow re-ingesting documents that embed their form
         doc = doc["form"]
+    if "gram" not in doc:
+        raise ValueError("no form: expected a gram (or form, or catalogName) entry")
     gram = [[linalg.parse_rational(x) for x in row] for row in doc["gram"]]
     a = make_form(gram)
     if "dim" in doc and doc["dim"] != a.dim:

@@ -4,7 +4,9 @@ Vertex enumeration is an incremental double-description pass over the
 inequality list (lexicographic insertion order), entirely in rational
 arithmetic.  On top of it sit face extraction, belts, the tiling
 (parallelotope) verifier, the facet graph used for irreducibility, and
-shadow-boundary classification.
+shadow-boundary classification.  Face data comes from the tight sets the
+double description keeps per vertex: the inequalities tight on all of a
+face cut out its affine hull (Ziegler, Lectures on Polytopes, 2.1).
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ class VPolytope:
         members = {i: frozenset(self.incidence[i]) for i in self.facet_ids}
         for i, j in itertools.combinations(self.facet_ids, 2):
             ids = tuple(sorted(members[i] & members[j]))
-            if ids and ids not in found:
+            # a (d-2)-face has at least d-1 vertices
+            if ids and len(ids) >= self.dim - 1 and ids not in found:
                 face = _face_from_vertices(self, ids)
                 found[ids] = face if face.dim == self.dim - 2 else None
         return tuple(found[k] for k in sorted(found) if found[k] is not None)
@@ -170,17 +173,12 @@ def _incidence(tights: Sequence[frozenset[int]], n_ineqs: int) -> tuple[tuple[in
     return tuple(tuple(r) for r in rows)
 
 
-def _direction_space(points: Sequence[Vec]) -> Mat:
-    """RREF basis rows of aff(points) - aff(points); empty for at most one point."""
-    return linalg.rref(tuple(linalg.vsub(p, points[0]) for p in points[1:]))
+def _direction_space(h: HPolytope, eq: Iterable[int]) -> Mat:
+    """RREF basis rows of aff F - aff F, where eq are the inequalities tight on all of F."""
+    return linalg.rref(linalg.null_space(tuple(h.ineqs[i].normal for i in eq), h.dim))
 
 
-def _tight_set(h: HPolytope, ids: Iterable[int], x: Vec) -> set[int]:
-    """The inequalities among ids that x satisfies with equality."""
-    return {i for i in ids if linalg.dot(h.ineqs[i].normal, x) == h.ineqs[i].support}
-
-
-def _initial_box(h: HPolytope) -> tuple[list[Vec], list[set[int]], list[int]]:
+def _initial_box(h: HPolytope) -> tuple[list[Vec], list[set[int]], set[int]]:
     """Vertices of a bounding parallelepiped from d independent +/- pairs."""
     d = h.dim
     paired: dict[tuple[int, ...], dict[int, int]] = {}
@@ -205,16 +203,16 @@ def _initial_box(h: HPolytope) -> tuple[list[Vec], list[set[int]], list[int]]:
             break
     if len(chosen) < d:
         raise UnboundedCellError("no d independent +/- normal pairs for the seed box")
-    init_ids = sorted({i for pair in chosen for i in pair})
     verts: dict[Vec, set[int]] = {}
     for sigma in itertools.product((0, 1), repeat=d):
         sel = [chosen[i][sigma[i]] for i in range(d)]
         m = tuple(h.ineqs[i].normal for i in sel)
         rhs = tuple(h.ineqs[i].support for i in sel)
-        x = linalg.solve_linear(m, rhs)
-        verts.setdefault(x, set()).update(_tight_set(h, init_ids, x))
+        # the vertex is tight on sel only, but across a zero-width slab the flipped
+        # pattern gives the same vertex and adds the other side
+        verts.setdefault(linalg.solve_linear(m, rhs), set()).update(sel)
     pts = sorted(verts)
-    return pts, [verts[p] for p in pts], init_ids
+    return pts, [verts[p] for p in pts], {i for pair in chosen for i in pair}
 
 
 def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
@@ -227,17 +225,15 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     d = h.dim
     if d > cap:
         raise VRepCapError(f"V-representation capped at d <= {cap}, got {d}")
-    verts, tights, processed = _initial_box(h)
-    processed_set = set(processed)
+    verts, tights, seeds = _initial_box(h)
     for k, iq in enumerate(h.ineqs):
-        if k in processed_set:
+        if k in seeds:
             continue
         n, s = iq.normal, iq.support
         vals = [linalg.dot(n, v) for v in verts]
         plus = [i for i, val in enumerate(vals) if val < s]
         zero = [i for i, val in enumerate(vals) if val == s]
         minus = [i for i, val in enumerate(vals) if val > s]
-        processed_set.add(k)
         if not minus:
             for i in zero:
                 tights[i].add(k)
@@ -259,8 +255,10 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
                     continue
                 t = (s - vals[iu]) / (vals[iw] - vals[iu])
                 x = linalg.vadd(verts[iu], linalg.vscale(t, linalg.vsub(verts[iw], verts[iu])))
-                new_pts.setdefault(x, set()).update(_tight_set(h, processed_set, x))
-        keep = [i for i in range(len(verts)) if i not in set(minus)]
+                # x lies strictly inside [u, w], so a processed inequality is
+                # tight at x exactly when it is tight at both ends
+                new_pts.setdefault(x, set()).update(common | {k})
+        keep = [i for i, val in enumerate(vals) if val <= s]
         for i in zero:
             tights[i].add(k)
         verts = [verts[i] for i in keep] + sorted(new_pts)
@@ -268,17 +266,20 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     order = sorted(range(len(verts)), key=lambda i: verts[i])
     vertices = tuple(verts[i] for i in order)
     tight_sets = tuple(frozenset(tights[i]) for i in order)
-    facet_ids = tuple(
-        i
-        for i, inc in enumerate(_incidence(tight_sets, len(h.ineqs)))
-        if inc and len(_direction_space([vertices[j] for j in inc])) == d - 1
-    )
+    incidence = _incidence(tight_sets, len(h.ineqs))
+    # a (d-1)-face has at least d vertices; a flat cell puts many inequalities
+    # on one vertex set, so each distinct set is ranked once
+    dims = {
+        inc: len(_direction_space(h, frozenset.intersection(*(tight_sets[j] for j in inc))))
+        for inc in set(incidence)
+        if len(inc) >= d
+    }
     return VPolytope(
         hpoly=h,
         vertices=vertices,
         tights=tight_sets,
-        facet_ids=facet_ids,
-        affine_rank=len(_direction_space(vertices)),
+        facet_ids=tuple(i for i, inc in enumerate(incidence) if dims.get(inc) == d - 1),
+        affine_rank=len(_direction_space(h, frozenset.intersection(*tight_sets))),
     )
 
 
@@ -318,10 +319,9 @@ class Face:
 
 def _face_from_vertices(v: VPolytope, vertex_ids: Sequence[int]) -> Face:
     ids = tuple(sorted(vertex_ids))
-    pts = [v.vertices[i] for i in ids]
-    tight = frozenset.intersection(*[v.tights[i] for i in ids])
-    dirs = _direction_space(pts)
-    facets = tuple(i for i in v.facet_ids if i in tight)
+    eq = frozenset.intersection(*(v.tights[i] for i in ids))
+    dirs = _direction_space(v.hpoly, eq)
+    facets = tuple(i for i in v.facet_ids if i in eq)
     return Face(facets=facets, vertex_ids=ids, dim=len(dirs), direction_space=dirs)
 
 
@@ -329,7 +329,7 @@ def facet_face(v: VPolytope, facet_id: int) -> Face:
     return _face_from_vertices(v, v.incidence[facet_id])
 
 
-def contact_face(h: HPolytope, v: VPolytope, p: Sequence, supp) -> Face | None:
+def contact_face(v: VPolytope, p: Sequence, supp) -> Face | None:
     """The face where the hyperplane <p, x> = supp supports the cell.
 
     Returns None when the hyperplane misses the cell or cuts through it,
@@ -396,8 +396,8 @@ class ParallelotopeVerdict:
 
 def is_parallelotope(v: VPolytope) -> ParallelotopeVerdict:
     """Venkov-McMullen test: central symmetry, 4/6-belts, symmetric facets."""
-    vset = set(v.vertices)
-    if any(linalg.vneg(x) not in vset for x in v.vertices):
+    # negation reverses lexicographic order, so the antipode of vertex i is n-1-i
+    if any(x != linalg.vneg(y) for x, y in zip(v.vertices, reversed(v.vertices))):
         return ParallelotopeVerdict(ok=False, failure="central-symmetry")
     for bi, belt in enumerate(belts(v)):
         if belt.length not in (4, 6):
@@ -406,11 +406,8 @@ def is_parallelotope(v: VPolytope) -> ParallelotopeVerdict:
             )
     for i in v.facet_ids:
         pts = [v.vertices[j] for j in v.incidence[i]]
-        center2 = linalg.vscale(
-            Fraction(2, len(pts)), functools.reduce(linalg.vadd, pts)
-        )
-        pset = set(pts)
-        if any(linalg.vsub(center2, p) not in pset for p in pts):
+        # likewise a point reflection of the facet would map its k-th vertex to its (m-1-k)-th
+        if len({linalg.vadd(x, y) for x, y in zip(pts, reversed(pts))}) > 1:
             return ParallelotopeVerdict(ok=False, failure="facet-symmetry", facet_id=i)
     return ParallelotopeVerdict(ok=True)
 
@@ -428,13 +425,14 @@ def irreducibility_graph(v: VPolytope) -> FacetGraph:
     verdict = is_parallelotope(v)
     if not verdict.ok:
         raise NotParallelotopeError(f"input is not a parallelotope: {verdict}")
-    by_vertices = {frozenset(v.vertices[j] for j in v.incidence[i]): i for i in v.facet_ids}
+    # a parallelotope's vertex n-1-j is the antipode of vertex j
+    by_incidence = {v.incidence[i]: i for i in v.facet_ids}
     pair_of: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
     for i in v.facet_ids:
         if i in pair_of:
             continue
-        partner = by_vertices[frozenset(linalg.vneg(v.vertices[j]) for j in v.incidence[i])]
+        partner = by_incidence[tuple(len(v.vertices) - 1 - j for j in reversed(v.incidence[i]))]
         pair_of[i] = pair_of[partner] = len(pairs)
         pairs.append((min(i, partner), max(i, partner)))
     faces = codim2_faces(v)
@@ -521,8 +519,8 @@ def adjacency_check(a: QuadForm, v: VPolytope, p: Sequence) -> bool:
     """True iff the cell and its translate by 2Ap share exactly the facet F(p).
 
     The translate lies beyond the hyperplane <p, x> = a(p), so sharing the
-    facet is equivalent to F(p) being centrally symmetric about Ap; the
-    check compares vertex sets exactly.
+    facet is equivalent to F(p) being centrally symmetric about Ap; as in
+    is_parallelotope, the reflection pairs the facet's k-th and (m-1-k)-th vertices.
     """
     pv = linalg.vec(p)
     fid = next(
@@ -531,6 +529,5 @@ def adjacency_check(a: QuadForm, v: VPolytope, p: Sequence) -> bool:
     if fid is None:
         raise NotFacetNormalError(f"{tuple(p)} is not a facet normal of the cell")
     shift = linalg.vscale(2, linalg.mat_vec(a.gram, pv))
-    pts = {tuple(v.vertices[j]) for j in v.incidence[fid]}
-    mirrored = {tuple(linalg.vsub(shift, x)) for x in pts}
-    return pts == mirrored
+    pts = [v.vertices[j] for j in v.incidence[fid]]
+    return all(linalg.vadd(x, y) == shift for x, y in zip(pts, reversed(pts)))

@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths: minima come from a
 plain box scan, dual sets from a box scan bounded by an inverse computed
-here, vertices from solving all d-subsets of inequalities, and Minkowski
-sums from translating vertex sets.
+here, vertices from solving all d-subsets of inequalities, face dimensions
+from eliminating vertex differences, and Minkowski sums from translating
+vertex sets.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ def _reduced_rows(rows) -> list:
             out.append(pivot)
         col += 1
     return out
+
+
+def affine_direction_space(points) -> list:
+    """RREF rows of aff(points) - aff(points), from vertex differences (own elimination)."""
+    return _reduced_rows([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
 
 
 def box_scan_dual_set(normals) -> tuple:

@@ -210,3 +210,34 @@ def test_report_default_json_golden(tmp_path):
     assert main(["report", "--json", str(out)]) == 0
     golden = Path(__file__).parent / "data" / "report_default.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["relevant", "--form", "{tmp}/not_pd.json"],
+    ["relevant", "--lattice", "An", "--n", "0"],
+    ["relevant", "--lattice", "Foo"],
+    ["check", "--job", "{tmp}/no_form.json"],
+    ["cell", "--form", "{tmp}/missing.json"],
+    ["report", "--lattices", "Dn:x"],
+    ["report", "--lattices", "Foo"],
+    ["verify", "--lattice", "E6"],
+    ["cell", "--lattice", "Dn", "--n", "4", "--off", "{tmp}/x.off"],
+    ["cell", "--lattice", "E6", "--off", "{tmp}/x.off"],
+    ["check", "--lattice", "An", "--n", "2"],
+    ["dual-set"],
+], ids=" ".join)
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    # 1 is taken: `check` exits 1 on a violated invariant, `verify` on a non-parallelotope
+    (tmp_path / "not_pd.json").write_text(json.dumps({"dim": 2, "gram": [["1", "2"], ["2", "1"]]}))
+    (tmp_path / "no_form.json").write_text(json.dumps({"e": [0, 1], "b": ["1"]}))
+    with pytest.raises(SystemExit) as exc:
+        main([x.replace("{tmp}", str(tmp_path)) for x in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"voroseg {argv[0]}: error: ") and err.count("\n") == 1
+
+
+def test_check_above_cap_summary_says_dual_set_only(capsys):
+    assert main(["check", "--lattice", "E6", "--e", "1,0,0,0,0,0"]) == 0
+    out = capsys.readouterr().out
+    assert "[ok, dual-set verdict only: dim 6 above V-rep cap 5, no vertex-level checks]" in out

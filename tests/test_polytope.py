@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
-from oracles import brute_force_vertices
+from oracles import affine_direction_space, brute_force_vertices
 from voroseg import extension, lattice, linalg, polytope
 from voroseg.lattice import catalog, coset_minima
 from voroseg.polytope import (
@@ -117,12 +118,12 @@ def test_support_value_examples():
 
 def test_contact_face_examples():
     sq = cell_of("Zn", 2)
-    edge = contact_face(sq.hpoly, sq, (1, 0), 1)
+    edge = contact_face(sq, (1, 0), 1)
     assert edge.dim == 1 and len(edge.vertex_ids) == 2
-    vert = contact_face(sq.hpoly, sq, (1, 1), 2)
+    vert = contact_face(sq, (1, 1), 2)
     assert vert.dim == 0
     assert sq.vertices[vert.vertex_ids[0]] == linalg.vec((1, 1))
-    assert contact_face(sq.hpoly, sq, (1, 0), 2) is None
+    assert contact_face(sq, (1, 0), 2) is None
 
 
 def test_codim2_counts():
@@ -270,8 +271,8 @@ def test_shadow_boundary_facets_iff_orthogonal_normal():
 
 def test_classify_face_examples():
     sq = cell_of("Zn", 2)
-    edge = contact_face(sq.hpoly, sq, (1, 0), 1)
-    vert = contact_face(sq.hpoly, sq, (1, -1), 2)
+    edge = contact_face(sq, (1, 0), 1)
+    vert = contact_face(sq, (1, -1), 2)
     assert classify_face(sq, edge, (0, 1)) == polytope.PARALLEL_EXTENSION
     assert classify_face(sq, edge, (1, 1)) == polytope.SHIFT
     assert classify_face(sq, vert, (1, 1)) == polytope.DIRECT_SUM
@@ -331,20 +332,74 @@ def _dot_tights(v):
     )
 
 
+def _segment_sums(pruned=True):
+    """D4 and A3 plus a segment along a dual-set and a non-dual e, pruned or as enumerated."""
+    out = []
+    keep = prune_to_facets if pruned else (lambda v: v)
+    with mock.patch.object(extension, "prune_to_facets", keep):
+        for name, n in [("Dn", 4), ("An", 3)]:
+            a = catalog(name, n)
+            cell = voronoi_cell(a)
+            free = extension.dual_set(coset_minima(a).facet_normals()).members[0]
+            for e in (free, (1, 2) + (0,) * (n - 2)):
+                out.append(extension.sum_with_segment(cell, extension.Direction(e, F(1, 2))))
+    return out
+
+
+def _flat_segment_cells():
+    """Segments as cells over all contact vectors: many inequalities share both vertices."""
+    out = []
+    for name, n in [("An", 2), ("Zn", 3), ("Dn", 4)]:
+        cs = coset_minima(catalog(name, n))
+        for e in extension.dual_set(cs.facet_normals()).members[:2]:
+            h = extension.segment_as_polytope(extension.Direction(e, F(1, 2)), cs.contact_vectors())
+            out.append(enumerate_vertices(h))
+    return out
+
+
+def _contact_cells():
+    """Cells over all contact vectors: the non-facet ones are redundant but touch lower faces."""
+    out = []
+    for name, n in [("Zn", 3), ("An", 3), ("Dn", 4)]:
+        a = catalog(name, n)
+        out.append(enumerate_vertices(build_cell(a, coset_minima(a).contact_vectors())))
+    return out
+
+
+def _redundant_square():
+    return enumerate_vertices(hpolytope(
+        2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1), ((1, 1), 5), ((-1, -1), 5)]
+    ))
+
+
 def test_prune_tight_sets_match_dot_products():
     cells = [prune_to_facets(cell_of(name, n)) for name, n, _ in lattice.catalog_entries(max_dim=4)]
-    for name, n in [("Dn", 4), ("An", 3)]:
-        a = catalog(name, n)
-        cell = voronoi_cell(a)
-        free = extension.dual_set(coset_minima(a).facet_normals()).members[0]
-        for e in (free, (1, 2) + (0,) * (n - 2)):
-            cells.append(extension.sum_with_segment(cell, extension.Direction(e, F(1, 2))))
-    cells.append(prune_to_facets(enumerate_vertices(hpolytope(
-        2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1), ((1, 1), 5), ((-1, -1), 5)]
-    ))))
+    cells += _segment_sums() + [prune_to_facets(_redundant_square())]
     for v in cells:
         assert v.tights == _dot_tights(v)
         assert v.facet_ids == tuple(range(len(v.hpoly.ineqs)))
+    for v in _segment_sums(pruned=False) + _contact_cells() + _flat_segment_cells():
+        assert v.tights == _dot_tights(v)
+
+
+def test_faces_match_affine_dimension_oracle():
+    cells = [cell_of(name, n) for name, n, _ in lattice.catalog_entries(max_dim=4)]
+    cells += _segment_sums(pruned=False) + _contact_cells() + _flat_segment_cells()
+    cells.append(_redundant_square())
+    for v in cells:
+        d = v.dim
+        assert v.affine_rank == len(affine_direction_space(v.vertices))
+        on = [
+            [x for x in v.vertices if sum(a * b for a, b in zip(iq.normal, x)) == iq.support]
+            for iq in v.hpoly.ineqs
+        ]
+        assert v.facet_ids == tuple(
+            i for i, pts in enumerate(on) if pts and len(affine_direction_space(pts)) == d - 1
+        )
+        for f in codim2_faces(v):
+            want = affine_direction_space([v.vertices[j] for j in f.vertex_ids])
+            assert f.dim == len(want) == d - 2
+            assert [list(r) for r in f.direction_space] == want
 
 
 def test_codim2_faces_computed_once_per_cell():

@@ -17,3 +17,21 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_cli_never_exits_with_a_message():
+    # SystemExit("...") and sys.exit("...") print the text and exit 1, the code
+    # `check` keeps for a violated invariant; bad input goes through _input_error
+    tree = ast.parse((SRC / "cli.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("SystemExit", "sys.exit")
+        and node.args
+        and (
+            isinstance(node.args[0], ast.JoinedStr)
+            or isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+        )
+    ]
+    assert not found, found
