@@ -11,6 +11,7 @@ live here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -264,7 +265,9 @@ def subset_check(
 
     This is a theorem for support-function sums, so a False return (with
     the offending vertex sum as witness) signals an implementation bug.
-    Precomputed vertex representations may be passed to avoid re-enumeration.
+    The support of a Minkowski sum is the sum of the supports, so one
+    maximiser per summand and inequality decides.  Precomputed vertex
+    representations may be passed to avoid re-enumeration.
     """
     if h1.normals != h2.normals:
         raise NormalSetMismatchError("the two cells must share their normal set")
@@ -274,12 +277,11 @@ def subset_check(
     )
     v1 = v1 if v1 is not None and v1.hpoly == h1 else enumerate_vertices(h1, cap=cap)
     v2 = v2 if v2 is not None and v2.hpoly == h2 else enumerate_vertices(h2, cap=cap)
-    for x1 in v1.vertices:
-        for x2 in v2.vertices:
-            s = linalg.vadd(x1, x2)
-            for iq in total.ineqs:
-                if linalg.dot(iq.normal, s) > iq.support:
-                    return False, s
+    for iq in total.ineqs:
+        height = functools.partial(linalg.dot, iq.normal)
+        s = linalg.vadd(max(v1.vertices, key=height), max(v2.vertices, key=height))
+        if height(s) > iq.support:
+            return False, s
     return True, None
 
 

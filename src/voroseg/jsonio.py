@@ -154,8 +154,10 @@ def _cycle_vertex_ids(v: VPolytope, ids: Sequence[int]) -> list[int]:
     centroid = linalg.vscale(Fraction(1, len(pts)), functools.reduce(linalg.vadd, pts))
     rel = [linalg.vsub(p, centroid) for p in pts]
     if len(rel[0]) > 2:
-        plane = linalg.rref(tuple(rel))
-        rel = [linalg.coords_in_basis(plane, r) for r in rel]
+        # rel spans the RREF rows, each 1 at its own pivot column and 0 at the
+        # other's, so the coordinates in that basis are the entries there
+        pivots = [next(j for j, x in enumerate(r) if x) for r in linalg.rref(tuple(rel))]
+        rel = [tuple(r[j] for j in pivots) for r in rel]
     order = polytope._angular_order(list(enumerate(rel)))
     return [ids[i] for i in order]
 

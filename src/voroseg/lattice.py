@@ -315,6 +315,8 @@ def catalog(name: str, n: int | None = None) -> QuadForm:
     """
     if name not in CATALOG_NAMES:
         raise UnknownLatticeError(f"unknown lattice {name!r}; known: {CATALOG_NAMES}")
+    if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
+        raise UnknownLatticeError(f"{name} needs an integer dimension n, got {n!r}")
     if name in _FIXED_DIMS:
         want = _FIXED_DIMS[name]
         if n is not None and n != want:
@@ -337,7 +339,8 @@ def catalog(name: str, n: int | None = None) -> QuadForm:
     else:
         g = _gram_from_edges(n, _en_edges(n))
     if name.endswith("*"):
-        g = linalg.invert(g)
+        adj, det = linalg.adjugate(g)
+        g = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
     return make_form(g)
 
 

@@ -1,13 +1,17 @@
 """Exact rational linear algebra over tuple-based vectors and matrices.
 
-All arithmetic uses `fractions.Fraction`, except `adjugate`, which stays in
-integers; nothing in here ever rounds.  Vectors are tuples of Fractions,
-matrices are tuples of row tuples.
+Vectors are tuples of Fractions, matrices are tuples of row tuples, and
+nothing in here ever rounds.  Every row reduction (`rref`, `rank`,
+`solve_linear`, `adjugate`, and `null_space` through `rref`) runs one
+integer kernel, fraction-free Gauss-Jordan elimination: a rational row is
+first scaled to integers by the lcm of its own denominators, and Fractions
+are formed only from the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -82,11 +86,6 @@ def mat_vec(m: Mat, v: Sequence) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
@@ -95,60 +94,58 @@ def is_symmetric(m: Mat) -> bool:
     return all(len(r) == len(m) for r in m) and m == transpose(m)
 
 
-def _eliminate(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Forward elimination to row echelon form, in place; returns the rows."""
+def _integer_rows(m: Sequence[Sequence]) -> list[list[int]]:
+    """Each rational row times the lcm of its own denominators; its RREF stays the same."""
+    out = []
+    for row in m:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows, in place.
+
+    Any shape and rank.  Returns (pivots, p, sign): row r ends as the r-th
+    pivot row, zero in every other pivot column, and the rows past
+    len(pivots) end zero.  Every division is exact and every pivot ends
+    equal to p, so the first len(pivots) rows over p are the RREF.  sign is
+    the parity of the row swaps; a square input of full rank has
+    determinant sign * p.
+    """
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        pr = rows[r]
+        pk = pr[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
+            if i != r:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return rows
+                rows[i] = [(pk * x - f * y) // prev for x, y in zip(rows[i], pr)]
+        prev = pk
+        pivots.append(c)
+    return pivots, prev, sign
 
 
 def rref(m: Mat) -> Mat:
     """Reduced row echelon form with zero rows dropped (canonical row basis)."""
-    if not m:
-        return ()
-    rows = _eliminate([list(r) for r in m])
-    return tuple(tuple(r) for r in rows if any(x != 0 for x in r))
+    rows = _integer_rows(m)
+    pivots, p, _ = _bareiss(rows)
+    return tuple(tuple(Fraction(x, p) for x in r) for r in rows[: len(pivots)])
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m))
-
-
-def det(m: Mat) -> Fraction:
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise DimensionMismatchError("det of non-square matrix")
-    rows = [list(r) for r in m]
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return d
+    return len(_bareiss(_integer_rows(m))[0])
 
 
 def solve_linear(m: Mat, rhs: Sequence) -> Vec:
@@ -162,59 +159,31 @@ def solve_linear(m: Mat, rhs: Sequence) -> Vec:
         raise DimensionMismatchError("solve_linear needs a square matrix")
     if len(rhs) != n:
         raise DimensionMismatchError(f"rhs length {len(rhs)} != {n}")
-    aug = [list(r) + [Fraction(rhs[i])] for i, r in enumerate(m)]
-    aug = _eliminate(aug)
-    pivots = []
-    for row in aug:
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is None:
-            continue
-        if lead == n:
-            raise InconsistentSystemError("0 = nonzero row in elimination")
-        pivots.append(lead)
+    rows = _integer_rows([tuple(r) + (Fraction(t),) for r, t in zip(m, rhs)])
+    pivots, p, _ = _bareiss(rows)
+    if pivots and pivots[-1] == n:
+        raise InconsistentSystemError("0 = nonzero row in elimination")
     if len(pivots) < n:
         raise UnderdeterminedSystemError(f"rank {len(pivots)} < {n}")
-    x = [Fraction(0)] * n
-    for row in aug:
-        lead = next((j for j, v in enumerate(row) if v != 0), None)
-        if lead is not None and lead < n:
-            x[lead] = row[n]
-    return tuple(x)
-
-
-def invert(m: Mat) -> Mat:
-    n = len(m)
-    cols = [solve_linear(m, tuple(Fraction(1 if i == j else 0) for i in range(n)))
-            for j in range(n)]
-    return transpose(mat(cols))
+    return tuple(Fraction(r[n], p) for r in rows)
 
 
 def adjugate(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """adj(m) and det(m) of a nonsingular integer matrix, in integers only.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [m | I]: every
-    division is exact, and the left block ends as det(P m) I and the right
-    one as det(P m) m^-1, where P is the row permutation of the pivoting.
+    Eliminating [m | I] leaves p I on the left and p m^-1 on the right, where
+    p = det(P m) and P is the row permutation of the pivoting.
     """
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatchError("adjugate of non-square matrix")
+    if any(x.denominator != 1 for r in m for x in r):
+        raise LinAlgError("adjugate needs an integer matrix")
     rows = [[int(x) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-    prev, sign = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if pivot is None:
-            raise LinAlgError("adjugate needs a nonsingular matrix")
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        pk = rows[k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(pk[k] * x - f * y) // prev for x, y in zip(rows[i], pk)]
-        prev = pk[k]
-    return tuple(tuple(sign * x for x in r[n:]) for r in rows), sign * prev
+    pivots, p, sign = _bareiss(rows)
+    if pivots[:n] != list(range(n)):
+        raise LinAlgError("adjugate needs a nonsingular matrix")
+    return tuple(tuple(sign * x for x in r[n:]) for r in rows), sign * p
 
 
 def is_positive_definite(m: Mat) -> bool:
@@ -264,45 +233,19 @@ def null_space(m: Mat, ncols: int) -> Mat:
     return tuple(basis)
 
 
-def coords_in_basis(basis: Mat, x: Sequence) -> Vec:
-    """Coefficients c with sum_i c_i basis[i] = x; raises if x is outside."""
-    if not basis:
-        if any(Fraction(t) != 0 for t in x):
-            raise InconsistentSystemError("nonzero vector in empty span")
-        return ()
-    r = rref(basis)
-    pivots = [next(j for j, v in enumerate(row) if v != 0) for row in r]
-    sq = tuple(tuple(row[p] for p in pivots) for row in basis)
-    c = solve_linear(transpose(sq), tuple(Fraction(x[p]) for p in pivots))
-    recon = tuple(
-        sum((ci * bi for ci, bi in zip(c, col)), Fraction(0))
-        for col in zip(*basis)
-    )
-    if recon != tuple(Fraction(t) for t in x):
-        raise InconsistentSystemError("vector not in the span of the basis")
-    return c
-
-
 def primitive_direction(v: Sequence) -> tuple[tuple[int, ...], Fraction]:
     """Scale a nonzero rational vector to its primitive integer direction.
 
     Returns (p, c) with p primitive (integer entries, gcd 1, orientation kept)
     and v = c * p, c > 0.
     """
-    from math import gcd
-
     fr = [Fraction(x) for x in v]
     if all(x == 0 for x in fr):
         raise ValueError("zero vector has no direction")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    p = tuple(x // g for x in ints)
-    return p, Fraction(g, den)
+    den = lcm(*(x.denominator for x in fr))
+    ints = [x.numerator * (den // x.denominator) for x in fr]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints), Fraction(g, den)
 
 
 def parse_rational(s: str) -> Fraction:

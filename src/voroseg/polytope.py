@@ -150,13 +150,18 @@ class VPolytope:
             facet_set: set[int] = set()
             for fi in face_ids:
                 facet_set.update(faces[fi].facets)
-            plane = linalg.null_space(key, self.dim)
-            if len(plane) != 2:
+            # the null space of the RREF key is the identity at its two free
+            # columns, so a normal's coordinates in that basis are its entries there
+            pivots = {next(j for j, x in enumerate(r) if x) for r in key}
+            free = [j for j in range(self.dim) if j not in pivots]
+            if len(free) != 2:
                 raise PolytopeError("belt direction space must have codimension 2")
             projected = []
             for i in sorted(facet_set):
                 n = self.hpoly.ineqs[i].normal
-                projected.append((i, linalg.coords_in_basis(plane, n)))
+                if any(sum(a * b for a, b in zip(r, n)) for r in key):
+                    raise PolytopeError(f"facet {i} is not parallel to its belt's direction space")
+                projected.append((i, (n[free[0]], n[free[1]])))
             ordered = _angular_order(projected)
             pivot = ordered.index(min(ordered))
             cyc = tuple(ordered[pivot:] + ordered[:pivot])
@@ -176,6 +181,11 @@ def _incidence(tights: Sequence[frozenset[int]], n_ineqs: int) -> tuple[tuple[in
 def _direction_space(h: HPolytope, eq: Iterable[int]) -> Mat:
     """RREF basis rows of aff F - aff F, where eq are the inequalities tight on all of F."""
     return linalg.rref(linalg.null_space(tuple(h.ineqs[i].normal for i in eq), h.dim))
+
+
+def _face_dim(h: HPolytope, eq: Iterable[int]) -> int:
+    """dim F, where eq are the inequalities tight on all of F."""
+    return h.dim - linalg.rank(tuple(h.ineqs[i].normal for i in eq))
 
 
 def _initial_box(h: HPolytope) -> tuple[list[Vec], list[set[int]], set[int]]:
@@ -270,7 +280,7 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     # a (d-1)-face has at least d vertices; a flat cell puts many inequalities
     # on one vertex set, so each distinct set is ranked once
     dims = {
-        inc: len(_direction_space(h, frozenset.intersection(*(tight_sets[j] for j in inc))))
+        inc: _face_dim(h, frozenset.intersection(*(tight_sets[j] for j in inc)))
         for inc in set(incidence)
         if len(inc) >= d
     }
@@ -279,7 +289,7 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
         vertices=vertices,
         tights=tight_sets,
         facet_ids=tuple(i for i, inc in enumerate(incidence) if dims.get(inc) == d - 1),
-        affine_rank=len(_direction_space(h, frozenset.intersection(*tight_sets))),
+        affine_rank=_face_dim(h, frozenset.intersection(*tight_sets)),
     )
 
 

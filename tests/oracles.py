@@ -3,8 +3,8 @@
 These deliberately avoid the production code paths: minima come from a
 plain box scan, dual sets from a box scan bounded by an inverse computed
 here, vertices from solving all d-subsets of inequalities, face dimensions
-from eliminating vertex differences, and Minkowski sums from translating
-vertex sets.
+from eliminating vertex differences, determinants from the same
+elimination, and Minkowski sums from translating vertex sets.
 """
 
 from __future__ import annotations
@@ -82,21 +82,55 @@ def box_scan_minima(gram, radius: int):
     }
 
 
-def _reduced_rows(rows) -> list:
-    """Reduced row echelon form of rational rows, zero rows dropped (own elimination)."""
+def _eliminate(rows) -> tuple[list, Fraction]:
+    """RREF of rational rows with zero rows dropped, and the product of the
+    pivots signed by the row order, which is the determinant of a square
+    input of full rank (own elimination)."""
     rows = [[Fraction(x) for x in r] for r in rows]
     out = []
+    scale = Fraction(1)
     col = 0
     while rows and col < len(rows[0]):
-        pivot = next((r for r in rows if r[col] != 0), None)
-        if pivot is not None:
-            rows.remove(pivot)
+        j = next((k for k, r in enumerate(rows) if r[col] != 0), None)
+        if j is not None:
+            # moving row j to the front of the remaining rows takes j swaps
+            pivot = rows.pop(j)
+            scale *= pivot[col] * (-1) ** j
             pivot = [x / pivot[col] for x in pivot]
             rows = [[x - r[col] * y for x, y in zip(r, pivot)] for r in rows]
             out = [[x - r[col] * y for x, y in zip(r, pivot)] for r in out]
             out.append(pivot)
         col += 1
-    return out
+    return out, scale
+
+
+def _reduced_rows(rows) -> list:
+    """Reduced row echelon form of rational rows, zero rows dropped (own elimination)."""
+    return _eliminate(rows)[0]
+
+
+def det(m) -> Fraction:
+    """Determinant of a square rational matrix, by the elimination above."""
+    out, scale = _eliminate(m)
+    return scale if len(out) == len(m) else Fraction(0)
+
+
+def mat_mul(a, b) -> tuple:
+    """Plain product of two rational matrices, as a tuple of row tuples."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def null_basis(rows, ncols: int) -> list:
+    """Basis of the right null space of rows: one vector per free column of the RREF."""
+    red = _reduced_rows(rows)
+    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in red]
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        x = [Fraction(int(j == f)) for j in range(ncols)]
+        for r, p in zip(red, pivots):
+            x[p] = -r[f]
+        basis.append(x)
+    return basis
 
 
 def affine_direction_space(points) -> list:
@@ -135,12 +169,12 @@ def brute_force_vertices(h) -> tuple:
     d = h.dim
     pts = set()
     for subset in itertools.combinations(range(len(h.ineqs)), d):
-        m = tuple(h.ineqs[i].normal for i in subset)
-        if linalg.rank(m) < d:
+        red = _reduced_rows([list(h.ineqs[i].normal) + [h.ineqs[i].support] for i in subset])
+        # the normals are independent iff the RREF is [I | x]
+        if len(red) < d or any(r[i] != 1 for i, r in enumerate(red)):
             continue
-        rhs = tuple(h.ineqs[i].support for i in subset)
-        x = linalg.solve_linear(m, rhs)
-        if all(linalg.dot(iq.normal, x) <= iq.support for iq in h.ineqs):
+        x = tuple(r[d] for r in red)
+        if all(sum(a * b for a, b in zip(iq.normal, x)) <= iq.support for iq in h.ineqs):
             pts.add(x)
     return tuple(sorted(pts))
 

@@ -217,6 +217,9 @@ def test_report_default_json_golden(tmp_path):
     ["relevant", "--lattice", "An", "--n", "0"],
     ["relevant", "--lattice", "Foo"],
     ["check", "--job", "{tmp}/no_form.json"],
+    ["check", "--job", "{tmp}/n_string.json"],
+    ["check", "--job", "{tmp}/n_float.json"],
+    ["check", "--job", "{tmp}/n_bool.json"],
     ["cell", "--form", "{tmp}/missing.json"],
     ["report", "--lattices", "Dn:x"],
     ["report", "--lattices", "Foo"],
@@ -230,6 +233,9 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
     # 1 is taken: `check` exits 1 on a violated invariant, `verify` on a non-parallelotope
     (tmp_path / "not_pd.json").write_text(json.dumps({"dim": 2, "gram": [["1", "2"], ["2", "1"]]}))
     (tmp_path / "no_form.json").write_text(json.dumps({"e": [0, 1], "b": ["1"]}))
+    for name, n in [("string", "3"), ("float", 2.0), ("bool", True)]:
+        job = {"catalogName": "An", "n": n, "e": [0, 1], "b": ["1"]}
+        (tmp_path / f"n_{name}.json").write_text(json.dumps(job))
     with pytest.raises(SystemExit) as exc:
         main([x.replace("{tmp}", str(tmp_path)) for x in argv])
     assert exc.value.code == 2

@@ -2,20 +2,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import _reduced_rows, det, mat_mul, null_basis
 from voroseg import jsonio, linalg
 from voroseg.linalg import (
     InconsistentSystemError,
+    LinAlgError,
     NonSymmetricError,
     UnderdeterminedSystemError,
-    coords_in_basis,
-    det,
+    adjugate,
     dot,
     identity,
-    invert,
     is_positive_definite,
     mat,
-    mat_mul,
     mat_vec,
     null_space,
     primitive_direction,
@@ -108,8 +109,10 @@ def test_positive_definite_implies_positive_values():
 
 
 def test_invert_roundtrip():
+    # the inverse is adj(a) / det(a)
     a = mat([[2, 1], [1, 1]])
-    assert mat_mul(a, invert(a)) == identity(2)
+    adj, d = adjugate(a)
+    assert mat_mul(a, [[F(x, d) for x in row] for row in adj]) == identity(2)
 
 
 def test_ldl_reconstructs():
@@ -127,16 +130,81 @@ def test_primitive_direction():
 
 
 def test_null_space_and_coords():
+    # the basis is the identity at the free columns of the RREF, so a vector
+    # of the null space has its entries there as coordinates
     m = mat([[1, 0, -1]])
     ns = null_space(rref(m), 3)
     assert len(ns) == 2
     for b in ns:
         assert dot(m[0], b) == 0
-    c = coords_in_basis(ns, vec((2, 5, 2)))
-    recon = [sum(ci * bi for ci, bi in zip(c, col)) for col in zip(*ns)]
-    assert tuple(recon) == vec((2, 5, 2))
-    with pytest.raises(InconsistentSystemError):
-        coords_in_basis(ns, vec((1, 0, 0)))
+    x = vec((2, 5, 2))
+    recon = [x[1] * b1 + x[2] * b2 for b1, b2 in zip(*ns)]
+    assert tuple(recon) == x
+
+
+def test_adjugate_rejects_rational_and_singular_input():
+    with pytest.raises(LinAlgError):
+        adjugate([[F(3, 2), 0], [0, 1]])
+    with pytest.raises(LinAlgError):
+        adjugate([[1, 2], [2, 4]])
+    assert adjugate([[F(3), 0], [0, 1]]) == (((1, 0), (0, 3)), 3)
+    assert adjugate([[0, 1], [1, 0]]) == (((0, -1), (-1, 0)), -1)
+
+
+@st.composite
+def rational_matrices(draw):
+    """1 to 5 rows and columns of small rationals in shuffled row order, some
+    made rank deficient by a zero row, a zero column or a row that combines
+    two others."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.sampled_from([F(p, q) for p in (1, -1, 2, -3, 4, 0) for q in (1, 2, 3)])
+    m = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    kind = draw(st.sampled_from(("full", "zero-row", "zero-column", "combination")))
+    if kind == "zero-row":
+        m[draw(st.integers(0, nr - 1))] = [F(0)] * nc
+    elif kind == "zero-column":
+        j = draw(st.integers(0, nc - 1))
+        for row in m:
+            row[j] = F(0)
+    elif kind == "combination" and nr >= 3:
+        a, b = draw(st.integers(-2, 2)), draw(st.sampled_from((F(1, 2), F(-1), F(3))))
+        m[2] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return tuple(tuple(r) for r in draw(st.permutations(m)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rational_matrices(), st.lists(st.integers(-5, 5), min_size=5, max_size=5))
+def test_kernel_matches_oracle_elimination(m, xs):
+    nr, nc = len(m), len(m[0])
+    want = _reduced_rows(m)
+    assert [list(r) for r in rref(m)] == want
+    assert rank(m) == len(want)
+    ns = null_space(m, nc)
+    assert len(ns) == nc - len(want) == len(_reduced_rows(ns))
+    assert all(dot(r, b) == 0 for r in m for b in ns)
+    # square systems on the leading k x k block
+    k = min(nr, nc)
+    sq = tuple(r[:k] for r in m[:k])
+    x = vec(xs[:k])
+    if len(_reduced_rows(sq)) == k:
+        assert solve_linear(sq, mat_vec(sq, x)) == x
+    else:
+        with pytest.raises(UnderdeterminedSystemError):
+            solve_linear(sq, mat_vec(sq, x))
+        # a vector orthogonal to every column is outside the column space
+        y = null_basis(transpose(sq), k)[0]
+        with pytest.raises(InconsistentSystemError):
+            solve_linear(sq, y)
+    # adjugate of the block scaled to integers: m adj(m) = det(m) I
+    ints = [[v * 6 for v in r] for r in sq]
+    d = det(ints)
+    if d == 0:
+        with pytest.raises(LinAlgError):
+            adjugate(ints)
+    else:
+        adj, got = adjugate(ints)
+        assert got == d
+        assert mat_mul(ints, adj) == tuple(tuple(d * (i == j) for j in range(k)) for i in range(k))
 
 
 def test_rational_io():

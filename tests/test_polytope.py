@@ -1,11 +1,13 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from oracles import affine_direction_space, brute_force_vertices
-from voroseg import extension, lattice, linalg, polytope
+from oracles import affine_direction_space, brute_force_vertices, null_basis
+from voroseg import extension, jsonio, lattice, linalg, polytope
 from voroseg.lattice import catalog, coset_minima
 from voroseg.polytope import (
     NotFacetNormalError,
@@ -181,9 +183,7 @@ def test_hv_roundtrip_catalog():
         assert set(v.facet_ids) == set(range(len(v.hpoly.ineqs)))
         for i in v.facet_ids:
             pts = [v.vertices[j] for j in v.incidence[i]]
-            base = pts[0]
-            span = tuple(linalg.vsub(p, base) for p in pts[1:])
-            normals = linalg.null_space(linalg.rref(span), v.dim)
+            normals = null_basis(affine_direction_space(pts), v.dim)
             assert len(normals) == 1
             got, _ = linalg.primitive_direction(normals[0])
             want, _ = linalg.primitive_direction(v.hpoly.ineqs[i].normal)
@@ -410,3 +410,31 @@ def test_codim2_faces_computed_once_per_cell():
 def test_belts_computed_once_per_cell():
     v = cell_of("Dn", 4)
     assert belts(v) is belts(v)
+
+
+def _belts_off_entries():
+    """Belt cycles of the catalog cells with d <= 4 and of D4 and A3 plus every
+    dual-set segment, with the OFF text of the cells with d <= 3."""
+    out = []
+    for name, n, a in lattice.catalog_entries(max_dim=4):
+        v = voronoi_cell(a)
+        entry = {"name": name, "n": n, "belts": [list(b.facet_ids) for b in belts(v)]}
+        if n <= 3:
+            entry["off"] = jsonio.to_off(v)
+        out.append(entry)
+    for name, n in [("Dn", 4), ("An", 3)]:
+        a = catalog(name, n)
+        cell = voronoi_cell(a)
+        for e in extension.dual_set(coset_minima(a).facet_normals()).members:
+            v = extension.sum_with_segment(cell, extension.Direction(e, F(1, 2)))
+            out.append({"name": name, "n": n, "e": list(e), "b": "1/2",
+                        "belts": [list(b.facet_ids) for b in belts(v)]})
+    return out
+
+
+def test_belt_cycles_and_off_golden():
+    # belt order and starting facet reach converse `check` JSON as belt_index,
+    # and OFF face winding is output too; neither is pinned by another test
+    golden = Path(__file__).parent / "data" / "belts_off.json"
+    text = "[\n" + ",\n".join(json.dumps(x) for x in _belts_off_entries()) + "\n]\n"
+    assert text == golden.read_text()
