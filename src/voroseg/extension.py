@@ -155,7 +155,7 @@ def dual_set(normals: Sequence[Sequence]) -> DualSet:
     d = len(ns[0])
     basis: list[IntVec] = []
     for p in ns:
-        if linalg.rank(linalg.mat(basis + [p])) > len(basis):
+        if linalg.rank(basis + [p]) > len(basis):
             basis.append(p)
         if len(basis) == d:
             break

@@ -200,14 +200,13 @@ def _initial_box(h: HPolytope) -> tuple[list[Vec], list[set[int]], set[int]]:
         else:
             paired.setdefault(prim, {})[+1] = idx
     chosen: list[tuple[int, int]] = []
-    rows: list[Vec] = []
+    rows: list[tuple[int, ...]] = []
     for key in sorted(paired):
         signs = paired[key]
         if +1 not in signs or -1 not in signs:
             continue
-        cand = rows + [linalg.vec(key)]
-        if linalg.rank(tuple(cand)) > len(rows):
-            rows.append(linalg.vec(key))
+        if linalg.rank(rows + [key]) > len(rows):
+            rows.append(key)
             chosen.append((signs[+1], signs[-1]))
         if len(chosen) == d:
             break
