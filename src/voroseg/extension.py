@@ -11,7 +11,6 @@ live here.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -278,9 +277,13 @@ def subset_check(
     v1 = v1 if v1 is not None and v1.hpoly == h1 else enumerate_vertices(h1, cap=cap)
     v2 = v2 if v2 is not None and v2.hpoly == h2 else enumerate_vertices(h2, cap=cap)
     for iq in total.ineqs:
-        height = functools.partial(linalg.dot, iq.normal)
-        s = linalg.vadd(max(v1.vertices, key=height), max(v2.vertices, key=height))
-        if height(s) > iq.support:
+        n, _ = linalg.scale_to_integers(iq.normal)
+        tops = []
+        for v in (v1, v2):
+            heights = [sum(map(operator.mul, n, x)) for x in v.integer_vertices[1]]
+            tops.append(v.vertices[heights.index(max(heights))])
+        s = linalg.vadd(*tops)
+        if linalg.dot(iq.normal, s) > iq.support:
             return False, s
     return True, None
 

@@ -4,8 +4,8 @@ Vectors are tuples of Fractions, matrices are tuples of row tuples, and
 nothing in here ever rounds.  Every row reduction (`rref`, `rank`,
 `solve_linear`, `adjugate`, and `null_space` through `rref`) runs one
 integer kernel, fraction-free Gauss-Jordan elimination: a rational row is
-first scaled to integers by the lcm of its own denominators, and Fractions
-are formed only from the result.
+first scaled to integers by the lcm of its own denominators
+(`scale_to_integers`), and Fractions are formed only from the result.
 """
 
 from __future__ import annotations
@@ -94,13 +94,15 @@ def is_symmetric(m: Mat) -> bool:
     return all(len(r) == len(m) for r in m) and m == transpose(m)
 
 
+def scale_to_integers(v: Sequence) -> tuple[tuple[int, ...], int]:
+    """(den * v, den) for the lcm den of the denominators of the rationals in v."""
+    den = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
+
+
 def _integer_rows(m: Sequence[Sequence]) -> list[list[int]]:
     """Each rational row times the lcm of its own denominators; its RREF stays the same."""
-    out = []
-    for row in m:
-        den = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
+    return [list(scale_to_integers(row)[0]) for row in m]
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
@@ -239,11 +241,9 @@ def primitive_direction(v: Sequence) -> tuple[tuple[int, ...], Fraction]:
     Returns (p, c) with p primitive (integer entries, gcd 1, orientation kept)
     and v = c * p, c > 0.
     """
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
+    ints, den = scale_to_integers([Fraction(x) for x in v])
+    if not any(ints):
         raise ValueError("zero vector has no direction")
-    den = lcm(*(x.denominator for x in fr))
-    ints = [x.numerator * (den // x.denominator) for x in fr]
     g = gcd(*ints)
     return tuple(x // g for x in ints), Fraction(g, den)
 

@@ -1,20 +1,25 @@
 """Exact H/V polytope engine for centrally symmetric cells.
 
 Vertex enumeration is an incremental double-description pass over the
-inequality list (lexicographic insertion order), entirely in rational
-arithmetic.  On top of it sit face extraction, belts, the tiling
+inequality list (lexicographic insertion order) in integer arithmetic:
+inequalities are integer rows, vertices primitive homogeneous integer
+pairs, tight sets bitmasks, and the result's vertices are converted to
+Fractions once.  On top of it sit face extraction, belts, the tiling
 (parallelotope) verifier, the facet graph used for irreducibility, and
 shadow-boundary classification.  Face data comes from the tight sets the
 double description keeps per vertex: the inequalities tight on all of a
 face cut out its affine hull (Ziegler, Lectures on Polytopes, 2.1).
+Vertex products and sums read the integer view `VPolytope.integer_vertices`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg, lattice
@@ -120,6 +125,15 @@ class VPolytope:
         return self.hpoly.dim
 
     @functools.cached_property
+    def integer_vertices(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(Q, Q x for every vertex x), Q the lcm of all vertex denominators.
+
+        Vertex products and sums compare exactly in these integers.
+        """
+        q = lcm(*(c.denominator for x in self.vertices for c in x))
+        return q, tuple(tuple(c.numerator * (q // c.denominator) for c in x) for x in self.vertices)
+
+    @functools.cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """incidence[i] lists the vertex ids lying on inequality i with equality."""
         return _incidence(self.tights, len(self.hpoly.ineqs))
@@ -188,44 +202,74 @@ def _face_dim(h: HPolytope, eq: Iterable[int]) -> int:
     return h.dim - linalg.rank(tuple(h.ineqs[i].normal for i in eq))
 
 
-def _initial_box(h: HPolytope) -> tuple[list[Vec], list[set[int]], set[int]]:
-    """Vertices of a bounding parallelepiped from d independent +/- pairs."""
-    d = h.dim
-    paired: dict[tuple[int, ...], dict[int, int]] = {}
-    for idx, iq in enumerate(h.ineqs):
-        prim, _ = linalg.primitive_direction(iq.normal)
+def _bits(mask: int) -> Iterable[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _initial_box(rows: Sequence[tuple[int, ...]], d: int) -> tuple[list[tuple[int, ...]], list[int], int]:
+    """Vertices of a bounding parallelepiped from d independent +/- pairs.
+
+    rows are the inequalities as integer rows (s', -n').  A pair bounds
+    <key, x> on both sides for a primitive direction key, so one adjugate
+    of the d chosen keys gives every seed vertex as adj r / det, where r
+    holds each pair's bound on its chosen side.  Returns the homogeneous
+    vertices, their tight masks and the mask of the 2d seed inequalities.
+    """
+    paired: dict[tuple[int, ...], dict[int, tuple[int, int, int]]] = {}
+    for idx, row in enumerate(rows):
+        n = tuple(-x for x in row[1:])
+        g = gcd(*n)
+        prim = tuple(x // g for x in n)
         neg = tuple(-x for x in prim)
+        # the inequality reads <prim, x> <= s'/g, or <neg, x> >= -s'/g
         if neg < prim:
-            paired.setdefault(neg, {})[-1] = idx
+            paired.setdefault(neg, {})[-1] = (idx, -row[0], g)
         else:
-            paired.setdefault(prim, {})[+1] = idx
-    chosen: list[tuple[int, int]] = []
-    rows: list[tuple[int, ...]] = []
+            paired.setdefault(prim, {})[+1] = (idx, row[0], g)
+    keys: list[tuple[int, ...]] = []
+    sides: list[tuple[tuple[int, int, int], ...]] = []
     for key in sorted(paired):
         signs = paired[key]
         if +1 not in signs or -1 not in signs:
             continue
-        if linalg.rank(rows + [key]) > len(rows):
-            rows.append(key)
-            chosen.append((signs[+1], signs[-1]))
-        if len(chosen) == d:
+        if linalg.rank(keys + [key]) > len(keys):
+            keys.append(key)
+            sides.append((signs[+1], signs[-1]))
+        if len(keys) == d:
             break
-    if len(chosen) < d:
+    if len(keys) < d:
         raise UnboundedCellError("no d independent +/- normal pairs for the seed box")
-    verts: dict[Vec, set[int]] = {}
-    for sigma in itertools.product((0, 1), repeat=d):
-        sel = [chosen[i][sigma[i]] for i in range(d)]
-        m = tuple(h.ineqs[i].normal for i in sel)
-        rhs = tuple(h.ineqs[i].support for i in sel)
-        # the vertex is tight on sel only, but across a zero-width slab the flipped
-        # pattern gives the same vertex and adds the other side
-        verts.setdefault(linalg.solve_linear(m, rhs), set()).update(sel)
-    pts = sorted(verts)
-    return pts, [verts[p] for p in pts], {i for pair in chosen for i in pair}
+    adj, det = linalg.adjugate(keys)
+    if det < 0:
+        adj, det = tuple(tuple(-x for x in r) for r in adj), -det
+    den = lcm(*(g for pair in sides for _, _, g in pair))
+    verts: dict[tuple[int, ...], int] = {}
+    for choice in itertools.product(*sides):
+        r = [b * (den // g) for _, b, g in choice]
+        v = (det * den,) + tuple(sum(map(operator.mul, a, r)) for a in adj)
+        g = gcd(*v)
+        v = tuple(x // g for x in v)
+        # the vertex is tight on its choice only, but across a zero-width slab the
+        # flipped choice gives the same vertex and adds the other side
+        verts[v] = verts.get(v, 0) | sum(1 << idx for idx, _, _ in choice)
+    seeds = sum(1 << idx for pair in sides for idx, _, _ in pair)
+    return list(verts), list(verts.values()), seeds
 
 
 def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     """Exact vertex enumeration by incremental half-space insertion.
+
+    Integer double description: inequality <n, x> <= s enters as the
+    integer row (s', -n') = m (s, -n), m the lcm of its denominators, and a
+    vertex x as the primitive pair (q, X) with q > 0 and x = X/q, so the
+    row's product with the pair, the slack s'q - <n', X>, has the sign of
+    s - <n, x>.  Tight sets are bitmasks; u and w are adjacent iff the
+    vertices on every inequality tight at both are exactly u and w
+    (Fukuda & Prodon 1996).  Fractions are formed once, for the result.
 
     Works for degenerate (lower-dimensional) cells as long as every used
     direction occurs with both orientations, which holds for all the
@@ -234,47 +278,61 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     d = h.dim
     if d > cap:
         raise VRepCapError(f"V-representation capped at d <= {cap}, got {d}")
-    verts, tights, seeds = _initial_box(h)
-    for k, iq in enumerate(h.ineqs):
-        if k in seeds:
+    rows = []
+    for iq in h.ineqs:
+        (s, *n), _ = linalg.scale_to_integers((iq.support,) + iq.normal)
+        rows.append((s, *(-x for x in n)))
+    verts, tights, seeds = _initial_box(rows, d)
+    for k, row in enumerate(rows):
+        if seeds >> k & 1:
             continue
-        n, s = iq.normal, iq.support
-        vals = [linalg.dot(n, v) for v in verts]
-        plus = [i for i, val in enumerate(vals) if val < s]
-        zero = [i for i, val in enumerate(vals) if val == s]
-        minus = [i for i, val in enumerate(vals) if val > s]
+        bit = 1 << k
+        slack = [sum(map(operator.mul, row, v)) for v in verts]
+        minus = [i for i, t in enumerate(slack) if t < 0]
         if not minus:
-            for i in zero:
-                tights[i].add(k)
+            for i, t in enumerate(slack):
+                if not t:
+                    tights[i] |= bit
             continue
-        if not plus and not zero:
+        plus = [i for i, t in enumerate(slack) if t > 0]
+        if len(minus) == len(verts):
             raise EmptyPolytopeError("inequalities are infeasible")
-        new_pts: dict[Vec, set[int]] = {}
+        # on[i]: the current vertices tight on inequality i
+        on = [0] * len(rows)
+        for j, t in enumerate(tights):
+            for i in _bits(t):
+                on[i] |= 1 << j
+        every = (1 << len(verts)) - 1
+        new_pts: dict[tuple[int, ...], int] = {}
         for iu in plus:
-            tu = tights[iu]
+            tu, su, vu = tights[iu], slack[iu], verts[iu]
             for iw in minus:
                 common = tu & tights[iw]
-                if len(common) < d - 1:
+                if common.bit_count() < d - 1:
                     continue
-                # combinatorial adjacency: no third vertex dominates the pair
-                if any(
-                    j != iu and j != iw and common <= tights[j]
-                    for j in range(len(verts))
-                ):
+                # combinatorial adjacency: no third vertex is tight wherever both are
+                pair = 1 << iu | 1 << iw
+                meet = every
+                for i in _bits(common):
+                    meet &= on[i]
+                if meet != pair:
                     continue
-                t = (s - vals[iu]) / (vals[iw] - vals[iu])
-                x = linalg.vadd(verts[iu], linalg.vscale(t, linalg.vsub(verts[iw], verts[iu])))
+                sw = slack[iw]
+                x = tuple(su * b - sw * a for a, b in zip(vu, verts[iw]))
+                g = gcd(*x)
+                x = tuple(c // g for c in x)
                 # x lies strictly inside [u, w], so a processed inequality is
                 # tight at x exactly when it is tight at both ends
-                new_pts.setdefault(x, set()).update(common | {k})
-        keep = [i for i, val in enumerate(vals) if val <= s]
-        for i in zero:
-            tights[i].add(k)
-        verts = [verts[i] for i in keep] + sorted(new_pts)
-        tights = [tights[i] for i in keep] + [new_pts[p] for p in sorted(new_pts)]
-    order = sorted(range(len(verts)), key=lambda i: verts[i])
-    vertices = tuple(verts[i] for i in order)
-    tight_sets = tuple(frozenset(tights[i]) for i in order)
+                new_pts[x] = new_pts.get(x, 0) | common | bit
+        keep = [i for i, t in enumerate(slack) if t >= 0]
+        verts = [verts[i] for i in keep] + list(new_pts)
+        tights = [tights[i] | (0 if slack[i] else bit) for i in keep] + list(new_pts.values())
+    # the integer coordinates over the common denominator sort like the rationals
+    common_q = lcm(*(v[0] for v in verts))
+    scaled = [tuple(x * (common_q // v[0]) for x in v[1:]) for v in verts]
+    order = sorted(range(len(verts)), key=scaled.__getitem__)
+    vertices = tuple(tuple(Fraction(x, verts[i][0]) for x in verts[i][1:]) for i in order)
+    tight_sets = tuple(frozenset(_bits(tights[i])) for i in order)
     incidence = _incidence(tight_sets, len(h.ineqs))
     # a (d-1)-face has at least d vertices; a flat cell puts many inequalities
     # on one vertex set, so each distinct set is ranked once
@@ -309,11 +367,20 @@ def prune_to_facets(v: VPolytope) -> VPolytope:
     )
 
 
-def support_value(v: VPolytope, q: Sequence) -> Fraction:
+def _heights(v: VPolytope, q: Sequence) -> tuple[list[int], int]:
+    """<q, x> for every vertex x, as integers over one common denominator."""
     if not v.vertices:
         raise EmptyPolytopeError("support of an empty polytope")
-    qv = linalg.vec(q)
-    return max(linalg.dot(qv, x) for x in v.vertices)
+    qi, den = linalg.scale_to_integers(linalg.vec(q))
+    if len(qi) != v.dim:
+        raise linalg.DimensionMismatchError(f"direction of length {len(qi)} in dimension {v.dim}")
+    scale, pts = v.integer_vertices
+    return [sum(map(operator.mul, qi, x)) for x in pts], den * scale
+
+
+def support_value(v: VPolytope, q: Sequence) -> Fraction:
+    heights, den = _heights(v, q)
+    return Fraction(max(heights), den)
 
 
 @dataclass(frozen=True)
@@ -344,12 +411,11 @@ def contact_face(v: VPolytope, p: Sequence, supp) -> Face | None:
     Returns None when the hyperplane misses the cell or cuts through it,
     i.e. when supp is not the exact support value in direction p.
     """
-    pv = linalg.vec(p)
-    s = Fraction(supp)
-    if support_value(v, pv) != s:
+    heights, den = _heights(v, p)
+    top = max(heights)
+    if Fraction(top, den) != Fraction(supp):
         return None
-    ids = [i for i, x in enumerate(v.vertices) if linalg.dot(pv, x) == s]
-    return _face_from_vertices(v, ids)
+    return _face_from_vertices(v, [i for i, t in enumerate(heights) if t == top])
 
 
 def codim2_faces(v: VPolytope) -> tuple[Face, ...]:
@@ -405,8 +471,9 @@ class ParallelotopeVerdict:
 
 def is_parallelotope(v: VPolytope) -> ParallelotopeVerdict:
     """Venkov-McMullen test: central symmetry, 4/6-belts, symmetric facets."""
+    _, pts = v.integer_vertices
     # negation reverses lexicographic order, so the antipode of vertex i is n-1-i
-    if any(x != linalg.vneg(y) for x, y in zip(v.vertices, reversed(v.vertices))):
+    if any(x != linalg.vneg(y) for x, y in zip(pts, reversed(pts))):
         return ParallelotopeVerdict(ok=False, failure="central-symmetry")
     for bi, belt in enumerate(belts(v)):
         if belt.length not in (4, 6):
@@ -414,9 +481,9 @@ def is_parallelotope(v: VPolytope) -> ParallelotopeVerdict:
                 ok=False, failure="belt", belt_index=bi, belt_length=belt.length
             )
     for i in v.facet_ids:
-        pts = [v.vertices[j] for j in v.incidence[i]]
+        ids = v.incidence[i]
         # likewise a point reflection of the facet would map its k-th vertex to its (m-1-k)-th
-        if len({linalg.vadd(x, y) for x, y in zip(pts, reversed(pts))}) > 1:
+        if len({linalg.vadd(pts[j], pts[k]) for j, k in zip(ids, reversed(ids))}) > 1:
             return ParallelotopeVerdict(ok=False, failure="facet-symmetry", facet_id=i)
     return ParallelotopeVerdict(ok=True)
 
@@ -537,6 +604,7 @@ def adjacency_check(a: QuadForm, v: VPolytope, p: Sequence) -> bool:
     )
     if fid is None:
         raise NotFacetNormalError(f"{tuple(p)} is not a facet normal of the cell")
-    shift = linalg.vscale(2, linalg.mat_vec(a.gram, pv))
-    pts = [v.vertices[j] for j in v.incidence[fid]]
-    return all(linalg.vadd(x, y) == shift for x, y in zip(pts, reversed(pts)))
+    scale, pts = v.integer_vertices
+    shift = linalg.vscale(2 * scale, linalg.mat_vec(a.gram, pv))
+    ids = v.incidence[fid]
+    return all(linalg.vadd(pts[j], pts[k]) == shift for j, k in zip(ids, reversed(ids)))

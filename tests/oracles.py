@@ -97,8 +97,8 @@ def _eliminate(rows) -> tuple[list, Fraction]:
             pivot = rows.pop(j)
             scale *= pivot[col] * (-1) ** j
             pivot = [x / pivot[col] for x in pivot]
-            rows = [[x - r[col] * y for x, y in zip(r, pivot)] for r in rows]
-            out = [[x - r[col] * y for x, y in zip(r, pivot)] for r in out]
+            rows = [[x - r[col] * y for x, y in zip(r, pivot)] if r[col] else r for r in rows]
+            out = [[x - r[col] * y for x, y in zip(r, pivot)] if r[col] else r for r in out]
             out.append(pivot)
         col += 1
     return out, scale

@@ -193,10 +193,12 @@ def test_check_bad_weights_flag_exits_2(capsys, b):
     assert err.startswith("voroseg check: error: b ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["relevant", "dual-set"])
+@pytest.mark.parametrize("command", ["relevant", "dual-set", "cell", "verify"])
 def test_mixed_denominator_form_json_golden(tmp_path, command):
     # a d = 4 form with thirds and fifths; the bench's random forms have only
-    # denominators 1 and 2, so the integer scaling by their lcm is pinned here
+    # denominators 1 and 2, so the integer scaling by their lcm is pinned here.
+    # Its cell has 96 vertices with denominators 1, 3, 5 and 15, so `cell` also
+    # pins the rational vertex order, which the integer pairs (q, X) must not change
     data = Path(__file__).parent / "data"
     out = tmp_path / "out.json"
     assert main([command, "--form", str(data / "form_d4_mixed.json"), "--json", str(out)]) == 0

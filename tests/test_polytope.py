@@ -1,10 +1,13 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import affine_direction_space, brute_force_vertices, null_basis
 from voroseg import extension, jsonio, lattice, linalg, polytope
@@ -400,6 +403,76 @@ def test_faces_match_affine_dimension_oracle():
             want = affine_direction_space([v.vertices[j] for j in f.vertex_ids])
             assert f.dim == len(want) == d - 2
             assert [list(r) for r in f.direction_space] == want
+
+
+def _rationals(lo, hi):
+    """Rationals n/q with q in {1, 3, 5, 7} and lo <= n <= hi."""
+    return st.builds(F, st.integers(lo, hi), st.sampled_from((1, 3, 5, 7)))
+
+
+@st.composite
+def symmetric_hpolytopes(draw, d):
+    """Centrally symmetric H-polytopes of dimension d with mixed denominators.
+
+    A box makes the system bounded.  On top of it come random cuts, a cut
+    along a (d-2)-face of the box that often stays tight on all of it, one
+    far redundant pair, a positively parallel duplicate of one of these and,
+    sometimes, a zero-width slab pair that flattens the polytope.
+    """
+    pairs = []
+
+    def pair(n, s):
+        pairs.extend([(n, s), (tuple(-x for x in n), s)])
+
+    box = [draw(_rationals(1, 6)) for _ in range(d)]
+    for i, s in enumerate(box):
+        pair(tuple(F(int(j == i)) for j in range(d)), s)
+    for _ in range(draw(st.integers(1, 5 - d))):
+        n = tuple(draw(st.lists(_rationals(-3, 3), min_size=d, max_size=d)))
+        if any(n):
+            pair(n, draw(_rationals(1, 8)))
+    i, j = draw(st.permutations(range(d)))[:2]
+    pair(tuple(F(int(k in (i, j))) for k in range(d)), box[i] + box[j] - draw(_rationals(0, 1)))
+    pair(tuple(F(k + 1) for k in range(d)), F(100))
+    n, s = pairs[draw(st.integers(0, len(pairs) - 1))]
+    scale = draw(st.sampled_from((F(2), F(3, 2), F(5, 7))))
+    pair(tuple(scale * x for x in n), scale * s * draw(st.sampled_from((F(1, 2), F(1), F(4, 3)))))
+    if draw(st.booleans()):
+        pair(tuple(draw(st.lists(_rationals(-2, 2), min_size=d, max_size=d).filter(any))), F(0))
+    return hpolytope(d, pairs)
+
+
+# the oracle solves every d-subset of inequalities in Fractions, so d = 4 gets few examples
+@pytest.mark.parametrize("d, examples", [(2, 40), (3, 30), (4, 8)])
+def test_enumerate_vertices_matches_oracle_on_random_symmetric_systems(d, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(symmetric_hpolytopes(d))
+    def check(h):
+        v = enumerate_vertices(h)
+        assert v.vertices == brute_force_vertices(h)
+        assert v.tights == _dot_tights(v)
+
+    check()
+
+
+def test_enumerate_vertices_calls_no_rational_kernel(monkeypatch):
+    # the double description runs on integer rows: no Fraction dot products,
+    # and the seed box needs no linear solves
+    a4 = catalog("An*", 4)
+    systems = [build_cell(a4, coset_minima(a4).facet_normals())]
+    d4 = catalog("Dn", 4)
+    e = extension.dual_set(coset_minima(d4).facet_normals()).members[0]
+    with mock.patch.object(extension, "enumerate_vertices", wraps=enumerate_vertices) as record:
+        summed = extension.sum_with_segment(voronoi_cell(d4), extension.Direction(e, F(1, 2)))
+    systems.append(record.call_args.args[0])
+    calls = Counter()
+    for name in ("dot", "solve_linear"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, _fn=fn, _name=name: calls.update([_name]) or _fn(*a))
+    out = [enumerate_vertices(h) for h in systems]
+    assert calls == Counter()
+    assert len(out[0].vertices) == 120  # the A4* cell is the permutohedron
+    assert out[1].vertices == summed.vertices
 
 
 def test_codim2_faces_computed_once_per_cell():
