@@ -77,12 +77,12 @@ class Direction:
 
 def f_e(p: Sequence, dir: Direction) -> Fraction:
     """Support of the weighted segment in direction p: b * |<p, e>|."""
-    return dir.b * abs(linalg.dot(linalg.vec(p), dir.e))
+    return dir.b * abs(linalg.inner(p, dir.e))
 
 
 def a_e(p: Sequence, dir: Direction) -> Fraction:
     """The rank-1 form b <p, e>^2; agrees with f_e exactly on products in {0,+1,-1}."""
-    t = linalg.dot(linalg.vec(p), dir.e)
+    t = linalg.inner(p, dir.e)
     return dir.b * t * t
 
 
@@ -96,9 +96,7 @@ def perturbed_form(a: QuadForm, dir: Direction) -> QuadForm:
 
 def _free(p: Sequence, e: Sequence) -> bool:
     """True iff <p, e> lies in {0, +1, -1}."""
-    if len(p) != len(e):
-        raise linalg.DimensionMismatchError(f"product of lengths {len(p)} and {len(e)}")
-    return sum(map(operator.mul, p, e)) in (0, 1, -1)
+    return linalg.inner(p, e) in (0, 1, -1)
 
 
 def p_e_set(normals: Iterable[Sequence], e: Sequence) -> tuple[IntVec, ...]:
@@ -118,7 +116,7 @@ def segment_as_polytope(dir: Direction, normals: Iterable[Sequence]) -> HPolytop
     normal set, otherwise the inequalities cut out more than the segment.
     """
     ns = [linalg.vec(p) for p in normals]
-    prods = [linalg.dot(p, dir.e) for p in ns]
+    prods = [linalg.inner(p, dir.e) for p in ns]
     if not any(t == 0 for t in prods):
         raise SegmentHypothesisError("no normal orthogonal to e")
     if not (any(t > 0 for t in prods) and any(t < 0 for t in prods)):
@@ -199,7 +197,7 @@ def normalize_direction(e_raw: Sequence, normals: Sequence[Sequence]) -> IntVec:
     ns = sorted(tuple(int(x) for x in p) for p in normals)
     by_value: dict[Fraction, IntVec] = {}
     for p in ns:
-        t = abs(linalg.dot(p, ev))
+        t = abs(linalg.inner(p, ev))
         if t != 0 and t not in by_value:
             by_value[t] = p
     if len(by_value) > 1:
@@ -233,7 +231,7 @@ def sum_with_segment(cell: VPolytope, dir: Direction, cap: int = polytope.DEFAUL
             continue
         # a transversal ridge lies on two facets whose products with e have opposite signs
         i, j = face.facets
-        wi, wj = (abs(linalg.dot(h.ineqs[k].normal, dir.e)) for k in (i, j))
+        wi, wj = (abs(linalg.inner(h.ineqs[k].normal, dir.e)) for k in (i, j))
         q = linalg.vadd(
             linalg.vscale(wj, h.ineqs[i].normal),
             linalg.vscale(wi, h.ineqs[j].normal),
@@ -310,7 +308,7 @@ def lemma_l8_check(a: QuadForm, cell: VPolytope, e: Sequence) -> bool:
             int(x + y)
             for x, y in zip(cell.hpoly.ineqs[i].normal, cell.hpoly.ineqs[j].normal)
         )
-        if linalg.dot(p, ev) != 0:
+        if linalg.inner(p, ev) != 0:
             return False
         cl = cs.class_of(p)
         if cl is None or p not in cl.minima:

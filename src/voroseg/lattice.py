@@ -10,6 +10,7 @@ whose minimum is attained by a single +/- pair contribute facet normals.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -66,6 +67,12 @@ class QuadForm:
     def __call__(self, p) -> Fraction:
         return eval_form(self, p)
 
+    @functools.cached_property
+    def integer_gram(self) -> tuple[IntMat, int]:
+        """(den A, den) for the lcm den of the Gram's denominators."""
+        den = _lcm_denominator(x for row in self.gram for x in row)
+        return tuple(tuple(int(x * den) for x in row) for row in self.gram), den
+
 
 def make_form(gram) -> QuadForm:
     """Validate a Gram matrix and wrap it as a form.
@@ -85,9 +92,11 @@ def make_form(gram) -> QuadForm:
 
 
 def eval_form(a: QuadForm, p) -> Fraction:
+    """a(p) = <p, G p> / den over the integer Gram G = den A."""
     if len(p) != a.dim:
         raise linalg.DimensionMismatchError(f"vector length {len(p)} != dim {a.dim}")
-    return linalg.dot(p, linalg.mat_vec(a.gram, p))
+    g, den = a.integer_gram
+    return Fraction(sum(x * sum(map(operator.mul, row, p)) for x, row in zip(p, g)), den)
 
 
 @dataclass(frozen=True)
@@ -233,8 +242,7 @@ def coset_minima(a: QuadForm, cap: int = DEFAULT_DIM_CAP) -> ContactVectorSet:
     d = a.dim
     if d > cap:
         raise DimensionCapError(f"dimension {d} exceeds enumeration cap {cap}")
-    den = _lcm_denominator(x for row in a.gram for x in row)
-    g = tuple(tuple(int(x * den) for x in row) for row in a.gram)
+    g, den = a.integer_gram
     L, D = linalg.ldl(a.gram)
     m = _lcm_denominator(x for row in L for x in row)
     k = _lcm_denominator(D)

@@ -2,14 +2,17 @@
 
 Vectors are tuples of Fractions, matrices are tuples of row tuples, and
 nothing in here ever rounds.  Every row reduction (`rref`, `rank`,
-`solve_linear`, `adjugate`, and `null_space` through `rref`) runs one
+`integer_rref`, `solve_linear`, `adjugate` and `null_space`) runs one
 integer kernel, fraction-free Gauss-Jordan elimination: a rational row is
 first scaled to integers by the lcm of its own denominators
 (`scale_to_integers`), and Fractions are formed only from the result.
+`integer_rref` forms none.  `inner` is the product that keeps integer
+vectors in integers.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -61,8 +64,15 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def inner(u: Sequence, v: Sequence):
+    """<u, v> in the entries' own arithmetic: integer vectors give an int."""
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"product of lengths {len(u)} and {len(v)}")
+    return sum(map(operator.mul, u, v))
+
+
 def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
@@ -150,6 +160,22 @@ def rank(m: Mat) -> int:
     return len(_bareiss(_integer_rows(m))[0])
 
 
+def integer_rref(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The RREF of integer rows, computed and returned in integers.
+
+    Zero rows are dropped and each row is scaled to the primitive integer
+    row with a positive pivot, so, like the RREF, the result depends only on
+    the row space, and its length is the rank.
+    """
+    rows = [list(r) for r in m]
+    pivots, _, _ = _bareiss(rows)
+    out = []
+    for r, c in zip(rows, pivots):
+        g = gcd(*r) if r[c] > 0 else -gcd(*r)
+        out.append(tuple(x // g for x in r))
+    return tuple(out)
+
+
 def solve_linear(m: Mat, rhs: Sequence) -> Vec:
     """Solve m x = rhs exactly for square m.
 
@@ -220,18 +246,22 @@ def ldl(m: Mat) -> tuple[Mat, Vec]:
 
 
 def null_space(m: Mat, ncols: int) -> Mat:
-    """Basis (as rows) of the right null space of m, from the RREF."""
-    r = rref(m)
-    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in r]
+    """Basis (as rows) of the right null space of m, one row per free column of the RREF.
+
+    The RREF is the eliminated integer rows over p, so the row for free
+    column f is p at f and minus each pivot row's entry at f, over p.
+    """
+    rows = _integer_rows(m)
+    pivots, p, _ = _bareiss(rows)
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            x[p] = -r[i][f]
-        basis.append(tuple(x))
+        x = [0] * ncols
+        x[f] = p
+        for r, c in zip(rows, pivots):
+            x[c] = -r[f]
+        basis.append(tuple(Fraction(t, p) for t in x))
     return tuple(basis)
 
 

@@ -4,12 +4,17 @@ Vertex enumeration is an incremental double-description pass over the
 inequality list (lexicographic insertion order) in integer arithmetic:
 inequalities are integer rows, vertices primitive homogeneous integer
 pairs, tight sets bitmasks, and the result's vertices are converted to
-Fractions once.  On top of it sit face extraction, belts, the tiling
+Fractions once.  Per inequality, the mask of the vertices on it persists
+across insertions, and adjacency candidates are counted through these
+masks.  On top of it sit face extraction, belts, the tiling
 (parallelotope) verifier, the facet graph used for irreducibility, and
 shadow-boundary classification.  Face data comes from the tight sets the
 double description keeps per vertex: the inequalities tight on all of a
-face cut out its affine hull (Ziegler, Lectures on Polytopes, 2.1).
-Vertex products and sums read the integer view `VPolytope.integer_vertices`.
+face cut out its affine hull (Ziegler, Lectures on Polytopes, 2.1), and
+its integer normals, reduced by `linalg.integer_rref`, give its dimension
+and a canonical key; a ridge's key names its belt, and each belt's
+direction space is formed once from it.  Vertex products and sums read
+the integer view `VPolytope.integer_vertices`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg, lattice
-from .lattice import QuadForm, eval_form
+from .lattice import IntMat, QuadForm, eval_form
 from .linalg import Mat, Vec
 
 DEFAULT_VREP_CAP = 5
@@ -139,47 +144,75 @@ class VPolytope:
         return _incidence(self.tights, len(self.hpoly.ineqs))
 
     @functools.cached_property
-    def _ridges(self) -> tuple[Face, ...]:
-        """The (d-2)-faces, via the diamond property: each lies on 2 facets."""
-        found: dict[tuple[int, ...], Face | None] = {}
-        members = {i: frozenset(self.incidence[i]) for i in self.facet_ids}
-        for i, j in itertools.combinations(self.facet_ids, 2):
-            ids = tuple(sorted(members[i] & members[j]))
-            # a (d-2)-face has at least d-1 vertices
-            if ids and len(ids) >= self.dim - 1 and ids not in found:
-                face = _face_from_vertices(self, ids)
-                found[ids] = face if face.dim == self.dim - 2 else None
-        return tuple(found[k] for k in sorted(found) if found[k] is not None)
+    def _integer_normals(self) -> tuple[tuple[int, ...], ...]:
+        """Each inequality's normal scaled to integers by the lcm of its denominators."""
+        return tuple(linalg.scale_to_integers(iq.normal)[0] for iq in self.hpoly.ineqs)
+
+    @functools.cached_property
+    def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[Mat, list[int]], ...]]:
+        """The (d-2)-faces sorted by vertex ids, and per belt its direction space and ridges.
+
+        A ridge lies on 2 facets (the diamond property), so the candidates are
+        the facet pairs sharing at least d - 1 vertices.  The key is the integer
+        RREF of the normals tight on all of the candidate; the candidate is a
+        ridge iff the key has rank 2.  The ridges with one key form a belt,
+        whose direction space is formed once and shared by them.
+        """
+        d = self.dim
+        normals = self._integer_normals
+        tight_masks = [sum(1 << i for i in t) for t in self.tights]
+        facet_mask = sum(1 << i for i in self.facet_ids)
+        members = [sum(1 << j for j in self.incidence[i]) for i in self.facet_ids]
+        found: dict[int, tuple[tuple[int, ...], IntMat, int] | None] = {}
+        for mi, mj in itertools.combinations(members, 2):
+            both = mi & mj
+            if not both or both.bit_count() < d - 1 or both in found:
+                continue
+            ids = tuple(_bits(both))
+            eq = -1
+            for j in ids:
+                eq &= tight_masks[j]
+            key = linalg.integer_rref([normals[i] for i in _bits(eq)])
+            found[both] = (ids, key, eq & facet_mask) if len(key) == 2 else None
+        faces: list[Face] = []
+        by_key: dict[IntMat, tuple[Mat, list[int]]] = {}
+        for ids, key, facets in sorted(f for f in found.values() if f):
+            if key not in by_key:
+                by_key[key] = (_direction_space(key, d), [])
+            space, face_ids = by_key[key]
+            face_ids.append(len(faces))
+            faces.append(Face(tuple(_bits(facets)), ids, d - 2, space))
+        return tuple(faces), tuple(by_key.values())
 
     @functools.cached_property
     def _belts(self) -> tuple[Belt, ...]:
-        """The ridges grouped into belts; read through `belts`."""
-        faces = self._ridges
-        groups: dict[Mat, list[int]] = {}
-        for idx, f in enumerate(faces):
-            groups.setdefault(f.direction_space, []).append(idx)
+        """The ridges' belts, ordered by direction space; read through `belts`."""
+        faces, groups = self._ridges
+        normals = self._integer_normals
         out = []
-        for key in sorted(groups):
-            face_ids = tuple(groups[key])
+        # no two belts share a direction space, so the sort never compares the id lists
+        for space, face_ids in sorted(groups):
             facet_set: set[int] = set()
             for fi in face_ids:
                 facet_set.update(faces[fi].facets)
-            # the null space of the RREF key is the identity at its two free
-            # columns, so a normal's coordinates in that basis are its entries there
-            pivots = {next(j for j, x in enumerate(r) if x) for r in key}
+            # the null space of the RREF direction space is the identity at its two
+            # free columns, so a normal's coordinates in that basis are its entries there
+            pivots = {next(j for j, x in enumerate(r) if x) for r in space}
             free = [j for j in range(self.dim) if j not in pivots]
             if len(free) != 2:
                 raise PolytopeError("belt direction space must have codimension 2")
+            rows = [linalg.scale_to_integers(r)[0] for r in space]
             projected = []
             for i in sorted(facet_set):
-                n = self.hpoly.ineqs[i].normal
-                if any(sum(a * b for a, b in zip(r, n)) for r in key):
+                n = normals[i]
+                if any(sum(map(operator.mul, r, n)) for r in rows):
                     raise PolytopeError(f"facet {i} is not parallel to its belt's direction space")
+                # a positive multiple of the normal orders the same way
                 projected.append((i, (n[free[0]], n[free[1]])))
             ordered = _angular_order(projected)
             pivot = ordered.index(min(ordered))
             cyc = tuple(ordered[pivot:] + ordered[:pivot])
-            out.append(Belt(direction_space=key, facet_ids=cyc, face_ids=face_ids))
+            out.append(Belt(direction_space=space, facet_ids=cyc, face_ids=tuple(face_ids)))
         return tuple(out)
 
 
@@ -192,14 +225,14 @@ def _incidence(tights: Sequence[frozenset[int]], n_ineqs: int) -> tuple[tuple[in
     return tuple(tuple(r) for r in rows)
 
 
-def _direction_space(h: HPolytope, eq: Iterable[int]) -> Mat:
-    """RREF basis rows of aff F - aff F, where eq are the inequalities tight on all of F."""
-    return linalg.rref(linalg.null_space(tuple(h.ineqs[i].normal for i in eq), h.dim))
+def _direction_space(key: IntMat, d: int) -> Mat:
+    """RREF basis rows of the subspace of R^d orthogonal to the rows of key."""
+    return linalg.rref(linalg.null_space(key, d))
 
 
-def _face_dim(h: HPolytope, eq: Iterable[int]) -> int:
-    """dim F, where eq are the inequalities tight on all of F."""
-    return h.dim - linalg.rank(tuple(h.ineqs[i].normal for i in eq))
+def _face_dim(normals: Sequence[Sequence[int]], eq: Iterable[int]) -> int:
+    """dim F, where eq are the inequalities tight on all of F and normals their integer rows."""
+    return len(normals[0]) - len(linalg.integer_rref([normals[i] for i in eq]))
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -269,7 +302,13 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     row's product with the pair, the slack s'q - <n', X>, has the sign of
     s - <n, x>.  Tight sets are bitmasks; u and w are adjacent iff the
     vertices on every inequality tight at both are exactly u and w
-    (Fukuda & Prodon 1996).  Fractions are formed once, for the result.
+    (Fukuda & Prodon 1996).  Vertex ids are never reused, so each
+    inequality's mask of the live vertices on it is kept across insertions
+    and only changed where vertices leave or arrive.  The plus vertices
+    that share d - 1 tight inequalities with a minus vertex w, the only
+    ones that can be adjacent to it, are found by counting through those
+    masks in time linear in w's tight set, not by scanning every plus
+    vertex.  Fractions are formed once, for the result.
 
     Works for degenerate (lower-dimensional) cells as long as every used
     direction occurs with both orientations, which holds for all the
@@ -282,62 +321,89 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     for iq in h.ineqs:
         (s, *n), _ = linalg.scale_to_integers((iq.support,) + iq.normal)
         rows.append((s, *(-x for x in n)))
-    verts, tights, seeds = _initial_box(rows, d)
+    seed_verts, seed_tights, seeds = _initial_box(rows, d)
+    # vertex ids are never reused, so the masks over them stay valid across
+    # insertions: on[i] holds the live vertices tight on processed inequality i
+    verts = dict(enumerate(seed_verts))
+    tights = dict(enumerate(seed_tights))
+    on = [0] * len(rows)
+    for j, t in tights.items():
+        for i in _bits(t):
+            on[i] |= 1 << j
+    alive = (1 << len(verts)) - 1
+    next_id = len(verts)
     for k, row in enumerate(rows):
         if seeds >> k & 1:
             continue
         bit = 1 << k
-        slack = [sum(map(operator.mul, row, v)) for v in verts]
-        minus = [i for i, t in enumerate(slack) if t < 0]
+        slack = {j: sum(map(operator.mul, row, v)) for j, v in verts.items()}
+        minus = [j for j, t in slack.items() if t < 0]
+        zero = [j for j, t in slack.items() if not t]
+        zero_mask = sum(1 << j for j in zero)
+        for j in zero:
+            tights[j] |= bit
         if not minus:
-            for i, t in enumerate(slack):
-                if not t:
-                    tights[i] |= bit
+            on[k] = zero_mask
             continue
-        plus = [i for i, t in enumerate(slack) if t > 0]
         if len(minus) == len(verts):
             raise EmptyPolytopeError("inequalities are infeasible")
-        # on[i]: the current vertices tight on inequality i
-        on = [0] * len(rows)
-        for j, t in enumerate(tights):
-            for i in _bits(t):
-                on[i] |= 1 << j
-        every = (1 << len(verts)) - 1
+        minus_mask = sum(1 << j for j in minus)
+        plus_mask = alive & ~minus_mask & ~zero_mask
         new_pts: dict[tuple[int, ...], int] = {}
-        for iu in plus:
-            tu, su, vu = tights[iu], slack[iu], verts[iu]
-            for iw in minus:
-                common = tu & tights[iw]
-                if common.bit_count() < d - 1:
-                    continue
+        for w in minus:
+            tw, sw, vw = tights[w], slack[w], verts[w]
+            # at_least[c]: the plus vertices tight on at least c of w's inequalities,
+            # so at_least[d-1] are those sharing d - 1 of them with w
+            at_least = [plus_mask] + [0] * (d - 1)
+            for i in _bits(tw):
+                o = on[i]
+                for c in range(d - 1, 0, -1):
+                    at_least[c] |= at_least[c - 1] & o
+            for u in _bits(at_least[d - 1]):
+                common = tights[u] & tw
                 # combinatorial adjacency: no third vertex is tight wherever both are
-                pair = 1 << iu | 1 << iw
-                meet = every
+                pair = 1 << u | 1 << w
+                meet = alive
                 for i in _bits(common):
                     meet &= on[i]
+                    if meet == pair:
+                        break
                 if meet != pair:
                     continue
-                sw = slack[iw]
-                x = tuple(su * b - sw * a for a, b in zip(vu, verts[iw]))
+                su = slack[u]
+                x = tuple(su * b - sw * a for a, b in zip(verts[u], vw))
                 g = gcd(*x)
                 x = tuple(c // g for c in x)
                 # x lies strictly inside [u, w], so a processed inequality is
                 # tight at x exactly when it is tight at both ends
                 new_pts[x] = new_pts.get(x, 0) | common | bit
-        keep = [i for i, t in enumerate(slack) if t >= 0]
-        verts = [verts[i] for i in keep] + list(new_pts)
-        tights = [tights[i] | (0 if slack[i] else bit) for i in keep] + list(new_pts.values())
+        touched = 0
+        for w in minus:
+            touched |= tights.pop(w)
+            del verts[w]
+        for i in _bits(touched):
+            on[i] &= ~minus_mask
+        alive &= ~minus_mask
+        on[k] = zero_mask
+        for x, t in new_pts.items():
+            verts[next_id] = x
+            tights[next_id] = t
+            for i in _bits(t):
+                on[i] |= 1 << next_id
+            alive |= 1 << next_id
+            next_id += 1
     # the integer coordinates over the common denominator sort like the rationals
-    common_q = lcm(*(v[0] for v in verts))
-    scaled = [tuple(x * (common_q // v[0]) for x in v[1:]) for v in verts]
-    order = sorted(range(len(verts)), key=scaled.__getitem__)
-    vertices = tuple(tuple(Fraction(x, verts[i][0]) for x in verts[i][1:]) for i in order)
-    tight_sets = tuple(frozenset(_bits(tights[i])) for i in order)
+    common_q = lcm(*(v[0] for v in verts.values()))
+    scaled = {j: tuple(x * (common_q // v[0]) for x in v[1:]) for j, v in verts.items()}
+    order = sorted(verts, key=scaled.__getitem__)
+    vertices = tuple(tuple(Fraction(x, verts[j][0]) for x in verts[j][1:]) for j in order)
+    tight_sets = tuple(frozenset(_bits(tights[j])) for j in order)
     incidence = _incidence(tight_sets, len(h.ineqs))
+    normals = [r[1:] for r in rows]
     # a (d-1)-face has at least d vertices; a flat cell puts many inequalities
     # on one vertex set, so each distinct set is ranked once
     dims = {
-        inc: _face_dim(h, frozenset.intersection(*(tight_sets[j] for j in inc)))
+        inc: _face_dim(normals, frozenset.intersection(*(tight_sets[j] for j in inc)))
         for inc in set(incidence)
         if len(inc) >= d
     }
@@ -346,7 +412,7 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
         vertices=vertices,
         tights=tight_sets,
         facet_ids=tuple(i for i, inc in enumerate(incidence) if dims.get(inc) == d - 1),
-        affine_rank=_face_dim(h, frozenset.intersection(*tight_sets)),
+        affine_rank=_face_dim(normals, frozenset.intersection(*tight_sets)),
     )
 
 
@@ -396,7 +462,7 @@ class Face:
 def _face_from_vertices(v: VPolytope, vertex_ids: Sequence[int]) -> Face:
     ids = tuple(sorted(vertex_ids))
     eq = frozenset.intersection(*(v.tights[i] for i in ids))
-    dirs = _direction_space(v.hpoly, eq)
+    dirs = _direction_space(linalg.integer_rref([v._integer_normals[i] for i in eq]), v.dim)
     facets = tuple(i for i in v.facet_ids if i in eq)
     return Face(facets=facets, vertex_ids=ids, dim=len(dirs), direction_space=dirs)
 
@@ -420,7 +486,7 @@ def contact_face(v: VPolytope, p: Sequence, supp) -> Face | None:
 
 def codim2_faces(v: VPolytope) -> tuple[Face, ...]:
     """All (d-2)-faces, sorted by vertex ids; computed once per cell and kept on it."""
-    return v._ridges
+    return v._ridges[0]
 
 
 @dataclass(frozen=True)
@@ -577,7 +643,7 @@ def classify_face(v: VPolytope, face: Face, e: Sequence) -> str:
     direct sum (the face is transversal to e), anything else a shift.
     """
     ev = linalg.vec(e)
-    prods = [linalg.dot(v.hpoly.ineqs[i].normal, ev) for i in face.facets]
+    prods = [linalg.inner(v.hpoly.ineqs[i].normal, ev) for i in face.facets]
     if all(p == 0 for p in prods):
         return PARALLEL_EXTENSION
     if any(p > 0 for p in prods) and any(p < 0 for p in prods):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from voroseg.linalg import (
     adjugate,
     dot,
     identity,
+    inner,
+    integer_rref,
     is_positive_definite,
     mat,
     mat_vec,
@@ -32,11 +35,17 @@ def test_dot_examples():
     assert dot(vec((1, 0)), vec((0, 1))) == 0
     assert dot(vec((1, 1)), vec((1, 1))) == 2
     assert dot(vec((2, 1)), vec((1, -1))) == 1
+    # inner keeps integer vectors in integers
+    got = inner((2, 1), (1, -1))
+    assert got == 1 and type(got) is int
+    assert inner((2, 1), vec((F(1, 2), -1))) == 0
 
 
 def test_dot_dimension_mismatch():
     with pytest.raises(linalg.DimensionMismatchError):
         dot(vec((1, 0)), vec((1, 0, 0)))
+    with pytest.raises(linalg.DimensionMismatchError):
+        inner((1, 0), (1, 0, 0))
 
 
 def test_solve_identity():
@@ -179,6 +188,10 @@ def test_kernel_matches_oracle_elimination(m, xs):
     want = _reduced_rows(m)
     assert [list(r) for r in rref(m)] == want
     assert rank(m) == len(want)
+    # the integer RREF is the RREF with each row scaled to a primitive one, pivot positive
+    key = integer_rref([linalg.scale_to_integers(r)[0] for r in m])
+    assert [[F(x, next(y for y in r if y)) for x in r] for r in key] == want
+    assert all(gcd(*r) == 1 and next(y for y in r if y) > 0 for r in key)
     ns = null_space(m, nc)
     assert len(ns) == nc - len(want) == len(_reduced_rows(ns))
     assert all(dot(r, b) == 0 for r in m for b in ns)

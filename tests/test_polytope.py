@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -453,6 +454,86 @@ def test_enumerate_vertices_matches_oracle_on_random_symmetric_systems(d, exampl
         assert v.tights == _dot_tights(v)
 
     check()
+
+
+def _ridge_oracle_cells():
+    """(cell, whether it is a parallelotope) for the cells of the face oracle test."""
+    cells = [(cell_of(name, n), True) for name, n, _ in lattice.catalog_entries(max_dim=4)]
+    # _segment_sums alternates a dual-set direction, whose sum tiles, and one that does not
+    cells += [(v, k % 2 == 0) for k, v in enumerate(_segment_sums(pruned=False))]
+    cells += [(v, True) for v in _contact_cells() + _flat_segment_cells() + [_redundant_square()]]
+    return cells
+
+
+def _check_ridges_and_belts(v, parallelotope):
+    """Ridges and belts against faces found from vertex coordinates alone."""
+    d = v.dim
+
+    def prod(u, x):
+        return sum(a * b for a, b in zip(u, x))
+
+    def dim(ids):
+        return len(affine_direction_space([v.vertices[j] for j in sorted(ids)]))
+
+    def parallel(i, space):
+        return all(prod(r, v.hpoly.ineqs[i].normal) == 0 for r in space)
+
+    on = [frozenset(j for j, x in enumerate(v.vertices) if prod(iq.normal, x) == iq.support) for iq in v.hpoly.ineqs]
+
+    facets = [i for i, ids in enumerate(on) if ids and dim(ids) == d - 1]
+    # every facet pair whose common vertices span a (d-2)-face: none may be missing
+    want = {tuple(sorted(on[i] & on[j])) for i, j in itertools.combinations(facets, 2) if on[i] & on[j]}
+    want = sorted(ids for ids in want if dim(ids) == d - 2)
+    ridges = codim2_faces(v)
+    assert [f.vertex_ids for f in ridges] == want
+    # the belts partition the ridges by the oracle's direction spaces
+    by_space = {}
+    for ids in want:
+        space = tuple(tuple(r) for r in affine_direction_space([v.vertices[j] for j in ids]))
+        by_space.setdefault(space, []).append(ids)
+    bs = belts(v)
+    assert sorted(fi for b in bs for fi in b.face_ids) == list(range(len(ridges)))
+    assert {b.direction_space: [ridges[fi].vertex_ids for fi in b.face_ids] for b in bs} == by_space
+    for b in bs:
+        # a belt's facets are the facets on its ridges, all parallel to its direction space
+        on_ridges = sorted({i for fi in b.face_ids for i in facets if on[i].issuperset(ridges[fi].vertex_ids)})
+        assert sorted(b.facet_ids) == on_ridges
+        assert all(parallel(i, b.direction_space) for i in on_ridges)
+        if parallelotope:
+            # and on a parallelotope every facet parallel to it is on the belt; on other
+            # cells a facet may be parallel without containing a ridge of that direction
+            assert on_ridges == [i for i in facets if parallel(i, b.direction_space)]
+
+
+def test_ridges_complete_and_belts_partition_them():
+    for v, parallelotope in _ridge_oracle_cells():
+        _check_ridges_and_belts(v, parallelotope)
+
+
+@pytest.mark.parametrize("d, examples", [(3, 30), (4, 10)])
+def test_ridges_and_belts_match_oracle_on_random_symmetric_systems(d, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(symmetric_hpolytopes(d))
+    def check(h):
+        _check_ridges_and_belts(enumerate_vertices(h), parallelotope=False)
+
+    check()
+
+
+def test_one_direction_space_per_belt(monkeypatch):
+    # the ridges of one belt share its direction space, formed once from the belt key
+    a4 = catalog("An*", 4)
+    d4 = catalog("Dn", 4)
+    e = extension.dual_set(coset_minima(d4).facet_normals()).members[0]
+    summed = extension.sum_with_segment(voronoi_cell(d4), extension.Direction(e, F(1, 2)))
+    calls = Counter()
+    fn = linalg.null_space
+    monkeypatch.setattr(linalg, "null_space", lambda *a: calls.update(["null_space"]) or fn(*a))
+    for v in (voronoi_cell(a4), summed):
+        calls.clear()
+        got = belts(v)
+        assert calls["null_space"] == len(got)
+        assert len(codim2_faces(v)) > len(got) > 0
 
 
 def test_enumerate_vertices_calls_no_rational_kernel(monkeypatch):
