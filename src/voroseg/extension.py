@@ -6,7 +6,12 @@ set of the facet normals.  For free directions the sum of the cell with
 the segment b*[-e, e] equals the Voronoi cell of the rank-1-perturbed form
 (Gram A + b e e^T); for all other directions of an irreducible cell the
 sum is not a parallelotope.  Both constructions and the equivalence check
-live here.
+live here.  An integral e is kept as ints (`Direction`), so with the
+integer facet normals every product <p, e> is an int; `sum_with_segment`
+forms one per inequality and reads from that list the shifted supports,
+the transversal ridges and the weights of the new normals, which stay
+integer.  A rational e, possible only through the library, runs the same
+code in Fractions.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ class ExtensionError(Exception):
 class CannotNormalizeError(ExtensionError):
     """The direction has two distinct nonzero |products| with facet normals."""
 
-    def __init__(self, witnesses: tuple[tuple[IntVec, Fraction], tuple[IntVec, Fraction]]):
+    def __init__(
+        self, witnesses: tuple[tuple[IntVec, int | Fraction], tuple[IntVec, int | Fraction]]
+    ):
         self.witnesses = witnesses
         (p1, w1), (p2, w2) = witnesses
         super().__init__(
@@ -61,13 +68,17 @@ class NormalSetMismatchError(ExtensionError):
 
 @dataclass(frozen=True)
 class Direction:
-    """A segment direction e with weight b > 0 (segment = b * [-e, e])."""
+    """A segment direction e with weight b > 0 (segment = b * [-e, e]).
 
-    e: Vec
+    An integral e is kept as ints, so its products with the integer facet
+    normals are ints; any other e is kept as Fractions.
+    """
+
+    e: IntVec | Vec
     b: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "e", linalg.vec(self.e))
+        object.__setattr__(self, "e", linalg.exact_vec(self.e))
         object.__setattr__(self, "b", Fraction(self.b))
         if linalg.is_zero_vec(self.e):
             raise ValueError("direction vector must be nonzero")
@@ -191,11 +202,11 @@ def normalize_direction(e_raw: Sequence, normals: Sequence[Sequence]) -> IntVec:
     raises CannotNormalizeError carrying two witnesses with distinct
     nonzero |products|.
     """
-    ev = linalg.vec(e_raw)
+    ev = linalg.exact_vec(e_raw)
     if linalg.is_zero_vec(ev):
         raise ValueError("direction vector must be nonzero")
     ns = sorted(tuple(int(x) for x in p) for p in normals)
-    by_value: dict[Fraction, IntVec] = {}
+    by_value: dict[int | Fraction, IntVec] = {}
     for p in ns:
         t = abs(linalg.inner(p, ev))
         if t != 0 and t not in by_value:
@@ -206,7 +217,7 @@ def normalize_direction(e_raw: Sequence, normals: Sequence[Sequence]) -> IntVec:
     if not by_value:
         raise ExtensionError("e is orthogonal to every normal; the normals do not span R^d")
     w = next(iter(by_value))
-    scaled = linalg.vscale(1 / w, ev)
+    scaled = linalg.vscale(Fraction(1, w), ev)
     ei = _integer_vec(scaled)
     if ei is None:
         raise ExtensionError(f"e/{w} is not integral; the normals do not generate Z^d")
@@ -220,24 +231,23 @@ def sum_with_segment(cell: VPolytope, dir: Direction, cap: int = polytope.DEFAUL
     their support, transversal ones move out by b|<p, e>|) or is the sum
     of a transversal shadow-boundary codim-2 face with the segment; the
     normal of the latter is the positive combination of the face's two
-    facet normals that kills e.  Redundant inequalities are pruned.
+    facet normals that kills e.  Each normal's product with e is formed
+    once and serves all three.  Redundant inequalities are pruned.
     """
     h = cell.hpoly
-    pairs: list[tuple[Vec, Fraction]] = [
-        (iq.normal, iq.support + f_e(iq.normal, dir)) for iq in h.ineqs
+    prods = [linalg.inner(iq.normal, dir.e) for iq in h.ineqs]
+    pairs: list[tuple[Sequence, Fraction]] = [
+        (iq.normal, iq.support + dir.b * abs(t)) for iq, t in zip(h.ineqs, prods)
     ]
     for face in polytope.codim2_faces(cell):
-        if polytope.classify_face(cell, face, dir.e) != polytope.DIRECT_SUM:
+        if polytope.classify_products([prods[k] for k in face.facets]) != polytope.DIRECT_SUM:
             continue
         # a transversal ridge lies on two facets whose products with e have opposite signs
         i, j = face.facets
-        wi, wj = (abs(linalg.inner(h.ineqs[k].normal, dir.e)) for k in (i, j))
-        q = linalg.vadd(
-            linalg.vscale(wj, h.ineqs[i].normal),
-            linalg.vscale(wi, h.ineqs[j].normal),
-        )
-        supp = wj * h.ineqs[i].support + wi * h.ineqs[j].support
-        pairs.append((q, supp))
+        wi, wj = abs(prods[i]), abs(prods[j])
+        fi, fj = h.ineqs[i], h.ineqs[j]
+        q = tuple(wj * x + wi * y for x, y in zip(fi.normal, fj.normal))
+        pairs.append((q, wj * fi.support + wi * fj.support))
     summed = polytope.hpolytope(cell.dim, pairs)
     return prune_to_facets(enumerate_vertices(summed, cap=cap))
 
@@ -275,10 +285,9 @@ def subset_check(
     v1 = v1 if v1 is not None and v1.hpoly == h1 else enumerate_vertices(h1, cap=cap)
     v2 = v2 if v2 is not None and v2.hpoly == h2 else enumerate_vertices(h2, cap=cap)
     for iq in total.ineqs:
-        n, _ = linalg.scale_to_integers(iq.normal)
         tops = []
         for v in (v1, v2):
-            heights = [sum(map(operator.mul, n, x)) for x in v.integer_vertices[1]]
+            heights = [sum(map(operator.mul, iq.normal, x)) for x in v.integer_vertices[1]]
             tops.append(v.vertices[heights.index(max(heights))])
         s = linalg.vadd(*tops)
         if linalg.dot(iq.normal, s) > iq.support:
@@ -296,19 +305,18 @@ def lemma_l8_check(a: QuadForm, cell: VPolytope, e: Sequence) -> bool:
     ok, bad = in_dual_set(cell.hpoly.normals, e)
     if not ok:
         raise NotInDualSetError(f"e = {tuple(e)} has products outside {{0,+1,-1}}: {bad[:3]}")
-    ev = linalg.vec(e)
+    ev = linalg.exact_vec(e)
+    normals = cell.hpoly.normals
+    prods = [linalg.inner(n, ev) for n in normals]
     cs = coset_minima(a)
     faces = polytope.codim2_faces(cell)
     on_4_belt = {fi for belt in polytope.belts(cell) if belt.length == 4 for fi in belt.face_ids}
     for fi, face in enumerate(faces):
-        if polytope.classify_face(cell, face, ev) != polytope.DIRECT_SUM:
+        if polytope.classify_products([prods[k] for k in face.facets]) != polytope.DIRECT_SUM:
             continue
         i, j = face.facets
-        p = tuple(
-            int(x + y)
-            for x, y in zip(cell.hpoly.ineqs[i].normal, cell.hpoly.ineqs[j].normal)
-        )
-        if linalg.inner(p, ev) != 0:
+        p = linalg.vadd(normals[i], normals[j])
+        if prods[i] + prods[j] != 0:
             return False
         cl = cs.class_of(p)
         if cl is None or p not in cl.minima:
@@ -396,8 +404,7 @@ def check_theorem(
         if cell is None:
             results.append(BSampleResult(b=b, skipped=True))
             continue
-        use_e = linalg.vec(norm_e) if norm_e is not None else ev
-        dir = Direction(e=use_e, b=b)
+        dir = Direction(e=norm_e if norm_e is not None else ev, b=b)
         sum_cell = sum_with_segment(cell, dir, cap=cap)
         verdict = is_parallelotope(sum_cell)
         equal: bool | None = None

@@ -21,7 +21,10 @@ from .polytope import Belt, ParallelotopeVerdict, VPolytope
 
 
 def rat(x) -> str:
-    return str(Fraction(x))
+    """An int or a Fraction as "p/q", or "p" when the denominator is 1."""
+    if isinstance(x, Fraction) or type(x) is int:
+        return str(x)
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
 
 
 def rat_vec(v: Sequence) -> list[str]:

@@ -1,13 +1,16 @@
 """Exact rational linear algebra over tuple-based vectors and matrices.
 
-Vectors are tuples of Fractions, matrices are tuples of row tuples, and
-nothing in here ever rounds.  Every row reduction (`rref`, `rank`,
+Vectors are tuples of Fractions (`vec`), or of ints where every entry is
+integral (`exact_vec`); matrices are tuples of row tuples, and nothing in
+here ever rounds.  Every row reduction (`rref`, `rank`,
 `integer_rref`, `solve_linear`, `adjugate` and `null_space`) runs one
 integer kernel, fraction-free Gauss-Jordan elimination: a rational row is
 first scaled to integers by the lcm of its own denominators
 (`scale_to_integers`), and Fractions are formed only from the result.
-`integer_rref` forms none.  `inner` is the product that keeps integer
-vectors in integers.
+`integer_rref` forms none, and `hpolytope` checks that its integer
+normals span R^d with it.  `inner` is the product that keeps integer
+vectors in integers: the facet normals are int tuples and an integral
+segment direction e is kept as one, so the products with e are ints.
 """
 
 from __future__ import annotations
@@ -43,6 +46,12 @@ class UnderdeterminedSystemError(LinAlgError):
 
 def vec(entries: Iterable) -> Vec:
     return tuple(Fraction(x) for x in entries)
+
+
+def exact_vec(entries: Iterable) -> tuple:
+    """The entries as ints when all are integral, else as Fractions (`vec`)."""
+    v = vec(entries)
+    return tuple(int(x) for x in v) if all(x.denominator == 1 for x in v) else v
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:

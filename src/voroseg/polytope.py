@@ -1,5 +1,10 @@
 """Exact H/V polytope engine for centrally symmetric cells.
 
+Every H-polytope keeps integer normals: `hpolytope` scales a rational
+normal and its support once by the lcm of the normal's denominators,
+merges positively parallel normals by their primitive integer direction
+and sorts on int tuples.
+
 Vertex enumeration is an incremental double-description pass over the
 inequality list (lexicographic insertion order) in integer arithmetic:
 inequalities are integer rows, vertices primitive homogeneous integer
@@ -14,7 +19,10 @@ face cut out its affine hull (Ziegler, Lectures on Polytopes, 2.1), and
 its integer normals, reduced by `linalg.integer_rref`, give its dimension
 and a canonical key; a ridge's key names its belt, and each belt's
 direction space is formed once from it.  Vertex products and sums read
-the integer view `VPolytope.integer_vertices`.
+the integer view `VPolytope.integer_vertices`.  Faces are classified
+against a segment direction e by the signs of the products <p, e> of
+their facets' normals (`classify_products`), each formed once per
+inequality.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg, lattice
-from .lattice import IntMat, QuadForm, eval_form
+from .lattice import IntMat, IntVec, QuadForm, eval_form
 from .linalg import Mat, Vec
 
 DEFAULT_VREP_CAP = 5
@@ -58,9 +66,9 @@ class NotParallelotopeError(PolytopeError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Inequality:
-    normal: Vec
+    normal: IntVec
     support: Fraction
 
 
@@ -68,35 +76,47 @@ class Inequality:
 class HPolytope:
     """Intersection of half-spaces <normal, x> <= support.
 
-    The constructor canonicalises: positively parallel normals are merged
-    (keeping the tighter bound), inequalities are sorted lexicographically,
-    and the normals must span R^d so that a symmetric system is bounded.
+    The constructor canonicalises: every normal is an integer vector,
+    positively parallel normals are merged (keeping the tighter bound),
+    inequalities are sorted lexicographically, and the normals must span
+    R^d so that a symmetric system is bounded.
     """
 
     dim: int
     ineqs: tuple[Inequality, ...]
 
     @property
-    def normals(self) -> tuple[Vec, ...]:
+    def normals(self) -> tuple[IntVec, ...]:
         return tuple(iq.normal for iq in self.ineqs)
 
 
 def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
-    by_dir: dict[tuple[int, ...], tuple[Fraction, Vec, Fraction]] = {}
+    """The H-polytope of the (normal, support) pairs, canonicalised in integers.
+
+    A rational normal and its support are scaled once by the lcm of the
+    normal's denominators, which leaves the half-space and an integer
+    normal unchanged.  Inequalities are keyed by the primitive direction
+    n / gcd(n); of two with one key, the bound s / gcd(n) decides.
+    """
+    by_dir: dict[IntVec, tuple[int, IntVec, Fraction]] = {}
     for normal, support in pairs:
-        n = linalg.vec(normal)
-        s = Fraction(support)
-        if len(n) != dim:
+        if len(normal) != dim:
             raise linalg.DimensionMismatchError("normal length != dim")
-        prim, scale = linalg.primitive_direction(n)
-        bound = s / scale
+        n, m = linalg.scale_to_integers(normal)
+        s = Fraction(support) * m
+        g = gcd(*n)
+        if not g:
+            raise ValueError("zero vector has no direction")
+        prim = tuple(x // g for x in n)
         old = by_dir.get(prim)
-        if old is None or bound < old[0] or (bound == old[0] and (n, s) < old[1:]):
-            by_dir[prim] = (bound, n, s)
-    ineqs = sorted(Inequality(n, s) for _, n, s in by_dir.values())
-    if linalg.rank(tuple(iq.normal for iq in ineqs)) < dim:
+        # the tighter bound s/g wins, and of equal bounds the smaller normal
+        if old is None or (s * old[0], n) < (old[2] * g, old[1]):
+            by_dir[prim] = (g, n, s)
+    kept = sorted(by_dir.values(), key=operator.itemgetter(1))
+    ineqs = tuple(Inequality(n, s) for _, n, s in kept)
+    if len(linalg.integer_rref([iq.normal for iq in ineqs])) < dim:
         raise UnboundedCellError("normals do not span R^d; cell is unbounded")
-    return HPolytope(dim=dim, ineqs=tuple(ineqs))
+    return HPolytope(dim=dim, ineqs=ineqs)
 
 
 def build_cell(a: QuadForm, normals: Iterable[Sequence]) -> HPolytope:
@@ -144,11 +164,6 @@ class VPolytope:
         return _incidence(self.tights, len(self.hpoly.ineqs))
 
     @functools.cached_property
-    def _integer_normals(self) -> tuple[tuple[int, ...], ...]:
-        """Each inequality's normal scaled to integers by the lcm of its denominators."""
-        return tuple(linalg.scale_to_integers(iq.normal)[0] for iq in self.hpoly.ineqs)
-
-    @functools.cached_property
     def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[Mat, list[int]], ...]]:
         """The (d-2)-faces sorted by vertex ids, and per belt its direction space and ridges.
 
@@ -159,7 +174,7 @@ class VPolytope:
         whose direction space is formed once and shared by them.
         """
         d = self.dim
-        normals = self._integer_normals
+        normals = self.hpoly.normals
         tight_masks = [sum(1 << i for i in t) for t in self.tights]
         facet_mask = sum(1 << i for i in self.facet_ids)
         members = [sum(1 << j for j in self.incidence[i]) for i in self.facet_ids]
@@ -188,7 +203,7 @@ class VPolytope:
     def _belts(self) -> tuple[Belt, ...]:
         """The ridges' belts, ordered by direction space; read through `belts`."""
         faces, groups = self._ridges
-        normals = self._integer_normals
+        normals = self.hpoly.normals
         out = []
         # no two belts share a direction space, so the sort never compares the id lists
         for space, face_ids in sorted(groups):
@@ -296,19 +311,19 @@ def _initial_box(rows: Sequence[tuple[int, ...]], d: int) -> tuple[list[tuple[in
 def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     """Exact vertex enumeration by incremental half-space insertion.
 
-    Integer double description: inequality <n, x> <= s enters as the
-    integer row (s', -n') = m (s, -n), m the lcm of its denominators, and a
-    vertex x as the primitive pair (q, X) with q > 0 and x = X/q, so the
-    row's product with the pair, the slack s'q - <n', X>, has the sign of
-    s - <n, x>.  Tight sets are bitmasks; u and w are adjacent iff the
-    vertices on every inequality tight at both are exactly u and w
-    (Fukuda & Prodon 1996).  Vertex ids are never reused, so each
-    inequality's mask of the live vertices on it is kept across insertions
-    and only changed where vertices leave or arrive.  The plus vertices
-    that share d - 1 tight inequalities with a minus vertex w, the only
-    ones that can be adjacent to it, are found by counting through those
-    masks in time linear in w's tight set, not by scanning every plus
-    vertex.  Fractions are formed once, for the result.
+    Integer double description: inequality <n, x> <= s, whose normal n is
+    an integer vector, enters as the integer row (s', -n') = m (s, -n), m
+    the denominator of s, and a vertex x as the primitive pair (q, X) with
+    q > 0 and x = X/q, so the row's product with the pair, the slack
+    s'q - <n', X>, has the sign of s - <n, x>.  Tight sets are bitmasks;
+    u and w are adjacent iff the vertices on every inequality tight at both
+    are exactly u and w (Fukuda & Prodon 1996).  Vertex ids are never
+    reused, so each inequality's mask of the live vertices on it is kept
+    across insertions and only changed where vertices leave or arrive.  The
+    plus vertices that share d - 1 tight inequalities with a minus vertex
+    w, the only ones that can be adjacent to it, are found by counting
+    through those masks in time linear in w's tight set, not by scanning
+    every plus vertex.  Fractions are formed once, for the result.
 
     Works for degenerate (lower-dimensional) cells as long as every used
     direction occurs with both orientations, which holds for all the
@@ -317,10 +332,9 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     d = h.dim
     if d > cap:
         raise VRepCapError(f"V-representation capped at d <= {cap}, got {d}")
-    rows = []
-    for iq in h.ineqs:
-        (s, *n), _ = linalg.scale_to_integers((iq.support,) + iq.normal)
-        rows.append((s, *(-x for x in n)))
+    rows = [
+        (iq.support.numerator, *(-iq.support.denominator * x for x in iq.normal)) for iq in h.ineqs
+    ]
     seed_verts, seed_tights, seeds = _initial_box(rows, d)
     # vertex ids are never reused, so the masks over them stay valid across
     # insertions: on[i] holds the live vertices tight on processed inequality i
@@ -399,7 +413,7 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     vertices = tuple(tuple(Fraction(x, verts[j][0]) for x in verts[j][1:]) for j in order)
     tight_sets = tuple(frozenset(_bits(tights[j])) for j in order)
     incidence = _incidence(tight_sets, len(h.ineqs))
-    normals = [r[1:] for r in rows]
+    normals = h.normals
     # a (d-1)-face has at least d vertices; a flat cell puts many inequalities
     # on one vertex set, so each distinct set is ranked once
     dims = {
@@ -462,7 +476,7 @@ class Face:
 def _face_from_vertices(v: VPolytope, vertex_ids: Sequence[int]) -> Face:
     ids = tuple(sorted(vertex_ids))
     eq = frozenset.intersection(*(v.tights[i] for i in ids))
-    dirs = _direction_space(linalg.integer_rref([v._integer_normals[i] for i in eq]), v.dim)
+    dirs = _direction_space(linalg.integer_rref([v.hpoly.ineqs[i].normal for i in eq]), v.dim)
     facets = tuple(i for i in v.facet_ids if i in eq)
     return Face(facets=facets, vertex_ids=ids, dim=len(dirs), direction_space=dirs)
 
@@ -615,16 +629,18 @@ class ShadowFace:
 def shadow_boundary(v: VPolytope, e: Sequence) -> tuple[ShadowFace, ...]:
     """Facets and codim-2 faces met by lines in direction e only in themselves.
 
-    These are the facets and codim-2 faces that classify_face finds parallel
-    or transversal to e rather than shifted along it.  A facet of a
-    full-dimensional cell lies on no other facet, so it is never transversal.
+    These are the facets and codim-2 faces that classify_products finds
+    parallel or transversal to e rather than shifted along it, from one
+    product with e per inequality.  A facet of a full-dimensional cell lies
+    on no other facet, so it is never transversal.
     """
-    ev = linalg.vec(e)
+    ev = linalg.exact_vec(e)
     if linalg.is_zero_vec(ev):
         raise ValueError("direction e must be nonzero")
+    prods = [linalg.inner(n, ev) for n in v.hpoly.normals]
     out = []
     for f in [facet_face(v, i) for i in v.facet_ids] + list(codim2_faces(v)):
-        kind = classify_face(v, f, ev)
+        kind = classify_products([prods[i] for i in f.facets])
         if kind != SHIFT:
             out.append(ShadowFace(face=f, parallel=kind == PARALLEL_EXTENSION))
     return tuple(out)
@@ -635,20 +651,24 @@ SHIFT = "shift"
 DIRECT_SUM = "direct-sum"
 
 
-def classify_face(v: VPolytope, face: Face, e: Sequence) -> str:
-    """How the face behaves under Minkowski sum with a segment along e.
+def classify_products(prods: Sequence) -> str:
+    """How a face behaves under Minkowski sum with a segment along e.
 
-    The products <p, e> over the normals p of the facets containing the
-    face decide: all zero is a parallel extension, both strict signs a
-    direct sum (the face is transversal to e), anything else a shift.
+    prods are the products <p, e> over the normals p of the facets
+    containing the face: all zero is a parallel extension, both strict
+    signs a direct sum (the face is transversal to e), anything else a shift.
     """
-    ev = linalg.vec(e)
-    prods = [linalg.inner(v.hpoly.ineqs[i].normal, ev) for i in face.facets]
     if all(p == 0 for p in prods):
         return PARALLEL_EXTENSION
     if any(p > 0 for p in prods) and any(p < 0 for p in prods):
         return DIRECT_SUM
     return SHIFT
+
+
+def classify_face(v: VPolytope, face: Face, e: Sequence) -> str:
+    """classify_products of e's products with the normals of the facets on the face."""
+    ev = linalg.exact_vec(e)
+    return classify_products([linalg.inner(v.hpoly.ineqs[i].normal, ev) for i in face.facets])
 
 
 def voronoi_cell(a: QuadForm, cap: int = DEFAULT_VREP_CAP) -> VPolytope:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -249,3 +250,11 @@ def test_check_above_cap_summary_says_dual_set_only(capsys):
     assert main(["check", "--lattice", "E6", "--e", "1,0,0,0,0,0"]) == 0
     out = capsys.readouterr().out
     assert "[ok, dual-set verdict only: dim 6 above V-rep cap 5, no vertex-level checks]" in out
+
+
+def test_rat_renders_ints_and_fractions_only():
+    assert [jsonio.rat(x) for x in (3, -2, F(6, 4), F(-5, 1))] == ["3", "-2", "3/2", "-5"]
+    # a float from a slipped `/` must fail here, not reach the JSON
+    for bad in (1 / 3, 2.0, True, "1/2"):
+        with pytest.raises(TypeError):
+            jsonio.rat(bad)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import isqrt
 
@@ -249,6 +250,73 @@ def test_sum_matches_vertex_minkowski_oracle():
         s = sum_with_segment(cell, Direction(e, b))
         ok, why = check_sum_against_candidates(s, cell.vertices, e, b)
         assert ok, why
+
+
+@st.composite
+def forms_with_segments(draw):
+    """A mixed-denominator form, a nonzero integer e with entries in -2..2 and a weight b."""
+    a = draw(mixed_denominator_forms())
+    e = tuple(draw(st.lists(st.integers(-2, 2), min_size=a.dim, max_size=a.dim).filter(any)))
+    return a, e, draw(st.sampled_from((F(1, 2), F(1), F(3))))
+
+
+def test_sum_with_segment_matches_candidate_hull_oracle():
+    # dual-set directions and the others both occur among the drawn cases
+    free = Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(forms_with_segments())
+    def check(case):
+        a, e, b = case
+        cell = voronoi_cell(a)
+        s = sum_with_segment(cell, Direction(e, b))
+        ok, why = check_sum_against_candidates(s, cell.vertices, e, b)
+        assert ok, (a.gram, e, b, why)
+        free[in_dual_set(cell.hpoly.normals, e)[0]] += 1
+
+    check()
+    assert free[True] and free[False]
+
+
+def _is_int_vec(v):
+    return isinstance(v, tuple) and all(type(x) is int for x in v)
+
+
+def test_h_side_is_integer():
+    for _, _, a in lattice.catalog_entries(max_dim=4):
+        assert all(_is_int_vec(n) for n in build_cell(a, coset_minima(a).facet_normals()).normals)
+    d4 = catalog("Dn", 4)
+    cell = voronoi_cell(d4)
+    e = dual_set(coset_minima(d4).facet_normals()).members[0]
+    for e in (e, (1, 2, 0, 0)):
+        d = Direction(e, F(1, 2))
+        assert _is_int_vec(d.e)
+        assert all(_is_int_vec(n) for n in sum_with_segment(cell, d).hpoly.normals)
+    assert all(_is_int_vec(n) for n in voronoi_of_sum_form(d4, Direction(e, 3)).normals)
+    # a rational normal is scaled to integers together with its support
+    h = polytope.hpolytope(2, [((F(1, 2), 0), F(1, 2)), ((-1, 0), 1), ((0, F(2, 3)), 2), ((0, -1), 3)])
+    assert [(iq.normal, iq.support) for iq in h.ineqs] == [((-1, 0), 1), ((0, -1), 3), ((0, 2), 6), ((1, 0), 1)]
+    assert all(_is_int_vec(n) for n in h.normals)
+    # a rational e stays in Fractions and gives the same sum as the vertex oracle
+    e, b = (F(1, 2), F(1, 2)), 1
+    square = voronoi_cell(Z2)
+    assert all(type(x) is F for x in Direction(e, b).e)
+    s = sum_with_segment(square, Direction(e, b))
+    assert all(_is_int_vec(n) for n in s.hpoly.normals)
+    ok, why = check_sum_against_candidates(s, square.vertices, e, b)
+    assert ok, why
+
+
+def test_sum_with_segment_forms_one_product_per_inequality(monkeypatch):
+    d4 = catalog("Dn", 4)
+    cell = voronoi_cell(d4)
+    e = dual_set(coset_minima(d4).facet_normals()).members[0]
+    results = []
+    inner = linalg.inner
+    monkeypatch.setattr(linalg, "inner", lambda *a: results.append(inner(*a)) or results[-1])
+    sum_with_segment(cell, Direction(e, F(1, 2)))
+    assert 0 < len(results) <= len(cell.hpoly.ineqs)
+    assert all(type(t) is int for t in results)
 
 
 def test_b_stability_of_perturbed_normals():
