@@ -32,21 +32,32 @@ def _input_error(command: str, why: str) -> NoReturn:
     raise SystemExit(2)  # 1 means a check's invariants failed
 
 
+def _within_cap(n) -> None:
+    """Every command enumerates minima, so a dimension above their cap is bad input."""
+    if type(n) is int and n > lattice.DEFAULT_DIM_CAP:
+        raise lattice.DimensionCapError(f"dimension {n} exceeds enumeration cap {lattice.DEFAULT_DIM_CAP}")
+
+
 def _load_form(args) -> lattice.QuadForm:
-    """The form of --job, --form or --lattice; unreadable or invalid input exits with status 2."""
+    """The form of --job, --form or --lattice; bad input exits with status 2, a catalog n before its form is built."""
     try:
         if getattr(args, "job", None):
             doc = json.loads(Path(args.job).read_text())
-            if "catalogName" in doc:
+            if isinstance(doc, dict) and "catalogName" in doc:
+                _within_cap(doc.get("n"))
                 return catalog(doc["catalogName"], doc.get("n"))
-            return jsonio.form_from_dict(doc)
-        if args.form:
-            return jsonio.form_from_dict(json.loads(Path(args.form).read_text()))
-        if args.lattice:
+            a = jsonio.form_from_dict(doc)
+        elif args.form:
+            a = jsonio.form_from_dict(json.loads(Path(args.form).read_text()))
+        elif args.lattice:
+            _within_cap(args.n)
             return catalog(args.lattice, args.n)
+        else:
+            _input_error(args.command, "one of --form/--lattice is required")
+        _within_cap(a.dim)
     except (OSError, ValueError, lattice.LatticeError) as exc:  # JSONDecodeError is a ValueError
         _input_error(args.command, str(exc))
-    _input_error(args.command, "one of --form/--lattice is required")
+    return a
 
 
 def _rationals(entries) -> tuple[Fraction, ...] | None:
@@ -99,7 +110,7 @@ def cmd_cell(args) -> int:
         lengths = sorted(b.length for b in belts)
         summary = (
             f"cell: dim {a.dim}, {len(v.facet_ids)} facets, "
-            f"{len(v.vertices)} vertices, belt lengths {lengths}"
+            f"{len(v.points)} vertices, belt lengths {lengths}"
         )
         if args.off:
             Path(args.off).write_text(jsonio.to_off(v))
@@ -185,7 +196,9 @@ def cmd_report(args) -> int:
     for spec in args.lattices.split(","):
         name, _, n = spec.strip().partition(":")
         try:
-            a = catalog(name, int(n) if n else None)
+            n = int(n) if n else None
+            _within_cap(n)
+            a = catalog(name, n)
         except (ValueError, lattice.LatticeError) as exc:
             _input_error("report", f"lattice spec {spec.strip()!r}: {exc}")
         cs = coset_minima(a)

@@ -16,8 +16,8 @@ code in Fractions.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -145,12 +145,6 @@ class DualSet:
         return tuple(int(x) for x in e) in set(self.members)
 
 
-def _integer_vec(v: Vec) -> IntVec | None:
-    if all(x.denominator == 1 for x in v):
-        return tuple(int(x) for x in v)
-    return None
-
-
 def dual_set(normals: Sequence[Sequence]) -> DualSet:
     """All integer e with <e, p> in {0, +1, -1} for every normal p.
 
@@ -217,9 +211,8 @@ def normalize_direction(e_raw: Sequence, normals: Sequence[Sequence]) -> IntVec:
     if not by_value:
         raise ExtensionError("e is orthogonal to every normal; the normals do not span R^d")
     w = next(iter(by_value))
-    scaled = linalg.vscale(Fraction(1, w), ev)
-    ei = _integer_vec(scaled)
-    if ei is None:
+    ei = linalg.exact_vec(linalg.vscale(Fraction(1, w), ev))
+    if any(isinstance(x, Fraction) for x in ei):
         raise ExtensionError(f"e/{w} is not integral; the normals do not generate Z^d")
     return ei
 
@@ -254,8 +247,8 @@ def sum_with_segment(cell: VPolytope, dir: Direction, cap: int = polytope.DEFAUL
 
 def voronoi_of_sum_form(a: QuadForm, dir: Direction) -> HPolytope:
     """The Voronoi cell of the rank-1-perturbed form, by the full pipeline."""
-    ei = _integer_vec(dir.e)
-    if ei is None:
+    # Direction keeps an integral e as ints and any other as Fractions
+    if any(isinstance(x, Fraction) for x in dir.e):
         raise ValueError("voronoi_of_sum_form needs an integer (normalized) e")
     a2 = perturbed_form(a, dir)
     return build_cell(a2, coset_minima(a2).facet_normals())
@@ -287,8 +280,8 @@ def subset_check(
     for iq in total.ineqs:
         tops = []
         for v in (v1, v2):
-            heights = [sum(map(operator.mul, iq.normal, x)) for x in v.integer_vertices[1]]
-            tops.append(v.vertices[heights.index(max(heights))])
+            top = max(v.points, key=functools.partial(linalg.inner, iq.normal))
+            tops.append(linalg.vscale(Fraction(1, v.scale), top))
         s = linalg.vadd(*tops)
         if linalg.dot(iq.normal, s) > iq.support:
             return False, s
@@ -370,8 +363,8 @@ def check_theorem(
     """Run both sum constructions across the b samples and compare exactly.
 
     When the direction normalizes into the dual set, the facet-built sum
-    must coincide with the Voronoi cell of the perturbed form (canonical
-    vertex lists) and pass the parallelotope test; when it cannot normalize
+    must coincide with the Voronoi cell of the perturbed form (equal
+    canonical integer vertex data, `VPolytope.scale` and `points`) and pass the parallelotope test; when it cannot normalize
     and the input cell is irreducible, the sum must fail the test.  On a
     reducible input with a non-normalizable direction the parallelotope
     verdict is reported but flagged theorem-silent.
@@ -414,7 +407,8 @@ def check_theorem(
             form_cell = prune_to_facets(
                 enumerate_vertices(voronoi_of_sum_form(a, dir), cap=cap)
             )
-            equal = sum_cell.vertices == form_cell.vertices
+            # (scale, points) depends only on the vertex set, see VPolytope
+            equal = (sum_cell.scale, sum_cell.points) == (form_cell.scale, form_cell.points)
             if not equal:
                 sumset = set(sum_cell.vertices)
                 formset = set(form_cell.vertices)

@@ -2,8 +2,9 @@
 
 Every coordinate and form value is rendered as an exact rational string
 "p/q" (or "p" when the denominator is 1); counts and dimensions stay as
-JSON numbers.  The OFF export is the single deliberately lossy surface:
-display-only decimals at 12 significant digits.
+JSON numbers.  Vertices come from `VPolytope.vertices`, the Fraction view
+of a cell's integer points.  The OFF export is the single deliberately
+lossy surface: display-only decimals at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Sequence
 from . import linalg, polytope
 from .extension import DualSet, ExtensionReport
 from .lattice import ContactVectorSet, QuadForm, make_form
-from .linalg import Vec
 from .polytope import Belt, ParallelotopeVerdict, VPolytope
 
 
@@ -43,14 +43,18 @@ def form_to_dict(a: QuadForm) -> dict:
     return {"dim": a.dim, "gram": rat_mat(a.gram)}
 
 
-def form_from_dict(doc: dict) -> QuadForm:
-    if "form" in doc:  # allow re-ingesting documents that embed their form
+def form_from_dict(doc) -> QuadForm:
+    """The form of a JSON document {dim, gram}; a document of any other shape raises ValueError."""
+    if isinstance(doc, dict) and "form" in doc:  # allow re-ingesting documents that embed their form
         doc = doc["form"]
-    if "gram" not in doc:
+    if not isinstance(doc, dict) or "gram" not in doc:
         raise ValueError("no form: expected a gram (or form, or catalogName) entry")
-    gram = [[linalg.parse_rational(x) for x in row] for row in doc["gram"]]
+    rows = doc["gram"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == len(rows) for r in rows):
+        raise ValueError("gram must be a square list of rows")
+    gram = [[linalg.parse_rational(x) for x in row] for row in rows]
     a = make_form(gram)
-    if "dim" in doc and doc["dim"] != a.dim:
+    if "dim" in doc and (type(doc["dim"]) is not int or doc["dim"] != a.dim):  # as for n, 4.0 and true are refused
         raise ValueError(f"declared dim {doc['dim']} != gram size {a.dim}")
     return a
 
@@ -87,7 +91,7 @@ def verdict_to_dict(v: ParallelotopeVerdict) -> dict:
 def cell_to_dict(v: VPolytope, belts: Sequence[Belt] | None = None) -> dict:
     out = hrep_to_dict(v.hpoly)
     out["facet_count"] = len(v.facet_ids)  # inequalities that are not facets are listed too
-    out["vertex_count"] = len(v.vertices)
+    out["vertex_count"] = len(v.points)
     out["vertices"] = [rat_vec(x) for x in v.vertices]
     out["incidence"] = [list(inc) for inc in v.incidence]
     if belts is not None:
@@ -153,13 +157,14 @@ def report_to_dict(rep: ExtensionReport) -> dict:
 
 def _cycle_vertex_ids(v: VPolytope, ids: Sequence[int]) -> list[int]:
     """Order the vertices of a 2D face counterclockwise around its centroid."""
-    pts = [v.vertices[i] for i in ids]
-    centroid = linalg.vscale(Fraction(1, len(pts)), functools.reduce(linalg.vadd, pts))
-    rel = [linalg.vsub(p, centroid) for p in pts]
+    pts = [v.points[i] for i in ids]
+    total = functools.reduce(linalg.vadd, pts)
+    # the offsets from the centroid times len(pts) * scale > 0: the same angular order
+    rel = [tuple(len(pts) * x - t for x, t in zip(p, total)) for p in pts]
     if len(rel[0]) > 2:
-        # rel spans the RREF rows, each 1 at its own pivot column and 0 at the
-        # other's, so the coordinates in that basis are the entries there
-        pivots = [next(j for j, x in enumerate(r) if x) for r in linalg.rref(tuple(rel))]
+        # rel spans the RREF rows, each 0 at the other's pivot column, so the
+        # coordinates in the RREF basis are the entries at the pivot columns
+        pivots = [next(j for j, x in enumerate(r) if x) for r in linalg.integer_rref(rel)]
         rel = [tuple(r[j] for j in pivots) for r in rel]
     order = polytope._angular_order(list(enumerate(rel)))
     return [ids[i] for i in order]

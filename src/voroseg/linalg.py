@@ -2,15 +2,16 @@
 
 Vectors are tuples of Fractions (`vec`), or of ints where every entry is
 integral (`exact_vec`); matrices are tuples of row tuples, and nothing in
-here ever rounds.  Every row reduction (`rref`, `rank`,
-`integer_rref`, `solve_linear`, `adjugate` and `null_space`) runs one
-integer kernel, fraction-free Gauss-Jordan elimination: a rational row is
-first scaled to integers by the lcm of its own denominators
-(`scale_to_integers`), and Fractions are formed only from the result.
-`integer_rref` forms none, and `hpolytope` checks that its integer
-normals span R^d with it.  `inner` is the product that keeps integer
-vectors in integers: the facet normals are int tuples and an integral
-segment direction e is kept as one, so the products with e are ints.
+here ever rounds.  Every row reduction (`rank`, `integer_rref`,
+`solve_linear`, `adjugate` and `null_space`) runs one integer kernel,
+fraction-free Gauss-Jordan elimination: a rational row is first scaled to
+integers by the lcm of its own denominators (`scale_to_integers`).
+`integer_rref` and `null_space` return integer rows and form no Fraction;
+the face spaces of `polytope` are built from them, and `hpolytope` checks
+that its integer normals span R^d with `integer_rref`.  `inner` is the
+product that keeps integer vectors in integers: the facet normals are int
+tuples and an integral segment direction e is kept as one, so the products
+with e are ints.
 """
 
 from __future__ import annotations
@@ -84,10 +85,6 @@ def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(map(operator.add, u, v))
 
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(c, u: Sequence) -> Vec:
     c = Fraction(c)
     return tuple(c * a for a in u)
@@ -156,13 +153,6 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
         prev = pk
         pivots.append(c)
     return pivots, prev, sign
-
-
-def rref(m: Mat) -> Mat:
-    """Reduced row echelon form with zero rows dropped (canonical row basis)."""
-    rows = _integer_rows(m)
-    pivots, p, _ = _bareiss(rows)
-    return tuple(tuple(Fraction(x, p) for x in r) for r in rows[: len(pivots)])
 
 
 def rank(m: Mat) -> int:
@@ -254,11 +244,12 @@ def ldl(m: Mat) -> tuple[Mat, Vec]:
     return tuple(tuple(row) for row in L), tuple(D)
 
 
-def null_space(m: Mat, ncols: int) -> Mat:
-    """Basis (as rows) of the right null space of m, one row per free column of the RREF.
+def null_space(m: Sequence[Sequence], ncols: int) -> tuple[tuple[int, ...], ...]:
+    """Integer basis (as rows) of the right null space of m, one row per free column of the RREF.
 
-    The RREF is the eliminated integer rows over p, so the row for free
-    column f is p at f and minus each pivot row's entry at f, over p.
+    The RREF is the eliminated integer rows over p, so p times the RREF's
+    null vector for free column f is p at f, minus each pivot row's entry at
+    f at that row's pivot, and 0 elsewhere.
     """
     rows = _integer_rows(m)
     pivots, p, _ = _bareiss(rows)
@@ -270,21 +261,8 @@ def null_space(m: Mat, ncols: int) -> Mat:
         x[f] = p
         for r, c in zip(rows, pivots):
             x[c] = -r[f]
-        basis.append(tuple(Fraction(t, p) for t in x))
+        basis.append(tuple(x))
     return tuple(basis)
-
-
-def primitive_direction(v: Sequence) -> tuple[tuple[int, ...], Fraction]:
-    """Scale a nonzero rational vector to its primitive integer direction.
-
-    Returns (p, c) with p primitive (integer entries, gcd 1, orientation kept)
-    and v = c * p, c > 0.
-    """
-    ints, den = scale_to_integers([Fraction(x) for x in v])
-    if not any(ints):
-        raise ValueError("zero vector has no direction")
-    g = gcd(*ints)
-    return tuple(x // g for x in ints), Fraction(g, den)
 
 
 def parse_rational(s: str) -> Fraction:

@@ -8,8 +8,9 @@ and sorts on int tuples.
 Vertex enumeration is an incremental double-description pass over the
 inequality list (lexicographic insertion order) in integer arithmetic:
 inequalities are integer rows, vertices primitive homogeneous integer
-pairs, tight sets bitmasks, and the result's vertices are converted to
-Fractions once.  Per inequality, the mask of the vertices on it persists
+pairs and tight sets bitmasks, and the result keeps the vertices x as the
+integer points Q x over one common denominator Q (`VPolytope.points`).
+Per inequality, the mask of the vertices on it persists
 across insertions, and adjacency candidates are counted through these
 masks.  On top of it sit face extraction, belts, the tiling
 (parallelotope) verifier, the facet graph used for irreducibility, and
@@ -18,11 +19,10 @@ double description keeps per vertex: the inequalities tight on all of a
 face cut out its affine hull (Ziegler, Lectures on Polytopes, 2.1), and
 its integer normals, reduced by `linalg.integer_rref`, give its dimension
 and a canonical key; a ridge's key names its belt, and each belt's
-direction space is formed once from it.  Vertex products and sums read
-the integer view `VPolytope.integer_vertices`.  Faces are classified
-against a segment direction e by the signs of the products <p, e> of
-their facets' normals (`classify_products`), each formed once per
-inequality.
+direction space, an integer RREF, is formed once from it.  Faces are
+classified against a segment direction e by the signs of the products
+<p, e> of their facets' normals (`classify_products`), each formed once
+per inequality.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 from . import linalg, lattice
 from .lattice import IntMat, IntVec, QuadForm, eval_form
-from .linalg import Mat, Vec
+from .linalg import Vec
 
 DEFAULT_VREP_CAP = 5
 
@@ -133,14 +133,16 @@ def build_cell(a: QuadForm, normals: Iterable[Sequence]) -> HPolytope:
 class VPolytope:
     """Exact vertex representation with facet incidences.
 
-    vertices are deduplicated and lexicographically sorted, so polytope
-    equality is plain list comparison.  tights[v] is the set of inequalities
-    vertex v satisfies with equality; facet_ids are the inequalities whose
-    tight vertex set is (d-1)-dimensional.
+    scale is Q, the lcm of all vertex denominators, and points the sorted
+    integer points Q x of the vertices x; Q depends only on the vertex set,
+    so equal (scale, points) means equal vertices.  tights[v] is the set of
+    inequalities vertex v satisfies with equality; facet_ids are the
+    inequalities whose tight vertex set is (d-1)-dimensional.
     """
 
     hpoly: HPolytope
-    vertices: tuple[Vec, ...]
+    scale: int
+    points: tuple[IntVec, ...]
     tights: tuple[frozenset[int], ...]
     facet_ids: tuple[int, ...]
     affine_rank: int
@@ -150,13 +152,10 @@ class VPolytope:
         return self.hpoly.dim
 
     @functools.cached_property
-    def integer_vertices(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(Q, Q x for every vertex x), Q the lcm of all vertex denominators.
-
-        Vertex products and sums compare exactly in these integers.
-        """
-        q = lcm(*(c.denominator for x in self.vertices for c in x))
-        return q, tuple(tuple(c.numerator * (q // c.denominator) for c in x) for x in self.vertices)
+    def vertices(self) -> tuple[Vec, ...]:
+        """The vertices x = points / scale as Fractions, in the order of points."""
+        q = self.scale
+        return tuple(tuple(Fraction(x, q) for x in p) for p in self.points)
 
     @functools.cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -164,7 +163,7 @@ class VPolytope:
         return _incidence(self.tights, len(self.hpoly.ineqs))
 
     @functools.cached_property
-    def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[Mat, list[int]], ...]]:
+    def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[IntMat, list[int]], ...]]:
         """The (d-2)-faces sorted by vertex ids, and per belt its direction space and ridges.
 
         A ridge lies on 2 facets (the diamond property), so the candidates are
@@ -190,7 +189,7 @@ class VPolytope:
             key = linalg.integer_rref([normals[i] for i in _bits(eq)])
             found[both] = (ids, key, eq & facet_mask) if len(key) == 2 else None
         faces: list[Face] = []
-        by_key: dict[IntMat, tuple[Mat, list[int]]] = {}
+        by_key: dict[IntMat, tuple[IntMat, list[int]]] = {}
         for ids, key, facets in sorted(f for f in found.values() if f):
             if key not in by_key:
                 by_key[key] = (_direction_space(key, d), [])
@@ -204,9 +203,11 @@ class VPolytope:
         """The ridges' belts, ordered by direction space; read through `belts`."""
         faces, groups = self._ridges
         normals = self.hpoly.normals
+        # a primitive row is its pivot times the RREF row, so over the lcm of all
+        # pivots the rows are ints that sort like the RREF rows: the belt order is kept
+        den = lcm(*(_pivot(r) for space, _ in groups for r in space))
         out = []
-        # no two belts share a direction space, so the sort never compares the id lists
-        for space, face_ids in sorted(groups):
+        for space, face_ids in sorted(groups, key=lambda g: [[x * den // _pivot(r) for x in r] for r in g[0]]):
             facet_set: set[int] = set()
             for fi in face_ids:
                 facet_set.update(faces[fi].facets)
@@ -216,11 +217,10 @@ class VPolytope:
             free = [j for j in range(self.dim) if j not in pivots]
             if len(free) != 2:
                 raise PolytopeError("belt direction space must have codimension 2")
-            rows = [linalg.scale_to_integers(r)[0] for r in space]
             projected = []
             for i in sorted(facet_set):
                 n = normals[i]
-                if any(sum(map(operator.mul, r, n)) for r in rows):
+                if any(sum(map(operator.mul, r, n)) for r in space):
                     raise PolytopeError(f"facet {i} is not parallel to its belt's direction space")
                 # a positive multiple of the normal orders the same way
                 projected.append((i, (n[free[0]], n[free[1]])))
@@ -240,9 +240,14 @@ def _incidence(tights: Sequence[frozenset[int]], n_ineqs: int) -> tuple[tuple[in
     return tuple(tuple(r) for r in rows)
 
 
-def _direction_space(key: IntMat, d: int) -> Mat:
-    """RREF basis rows of the subspace of R^d orthogonal to the rows of key."""
-    return linalg.rref(linalg.null_space(key, d))
+def _direction_space(key: IntMat, d: int) -> IntMat:
+    """Primitive integer RREF rows (`linalg.integer_rref`) of the subspace of R^d orthogonal to key."""
+    return linalg.integer_rref(linalg.null_space(key, d))
+
+
+def _pivot(row: Sequence[int]) -> int:
+    """The first nonzero entry of a row."""
+    return next(x for x in row if x)
 
 
 def _face_dim(normals: Sequence[Sequence[int]], eq: Iterable[int]) -> int:
@@ -323,7 +328,7 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     plus vertices that share d - 1 tight inequalities with a minus vertex
     w, the only ones that can be adjacent to it, are found by counting
     through those masks in time linear in w's tight set, not by scanning
-    every plus vertex.  Fractions are formed once, for the result.
+    every plus vertex.  The result keeps the integer points.
 
     Works for degenerate (lower-dimensional) cells as long as every used
     direction occurs with both orientations, which holds for all the
@@ -406,11 +411,11 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
                 on[i] |= 1 << next_id
             alive |= 1 << next_id
             next_id += 1
-    # the integer coordinates over the common denominator sort like the rationals
+    # a primitive pair's q is the lcm of the reduced denominators of X/q, so common_q
+    # is that of all vertex denominators; the integer points sort like the rationals
     common_q = lcm(*(v[0] for v in verts.values()))
     scaled = {j: tuple(x * (common_q // v[0]) for x in v[1:]) for j, v in verts.items()}
     order = sorted(verts, key=scaled.__getitem__)
-    vertices = tuple(tuple(Fraction(x, verts[j][0]) for x in verts[j][1:]) for j in order)
     tight_sets = tuple(frozenset(_bits(tights[j])) for j in order)
     incidence = _incidence(tight_sets, len(h.ineqs))
     normals = h.normals
@@ -423,7 +428,8 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     }
     return VPolytope(
         hpoly=h,
-        vertices=vertices,
+        scale=common_q,
+        points=tuple(scaled[j] for j in order),
         tights=tight_sets,
         facet_ids=tuple(i for i, inc in enumerate(incidence) if dims.get(inc) == d - 1),
         affine_rank=_face_dim(normals, frozenset.intersection(*tight_sets)),
@@ -440,7 +446,8 @@ def prune_to_facets(v: VPolytope) -> VPolytope:
     h2 = HPolytope(dim=v.dim, ineqs=tuple(v.hpoly.ineqs[i] for i in v.facet_ids))
     return VPolytope(
         hpoly=h2,
-        vertices=v.vertices,
+        scale=v.scale,
+        points=v.points,
         tights=tuple(frozenset(renumber[i] for i in ts if i in renumber) for ts in v.tights),
         facet_ids=tuple(range(len(h2.ineqs))),
         affine_rank=v.affine_rank,
@@ -449,13 +456,12 @@ def prune_to_facets(v: VPolytope) -> VPolytope:
 
 def _heights(v: VPolytope, q: Sequence) -> tuple[list[int], int]:
     """<q, x> for every vertex x, as integers over one common denominator."""
-    if not v.vertices:
+    if not v.points:
         raise EmptyPolytopeError("support of an empty polytope")
     qi, den = linalg.scale_to_integers(linalg.vec(q))
     if len(qi) != v.dim:
         raise linalg.DimensionMismatchError(f"direction of length {len(qi)} in dimension {v.dim}")
-    scale, pts = v.integer_vertices
-    return [sum(map(operator.mul, qi, x)) for x in pts], den * scale
+    return [sum(map(operator.mul, qi, x)) for x in v.points], den * v.scale
 
 
 def support_value(v: VPolytope, q: Sequence) -> Fraction:
@@ -470,7 +476,7 @@ class Face:
     facets: tuple[int, ...]
     vertex_ids: tuple[int, ...]
     dim: int
-    direction_space: Mat  # RREF basis rows of (aff F - aff F)
+    direction_space: IntMat  # RREF rows of (aff F - aff F), each scaled to a primitive integer row
 
 
 def _face_from_vertices(v: VPolytope, vertex_ids: Sequence[int]) -> Face:
@@ -505,7 +511,7 @@ def codim2_faces(v: VPolytope) -> tuple[Face, ...]:
 
 @dataclass(frozen=True)
 class Belt:
-    direction_space: Mat
+    direction_space: IntMat
     facet_ids: tuple[int, ...]  # cyclically ordered
     face_ids: tuple[int, ...]   # indices into codim2_faces(v)
 
@@ -551,7 +557,7 @@ class ParallelotopeVerdict:
 
 def is_parallelotope(v: VPolytope) -> ParallelotopeVerdict:
     """Venkov-McMullen test: central symmetry, 4/6-belts, symmetric facets."""
-    _, pts = v.integer_vertices
+    pts = v.points
     # negation reverses lexicographic order, so the antipode of vertex i is n-1-i
     if any(x != linalg.vneg(y) for x, y in zip(pts, reversed(pts))):
         return ParallelotopeVerdict(ok=False, failure="central-symmetry")
@@ -588,7 +594,7 @@ def irreducibility_graph(v: VPolytope) -> FacetGraph:
     for i in v.facet_ids:
         if i in pair_of:
             continue
-        partner = by_incidence[tuple(len(v.vertices) - 1 - j for j in reversed(v.incidence[i]))]
+        partner = by_incidence[tuple(len(v.points) - 1 - j for j in reversed(v.incidence[i]))]
         pair_of[i] = pair_of[partner] = len(pairs)
         pairs.append((min(i, partner), max(i, partner)))
     faces = codim2_faces(v)
@@ -690,7 +696,7 @@ def adjacency_check(a: QuadForm, v: VPolytope, p: Sequence) -> bool:
     )
     if fid is None:
         raise NotFacetNormalError(f"{tuple(p)} is not a facet normal of the cell")
-    scale, pts = v.integer_vertices
-    shift = linalg.vscale(2 * scale, linalg.mat_vec(a.gram, pv))
+    shift = linalg.vscale(2 * v.scale, linalg.mat_vec(a.gram, pv))
     ids = v.incidence[fid]
+    pts = v.points
     return all(linalg.vadd(pts[j], pts[k]) == shift for j, k in zip(ids, reversed(ids)))

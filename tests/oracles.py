@@ -186,7 +186,7 @@ def minkowski_candidates(vertices, e, b) -> tuple:
     out = set()
     for v in vertices:
         out.add(linalg.vadd(v, shift))
-        out.add(linalg.vsub(v, shift))
+        out.add(tuple(x - y for x, y in zip(v, shift)))
     return tuple(sorted(out))
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from voroseg import jsonio
+from voroseg import cli, jsonio
 from voroseg.cli import main
 
 
@@ -231,6 +231,15 @@ def test_report_default_json_golden(tmp_path):
     ["cell", "--lattice", "E6", "--off", "{tmp}/x.off"],
     ["check", "--lattice", "An", "--n", "2"],
     ["dual-set"],
+    ["relevant", "--lattice", "Zn", "--n", "9"],
+    ["check", "--lattice", "Zn", "--n", "9", "--e=1,0,0,0,0,0,0,0,0"],
+    ["report", "--lattices", "Zn:9"],
+    ["cell", "--form", "{tmp}/d9.json"],
+    ["relevant", "--form", "{tmp}/gram_int.json"],
+    ["relevant", "--form", "{tmp}/top_int.json"],
+    ["relevant", "--form", "{tmp}/ragged.json"],
+    ["check", "--job", "{tmp}/top_int.json"],
+    ["relevant", "--form", "{tmp}/dim_bool.json"],
 ], ids=" ".join)
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     # 1 is taken: `check` exits 1 on a violated invariant, `verify` on a non-parallelotope
@@ -239,11 +248,25 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
     for name, n in [("string", "3"), ("float", 2.0), ("bool", True)]:
         job = {"catalogName": "An", "n": n, "e": [0, 1], "b": ["1"]}
         (tmp_path / f"n_{name}.json").write_text(json.dumps(job))
+    d9 = [[int(i == j) for j in range(9)] for i in range(9)]
+    docs = {"d9": {"gram": d9}, "gram_int": {"gram": 5}, "top_int": 5, "ragged": {"gram": [[1, 0], [0]]},
+            "dim_bool": {"dim": True, "gram": [["2"]]}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as exc:
         main([x.replace("{tmp}", str(tmp_path)) for x in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"voroseg {argv[0]}: error: ") and err.count("\n") == 1
+
+
+def test_dimension_cap_checked_before_the_catalog_form_is_built(monkeypatch):
+    # a huge n must be refused at once, not after building an n x n Gram matrix
+    monkeypatch.setattr(cli, "catalog", lambda *a: pytest.fail("catalog form built"))
+    for argv in (["relevant", "--lattice", "Zn", "--n", str(10**9)], ["report", "--lattices", "An:100000"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_check_above_cap_summary_says_dual_set_only(capsys):

@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd, lcm
 from pathlib import Path
 from unittest import mock
 
@@ -189,9 +190,9 @@ def test_hv_roundtrip_catalog():
             pts = [v.vertices[j] for j in v.incidence[i]]
             normals = null_basis(affine_direction_space(pts), v.dim)
             assert len(normals) == 1
-            got, _ = linalg.primitive_direction(normals[0])
-            want, _ = linalg.primitive_direction(v.hpoly.ineqs[i].normal)
-            assert got == want or got == tuple(-x for x in want)
+            # integer_rref scales a row to the primitive one with a positive pivot
+            got = linalg.integer_rref([linalg.scale_to_integers(normals[0])[0]])
+            assert got == linalg.integer_rref([v.hpoly.ineqs[i].normal])
 
 
 def test_vertex_central_symmetry():
@@ -212,7 +213,7 @@ def test_facet_centroid_is_Ap():
             centroid = linalg.vscale(F(1, len(pts)), __import__("functools").reduce(linalg.vadd, pts))
             assert centroid == ap
             pset = set(pts)
-            assert all(linalg.vsub(linalg.vscale(2, ap), x) in pset for x in pts)
+            assert all(tuple(2 * c - y for c, y in zip(ap, x)) in pset for x in pts)
 
 
 def test_belt_parity_catalog():
@@ -350,6 +351,21 @@ def _segment_sums(pruned=True):
     return out
 
 
+def test_integer_vertex_data_is_canonical():
+    # check_theorem compares (scale, points), so they must depend on the vertex set alone
+    form = jsonio.form_from_dict(json.loads((Path(__file__).parent / "data" / "form_d4_mixed.json").read_text()))
+    mixed = voronoi_cell(form)
+    assert {x.denominator for p in mixed.vertices for x in p} == {1, 3, 5, 15}
+    cells = [cell_of(name, n) for name, n, _ in lattice.catalog_entries(max_dim=4)]
+    for v in cells + [mixed] + _segment_sums(pruned=False):
+        assert v.scale == lcm(*(x.denominator for p in v.vertices for x in p))
+        assert all(type(c) is int for p in v.points for c in p)
+        assert v.points == tuple(tuple(v.scale * x for x in p) for p in v.vertices)
+        pruned = prune_to_facets(v)
+        assert (pruned.scale, pruned.points) == (v.scale, v.points)
+        assert pruned.vertices == v.vertices
+
+
 def _flat_segment_cells():
     """Segments as cells over all contact vectors: many inequalities share both vertices."""
     out = []
@@ -403,7 +419,15 @@ def test_faces_match_affine_dimension_oracle():
         for f in codim2_faces(v):
             want = affine_direction_space([v.vertices[j] for j in f.vertex_ids])
             assert f.dim == len(want) == d - 2
-            assert [list(r) for r in f.direction_space] == want
+            assert _as_rref(f.direction_space) == tuple(tuple(r) for r in want)
+
+
+def _as_rref(space):
+    """Primitive integer RREF rows, checked as such, as the Fraction RREF: each row over its pivot."""
+    pivots = [next(y for y in r if y) for r in space]
+    assert all(type(x) is int for r in space for x in r)
+    assert all(gcd(*r) == 1 and p > 0 for r, p in zip(space, pivots))
+    return tuple(tuple(F(x, p) for x in r) for r, p in zip(space, pivots))
 
 
 def _rationals(lo, hi):
@@ -493,7 +517,10 @@ def _check_ridges_and_belts(v, parallelotope):
         by_space.setdefault(space, []).append(ids)
     bs = belts(v)
     assert sorted(fi for b in bs for fi in b.face_ids) == list(range(len(ridges)))
-    assert {b.direction_space: [ridges[fi].vertex_ids for fi in b.face_ids] for b in bs} == by_space
+    assert {_as_rref(b.direction_space): [ridges[fi].vertex_ids for fi in b.face_ids] for b in bs} == by_space
+    # belts are ordered by the Fraction RREF of their direction spaces, which belt_index reports
+    spaces = [_as_rref(b.direction_space) for b in bs]
+    assert spaces == sorted(spaces)
     for b in bs:
         # a belt's facets are the facets on its ridges, all parallel to its direction space
         on_ridges = sorted({i for fi in b.face_ids for i in facets if on[i].issuperset(ridges[fi].vertex_ids)})
