@@ -17,7 +17,6 @@ code in Fractions.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -112,12 +111,8 @@ def _free(p: Sequence, e: Sequence) -> bool:
 
 def p_e_set(normals: Iterable[Sequence], e: Sequence) -> tuple[IntVec, ...]:
     """The normals whose product with e lies in {0, +1, -1}."""
-    ev = linalg.vec(e)
-    out = []
-    for p in normals:
-        if _free(p, ev):
-            out.append(tuple(int(x) for x in p))
-    return tuple(sorted(out))
+    ev = linalg.exact_vec(e)
+    return tuple(p for p in _integer_normals(normals) if _free(p, ev))
 
 
 def segment_as_polytope(dir: Direction, normals: Iterable[Sequence]) -> HPolytope:
@@ -136,55 +131,79 @@ def segment_as_polytope(dir: Direction, normals: Iterable[Sequence]) -> HPolytop
     return polytope.hpolytope(d, [(p, dir.b * abs(t)) for p, t in zip(ns, prods)])
 
 
+def _integer_normals(normals: Iterable[Sequence]) -> list[IntVec]:
+    """The normals as sorted int tuples; a normal with a non-integral entry raises ValueError."""
+    out = []
+    for p in normals:
+        if not all(type(x) is int for x in p):
+            p = linalg.exact_vec(p)
+            if any(isinstance(x, Fraction) for x in p):
+                raise ValueError(f"facet normal ({', '.join(map(str, p))}) is not integral")
+        out.append(tuple(p))
+    return sorted(out)
+
+
 @dataclass(frozen=True)
 class DualSet:
     members: tuple[IntVec, ...]       # closed under negation, sorted
     basis_used: tuple[IntVec, ...]    # the d independent normals enumerated over
 
     def __contains__(self, e) -> bool:
-        return tuple(int(x) for x in e) in set(self.members)
+        # tuple equality is exact: (3/2, 1) and (1.9, 0) match no int member
+        return tuple(e) in self.members
 
 
 def dual_set(normals: Sequence[Sequence]) -> DualSet:
     """All integer e with <e, p> in {0, +1, -1} for every normal p.
 
-    Complete enumeration: e is determined by its products sigma with d
-    linearly independent normals B, so e = adj(B) sigma / det(B) over all
-    3^d sign patterns, kept when integral and free against the full set,
-    cannot miss a member.  adj(B) and det(B) are computed once, in integers.
+    e is determined by its products sigma with d linearly independent
+    normals B, as e = adj(B) sigma / det(B), with sigma_k in {0, +1, -1}.
+    adj(B) and det(B) are computed once, in integers, and so is the row
+    r_p = p^T adj(B) of every normal, which gives <p, e> det = <r_p, sigma>.
+    A depth-first search fixes sigma_0, sigma_1, ... in turn and keeps the
+    numerator adj(B) sigma as it goes.  Each row is filed under its last
+    nonzero index k, because sigma_0..sigma_k decide its product, and a
+    prefix is cut when one of the rows filed at its depth has a product
+    outside {0, +det, -det}: no completion of it can be a member.  At a
+    leaf, e is kept when sigma is nonzero and the numerator divisible by
+    det; every normal has been checked on the way, so nothing is missed.
     """
-    ns = sorted(tuple(int(x) for x in p) for p in normals)
+    ns = _integer_normals(normals)
+    basis = [ns[i] for i in linalg.independent_rows(ns)]
     d = len(ns[0])
-    basis: list[IntVec] = []
-    for p in ns:
-        if linalg.rank(basis + [p]) > len(basis):
-            basis.append(p)
-        if len(basis) == d:
-            break
     if len(basis) < d:
         raise ValueError("facet normals do not span R^d")
     adj, det = linalg.adjugate(basis)
-    members = []
-    for sigma in itertools.product((0, 1, -1), repeat=d):
-        if not any(sigma):
-            continue
-        num = [sum(x * s for x, s in zip(row, sigma)) for row in adj]
-        if any(x % det for x in num):
-            continue
-        e = tuple(x // det for x in num)
-        if all(_free(p, e) for p in ns):
-            members.append(e)
+    cols = tuple(zip(*adj))  # sigma_k adds sigma_k times column k to the numerator
+    rows_at: list[set[IntVec]] = [set() for _ in range(d)]
+    for p in ns:
+        r = tuple(linalg.inner(p, c) for c in cols)
+        k = max((j for j, x in enumerate(r) if x), default=0)  # a zero row is always free
+        row = r[: k + 1]
+        # -p has the row -row, whose product passes or fails with row's
+        rows_at[k].add(max(row, tuple(-x for x in row)))
+    ok = (0, det, -det)
+    members: list[IntVec] = []
+
+    def search(sigma: tuple[int, ...], num: tuple[int, ...]) -> None:
+        k = len(sigma)
+        if k == d:
+            if any(sigma) and not any(x % det for x in num):
+                members.append(tuple(x // det for x in num))
+            return
+        for s in (0, 1, -1):
+            prefix = sigma + (s,)
+            if all(linalg.inner(r, prefix) in ok for r in rows_at[k]):
+                search(prefix, num if s == 0 else tuple(x + s * c for x, c in zip(num, cols[k])))
+
+    search((), (0,) * d)
     return DualSet(members=tuple(sorted(members)), basis_used=tuple(basis))
 
 
 def in_dual_set(normals: Sequence[Sequence], e: Sequence) -> tuple[bool, tuple[IntVec, ...]]:
     """Membership test with the violating normals as witness."""
-    ev = linalg.vec(e)
-    bad = tuple(
-        p
-        for p in sorted(tuple(int(t) for t in q) for q in normals)
-        if not _free(p, ev)
-    )
+    ev = linalg.exact_vec(e)
+    bad = tuple(p for p in _integer_normals(normals) if not _free(p, ev))
     return (not bad, bad)
 
 
@@ -199,7 +218,7 @@ def normalize_direction(e_raw: Sequence, normals: Sequence[Sequence]) -> IntVec:
     ev = linalg.exact_vec(e_raw)
     if linalg.is_zero_vec(ev):
         raise ValueError("direction vector must be nonzero")
-    ns = sorted(tuple(int(x) for x in p) for p in normals)
+    ns = _integer_normals(normals)
     by_value: dict[int | Fraction, IntVec] = {}
     for p in ns:
         t = abs(linalg.inner(p, ev))

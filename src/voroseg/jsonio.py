@@ -2,9 +2,10 @@
 
 Every coordinate and form value is rendered as an exact rational string
 "p/q" (or "p" when the denominator is 1); counts and dimensions stay as
-JSON numbers.  Vertices come from `VPolytope.vertices`, the Fraction view
-of a cell's integer points.  The OFF export is the single deliberately
-lossy surface: display-only decimals at 12 significant digits.
+JSON numbers.  Vertices are rendered straight from a cell's integer points
+and their common denominator (`VPolytope.points` and `scale`), with one gcd
+per coordinate and no Fraction formed.  The OFF export is the single
+deliberately lossy surface: display-only decimals at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from . import linalg, polytope
@@ -33,6 +35,16 @@ def rat_vec(v: Sequence) -> list[str]:
 
 def rat_mat(m) -> list[list[str]]:
     return [rat_vec(r) for r in m]
+
+
+def _vertex_strings(v: VPolytope) -> list[list[str]]:
+    """The vertices points / scale, each coordinate as `rat` renders its Fraction."""
+    q = v.scale
+    out = []
+    for p in v.points:
+        gs = [gcd(x, q) for x in p]
+        out.append([str(x // g) if g == q else f"{x // g}/{q // g}" for x, g in zip(p, gs)])
+    return out
 
 
 def dumps(obj) -> str:
@@ -92,7 +104,7 @@ def cell_to_dict(v: VPolytope, belts: Sequence[Belt] | None = None) -> dict:
     out = hrep_to_dict(v.hpoly)
     out["facet_count"] = len(v.facet_ids)  # inequalities that are not facets are listed too
     out["vertex_count"] = len(v.points)
-    out["vertices"] = [rat_vec(x) for x in v.vertices]
+    out["vertices"] = _vertex_strings(v)
     out["incidence"] = [list(inc) for inc in v.incidence]
     if belts is not None:
         out["belt_lengths"] = sorted(b.length for b in belts)
@@ -128,12 +140,12 @@ def report_to_dict(rep: ExtensionReport) -> dict:
             "b": rat(r.b),
             "skipped": False,
             "sum_facet_count": len(r.sum_cell.facet_ids),
-            "sum_vertices": [rat_vec(x) for x in r.sum_cell.vertices],
+            "sum_vertices": _vertex_strings(r.sum_cell),
             "parallelotope": verdict_to_dict(r.parallelotope),
         }
         if r.equal is not None:
             entry["equal"] = r.equal
-            entry["form_cell_vertices"] = [rat_vec(x) for x in r.form_cell.vertices]
+            entry["form_cell_vertices"] = _vertex_strings(r.form_cell)
             if r.discrepancy is not None:
                 entry["discrepancy_vertex"] = rat_vec(r.discrepancy)
         results.append(entry)

@@ -7,8 +7,10 @@ here ever rounds.  Every row reduction (`rank`, `integer_rref`,
 fraction-free Gauss-Jordan elimination: a rational row is first scaled to
 integers by the lcm of its own denominators (`scale_to_integers`).
 `integer_rref` and `null_space` return integer rows and form no Fraction;
-the face spaces of `polytope` are built from them, and `hpolytope` checks
-that its integer normals span R^d with `integer_rref`.  `inner` is the
+the face spaces of `polytope` are built from them.  `independent_rows` is
+the one incremental reduction: it picks the first integer rows that span
+and stops as soon as they do, which settles `hpolytope`'s span check and
+the basis choices of the seed box and `dual_set`.  `inner` is the
 product that keeps integer vectors in integers: the facet normals are int
 tuples and an integral segment direction e is kept as one, so the products
 with e are ints.
@@ -157,6 +159,33 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
 
 def rank(m: Mat) -> int:
     return len(_bareiss(_integer_rows(m))[0])
+
+
+def independent_rows(m: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the integer rows that are not in the span of the rows before them.
+
+    One pass of incremental fraction-free elimination: each row is reduced
+    against the rows kept so far, in the order they were kept, and is kept
+    when a nonzero entry remains.  The pass stops once the kept rows span
+    the whole space, so rows past that point are never read.
+    """
+    kept: list[tuple[int, list[int]]] = []  # (pivot column, primitive reduced row)
+    out: list[int] = []
+    width = len(m[0]) if m else 0
+    for i, row in enumerate(m):
+        if len(out) == width:
+            break
+        v = list(row)
+        for c, r in kept:
+            if v[c]:
+                f, g = r[c], v[c]
+                v = [f * x - g * y for x, y in zip(v, r)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is not None:
+            g = gcd(*v)
+            kept.append((c, [x // g for x in v]))
+            out.append(i)
+    return out
 
 
 def integer_rref(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -114,7 +114,7 @@ def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
             by_dir[prim] = (g, n, s)
     kept = sorted(by_dir.values(), key=operator.itemgetter(1))
     ineqs = tuple(Inequality(n, s) for _, n, s in kept)
-    if len(linalg.integer_rref([iq.normal for iq in ineqs])) < dim:
+    if len(linalg.independent_rows([iq.normal for iq in ineqs])) < dim:
         raise UnboundedCellError("normals do not span R^d; cell is unbounded")
     return HPolytope(dim=dim, ineqs=ineqs)
 
@@ -283,17 +283,9 @@ def _initial_box(rows: Sequence[tuple[int, ...]], d: int) -> tuple[list[tuple[in
             paired.setdefault(neg, {})[-1] = (idx, -row[0], g)
         else:
             paired.setdefault(prim, {})[+1] = (idx, row[0], g)
-    keys: list[tuple[int, ...]] = []
-    sides: list[tuple[tuple[int, int, int], ...]] = []
-    for key in sorted(paired):
-        signs = paired[key]
-        if +1 not in signs or -1 not in signs:
-            continue
-        if linalg.rank(keys + [key]) > len(keys):
-            keys.append(key)
-            sides.append((signs[+1], signs[-1]))
-        if len(keys) == d:
-            break
+    both = [key for key in sorted(paired) if len(paired[key]) == 2]
+    keys = [both[i] for i in linalg.independent_rows(both)]
+    sides = [(paired[key][+1], paired[key][-1]) for key in keys]
     if len(keys) < d:
         raise UnboundedCellError("no d independent +/- normal pairs for the seed box")
     adj, det = linalg.adjugate(keys)

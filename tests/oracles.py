@@ -2,14 +2,16 @@
 
 These deliberately avoid the production code paths: minima come from a
 plain box scan, dual sets from a box scan bounded by an inverse computed
-here, vertices from solving all d-subsets of inequalities, face dimensions
-from eliminating vertex differences, determinants from the same
-elimination, and Minkowski sums from translating vertex sets.
+here or from every sign pattern through that inverse, vertices from
+solving all d-subsets of inequalities, face dimensions from eliminating
+vertex differences, determinants from the same elimination, and
+Minkowski sums from translating vertex sets.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from voroseg import lattice, linalg
@@ -59,7 +61,7 @@ def box_scan_minima(gram, radius: int):
     for row in gram:
         for x in row:
             f = Fraction(x)
-            den = den * f.denominator // __import__("math").gcd(den, f.denominator)
+            den = den * f.denominator // math.gcd(den, f.denominator)
     g = [[int(Fraction(x) * den) for x in row] for row in gram]
     best: dict[tuple[int, ...], tuple[int, list[tuple[int, ...]]]] = {}
     for v in itertools.product(range(-radius, radius + 1), repeat=d):
@@ -138,6 +140,25 @@ def affine_direction_space(points) -> list:
     return _reduced_rows([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
 
 
+def _basis_inverse(ns) -> list:
+    """B^-1 for the first d independent normals B, by the elimination above."""
+    d = len(ns[0])
+    basis: list = []
+    for p in ns:
+        if len(_reduced_rows(basis + [p])) > len(basis):
+            basis.append(p)
+        if len(basis) == d:
+            break
+    if len(basis) != d:
+        raise ValueError("normals do not span R^d")
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    return [r[d:] for r in _reduced_rows([list(b) + e for b, e in zip(basis, eye)])]
+
+
+def _free_against(ns, e) -> bool:
+    return all(sum(a * b for a, b in zip(p, e)) in (-1, 0, 1) for p in ns)
+
+
 def box_scan_dual_set(normals) -> tuple:
     """All integer e != 0 with every <p, e> in {0, +1, -1}, by scanning a box.
 
@@ -147,21 +168,35 @@ def box_scan_dual_set(normals) -> tuple:
     voroseg.
     """
     ns = [tuple(int(x) for x in p) for p in normals]
-    d = len(ns[0])
-    basis: list = []
-    for p in ns:
-        if len(_reduced_rows(basis + [p])) > len(basis):
-            basis.append(p)
-    if len(basis) != d:
-        raise ValueError("normals do not span R^d")
-    eye = [[int(i == j) for j in range(d)] for i in range(d)]
-    inverse = [r[d:] for r in _reduced_rows([list(b) + e for b, e in zip(basis, eye)])]
-    radii = [int(sum(abs(x) for x in row)) for row in inverse]
+    radii = [int(sum(abs(x) for x in row)) for row in _basis_inverse(ns)]
     return tuple(
         e
         for e in itertools.product(*(range(-r, r + 1) for r in radii))
-        if any(e) and all(sum(a * b for a, b in zip(p, e)) in (-1, 0, 1) for p in ns)
+        if any(e) and _free_against(ns, e)
     )
+
+
+def sign_pattern_dual_set(normals) -> tuple:
+    """The dual set as box_scan_dual_set defines it, over all 3^d sign patterns.
+
+    e = B^-1 sigma for every sigma in {0, +1, -1}^d, kept when integral,
+    nonzero and free against every normal.  B^-1 comes from the elimination
+    above and is scaled once to integers over the lcm of its denominators,
+    so the pattern loop runs in ints; it fits d up to 8 where a box scan
+    does not.
+    """
+    ns = [tuple(int(x) for x in p) for p in normals]
+    inverse = _basis_inverse(ns)
+    den = math.lcm(*(x.denominator for row in inverse for x in row))
+    adj = [[int(x * den) for x in row] for row in inverse]
+    out = []
+    for sigma in itertools.product((0, 1, -1), repeat=len(adj)):
+        num = [sum(a * s for a, s in zip(row, sigma)) for row in adj]
+        if any(sigma) and not any(x % den for x in num):
+            e = tuple(x // den for x in num)
+            if _free_against(ns, e):
+                out.append(e)
+    return tuple(sorted(out))
 
 
 def brute_force_vertices(h) -> tuple:

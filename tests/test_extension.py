@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import box_scan_dual_set, box_scan_minima, check_sum_against_candidates
+from oracles import (
+    box_scan_dual_set,
+    box_scan_minima,
+    check_sum_against_candidates,
+    sign_pattern_dual_set,
+)
 from voroseg import extension, lattice, linalg, polytope
 from voroseg.extension import (
     CannotNormalizeError,
@@ -118,15 +123,36 @@ def test_dual_set_closed_under_negation():
         assert all(any(x for x in e) for e in members)  # zero excluded
 
 
+def test_dual_set_membership_is_exact():
+    ds = dual_set(SQ_NORMALS)
+    assert (1, 1) in ds and (F(1), 0) in ds
+    assert (F(3, 2), 1) not in ds
+    assert (1.9, 0) not in ds
+
+
 def test_dual_set_rank_deficient():
     with pytest.raises(ValueError):
         dual_set([(1, 0), (-1, 0)])
+
+
+def test_dual_set_rejects_non_integral_normal():
+    with pytest.raises(ValueError, match=r"facet normal \(1/2, 0\) is not integral"):
+        dual_set([(F(1, 2), 0), (F(-1, 2), 0), (0, 1), (0, -1)])
 
 
 def test_dual_set_matches_box_scan_oracle_catalog():
     for name, n, a in lattice.catalog_entries(4):
         normals = coset_minima(a).facet_normals()
         assert dual_set(normals).members == box_scan_dual_set(normals), (name, n)
+
+
+def test_dual_set_matches_sign_pattern_oracle_d6_to_d8():
+    # the forms of the dual_census bench workload, beyond the box scan's reach
+    forms = [("E6", None), ("E6*", None), ("E7", None), ("E7*", None), ("E8", None), ("An", 6),
+             ("An*", 6), ("Dn", 6), ("Dn*", 6), ("An*", 7), ("Dn*", 7)]
+    for name, n in forms:
+        normals = coset_minima(catalog(name, n)).facet_normals()
+        assert dual_set(normals).members == sign_pattern_dual_set(normals), (name, n)
 
 
 @st.composite

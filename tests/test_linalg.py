@@ -180,9 +180,13 @@ def test_kernel_matches_oracle_elimination(m, xs):
     want = _reduced_rows(m)
     assert rank(m) == len(want)
     # the integer RREF is the RREF with each row scaled to a primitive one, pivot positive
-    key = integer_rref([linalg.scale_to_integers(r)[0] for r in m])
+    ints = [linalg.scale_to_integers(r)[0] for r in m]
+    key = integer_rref(ints)
     assert [[F(x, next(y for y in r if y)) for x in r] for r in key] == want
     assert all(gcd(*r) == 1 and next(y for y in r if y) > 0 for r in key)
+    # the rows that raise the rank of the rows before them
+    grows = [i for i in range(nr) if len(_reduced_rows(m[: i + 1])) > len(_reduced_rows(m[:i]))]
+    assert linalg.independent_rows(ints) == grows
     ns = null_space(m, nc)
     assert len(ns) == nc - len(want) == len(_reduced_rows(ns))
     assert all(dot(r, b) == 0 for r in m for b in ns)
