@@ -90,10 +90,18 @@ def _weights(entries) -> tuple[Fraction, ...]:
     return b
 
 
+def _write(command: str, path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written exits with status 2."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _input_error(command, str(exc))
+
+
 def _emit(args, doc: dict, summary: str) -> None:
     print(summary)
     if getattr(args, "json", None):
-        Path(args.json).write_text(jsonio.dumps(doc))
+        _write(args.command, args.json, jsonio.dumps(doc))
         print(f"wrote {args.json}")
 
 
@@ -113,7 +121,7 @@ def cmd_cell(args) -> int:
             f"{len(v.points)} vertices, belt lengths {lengths}"
         )
         if args.off:
-            Path(args.off).write_text(jsonio.to_off(v))
+            _write("cell", args.off, jsonio.to_off(v))
             summary += f"; wrote OFF to {args.off}"
     else:
         doc["cell"] = jsonio.hrep_to_dict(h)
@@ -234,10 +242,10 @@ def cmd_report(args) -> int:
     md = "\n".join(lines)
     print(md)
     if args.json:
-        Path(args.json).write_text(jsonio.dumps({"rows": rows}))
+        _write("report", args.json, jsonio.dumps({"rows": rows}))
         print(f"wrote {args.json}")
     if args.md:
-        Path(args.md).write_text(md + "\n")
+        _write("report", args.md, md + "\n")
         print(f"wrote {args.md}")
     return 0
 

@@ -169,6 +169,8 @@ def dual_set(normals: Sequence[Sequence]) -> DualSet:
     det; every normal has been checked on the way, so nothing is missed.
     """
     ns = _integer_normals(normals)
+    if not ns:
+        raise ValueError("dual set of no facet normals")
     basis = [ns[i] for i in linalg.independent_rows(ns)]
     d = len(ns[0])
     if len(basis) < d:
@@ -390,6 +392,8 @@ def check_theorem(
     """
     ev = linalg.vec(e_raw)
     bs = tuple(Fraction(b) for b in b_samples)
+    if not bs:
+        raise ValueError("check_theorem needs at least one segment weight b")
     normals = coset_minima(a).facet_normals()
     notes: list[str] = []
     try:

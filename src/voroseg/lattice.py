@@ -269,11 +269,11 @@ def coset_minima(a: QuadForm, cap: int = DEFAULT_DIM_CAP) -> ContactVectorSet:
 
 def commensurate(a: QuadForm, p) -> Vec:
     """2Ap, the translation joining the cell center to the neighbor across F(p)."""
-    pt = tuple(int(x) for x in p)
-    cs = coset_minima(a)
-    cl = cs.class_of(pt)
+    pt = linalg.exact_vec(p)
+    # a non-integral entry makes p no lattice vector, let alone a contact vector
+    cl = None if any(isinstance(x, Fraction) for x in pt) else coset_minima(a).class_of(pt)
     if cl is None or pt not in cl.minima:
-        raise NotContactVectorError(f"{pt} is not a contact vector of the form")
+        raise NotContactVectorError(f"({', '.join(map(str, pt))}) is not a contact vector of the form")
     return linalg.vscale(2, linalg.mat_vec(a.gram, linalg.vec(pt)))
 
 

@@ -6,7 +6,7 @@ merges positively parallel normals by their primitive integer direction
 and sorts on int tuples.
 
 Vertex enumeration is an incremental double-description pass over the
-inequality list (lexicographic insertion order) in integer arithmetic:
+inequality list, from a simplicial cone, in integer arithmetic:
 inequalities are integer rows, vertices primitive homogeneous integer
 pairs and tight sets bitmasks, and the result keeps the vertices x as the
 integer points Q x over one common denominator Q (`VPolytope.points`).
@@ -263,48 +263,6 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _initial_box(rows: Sequence[tuple[int, ...]], d: int) -> tuple[list[tuple[int, ...]], list[int], int]:
-    """Vertices of a bounding parallelepiped from d independent +/- pairs.
-
-    rows are the inequalities as integer rows (s', -n').  A pair bounds
-    <key, x> on both sides for a primitive direction key, so one adjugate
-    of the d chosen keys gives every seed vertex as adj r / det, where r
-    holds each pair's bound on its chosen side.  Returns the homogeneous
-    vertices, their tight masks and the mask of the 2d seed inequalities.
-    """
-    paired: dict[tuple[int, ...], dict[int, tuple[int, int, int]]] = {}
-    for idx, row in enumerate(rows):
-        n = tuple(-x for x in row[1:])
-        g = gcd(*n)
-        prim = tuple(x // g for x in n)
-        neg = tuple(-x for x in prim)
-        # the inequality reads <prim, x> <= s'/g, or <neg, x> >= -s'/g
-        if neg < prim:
-            paired.setdefault(neg, {})[-1] = (idx, -row[0], g)
-        else:
-            paired.setdefault(prim, {})[+1] = (idx, row[0], g)
-    both = [key for key in sorted(paired) if len(paired[key]) == 2]
-    keys = [both[i] for i in linalg.independent_rows(both)]
-    sides = [(paired[key][+1], paired[key][-1]) for key in keys]
-    if len(keys) < d:
-        raise UnboundedCellError("no d independent +/- normal pairs for the seed box")
-    adj, det = linalg.adjugate(keys)
-    if det < 0:
-        adj, det = tuple(tuple(-x for x in r) for r in adj), -det
-    den = lcm(*(g for pair in sides for _, _, g in pair))
-    verts: dict[tuple[int, ...], int] = {}
-    for choice in itertools.product(*sides):
-        r = [b * (den // g) for _, b, g in choice]
-        v = (det * den,) + tuple(sum(map(operator.mul, a, r)) for a in adj)
-        g = gcd(*v)
-        v = tuple(x // g for x in v)
-        # the vertex is tight on its choice only, but across a zero-width slab the
-        # flipped choice gives the same vertex and adds the other side
-        verts[v] = verts.get(v, 0) | sum(1 << idx for idx, _, _ in choice)
-    seeds = sum(1 << idx for pair in sides for idx, _, _ in pair)
-    return list(verts), list(verts.values()), seeds
-
-
 def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     """Exact vertex enumeration by incremental half-space insertion.
 
@@ -322,30 +280,47 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     through those masks in time linear in w's tight set, not by scanning
     every plus vertex.  The result keeps the integer points.
 
-    Works for degenerate (lower-dimensional) cells as long as every used
-    direction occurs with both orientations, which holds for all the
-    centrally symmetric systems this package builds.
+    The pass starts from a simplicial cone (Motzkin et al. 1953): the row
+    q >= 0 and the first d rows independent with it form a nonsingular B,
+    and column k of sign(det B) adj(B) is the extreme ray tight on every
+    row of B but the k-th.  Rays with q = 0 are directions at infinity;
+    one that survives every row means the system is unbounded, or empty
+    when no ray has q > 0.  Lower-dimensional cells need nothing extra.
     """
     d = h.dim
     if d > cap:
         raise VRepCapError(f"V-representation capped at d <= {cap}, got {d}")
+    last = len(h.ineqs)
+    # row last is q >= 0; it is tight exactly on the rays at infinity
     rows = [
         (iq.support.numerator, *(-iq.support.denominator * x for x in iq.normal)) for iq in h.ineqs
-    ]
-    seed_verts, seed_tights, seeds = _initial_box(rows, d)
+    ] + [(1,) + (0,) * d]
+    basis = [last] + [i - 1 for i in linalg.independent_rows([rows[last]] + rows[:last])[1:]]
+    if len(basis) <= d:
+        raise UnboundedCellError("normals do not span R^d; cell is unbounded")
+    adj, det = linalg.adjugate([rows[i] for i in basis])
+    seeds = sum(1 << i for i in basis)
     # vertex ids are never reused, so the masks over them stay valid across
     # insertions: on[i] holds the live vertices tight on processed inequality i
-    verts = dict(enumerate(seed_verts))
-    tights = dict(enumerate(seed_tights))
-    on = [0] * len(rows)
+    verts: dict[int, tuple[int, ...]] = {}
+    tights: dict[int, int] = {}
+    for k, i in enumerate(basis):
+        ray = tuple(r[k] for r in adj)
+        g = gcd(*ray) if det > 0 else -gcd(*ray)
+        verts[k] = tuple(x // g for x in ray)
+        tights[k] = seeds & ~(1 << i)
+    on = [0] * (last + 1)
     for j, t in tights.items():
         for i in _bits(t):
             on[i] |= 1 << j
     alive = (1 << len(verts)) - 1
     next_id = len(verts)
-    for k, row in enumerate(rows):
+    # negation reverses the sorted order, so in a symmetric system row last-1-i is
+    # the opposite of row i: the seed rows' opposites first close the cone quickly
+    for k in dict.fromkeys([last - 1 - i for i in basis[1:]] + list(range(last))):
         if seeds >> k & 1:
             continue
+        row = rows[k]
         bit = 1 << k
         slack = {j: sum(map(operator.mul, row, v)) for j, v in verts.items()}
         minus = [j for j, t in slack.items() if t < 0]
@@ -403,6 +378,10 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
                 on[i] |= 1 << next_id
             alive |= 1 << next_id
             next_id += 1
+    if any(not v[0] for v in verts.values()):
+        if all(not v[0] for v in verts.values()):
+            raise EmptyPolytopeError("inequalities are infeasible")
+        raise UnboundedCellError("a direction at infinity satisfies every inequality; cell is unbounded")
     # a primitive pair's q is the lcm of the reduced denominators of X/q, so common_q
     # is that of all vertex denominators; the integer points sort like the rationals
     common_q = lcm(*(v[0] for v in verts.values()))

@@ -134,6 +134,22 @@ def test_off_export(tmp_path):
     assert face_sizes == [4] * 6
 
 
+@pytest.mark.parametrize("argv", [
+    ["relevant", "--lattice", "An", "--n", "2", "--json", "{out}"],
+    ["cell", "--lattice", "Zn", "--n", "3", "--off", "{out}"],
+    ["check", "--lattice", "An", "--n", "2", "--e", "0,1", "--json", "{out}"],
+    ["report", "--lattices", "Zn:2", "--md", "{out}"],
+], ids=" ".join)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    # the `check` passes, so exit 1 would read as a violated invariant
+    out = str(tmp_path / "missing" / "out")
+    with pytest.raises(SystemExit) as exc:
+        main([x.replace("{out}", out) for x in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"voroseg {argv[0]}: error: ") and err.count("\n") == 1
+
+
 def test_off_export_2d(tmp_path):
     off = tmp_path / "hex.off"
     assert main(["cell", "--lattice", "An", "--n", "2", "--off", str(off)]) == 0

@@ -135,6 +135,11 @@ def test_dual_set_rank_deficient():
         dual_set([(1, 0), (-1, 0)])
 
 
+def test_dual_set_of_no_normals_raises_value_error():
+    with pytest.raises(ValueError, match="no facet normals"):
+        dual_set([])
+
+
 def test_dual_set_rejects_non_integral_normal():
     with pytest.raises(ValueError, match=r"facet normal \(1/2, 0\) is not integral"):
         dual_set([(F(1, 2), 0), (F(-1, 2), 0), (0, 1), (0, -1)])
@@ -443,6 +448,12 @@ def test_check_theorem_above_cap_skips_vertices():
     assert rep.irreducible_input is None
     assert rep.notes
     assert rep.invariants_ok
+
+
+def test_check_theorem_needs_a_b_sample():
+    # with no b there is no vertex-level check, so invariants_ok would say nothing
+    with pytest.raises(ValueError, match="at least one segment weight"):
+        check_theorem(A2, (0, 1), [])
 
 
 def test_check_theorem_scaled_direction_normalizes():

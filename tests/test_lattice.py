@@ -171,6 +171,13 @@ def test_commensurate_examples():
         commensurate(catalog("Zn", 2), (2, 1))
 
 
+def test_commensurate_rejects_non_integral_vector():
+    # truncating either to (1, 0) would answer (2, 0)
+    for p in [(F(3, 2), 0), (1.9, 0)]:
+        with pytest.raises(NotContactVectorError, match="is not a contact vector"):
+            commensurate(catalog("Zn", 2), p)
+
+
 def test_layer_index_examples():
     assert layer_index((1, 0), (3, 5)) == 3
     assert layer_index((1, 1), (2, -2)) == 0

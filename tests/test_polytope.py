@@ -4,17 +4,19 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import affine_direction_space, brute_force_vertices, null_basis
 from voroseg import extension, jsonio, lattice, linalg, polytope
 from voroseg.lattice import catalog, coset_minima
 from voroseg.polytope import (
+    EmptyPolytopeError,
     NotFacetNormalError,
     NotParallelotopeError,
     UnboundedCellError,
@@ -480,6 +482,37 @@ def test_enumerate_vertices_matches_oracle_on_random_symmetric_systems(d, exampl
     check()
 
 
+def _drawn_empty_system():
+    """An empty system that symmetric_hpolytopes(3) drew for an earlier form of the ridge test.
+
+    3x + 3z <= -24/35 and -3x - 3z <= -24/35 cannot both hold.
+    """
+    pairs = [((3, 0, 3), F(-24, 35)), ((1, 2, 3), 100), ((1, 0, 0), F(2, 5)),
+             ((1, -1, 5), F(20, 3)), ((0, 1, 0), 1), ((0, 0, 1), F(3, 7))]
+    return hpolytope(3, pairs + [(tuple(-x for x in n), s) for n, s in pairs])
+
+
+def test_empty_systems_raise():
+    # the slab x + y <= -1, x + y >= 1 is empty; the second system leaves the ray
+    # at infinity (0, -1), so its emptiness shows only after the last row
+    for h in [
+        hpolytope(2, [((1, 1), -1), ((-1, -1), -1), ((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]),
+        hpolytope(2, [((1, 0), -1), ((-1, 0), -1), ((0, 1), 1)]),
+        _drawn_empty_system(),
+    ]:
+        assert brute_force_vertices(h) == ()
+        with pytest.raises(EmptyPolytopeError):
+            enumerate_vertices(h)
+
+
+def test_triangle_has_no_opposite_pairs():
+    h = hpolytope(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
+    assert enumerate_vertices(h).vertices == ((0, 0), (0, 1), (1, 0))
+    # without x + y <= 1 but with x <= 1 the normals span and the strip is unbounded
+    with pytest.raises(UnboundedCellError):
+        enumerate_vertices(hpolytope(2, [((-1, 0), 0), ((0, -1), 0), ((1, 0), 1)]))
+
+
 def _ridge_oracle_cells():
     """(cell, whether it is a parallelotope) for the cells of the face oracle test."""
     cells = [(cell_of(name, n), True) for name, n, _ in lattice.catalog_entries(max_dim=4)]
@@ -542,8 +575,17 @@ def test_ridges_and_belts_match_oracle_on_random_symmetric_systems(d, examples):
     @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
     @given(symmetric_hpolytopes(d))
     def check(h):
-        _check_ridges_and_belts(enumerate_vertices(h), parallelotope=False)
+        # the strategy can draw an empty system; then the oracle finds no vertex
+        if not brute_force_vertices(h):
+            with pytest.raises(EmptyPolytopeError):
+                enumerate_vertices(h)
+            return
+        v = enumerate_vertices(h)
+        assert all(sum(map(mul, iq.normal, x)) <= iq.support for x in v.vertices for iq in h.ineqs)
+        _check_ridges_and_belts(v, parallelotope=False)
 
+    if d == 3:
+        check = example(_drawn_empty_system())(check)
     check()
 
 
@@ -565,7 +607,7 @@ def test_one_direction_space_per_belt(monkeypatch):
 
 def test_enumerate_vertices_calls_no_rational_kernel(monkeypatch):
     # the double description runs on integer rows: no Fraction dot products,
-    # and the seed box needs no linear solves
+    # and the seed cone, one adjugate of d + 1 rows, needs no linear solves
     a4 = catalog("An*", 4)
     systems = [build_cell(a4, coset_minima(a4).facet_normals())]
     d4 = catalog("Dn", 4)
