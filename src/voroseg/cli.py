@@ -9,6 +9,10 @@ Commands
     catalog-list  named lattices
     report        per-lattice summary table (markdown + JSON)
 
+`cell`, `check`, `verify` and `report` take --vcap, the dimension cap that
+`polytope.voronoi_cell` alone applies; its VRepCapError tells them that a
+cell is above it.
+
 All JSON payloads use exact rational strings; only the OFF export renders
 decimals.  Exit code is 1 when a check's report invariants fail and 2 when
 the input is bad (as for argparse's own usage errors).
@@ -23,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
-from . import extension, jsonio, lattice, polytope
+from . import extension, jsonio, lattice, linalg, polytope
 from .lattice import catalog, coset_minima
 
 
@@ -63,14 +67,14 @@ def _load_form(args) -> lattice.QuadForm:
 def _rationals(entries) -> tuple[Fraction, ...] | None:
     """A list's entries as Fractions, or None unless it is a list of exact rationals.
 
-    Entries are integers or strings such as "1/2"; a float is refused, since
-    it would be taken at its binary value (0.1 is not 1/10).
+    Entries are integers or strings such as "1/2", as `linalg.parse_rational`
+    reads them; a float or a bool is refused, not rewritten.
     """
-    if not isinstance(entries, list) or any(isinstance(x, float) for x in entries):
+    if not isinstance(entries, list):
         return None
     try:
-        return tuple(Fraction(x) for x in entries)
-    except (TypeError, ValueError, ZeroDivisionError):
+        return tuple(linalg.parse_rational(x) for x in entries)
+    except ValueError:
         return None
 
 
@@ -109,10 +113,15 @@ def cmd_cell(args) -> int:
     a = _load_form(args)
     if args.off and a.dim > min(3, args.vcap):
         _input_error("cell", f"--off needs vertices and d <= 3; got d {a.dim}, --vcap {args.vcap}")
-    h = polytope.build_cell(a, coset_minima(a).facet_normals())
     doc: dict = {"form": jsonio.form_to_dict(a)}
-    if a.dim <= args.vcap:
-        v = polytope.enumerate_vertices(h, cap=args.vcap)
+    try:
+        v = polytope.voronoi_cell(a, cap=args.vcap)
+    except polytope.VRepCapError:
+        h = polytope.build_cell(a, coset_minima(a).facet_normals())
+        doc["cell"] = jsonio.hrep_to_dict(h)
+        doc["cell"]["note"] = f"dim {a.dim} above V-rep cap {args.vcap}: H-representation only"
+        summary = f"cell: dim {a.dim}, {len(h.ineqs)} facets (H-rep only, above V-rep cap)"
+    else:
         belts = polytope.belts(v)
         doc["cell"] = jsonio.cell_to_dict(v, belts)
         lengths = sorted(b.length for b in belts)
@@ -123,10 +132,6 @@ def cmd_cell(args) -> int:
         if args.off:
             _write("cell", args.off, jsonio.to_off(v))
             summary += f"; wrote OFF to {args.off}"
-    else:
-        doc["cell"] = jsonio.hrep_to_dict(h)
-        doc["cell"]["note"] = f"dim {a.dim} above V-rep cap {args.vcap}: H-representation only"
-        summary = f"cell: dim {a.dim}, {len(h.ineqs)} facets (H-rep only, above V-rep cap)"
     _emit(args, doc, summary)
     return 0
 
@@ -177,9 +182,10 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     a = _load_form(args)
-    if a.dim > args.vcap:
+    try:
+        v = polytope.voronoi_cell(a, cap=args.vcap)
+    except polytope.VRepCapError:
         _input_error("verify", f"needs vertices; dim {a.dim} above V-rep cap {args.vcap}")
-    v = polytope.voronoi_cell(a, cap=args.vcap)
     verdict = polytope.is_parallelotope(v)
     graph = polytope.irreducibility_graph(v) if verdict.ok else None
     doc = {
@@ -212,11 +218,12 @@ def cmd_report(args) -> int:
         cs = coset_minima(a)
         normals = cs.facet_normals()
         ds = extension.dual_set(normals)
-        if a.dim <= args.vcap:
+        try:
             cell = polytope.voronoi_cell(a, cap=args.vcap)
-            irreducible: bool | str = polytope.irreducibility_graph(cell).connected
+        except polytope.VRepCapError:
+            irreducible: bool | str = "n/a"
         else:
-            irreducible = "n/a"
+            irreducible = polytope.irreducibility_graph(cell).connected
         sample = list(ds.members[0]) if ds.members else None
         rows.append(
             {
@@ -260,8 +267,6 @@ def _add_form_args(p: argparse.ArgumentParser, with_job: bool = False) -> None:
     p.add_argument("--form", help="path to a JSON form document {dim, gram}")
     p.add_argument("--lattice", help="catalog name, e.g. An, Dn, E6*")
     p.add_argument("--n", type=int, help="dimension for parametric catalog names")
-    p.add_argument("--vcap", type=int, default=polytope.DEFAULT_VREP_CAP,
-                   help="vertex-enumeration dimension cap (default 5)")
     p.add_argument("--json", help="write the full JSON document here")
     if with_job:
         p.add_argument("--job", help="JSON job file {form|catalogName, e, b}")
@@ -301,10 +306,14 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="summary table over catalog lattices")
     p.add_argument("--lattices", default=DEFAULT_REPORT,
                    help=f"comma list of specs like Dn:4 or E6* (default {DEFAULT_REPORT})")
-    p.add_argument("--vcap", type=int, default=polytope.DEFAULT_VREP_CAP)
     p.add_argument("--json", help="write rows as JSON here")
     p.add_argument("--md", help="write the markdown table here")
     p.set_defaults(fn=cmd_report)
+
+    # the subcommands that ask polytope.voronoi_cell for vertices
+    for name in ("cell", "check", "verify", "report"):
+        sub.choices[name].add_argument("--vcap", type=int, default=polytope.DEFAULT_VREP_CAP,
+                                       help="vertex-enumeration dimension cap (default 5)")
 
     args = ap.parse_args(argv)
     return args.fn(args)

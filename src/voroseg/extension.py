@@ -238,7 +238,7 @@ def normalize_direction(e_raw: Sequence, normals: Sequence[Sequence]) -> IntVec:
     return ei
 
 
-def sum_with_segment(cell: VPolytope, dir: Direction, cap: int = polytope.DEFAULT_VREP_CAP) -> VPolytope:
+def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
     """Minkowski sum of the cell with the segment b*[-e, e], facet by facet.
 
     Every facet of the sum either keeps its normal (parallel facets keep
@@ -246,7 +246,8 @@ def sum_with_segment(cell: VPolytope, dir: Direction, cap: int = polytope.DEFAUL
     of a transversal shadow-boundary codim-2 face with the segment; the
     normal of the latter is the positive combination of the face's two
     facet normals that kills e.  Each normal's product with e is formed
-    once and serves all three.  Redundant inequalities are pruned.
+    once and serves all three.  Redundant inequalities are pruned.  No
+    cap: the sum has the cell's dimension, which passed `voronoi_cell`'s.
     """
     h = cell.hpoly
     prods = [linalg.inner(iq.normal, dir.e) for iq in h.ineqs]
@@ -263,7 +264,7 @@ def sum_with_segment(cell: VPolytope, dir: Direction, cap: int = polytope.DEFAUL
         q = tuple(wj * x + wi * y for x, y in zip(fi.normal, fj.normal))
         pairs.append((q, wj * fi.support + wi * fj.support))
     summed = polytope.hpolytope(cell.dim, pairs)
-    return prune_to_facets(enumerate_vertices(summed, cap=cap))
+    return prune_to_facets(enumerate_vertices(summed))
 
 
 def voronoi_of_sum_form(a: QuadForm, dir: Direction) -> HPolytope:
@@ -278,7 +279,6 @@ def voronoi_of_sum_form(a: QuadForm, dir: Direction) -> HPolytope:
 def subset_check(
     h1: HPolytope,
     h2: HPolytope,
-    cap: int = polytope.DEFAULT_VREP_CAP,
     v1: VPolytope | None = None,
     v2: VPolytope | None = None,
 ) -> tuple[bool, Vec | None]:
@@ -288,7 +288,7 @@ def subset_check(
     the offending vertex sum as witness) signals an implementation bug.
     The support of a Minkowski sum is the sum of the supports, so one
     maximiser per summand and inequality decides.  Precomputed vertex
-    representations may be passed to avoid re-enumeration.
+    representations may be passed to avoid re-enumeration; no cap applies.
     """
     if h1.normals != h2.normals:
         raise NormalSetMismatchError("the two cells must share their normal set")
@@ -296,8 +296,8 @@ def subset_check(
         h1.dim,
         [(iq1.normal, iq1.support + iq2.support) for iq1, iq2 in zip(h1.ineqs, h2.ineqs)],
     )
-    v1 = v1 if v1 is not None and v1.hpoly == h1 else enumerate_vertices(h1, cap=cap)
-    v2 = v2 if v2 is not None and v2.hpoly == h2 else enumerate_vertices(h2, cap=cap)
+    v1 = v1 if v1 is not None and v1.hpoly == h1 else enumerate_vertices(h1)
+    v2 = v2 if v2 is not None and v2.hpoly == h2 else enumerate_vertices(h2)
     for iq in total.ineqs:
         tops = []
         for v in (v1, v2):
@@ -316,12 +316,12 @@ def lemma_l8_check(a: QuadForm, cell: VPolytope, e: Sequence) -> bool:
     p1 + p2 (its two facet normals), have <p1 + p2, e> = 0, and sit on a
     4-belt.  Returns False as soon as one face violates any of these.
     """
-    ok, bad = in_dual_set(cell.hpoly.normals, e)
-    if not ok:
-        raise NotInDualSetError(f"e = {tuple(e)} has products outside {{0,+1,-1}}: {bad[:3]}")
     ev = linalg.exact_vec(e)
     normals = cell.hpoly.normals
     prods = [linalg.inner(n, ev) for n in normals]
+    bad = tuple(p for p, t in zip(normals, prods) if t not in (0, 1, -1))
+    if bad:
+        raise NotInDualSetError(f"e = {tuple(e)} has products outside {{0,+1,-1}}: {bad[:3]}")
     cs = coset_minima(a)
     faces = polytope.codim2_faces(cell)
     on_4_belt = {fi for belt in polytope.belts(cell) if belt.length == 4 for fi in belt.face_ids}
@@ -388,14 +388,15 @@ def check_theorem(
     canonical integer vertex data, `VPolytope.scale` and `points`) and pass the parallelotope test; when it cannot normalize
     and the input cell is irreducible, the sum must fail the test.  On a
     reducible input with a non-normalizable direction the parallelotope
-    verdict is reported but flagged theorem-silent.
+    verdict is reported but flagged theorem-silent.  Above the cap, where
+    `voronoi_cell` raises VRepCapError, only the dual-set verdict is given
+    and every b sample is skipped.
     """
     ev = linalg.vec(e_raw)
     bs = tuple(Fraction(b) for b in b_samples)
     if not bs:
         raise ValueError("check_theorem needs at least one segment weight b")
     normals = coset_minima(a).facet_normals()
-    notes: list[str] = []
     try:
         norm_e: IntVec | None = normalize_direction(ev, normals)
         violating: tuple = ()
@@ -403,76 +404,52 @@ def check_theorem(
         norm_e = None
         violating = exc.witnesses
     in_dual = norm_e is not None
-
-    irreducible: bool | None = None
-    cell: VPolytope | None = None
-    if a.dim <= cap:
+    report = functools.partial(
+        ExtensionReport, dim=a.dim, e_raw=ev, b_samples=bs, normalized_e=norm_e,
+        in_dual_set=in_dual, violating=violating,
+    )
+    try:
         cell = voronoi_cell(a, cap=cap)
-        irreducible = polytope.irreducibility_graph(cell).connected
-    else:
-        notes.append(
-            f"dim {a.dim} above V-representation cap {cap}: "
-            "dual-set verdict only, no vertex-level checks"
+    except polytope.VRepCapError:
+        return report(
+            results=tuple(BSampleResult(b=b, skipped=True) for b in bs),
+            irreducible_input=None,
+            theorem_silent=False,
+            notes=(f"dim {a.dim} above V-representation cap {cap}: "
+                   "dual-set verdict only, no vertex-level checks",),
+            invariant_violations=(),
         )
+    irreducible = polytope.irreducibility_graph(cell).connected
 
     results: list[BSampleResult] = []
-    for b in bs:
-        if cell is None:
-            results.append(BSampleResult(b=b, skipped=True))
-            continue
-        dir = Direction(e=norm_e if norm_e is not None else ev, b=b)
-        sum_cell = sum_with_segment(cell, dir, cap=cap)
-        verdict = is_parallelotope(sum_cell)
-        equal: bool | None = None
-        discrepancy: Vec | None = None
-        form_cell: VPolytope | None = None
-        if norm_e is not None:
-            form_cell = prune_to_facets(
-                enumerate_vertices(voronoi_of_sum_form(a, dir), cap=cap)
-            )
-            # (scale, points) depends only on the vertex set, see VPolytope
-            equal = (sum_cell.scale, sum_cell.points) == (form_cell.scale, form_cell.points)
-            if not equal:
-                sumset = set(sum_cell.vertices)
-                formset = set(form_cell.vertices)
-                disc = sorted(sumset ^ formset)
-                discrepancy = disc[0] if disc else None
-        results.append(
-            BSampleResult(
-                b=b,
-                sum_cell=sum_cell,
-                form_cell=form_cell,
-                equal=equal,
-                discrepancy=discrepancy,
-                parallelotope=verdict,
-            )
-        )
-
-    theorem_silent = (not in_dual) and (irreducible is False)
     violations: list[str] = []
-    for r in results:
-        if r.skipped:
+    for b in bs:
+        dir = Direction(e=norm_e if in_dual else ev, b=b)
+        sum_cell = sum_with_segment(cell, dir)
+        verdict = is_parallelotope(sum_cell)
+        if not in_dual:
+            if irreducible and verdict.ok:
+                violations.append(f"b={b}: sum is a parallelotope although e cannot be normalized")
+            results.append(BSampleResult(b=b, sum_cell=sum_cell, parallelotope=verdict))
             continue
-        if in_dual:
-            if r.equal is not True:
-                violations.append(f"b={r.b}: sum != cell of perturbed form")
-            if r.parallelotope is None or not r.parallelotope.ok:
-                violations.append(f"b={r.b}: sum not a parallelotope despite e in dual set")
-        elif irreducible:
-            if r.parallelotope is not None and r.parallelotope.ok:
-                violations.append(
-                    f"b={r.b}: sum is a parallelotope although e cannot be normalized"
-                )
-    return ExtensionReport(
-        dim=a.dim,
-        e_raw=ev,
-        b_samples=bs,
-        normalized_e=norm_e,
-        in_dual_set=in_dual,
-        violating=violating,
+        form_cell = prune_to_facets(enumerate_vertices(voronoi_of_sum_form(a, dir)))
+        # (scale, points) depends only on the vertex set, see VPolytope
+        equal = (sum_cell.scale, sum_cell.points) == (form_cell.scale, form_cell.points)
+        discrepancy: Vec | None = None
+        if not equal:
+            disc = sorted(set(sum_cell.vertices) ^ set(form_cell.vertices))
+            discrepancy = disc[0] if disc else None
+            violations.append(f"b={b}: sum != cell of perturbed form")
+        if not verdict.ok:
+            violations.append(f"b={b}: sum not a parallelotope despite e in dual set")
+        results.append(BSampleResult(
+            b=b, sum_cell=sum_cell, form_cell=form_cell, equal=equal,
+            discrepancy=discrepancy, parallelotope=verdict,
+        ))
+    return report(
         results=tuple(results),
         irreducible_input=irreducible,
-        theorem_silent=theorem_silent,
-        notes=tuple(notes),
+        theorem_silent=not in_dual and not irreducible,
+        notes=(),
         invariant_violations=tuple(violations),
     )

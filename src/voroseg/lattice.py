@@ -231,17 +231,18 @@ def _enumerate_class_minima(
 
 
 @functools.lru_cache(maxsize=MINIMA_CACHE_SIZE)
-def coset_minima(a: QuadForm, cap: int = DEFAULT_DIM_CAP) -> ContactVectorSet:
+def coset_minima(a: QuadForm) -> ContactVectorSet:
     """Minimal vectors of every nonzero parity class of Z^d under the form a.
 
     Complete by construction: per class the enumeration radius starts at the
     norm of a feasible representative and only shrinks.  The search runs in
     integers over the Gram scaled by the lcm of its denominators; only the
-    returned minimum norms are Fractions.
+    returned minimum norms are Fractions.  Above DEFAULT_DIM_CAP, the one
+    dimension cap of every minima search, it raises DimensionCapError.
     """
     d = a.dim
-    if d > cap:
-        raise DimensionCapError(f"dimension {d} exceeds enumeration cap {cap}")
+    if d > DEFAULT_DIM_CAP:
+        raise DimensionCapError(f"dimension {d} exceeds enumeration cap {DEFAULT_DIM_CAP}")
     g, den = a.integer_gram
     L, D = linalg.ldl(a.gram)
     m = _lcm_denominator(x for row in L for x in row)

@@ -294,5 +294,11 @@ def null_space(m: Sequence[Sequence], ncols: int) -> tuple[tuple[int, ...], ...]
     return tuple(basis)
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(str(s).strip())
+def parse_rational(s: int | str) -> Fraction:
+    """An int or a string such as "-7/3"; a float, a bool or a zero denominator raises ValueError."""
+    if isinstance(s, (bool, float)):  # 1e-400 would read as 0, true as 1
+        raise ValueError(f"{s!r} is a {type(s).__name__}, not an integer or a string such as \"1/3\"")
+    try:
+        return Fraction(str(s).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{s!r} has a zero denominator") from None

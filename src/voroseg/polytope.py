@@ -263,7 +263,7 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
+def enumerate_vertices(h: HPolytope) -> VPolytope:
     """Exact vertex enumeration by incremental half-space insertion.
 
     Integer double description: inequality <n, x> <= s, whose normal n is
@@ -286,10 +286,9 @@ def enumerate_vertices(h: HPolytope, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
     row of B but the k-th.  Rays with q = 0 are directions at infinity;
     one that survives every row means the system is unbounded, or empty
     when no ray has q > 0.  Lower-dimensional cells need nothing extra.
+    No dimension is capped here; `voronoi_cell` owns the cap.
     """
     d = h.dim
-    if d > cap:
-        raise VRepCapError(f"V-representation capped at d <= {cap}, got {d}")
     last = len(h.ineqs)
     # row last is q >= 0; it is tight exactly on the rays at infinity
     rows = [
@@ -649,9 +648,15 @@ def classify_face(v: VPolytope, face: Face, e: Sequence) -> str:
 
 
 def voronoi_cell(a: QuadForm, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
-    """The Voronoi cell of the form, with exact vertices and incidences."""
+    """The Voronoi cell of the form, with exact vertices and incidences.
+
+    The one owner of the V-representation cap: above dimension cap it
+    raises VRepCapError before computing any minima.
+    """
+    if a.dim > cap:
+        raise VRepCapError(f"V-representation capped at d <= {cap}, got {a.dim}")
     normals = lattice.coset_minima(a).facet_normals()
-    return enumerate_vertices(build_cell(a, normals), cap=cap)
+    return enumerate_vertices(build_cell(a, normals))
 
 
 def adjacency_check(a: QuadForm, v: VPolytope, p: Sequence) -> bool:

@@ -223,6 +223,23 @@ def test_mixed_denominator_form_json_golden(tmp_path, command):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_check_above_cap_json_golden(tmp_path):
+    # above the V-representation cap `check` gives the dual-set verdict only;
+    # its report, skipped b samples and note are pinned byte for byte
+    out = tmp_path / "check.json"
+    assert main(["check", "--lattice", "E6*", "--e", "1,0,0,0,0,0", "--b", "1/2,1", "--json", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "check_above_cap.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["relevant", "dual-set"])
+def test_vcap_refused_where_no_vertices_are_enumerated(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--lattice", "Zn", "--n", "2", "--vcap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --vcap 5" in capsys.readouterr().err
+
+
 def test_report_default_json_golden(tmp_path):
     # `report` output is pinned byte for byte; the bench does not run `report`
     out = tmp_path / "report.json"
@@ -256,6 +273,10 @@ def test_report_default_json_golden(tmp_path):
     ["relevant", "--form", "{tmp}/ragged.json"],
     ["check", "--job", "{tmp}/top_int.json"],
     ["relevant", "--form", "{tmp}/dim_bool.json"],
+    ["relevant", "--form", "{tmp}/zero_denominator.json"],
+    ["check", "--job", "{tmp}/e_b_bool.json"],
+    ["check", "--job", "{tmp}/b_bool.json"],
+    ["relevant", "--form", "{tmp}/gram_float.json"],
 ], ids=" ".join)
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     # 1 is taken: `check` exits 1 on a violated invariant, `verify` on a non-parallelotope
@@ -266,9 +287,13 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
         (tmp_path / f"n_{name}.json").write_text(json.dumps(job))
     d9 = [[int(i == j) for j in range(9)] for i in range(9)]
     docs = {"d9": {"gram": d9}, "gram_int": {"gram": 5}, "top_int": 5, "ragged": {"gram": [[1, 0], [0]]},
-            "dim_bool": {"dim": True, "gram": [["2"]]}}
+            "dim_bool": {"dim": True, "gram": [["2"]]}, "zero_denominator": {"gram": [["1/0"]]},
+            "e_b_bool": {"catalogName": "An", "n": 2, "e": [0, True], "b": [True]},
+            "b_bool": {"catalogName": "An", "n": 2, "e": [0, 1], "b": [True]}}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    # json reads 1e-400 as 0.0; it must not run as the form diag(2, 2)
+    (tmp_path / "gram_float.json").write_text('{"gram": [[2, 1e-400], [1e-400, 2]]}')
     with pytest.raises(SystemExit) as exc:
         main([x.replace("{tmp}", str(tmp_path)) for x in argv])
     assert exc.value.code == 2

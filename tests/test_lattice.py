@@ -114,7 +114,7 @@ def test_e8_facet_normals_at_dim_cap():
 
 def test_coset_minima_dimension_cap():
     with pytest.raises(DimensionCapError):
-        coset_minima(catalog("Zn", 4), cap=3)
+        coset_minima(catalog("Zn", 9))
 
 
 def test_classes_partition_and_negation_closure():

@@ -112,7 +112,9 @@ def test_enumerate_vs_brute_force_random_cells():
         count += 1
 
 
-def test_vrep_cap():
+def test_vrep_cap(monkeypatch):
+    # voronoi_cell is the one owner of the cap, and decides it before any minima
+    monkeypatch.setattr(lattice, "coset_minima", lambda a: pytest.fail("minima computed"))
     with pytest.raises(VRepCapError):
         cell_of("E6", cap=5)
 
