@@ -1,7 +1,7 @@
 """Command-line front end: cells, relevant vectors, dual sets, theorem checks.
 
 Commands
-    cell          H-representation (and vertices when d <= vcap) of a cell
+    cell          H-representation and, within the vertex budget, vertices of a cell
     relevant      parity-class minima and facet normals
     dual-set      all free directions of a cell's facet normals
     check         run the segment-extension equivalence check for one e
@@ -9,9 +9,9 @@ Commands
     catalog-list  named lattices
     report        per-lattice summary table (markdown + JSON)
 
-`cell`, `check`, `verify` and `report` take --vcap, the dimension cap that
-`polytope.voronoi_cell` alone applies; its VRepCapError tells them that a
-cell is above it.
+Past `polytope.VERTEX_BUDGET` live vertices, `cell` gives the H-representation
+only, `check` the dual-set verdict only, `report` n/a for irreducibility, and
+`verify` exits 2; each prints the VRepCapError message, which names the budget.
 
 All JSON payloads use exact rational strings; only the OFF export renders
 decimals.  Exit code is 1 when a check's report invariants fail and 2 when
@@ -111,16 +111,16 @@ def _emit(args, doc: dict, summary: str) -> None:
 
 def cmd_cell(args) -> int:
     a = _load_form(args)
-    if args.off and a.dim > min(3, args.vcap):
-        _input_error("cell", f"--off needs vertices and d <= 3; got d {a.dim}, --vcap {args.vcap}")
+    if args.off and a.dim > 3:
+        _input_error("cell", f"--off needs d <= 3; got d {a.dim}")
     doc: dict = {"form": jsonio.form_to_dict(a)}
     try:
-        v = polytope.voronoi_cell(a, cap=args.vcap)
-    except polytope.VRepCapError:
+        v = polytope.voronoi_cell(a)
+    except polytope.VRepCapError as exc:
         h = polytope.build_cell(a, coset_minima(a).facet_normals())
         doc["cell"] = jsonio.hrep_to_dict(h)
-        doc["cell"]["note"] = f"dim {a.dim} above V-rep cap {args.vcap}: H-representation only"
-        summary = f"cell: dim {a.dim}, {len(h.ineqs)} facets (H-rep only, above V-rep cap)"
+        doc["cell"]["note"] = f"H-representation only: {exc}"
+        summary = f"cell: dim {a.dim}, {len(h.ineqs)} facets (H-rep only: {exc})"
     else:
         belts = polytope.belts(v)
         doc["cell"] = jsonio.cell_to_dict(v, belts)
@@ -165,12 +165,11 @@ def cmd_check(args) -> int:
         _input_error("check", "needs --e (or a --job file with an e entry)")
     e = _direction(e, a.dim)
     bs = (Fraction(1),) if bs is None else _weights(bs)
-    rep = extension.check_theorem(a, e, bs, cap=args.vcap)
+    rep = extension.check_theorem(a, e, bs)
     doc = {"form": jsonio.form_to_dict(a), "report": jsonio.report_to_dict(rep)}
     status = "ok" if rep.invariants_ok else "INVARIANT VIOLATION"
     if all(r.skipped for r in rep.results):
-        status += (f", dual-set verdict only: dim {a.dim} above V-rep cap {args.vcap},"
-                   " no vertex-level checks")
+        status += ", " + rep.notes[0]
     summary = (
         f"check: e={list(e)} in_dual_set={rep.in_dual_set} "
         f"normalized={list(rep.normalized_e) if rep.normalized_e else None} "
@@ -183,9 +182,9 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     a = _load_form(args)
     try:
-        v = polytope.voronoi_cell(a, cap=args.vcap)
-    except polytope.VRepCapError:
-        _input_error("verify", f"needs vertices; dim {a.dim} above V-rep cap {args.vcap}")
+        v = polytope.voronoi_cell(a)
+    except polytope.VRepCapError as exc:
+        _input_error("verify", f"needs vertices; {exc}")
     verdict = polytope.is_parallelotope(v)
     graph = polytope.irreducibility_graph(v) if verdict.ok else None
     doc = {
@@ -219,7 +218,7 @@ def cmd_report(args) -> int:
         normals = cs.facet_normals()
         ds = extension.dual_set(normals)
         try:
-            cell = polytope.voronoi_cell(a, cap=args.vcap)
+            cell = polytope.voronoi_cell(a)
         except polytope.VRepCapError:
             irreducible: bool | str = "n/a"
         else:
@@ -309,11 +308,6 @@ def main(argv=None) -> int:
     p.add_argument("--json", help="write rows as JSON here")
     p.add_argument("--md", help="write the markdown table here")
     p.set_defaults(fn=cmd_report)
-
-    # the subcommands that ask polytope.voronoi_cell for vertices
-    for name in ("cell", "check", "verify", "report"):
-        sub.choices[name].add_argument("--vcap", type=int, default=polytope.DEFAULT_VREP_CAP,
-                                       help="vertex-enumeration dimension cap (default 5)")
 
     args = ap.parse_args(argv)
     return args.fn(args)

@@ -246,8 +246,7 @@ def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
     of a transversal shadow-boundary codim-2 face with the segment; the
     normal of the latter is the positive combination of the face's two
     facet normals that kills e.  Each normal's product with e is formed
-    once and serves all three.  Redundant inequalities are pruned.  No
-    cap: the sum has the cell's dimension, which passed `voronoi_cell`'s.
+    once and serves all three.  Redundant inequalities are pruned.
     """
     h = cell.hpoly
     prods = [linalg.inner(iq.normal, dir.e) for iq in h.ineqs]
@@ -288,7 +287,7 @@ def subset_check(
     the offending vertex sum as witness) signals an implementation bug.
     The support of a Minkowski sum is the sum of the supports, so one
     maximiser per summand and inequality decides.  Precomputed vertex
-    representations may be passed to avoid re-enumeration; no cap applies.
+    representations may be passed to avoid re-enumeration.
     """
     if h1.normals != h2.normals:
         raise NormalSetMismatchError("the two cells must share their normal set")
@@ -375,22 +374,18 @@ class ExtensionReport:
         return not self.invariant_violations
 
 
-def check_theorem(
-    a: QuadForm,
-    e_raw: Sequence,
-    b_samples: Sequence,
-    cap: int = polytope.DEFAULT_VREP_CAP,
-) -> ExtensionReport:
+def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> ExtensionReport:
     """Run both sum constructions across the b samples and compare exactly.
 
     When the direction normalizes into the dual set, the facet-built sum
     must coincide with the Voronoi cell of the perturbed form (equal
-    canonical integer vertex data, `VPolytope.scale` and `points`) and pass the parallelotope test; when it cannot normalize
-    and the input cell is irreducible, the sum must fail the test.  On a
-    reducible input with a non-normalizable direction the parallelotope
-    verdict is reported but flagged theorem-silent.  Above the cap, where
-    `voronoi_cell` raises VRepCapError, only the dual-set verdict is given
-    and every b sample is skipped.
+    canonical integer vertex data, `VPolytope.scale` and `points`) and
+    pass the parallelotope test; when it cannot normalize and the input
+    cell is irreducible, the sum must fail the test.  On a reducible input
+    with a non-normalizable direction the parallelotope verdict is reported
+    but flagged theorem-silent.  When the double description of the cell,
+    a sum or a perturbed form's cell raises VRepCapError, only the
+    dual-set verdict is given and every b sample is skipped.
     """
     ev = linalg.vec(e_raw)
     bs = tuple(Fraction(b) for b in b_samples)
@@ -408,44 +403,42 @@ def check_theorem(
         ExtensionReport, dim=a.dim, e_raw=ev, b_samples=bs, normalized_e=norm_e,
         in_dual_set=in_dual, violating=violating,
     )
+    results: list[BSampleResult] = []
+    violations: list[str] = []
     try:
-        cell = voronoi_cell(a, cap=cap)
-    except polytope.VRepCapError:
+        cell = voronoi_cell(a)
+        irreducible = polytope.irreducibility_graph(cell).connected
+        for b in bs:
+            dir = Direction(e=norm_e if in_dual else ev, b=b)
+            sum_cell = sum_with_segment(cell, dir)
+            verdict = is_parallelotope(sum_cell)
+            if not in_dual:
+                if irreducible and verdict.ok:
+                    violations.append(f"b={b}: sum is a parallelotope although e cannot be normalized")
+                results.append(BSampleResult(b=b, sum_cell=sum_cell, parallelotope=verdict))
+                continue
+            form_cell = prune_to_facets(enumerate_vertices(voronoi_of_sum_form(a, dir)))
+            # (scale, points) depends only on the vertex set, see VPolytope
+            equal = (sum_cell.scale, sum_cell.points) == (form_cell.scale, form_cell.points)
+            discrepancy: Vec | None = None
+            if not equal:
+                disc = sorted(set(sum_cell.vertices) ^ set(form_cell.vertices))
+                discrepancy = disc[0] if disc else None
+                violations.append(f"b={b}: sum != cell of perturbed form")
+            if not verdict.ok:
+                violations.append(f"b={b}: sum not a parallelotope despite e in dual set")
+            results.append(BSampleResult(
+                b=b, sum_cell=sum_cell, form_cell=form_cell, equal=equal,
+                discrepancy=discrepancy, parallelotope=verdict,
+            ))
+    except polytope.VRepCapError as exc:
         return report(
             results=tuple(BSampleResult(b=b, skipped=True) for b in bs),
             irreducible_input=None,
             theorem_silent=False,
-            notes=(f"dim {a.dim} above V-representation cap {cap}: "
-                   "dual-set verdict only, no vertex-level checks",),
+            notes=(f"dual-set verdict only, no vertex-level checks: {exc}",),
             invariant_violations=(),
         )
-    irreducible = polytope.irreducibility_graph(cell).connected
-
-    results: list[BSampleResult] = []
-    violations: list[str] = []
-    for b in bs:
-        dir = Direction(e=norm_e if in_dual else ev, b=b)
-        sum_cell = sum_with_segment(cell, dir)
-        verdict = is_parallelotope(sum_cell)
-        if not in_dual:
-            if irreducible and verdict.ok:
-                violations.append(f"b={b}: sum is a parallelotope although e cannot be normalized")
-            results.append(BSampleResult(b=b, sum_cell=sum_cell, parallelotope=verdict))
-            continue
-        form_cell = prune_to_facets(enumerate_vertices(voronoi_of_sum_form(a, dir)))
-        # (scale, points) depends only on the vertex set, see VPolytope
-        equal = (sum_cell.scale, sum_cell.points) == (form_cell.scale, form_cell.points)
-        discrepancy: Vec | None = None
-        if not equal:
-            disc = sorted(set(sum_cell.vertices) ^ set(form_cell.vertices))
-            discrepancy = disc[0] if disc else None
-            violations.append(f"b={b}: sum != cell of perturbed form")
-        if not verdict.ok:
-            violations.append(f"b={b}: sum not a parallelotope despite e in dual set")
-        results.append(BSampleResult(
-            b=b, sum_cell=sum_cell, form_cell=form_cell, equal=equal,
-            discrepancy=discrepancy, parallelotope=verdict,
-        ))
     return report(
         results=tuple(results),
         irreducible_input=irreducible,

@@ -19,6 +19,7 @@ so the products with e are ints.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -295,10 +296,17 @@ def null_space(m: Sequence[Sequence], ncols: int) -> tuple[tuple[int, ...], ...]
 
 
 def parse_rational(s: int | str) -> Fraction:
-    """An int or a string such as "-7/3"; a float, a bool or a zero denominator raises ValueError."""
-    if isinstance(s, (bool, float)):  # 1e-400 would read as 0, true as 1
-        raise ValueError(f"{s!r} is a {type(s).__name__}, not an integer or a string such as \"1/3\"")
+    """An int, or a string such as "-7/3": an optional sign, ASCII digits, an optional "/" and digits.
+
+    Anything else raises ValueError, a zero denominator too: a float or a
+    bool (1e-400 would read as 0, true as 1), and a decimal or exponent
+    string such as "1e5000", whose Fraction has thousands of digits.
+    """
+    if type(s) is int:
+        return Fraction(s)
+    if not isinstance(s, str) or not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s.strip()):
+        raise ValueError(f"{s!r} is not an integer or a string such as \"-7/3\"")
     try:
-        return Fraction(str(s).strip())
+        return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"{s!r} has a zero denominator") from None

@@ -39,7 +39,8 @@ from . import linalg, lattice
 from .lattice import IntMat, IntVec, QuadForm, eval_form
 from .linalg import Vec
 
-DEFAULT_VREP_CAP = 5
+# most live vertices of a double description: over 8!, the most a Voronoi cell of d <= 7 has
+VERTEX_BUDGET = 50000
 
 
 class PolytopeError(Exception):
@@ -286,7 +287,8 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     row of B but the k-th.  Rays with q = 0 are directions at infinity;
     one that survives every row means the system is unbounded, or empty
     when no ray has q > 0.  Lower-dimensional cells need nothing extra.
-    No dimension is capped here; `voronoi_cell` owns the cap.
+    After each insertion that cuts vertices off, more than VERTEX_BUDGET
+    live vertices raise VRepCapError, whose message names the budget.
     """
     d = h.dim
     last = len(h.ineqs)
@@ -377,6 +379,8 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
                 on[i] |= 1 << next_id
             alive |= 1 << next_id
             next_id += 1
+        if len(verts) > VERTEX_BUDGET:
+            raise VRepCapError(f"double description passed the vertex budget of {VERTEX_BUDGET} live vertices")
     if any(not v[0] for v in verts.values()):
         if all(not v[0] for v in verts.values()):
             raise EmptyPolytopeError("inequalities are infeasible")
@@ -647,14 +651,12 @@ def classify_face(v: VPolytope, face: Face, e: Sequence) -> str:
     return classify_products([linalg.inner(v.hpoly.ineqs[i].normal, ev) for i in face.facets])
 
 
-def voronoi_cell(a: QuadForm, cap: int = DEFAULT_VREP_CAP) -> VPolytope:
+def voronoi_cell(a: QuadForm) -> VPolytope:
     """The Voronoi cell of the form, with exact vertices and incidences.
 
-    The one owner of the V-representation cap: above dimension cap it
-    raises VRepCapError before computing any minima.
+    Raises VRepCapError, from `enumerate_vertices`, when the double
+    description passes VERTEX_BUDGET.
     """
-    if a.dim > cap:
-        raise VRepCapError(f"V-representation capped at d <= {cap}, got {a.dim}")
     normals = lattice.coset_minima(a).facet_normals()
     return enumerate_vertices(build_cell(a, normals))
 

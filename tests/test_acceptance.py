@@ -193,3 +193,23 @@ def test_acceptance_7_reducible_caveat_regression():
     assert rep.invariants_ok
     _report(7, "Z^2 with e=(2,1): sum is a parallelotope, direction not "
                "normalizable, report flags theorem-silent", t0)
+
+
+def test_acceptance_8_catalog_above_d5_at_the_default_budget():
+    # d = 6 and 7 fit the vertex budget; E7 and E7* fit it too, but at about
+    # 1 s and 2 s they are left out of the tier-1 suite
+    t0 = time.time()
+    for name, n in [("E6", None), ("Dn", 6), ("An", 6), ("Dn", 7)]:
+        a = catalog(name, n)
+        e = dual_set(coset_minima(a).facet_normals()).members[-1]
+        rep = check_theorem(a, e, B_SAMPLES)
+        assert rep.in_dual_set and all(r.equal for r in rep.results), (name, n, e)
+        assert rep.invariants_ok, (name, n, e, rep.invariant_violations)
+    rep = check_theorem(catalog("E6*"), (1, 0, 0, 0, 0, 0), [1])
+    verdict = rep.results[0].parallelotope
+    assert not rep.in_dual_set and rep.irreducible_input
+    assert verdict.failure == "belt" and verdict.belt_index is not None
+    assert verdict.belt_length not in (4, 6)
+    assert rep.invariants_ok
+    _report(8, "forward on E6, D6, A6 and D7, converse on E6* (a belt of "
+               f"length {verdict.belt_length}), all at the default vertex budget", t0)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from voroseg import cli, jsonio
+from voroseg import cli, jsonio, polytope
 from voroseg.cli import main
 
 
@@ -40,13 +40,15 @@ def test_cell_cube_summary(capsys):
     assert "6 facets" in text and "8 vertices" in text and "[4, 4, 4]" in text
 
 
-def test_cell_above_cap_hrep_only(tmp_path, capsys):
+def test_cell_above_cap_hrep_only(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 10)
     out = tmp_path / "e6s.json"
     assert main(["cell", "--lattice", "E6*", "--json", str(out)]) == 0
     text = capsys.readouterr().out
-    assert "H-rep only" in text
+    assert "(H-rep only: double description passed the vertex budget of 10 live vertices)" in text
     doc = json.loads(out.read_text())
     assert doc["cell"]["facet_count"] == 126
+    assert doc["cell"]["note"] == "H-representation only: double description passed the vertex budget of 10 live vertices"
     assert "vertices" not in doc["cell"]
 
 
@@ -73,7 +75,8 @@ def test_dual_set_d4_nonempty(capsys):
     assert "24 members" in capsys.readouterr().out
 
 
-def test_check_above_cap_is_dual_set_only(tmp_path, capsys):
+def test_check_above_cap_is_dual_set_only(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 10)
     out = tmp_path / "e6s_check.json"
     assert main(["check", "--lattice", "E6*", "--e", "1,0,0,0,0,0", "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -223,19 +226,22 @@ def test_mixed_denominator_form_json_golden(tmp_path, command):
     assert out.read_bytes() == golden.read_bytes()
 
 
-def test_check_above_cap_json_golden(tmp_path):
-    # above the V-representation cap `check` gives the dual-set verdict only;
+def test_check_above_cap_json_golden(tmp_path, monkeypatch):
+    # past the vertex budget `check` gives the dual-set verdict only;
     # its report, skipped b samples and note are pinned byte for byte
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 10)
     out = tmp_path / "check.json"
     assert main(["check", "--lattice", "E6*", "--e", "1,0,0,0,0,0", "--b", "1/2,1", "--json", str(out)]) == 0
     golden = Path(__file__).parent / "data" / "check_above_cap.json"
     assert out.read_bytes() == golden.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["relevant", "dual-set"])
+@pytest.mark.parametrize("command", ["relevant", "dual-set", "cell", "check", "verify", "report"])
 def test_vcap_refused_where_no_vertices_are_enumerated(capsys, command):
+    # the vertex budget is a constant; no subcommand takes a cap
+    form = [] if command == "report" else ["--lattice", "Zn", "--n", "2"]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--lattice", "Zn", "--n", "2", "--vcap", "5"])
+        main([command, *form, "--vcap", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --vcap 5" in capsys.readouterr().err
 
@@ -277,9 +283,14 @@ def test_report_default_json_golden(tmp_path):
     ["check", "--job", "{tmp}/e_b_bool.json"],
     ["check", "--job", "{tmp}/b_bool.json"],
     ["relevant", "--form", "{tmp}/gram_float.json"],
+    ["check", "--lattice", "An", "--n", "2", "--e", "0,1", "--b", "1e5000"],
+    ["check", "--lattice", "An", "--n", "2", "--e", "0,1", "--b", "1e1000000"],
+    ["relevant", "--form", "{tmp}/gram_exponent.json"],
 ], ids=" ".join)
-def test_bad_input_exits_2(tmp_path, capsys, argv):
-    # 1 is taken: `check` exits 1 on a violated invariant, `verify` on a non-parallelotope
+def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # 1 is taken: `check` exits 1 on a violated invariant, `verify` on a non-parallelotope;
+    # `verify` needs vertices, and E6's cell passes a budget of 10 live vertices
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 10)
     (tmp_path / "not_pd.json").write_text(json.dumps({"dim": 2, "gram": [["1", "2"], ["2", "1"]]}))
     (tmp_path / "no_form.json").write_text(json.dumps({"e": [0, 1], "b": ["1"]}))
     for name, n in [("string", "3"), ("float", 2.0), ("bool", True)]:
@@ -289,7 +300,8 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
     docs = {"d9": {"gram": d9}, "gram_int": {"gram": 5}, "top_int": 5, "ragged": {"gram": [[1, 0], [0]]},
             "dim_bool": {"dim": True, "gram": [["2"]]}, "zero_denominator": {"gram": [["1/0"]]},
             "e_b_bool": {"catalogName": "An", "n": 2, "e": [0, True], "b": [True]},
-            "b_bool": {"catalogName": "An", "n": 2, "e": [0, 1], "b": [True]}}
+            "b_bool": {"catalogName": "An", "n": 2, "e": [0, 1], "b": [True]},
+            "gram_exponent": {"gram": [["1e5000"]]}}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     # json reads 1e-400 as 0.0; it must not run as the form diag(2, 2)
@@ -310,10 +322,20 @@ def test_dimension_cap_checked_before_the_catalog_form_is_built(monkeypatch):
         assert exc.value.code == 2
 
 
-def test_check_above_cap_summary_says_dual_set_only(capsys):
+def test_check_above_cap_summary_says_dual_set_only(capsys, monkeypatch):
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 10)
     assert main(["check", "--lattice", "E6", "--e", "1,0,0,0,0,0"]) == 0
     out = capsys.readouterr().out
-    assert "[ok, dual-set verdict only: dim 6 above V-rep cap 5, no vertex-level checks]" in out
+    assert ("[ok, dual-set verdict only, no vertex-level checks: "
+            "double description passed the vertex budget of 10 live vertices]") in out
+
+
+def test_report_past_the_budget_writes_na(tmp_path, capsys, monkeypatch):
+    # A2's cell has 6 vertices and Z2's 4: a budget of 5 stops the first only
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 5)
+    out = tmp_path / "rows.json"
+    assert main(["report", "--lattices", "An:2,Zn:2", "--json", str(out)]) == 0
+    assert [r["irreducible"] for r in json.loads(out.read_text())["rows"]] == ["n/a", False]
 
 
 def test_rat_renders_ints_and_fractions_only():

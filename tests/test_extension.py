@@ -442,11 +442,26 @@ def test_check_theorem_reducible_caveat():
     assert rep.invariants_ok
 
 
-def test_check_theorem_above_cap_skips_vertices():
-    rep = check_theorem(catalog("E6"), (1, 0, 0, 0, 0, 0), [1], cap=5)
+def test_check_theorem_above_cap_skips_vertices(monkeypatch):
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 10)
+    rep = check_theorem(catalog("E6"), (1, 0, 0, 0, 0, 0), [1])
     assert rep.results[0].skipped
     assert rep.irreducible_input is None
-    assert rep.notes
+    assert rep.notes == ("dual-set verdict only, no vertex-level checks: "
+                         "double description passed the vertex budget of 10 live vertices",)
+    assert rep.invariants_ok
+
+
+def test_check_theorem_budget_hit_in_a_sum_skips_every_b(monkeypatch):
+    # the A3 cell peaks at 14 live vertices and its sum with (1, 2, 0) at 20,
+    # so with a budget of 15 the cell fits and the first sum does not
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 15)
+    a3 = catalog("An", 3)
+    assert len(voronoi_cell(a3).points) == 14
+    rep = check_theorem(a3, (1, 2, 0), [F(1, 2), 1])
+    assert [r.skipped for r in rep.results] == [True, True]
+    assert rep.irreducible_input is None and not rep.theorem_silent
+    assert rep.notes[0].endswith("vertex budget of 15 live vertices")
     assert rep.invariants_ok
 
 

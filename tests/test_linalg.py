@@ -220,3 +220,11 @@ def test_rational_io():
     assert jsonio.rat(F(3, 2)) == "3/2"
     assert jsonio.rat(F(4, 2)) == "2"
     assert linalg.parse_rational("-7/3") == F(-7, 3)
+
+
+def test_parse_rational_takes_ints_and_digit_strings_only():
+    assert [linalg.parse_rational(x) for x in (5, "+2", " 4/6 ")] == [5, 2, F(2, 3)]
+    # "1e5000" would be a 5001-digit Fraction; "\u0661" is an Arabic-Indic one
+    for bad in ("1e5000", "1.5", "1_000", "\u0661", "1/", "/2", "", "1/0", 2.0, True, None):
+        with pytest.raises(ValueError):
+            linalg.parse_rational(bad)

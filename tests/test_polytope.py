@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -39,8 +40,8 @@ from voroseg.polytope import (
 )
 
 
-def cell_of(name, n=None, cap=5):
-    return voronoi_cell(catalog(name, n), cap=cap)
+def cell_of(name, n=None):
+    return voronoi_cell(catalog(name, n))
 
 
 def test_build_cell_square():
@@ -113,10 +114,19 @@ def test_enumerate_vs_brute_force_random_cells():
 
 
 def test_vrep_cap(monkeypatch):
-    # voronoi_cell is the one owner of the cap, and decides it before any minima
-    monkeypatch.setattr(lattice, "coset_minima", lambda a: pytest.fail("minima computed"))
-    with pytest.raises(VRepCapError):
-        cell_of("E6", cap=5)
+    # the double description of the A3* cell peaks at its 24 final vertices;
+    # one live vertex more than the budget stops it, with the budget named
+    h = cell_of("An*", 3).hpoly
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 23)
+    with pytest.raises(VRepCapError, match="vertex budget of 23 "):
+        enumerate_vertices(h)
+    monkeypatch.setattr(polytope, "VERTEX_BUDGET", 24)
+    assert len(enumerate_vertices(h).points) == 24
+
+
+def test_vertex_budget_admits_every_cell_up_to_d7():
+    # a Voronoi parallelotope has at most (d+1)! vertices: 8! fits, A8*'s 9! does not
+    assert math.factorial(8) < polytope.VERTEX_BUDGET < math.factorial(9)
 
 
 def test_support_value_examples():
