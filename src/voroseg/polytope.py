@@ -14,12 +14,14 @@ Per inequality, the mask of the vertices on it persists
 across insertions, and adjacency candidates are counted through these
 masks.  On top of it sit face extraction, belts, the tiling
 (parallelotope) verifier, the facet graph used for irreducibility, and
-shadow-boundary classification.  Face data comes from the tight sets the
-double description keeps per vertex: the inequalities tight on all of a
-face cut out its affine hull (Ziegler, Lectures on Polytopes, 2.1), and
-its integer normals, reduced by `linalg.integer_rref`, give its dimension
-and a canonical key; a ridge's key names its belt, and each belt's
-direction space, an integer RREF, is formed once from it.  Faces are
+shadow-boundary classification.  Facets and ridges are found by counting
+the facets on a face through the tight sets the double description keeps
+per vertex: in a full-dimensional cell a facet's vertices lie on no other
+inequality, a ridge's on exactly its two facets and a smaller face's on
+three or more (Ziegler, Lectures on Polytopes, 2.1).  Rank, an integer
+RREF (`linalg.integer_rref`), is formed only for `affine_rank` and for one
+direction space per belt; a ridge's belt is named by the plane of its two
+facets' normals.  Faces are
 classified against a segment direction e by the signs of the products
 <p, e> of their facets' normals (`classify_products`), each formed once
 per inequality.
@@ -161,42 +163,52 @@ class VPolytope:
     @functools.cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """incidence[i] lists the vertex ids lying on inequality i with equality."""
-        return _incidence(self.tights, len(self.hpoly.ineqs))
+        rows: list[list[int]] = [[] for _ in self.hpoly.ineqs]
+        for vid, ts in enumerate(self.tights):
+            for i in ts:
+                rows[i].append(vid)
+        return tuple(tuple(r) for r in rows)
 
     @functools.cached_property
     def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[IntMat, list[int]], ...]]:
         """The (d-2)-faces sorted by vertex ids, and per belt its direction space and ridges.
 
-        A ridge lies on 2 facets (the diamond property), so the candidates are
-        the facet pairs sharing at least d - 1 vertices.  The key is the integer
-        RREF of the normals tight on all of the candidate; the candidate is a
-        ridge iff the key has rank 2.  The ridges with one key form a belt,
-        whose direction space is formed once and shared by them.
+        In a full-dimensional cell a ridge lies on exactly 2 facets (the diamond
+        property) and a smaller face on at least 3, so a facet pair is a ridge iff
+        its common vertices, at least d - 1 of them, lie on no third facet.  Every
+        inequality tight on a ridge has its normal in the plane of the pair's
+        normals, so the pair's primitive 2x2 minors, first one positive, name the
+        ridge's belt, whose direction space is formed once, from its first ridge's pair.
         """
         d = self.dim
+        if self.affine_rank < d:
+            return (), ()
         normals = self.hpoly.normals
-        tight_masks = [sum(1 << i for i in t) for t in self.tights]
         facet_mask = sum(1 << i for i in self.facet_ids)
-        members = [sum(1 << j for j in self.incidence[i]) for i in self.facet_ids]
-        found: dict[int, tuple[tuple[int, ...], IntMat, int] | None] = {}
-        for mi, mj in itertools.combinations(members, 2):
-            both = mi & mj
-            if not both or both.bit_count() < d - 1 or both in found:
-                continue
-            ids = tuple(_bits(both))
-            eq = -1
-            for j in ids:
-                eq &= tight_masks[j]
-            key = linalg.integer_rref([normals[i] for i in _bits(eq)])
-            found[both] = (ids, key, eq & facet_mask) if len(key) == 2 else None
+        on_facets = [sum(1 << i for i in t) & facet_mask for t in self.tights]
+        # a facet's vertices as a mask, to count a pair's common ones, and as a set, to list them
+        inc = self.incidence
+        members = [(i, sum(1 << j for j in inc[i]), set(inc[i])) for i in self.facet_ids]
+        found = []
+        for (i, mi, si), (j, mj, sj) in itertools.combinations(members, 2):
+            if (mi & mj).bit_count() >= d - 1:
+                ids = sorted(si & sj)
+                pair = 1 << i | 1 << j
+                # with no common vertex the meet is -1, never a pair: at d = 1 the threshold is 0
+                if _meet(on_facets, ids, pair) == pair:
+                    found.append((tuple(ids), i, j))
         faces: list[Face] = []
-        by_key: dict[IntMat, tuple[IntMat, list[int]]] = {}
-        for ids, key, facets in sorted(f for f in found.values() if f):
+        by_key: dict[IntVec, tuple[IntMat, list[int]]] = {}
+        for ids, i, j in sorted(found):
+            p, q = normals[i], normals[j]
+            minors = [p[k] * q[m] - p[m] * q[k] for k, m in itertools.combinations(range(d), 2)]
+            g = gcd(*minors) if _pivot(minors) > 0 else -gcd(*minors)
+            key = tuple(x // g for x in minors)
             if key not in by_key:
-                by_key[key] = (_direction_space(key, d), [])
+                by_key[key] = (_direction_space([p, q], d), [])
             space, face_ids = by_key[key]
             face_ids.append(len(faces))
-            faces.append(Face(tuple(_bits(facets)), ids, d - 2, space))
+            faces.append(Face((i, j), ids, d - 2, space))
         return tuple(faces), tuple(by_key.values())
 
     @functools.cached_property
@@ -232,23 +244,24 @@ class VPolytope:
         return tuple(out)
 
 
-def _incidence(tights: Sequence[frozenset[int]], n_ineqs: int) -> tuple[tuple[int, ...], ...]:
-    """Transpose per-vertex tight sets into per-inequality vertex id lists."""
-    rows: list[list[int]] = [[] for _ in range(n_ineqs)]
-    for vid, ts in enumerate(tights):
-        for i in ts:
-            rows[i].append(vid)
-    return tuple(tuple(r) for r in rows)
-
-
-def _direction_space(key: IntMat, d: int) -> IntMat:
-    """Primitive integer RREF rows (`linalg.integer_rref`) of the subspace of R^d orthogonal to key."""
-    return linalg.integer_rref(linalg.null_space(key, d))
+def _direction_space(rows: Sequence[Sequence[int]], d: int) -> IntMat:
+    """Primitive integer RREF rows (`linalg.integer_rref`) of the subspace of R^d orthogonal to rows."""
+    return linalg.integer_rref(linalg.null_space(rows, d))
 
 
 def _pivot(row: Sequence[int]) -> int:
     """The first nonzero entry of a row."""
     return next(x for x in row if x)
+
+
+def _meet(masks: dict[int, int] | Sequence[int], ids: Iterable[int], floor: int) -> int:
+    """The AND of masks[j] over ids (-1 over none), stopped once it is floor, a mask each of them contains."""
+    out = -1
+    for j in ids:
+        out &= masks[j]
+        if out == floor:
+            break
+    return out
 
 
 def _face_dim(normals: Sequence[Sequence[int]], eq: Iterable[int]) -> int:
@@ -279,7 +292,11 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     plus vertices that share d - 1 tight inequalities with a minus vertex
     w, the only ones that can be adjacent to it, are found by counting
     through those masks in time linear in w's tight set, not by scanning
-    every plus vertex.  The result keeps the integer points.
+    every plus vertex.  The result keeps the integer points.  Facets are
+    counted, and only affine_rank is ranked: in a full-dimensional cell,
+    inequality i is a facet iff its vertices, at least d, lie on no other
+    inequality, as a smaller face lies on two facets or more; a cell of
+    dimension d - 1 has the inequalities tight everywhere, a lower one none.
 
     The pass starts from a simplicial cone (Motzkin et al. 1953): the row
     q >= 0 and the first d rows independent with it form a nonsingular B,
@@ -390,23 +407,21 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     common_q = lcm(*(v[0] for v in verts.values()))
     scaled = {j: tuple(x * (common_q // v[0]) for x in v[1:]) for j, v in verts.items()}
     order = sorted(verts, key=scaled.__getitem__)
-    tight_sets = tuple(frozenset(_bits(tights[j])) for j in order)
-    incidence = _incidence(tight_sets, len(h.ineqs))
-    normals = h.normals
-    # a (d-1)-face has at least d vertices; a flat cell puts many inequalities
-    # on one vertex set, so each distinct set is ranked once
-    dims = {
-        inc: _face_dim(normals, frozenset.intersection(*(tight_sets[j] for j in inc)))
-        for inc in set(incidence)
-        if len(inc) >= d
-    }
+    everywhere = functools.reduce(operator.and_, tights.values())
+    affine_rank = _face_dim(h.normals, _bits(everywhere))
+    if affine_rank == d:
+        facet_ids = tuple(
+            i for i in range(last) if on[i].bit_count() >= d and _meet(tights, _bits(on[i]), 1 << i) == 1 << i
+        )
+    else:
+        facet_ids = tuple(_bits(everywhere)) if affine_rank == d - 1 else ()
     return VPolytope(
         hpoly=h,
         scale=common_q,
         points=tuple(scaled[j] for j in order),
-        tights=tight_sets,
-        facet_ids=tuple(i for i, inc in enumerate(incidence) if dims.get(inc) == d - 1),
-        affine_rank=_face_dim(normals, frozenset.intersection(*tight_sets)),
+        tights=tuple(frozenset(_bits(tights[j])) for j in order),
+        facet_ids=facet_ids,
+        affine_rank=affine_rank,
     )
 
 
@@ -456,7 +471,7 @@ class Face:
 def _face_from_vertices(v: VPolytope, vertex_ids: Sequence[int]) -> Face:
     ids = tuple(sorted(vertex_ids))
     eq = frozenset.intersection(*(v.tights[i] for i in ids))
-    dirs = _direction_space(linalg.integer_rref([v.hpoly.ineqs[i].normal for i in eq]), v.dim)
+    dirs = _direction_space([v.hpoly.ineqs[i].normal for i in eq], v.dim)
     facets = tuple(i for i in v.facet_ids if i in eq)
     return Face(facets=facets, vertex_ids=ids, dim=len(dirs), direction_space=dirs)
 

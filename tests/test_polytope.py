@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import affine_direction_space, brute_force_vertices, null_basis
+from oracles import affine_direction_space, brute_force_vertices, mat_mul, null_basis
 from voroseg import extension, jsonio, lattice, linalg, polytope
 from voroseg.lattice import catalog, coset_minima
 from voroseg.polytope import (
@@ -601,8 +601,120 @@ def test_ridges_and_belts_match_oracle_on_random_symmetric_systems(d, examples):
     check()
 
 
+def _pinned_systems(d):
+    """Symmetric systems of dimension d where counting facets on a face and ranking it could disagree."""
+
+    def symmetric(pairs):
+        return hpolytope(d, pairs + [(tuple(-x for x in n), s) for n, s in pairs])
+
+    box = [(tuple(int(j == i) for j in range(d)), 1) for i in range(d)]
+    cut = tuple(int(k < 2) for k in range(d))
+    return [
+        # a zero-width slab: the cell is flat, its one facet on both slab inequalities
+        symmetric(box + [(tuple(range(1, d + 1)), 0)]),
+        # a positively parallel duplicate of a chamfer, which hpolytope merges
+        symmetric(box + [(cut, F(3, 2)), (tuple(2 * x for x in cut), 3)]),
+        # a redundant cut tight along a (d-2)-face of the box: a ridge on three inequalities
+        symmetric(box + [(cut, 2)]),
+    ]
+
+
+@pytest.mark.parametrize("d, examples", [(2, 40), (3, 30), (4, 10)])
+def test_counted_facets_and_ridges_match_oracle_on_random_symmetric_systems(d, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(symmetric_hpolytopes(d))
+    def check(h):
+        try:
+            v = enumerate_vertices(h)
+        except EmptyPolytopeError:
+            assert brute_force_vertices(h) == ()
+            return
+        on = [
+            frozenset(j for j, x in enumerate(v.vertices) if sum(map(mul, iq.normal, x)) == iq.support)
+            for iq in h.ineqs
+        ]
+
+        def dim(ids):
+            return len(affine_direction_space([v.vertices[j] for j in sorted(ids)]))
+
+        facets = tuple(i for i, ids in enumerate(on) if ids and dim(ids) == d - 1)
+        assert v.facet_ids == facets
+        for f in codim2_faces(v):
+            want = affine_direction_space([v.vertices[j] for j in f.vertex_ids])
+            assert f.facets == tuple(i for i in facets if on[i].issuperset(f.vertex_ids))
+            assert f.dim == len(want) == d - 2
+            assert _as_rref(f.direction_space) == tuple(tuple(r) for r in want)
+        # vertex ids of every ridge, none missing, and the belts' grouping and facets
+        _check_ridges_and_belts(v, parallelotope=False)
+
+    for h in _pinned_systems(d):
+        check = example(h)(check)
+    check()
+
+
+def test_flat_and_one_dimensional_cells_have_no_ridges():
+    # at d = 1 two facets share no vertex, and no vertex is no ridge; a flat cell's
+    # facets are the inequalities tight everywhere, and a cell below d - 1 has none
+    point = enumerate_vertices(hpolytope(2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)]))
+    cells = [cell_of("Zn", 1), point] + _flat_segment_cells()
+    assert [v.affine_rank for v in cells] == [1, 0, 1, 1, 1, 1, 1, 1]
+    assert [v.facet_ids for v in cells] == [(0, 1), (), (2, 3), (0, 5), (), (), (), ()]
+    for v in cells:
+        assert codim2_faces(v) == () and belts(v) == ()
+
+
+def _unimodular(d):
+    """(U, U^-1) pairs: a shear, and a signed cyclic shift times a shear, each inverted factor by factor."""
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+
+    def shear(i, j, c):
+        m = [row[:] for row in eye]
+        m[i][j] = c
+        return m
+
+    shift = [eye[(i + 1) % d] for i in range(d)]
+    sign = [[-x if i == 0 else x for x in row] for i, row in enumerate(eye)]
+    u = mat_mul(mat_mul(shift, sign), shear(d - 1, 0, 2))
+    u_inv = mat_mul(mat_mul(shear(d - 1, 0, -2), sign), list(zip(*shift)))
+    return [(shear(0, 1, 1), shear(0, 1, -1)), (u, u_inv)]
+
+
+def _apply(m, x):
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in m)
+
+
+def test_gl_d_z_change_of_basis_keeps_the_cell_combinatorics():
+    # A' = U^T A U is the same lattice in the basis U, and its cell is U^T times the cell
+    for name, n, a in lattice.catalog_entries(max_dim=4):
+        normals = coset_minima(a).facet_normals()
+        members = extension.dual_set(normals).members
+        v = voronoi_cell(a)
+        for u, u_inv in _unimodular(n):
+            assert mat_mul(u, u_inv) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            ut = tuple(zip(*u))
+            a2 = lattice.make_form(mat_mul(mat_mul(ut, a.gram), u))
+            normals2 = coset_minima(a2).facet_normals()
+            assert normals2 == tuple(sorted(_apply(u_inv, p) for p in normals))
+            assert extension.dual_set(normals2).members == tuple(sorted(_apply(ut, e) for e in members))
+            v2 = voronoi_cell(a2)
+            assert len(codim2_faces(v2)) == len(codim2_faces(v))
+            assert Counter(b.length for b in belts(v2)) == Counter(b.length for b in belts(v))
+            assert irreducibility_graph(v2).connected == irreducibility_graph(v).connected
+            for e in (members[0], (1, 2) + (0,) * (n - 2)):
+                r = extension.check_theorem(a, e, [1])
+                r2 = extension.check_theorem(a2, _apply(ut, e), [1])
+                assert r.invariant_violations == r2.invariant_violations == ()
+                assert r2.normalized_e == (None if r.normalized_e is None else _apply(ut, r.normalized_e))
+                assert (r2.in_dual_set, r2.irreducible_input, r2.theorem_silent) == (
+                    r.in_dual_set, r.irreducible_input, r.theorem_silent
+                )
+                assert [(x.equal, x.parallelotope.ok, x.parallelotope.failure) for x in r2.results] == [
+                    (x.equal, x.parallelotope.ok, x.parallelotope.failure) for x in r.results
+                ]
+
+
 def test_one_direction_space_per_belt(monkeypatch):
-    # the ridges of one belt share its direction space, formed once from the belt key
+    # the ridges of one belt share its direction space, formed once, from its first ridge's facet normals
     a4 = catalog("An*", 4)
     d4 = catalog("Dn", 4)
     e = extension.dual_set(coset_minima(d4).facet_normals()).members[0]
