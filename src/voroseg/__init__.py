@@ -4,10 +4,8 @@ from .lattice import (
     ContactVectorSet,
     QuadForm,
     catalog,
-    commensurate,
     coset_minima,
     eval_form,
-    layer_index,
     make_form,
 )
 from .polytope import (

@@ -4,7 +4,10 @@ The lattice model is canonical: L = Z^d with the standard scalar product,
 all metric data lives in the rational Gram matrix A, and the form is
 a(p) = <p, A p>.  Parity classes are the cosets of L/2L; the minimal
 vectors of the nonzero classes are the contact vectors, and the classes
-whose minimum is attained by a single +/- pair contribute facet normals.
+whose minimum is attained by a single +/- pair contribute facet normals
+(Voronoi's criterion).  All 2^d - 1 classes are searched by one
+Fincke-Pohst tree in integers, whose nodes serve every class that shares
+their fixed parity bits.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from math import isqrt, lcm
 from typing import Iterator
 
 from . import linalg
-from .linalg import Mat, Vec
+from .linalg import Mat
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -42,14 +45,6 @@ class NotPositiveDefiniteError(LatticeError):
 
 
 class DimensionCapError(LatticeError):
-    pass
-
-
-class NonIntegralLayerError(LatticeError):
-    pass
-
-
-class NotContactVectorError(LatticeError):
     pass
 
 
@@ -162,83 +157,82 @@ def _class_start_bound(g: IntMat, parity: IntVec) -> int:
     return val
 
 
-def _enumerate_class_minima(
-    lm: IntMat, w: IntVec, m: int, parity: IntVec, bound: int
-) -> tuple[int, list[IntVec]]:
-    """All minimum-norm vectors of a parity class, by exact LDL enumeration in integers.
+def _enumerate_minima(lm: IntMat, w: IntVec, m: int, bounds: list[int]) -> list[list[IntVec]]:
+    """Minimum-norm vectors of every parity class, by one exact LDL enumeration in integers.
 
     With A = L D L^T, m a common denominator of L and K one of D, the scaled
     norm K m^2 <v, A v> = sum_i w_i (m v_i + S_i)^2, where w_i = K D_i,
-    lm = m L and S_i = sum_{j>i} lm_ji v_j are all integers; bound and the
-    returned norm are in these units.  Coordinates are fixed from the last
-    down; only representatives whose trailing nonzero coordinate is positive
-    are visited, mirrors are added here.  The bound shrinks as better
-    vectors appear.
+    lm = m L and S_i = sum_{j>i} lm_ji v_j are all integers.  Coordinates are
+    fixed from the last down, so a node that has fixed v_{d-1}, ..., v_i
+    has fixed the low d - i bits of its class index (v_j is bit d-1-j) and
+    serves every class that agrees there.  Only representatives whose
+    trailing nonzero coordinate is positive are visited.  bounds[c] starts
+    at a feasible norm of class c (-1 for class 0, which is skipped) and is
+    shrunk in place to the class minimum; mx[l][r] is the largest bound
+    among the classes whose low l bits are r, and a node's radius is the
+    mx of the classes it serves.
     """
     d = len(w)
-    best: list[int] = [bound]
-    best_norm: list[int | None] = [None]
-    found: list[IntVec] = []
+    mx = [bounds]
+    for l in range(d - 1, -1, -1):
+        up = mx[0]
+        mx.insert(0, [max(up[r], up[r | 1 << l]) for r in range(1 << l)])
+    found: list[list[IntVec]] = [[] for _ in bounds]
     coords = [0] * d
+    rows = [row[:i] for i, row in enumerate(lm)]
 
-    def descend(i: int, partial: int, svec: tuple[int, ...], all_zero: bool) -> None:
-        if i < 0:
-            norm = partial
-            if best_norm[0] is None or norm < best_norm[0]:
-                best_norm[0] = norm
-                best[0] = norm
-                found.clear()
-                found.append(tuple(coords))
-            elif norm == best_norm[0]:
-                found.append(tuple(coords))
-            return
-        budget = best[0] - partial
+    def shrink(c: int, norm: int) -> None:
+        bounds[c] = norm
+        for l in range(d - 1, -1, -1):
+            r = c & ((1 << l) - 1)
+            top = max(mx[l + 1][r], mx[l + 1][r | 1 << l])
+            if mx[l][r] == top:
+                return  # the maxima above are unchanged too
+            mx[l][r] = top
+
+    def descend(i: int, r: int, partial: int, svec: list[int], all_zero: bool) -> None:
+        l = d - 1 - i
+        here, up, bit = mx[l], mx[l + 1], 1 << l
+        budget = here[r] - partial
         if budget < 0:
             return
-        # w_i (m x + s)^2 <= budget  iff  |m x + s| <= r, as m x + s is an integer
-        r = isqrt(budget // w[i])
-        s = svec[i]
-        hi = (r - s) // m
-        lo = -((r + s) // m)
-        if all_zero and lo < 0:
-            lo = 0
-        if (lo - parity[i]) % 2:
-            lo += 1
-        wi = w[i]
-        row = lm[i]
-        x = lo
-        while x <= hi:
+        wi, s, row = w[i], svec[i], rows[i]
+        # w_i (m x + s)^2 <= budget  iff  |m x + s| <= rad, as m x + s is an integer
+        rad = isqrt(budget // wi)
+        lo = 0 if all_zero else -((rad + s) // m)
+        for x in range(lo, (rad - s) // m + 1):
             t = m * x + s
             nxt = partial + wi * t * t
-            if nxt <= best[0]:
+            c = r | bit if x & 1 else r
+            if nxt <= up[c]:
                 coords[i] = x
-                descend(
-                    i - 1,
-                    nxt,
-                    tuple(svec[k] + row[k] * x for k in range(i)),
-                    all_zero and x == 0,
-                )
-                coords[i] = 0
-            elif t > 0:
-                break  # products only grow to the right of the window
-            x += 2
+                if i:
+                    descend(i - 1, c, nxt, [a + b * x for a, b in zip(svec, row)], all_zero and not x)
+                elif found[c] and nxt == bounds[c]:
+                    found[c].append(tuple(coords))
+                else:
+                    found[c] = [tuple(coords)]
+                    if nxt < bounds[c]:
+                        shrink(c, nxt)
+            elif t > 0 and nxt > here[r]:
+                break  # costs only grow to the right, and this one is past both children's bounds
 
-    descend(d - 1, 0, (0,) * d, True)
-    if best_norm[0] is None:
-        raise LatticeError(f"no vector of parity {parity} within the start bound")
-    full = sorted(set(found) | {tuple(-x for x in v) for v in found})
-    return best_norm[0], full
+    descend(d - 1, 0, 0, [0] * d, True)
+    return found
 
 
 @functools.lru_cache(maxsize=MINIMA_CACHE_SIZE)
 def coset_minima(a: QuadForm) -> ContactVectorSet:
     """Minimal vectors of every nonzero parity class of Z^d under the form a.
 
-    Complete by construction: per class the enumeration radius starts at the
-    norm of a feasible representative and only shrinks.  The search runs in
-    integers over the Gram scaled by the lcm of its denominators; only the
-    returned minimum norms are Fractions.  Above DEFAULT_DIM_CAP, the one
-    dimension cap of every minima search, it raises DimensionCapError.
+    One depth-first search serves all classes (`_enumerate_minima`): a
+    node is cut only when its partial norm exceeds the current bound of
+    every class it can still reach, and each bound starts at the norm of a
+    feasible representative and only shrinks toward its class minimum, so
+    no minimal vector is ever cut.  The search runs in integers over the
+    Gram scaled by the lcm of its denominators; only the returned minimum
+    norms are Fractions.  Above DEFAULT_DIM_CAP, the one dimension cap of
+    every minima search, it raises DimensionCapError.
     """
     d = a.dim
     if d > DEFAULT_DIM_CAP:
@@ -250,40 +244,17 @@ def coset_minima(a: QuadForm) -> ContactVectorSet:
     lm = tuple(tuple(int(x * m) for x in row) for row in L)
     w = tuple(int(x * k) for x in D)
     scale = k * m * m
+    parities = [tuple((bits >> (d - 1 - j)) & 1 for j in range(d)) for bits in range(2 ** d)]
+    # every vector's scaled norm is an integer, so this division is exact
+    bounds = [-1] + [_class_start_bound(g, par) * scale // den for par in parities[1:]]
+    found_all = _enumerate_minima(lm, w, m, bounds)  # shrinks bounds to the class minima
     classes = []
-    for bits in range(1, 2 ** d):
-        parity = tuple((bits >> (d - 1 - j)) & 1 for j in range(d))
-        # every vector's scaled norm is an integer, so this division is exact
-        bound = _class_start_bound(g, parity) * scale // den
-        norm, minima = _enumerate_class_minima(lm, w, m, parity, bound)
-        classes.append(
-            ClassMinima(
-                parity=parity,
-                min_norm=Fraction(norm, scale),
-                minima=tuple(minima),
-                relevant=len(minima) == 2,
-            )
-        )
-    classes.sort(key=lambda cl: cl.parity)
+    for par, norm, found in zip(parities[1:], bounds[1:], found_all[1:]):
+        if not found:
+            raise LatticeError(f"no vector of parity {par} within the start bound")
+        minima = tuple(sorted(set(found) | {tuple(-x for x in v) for v in found}))
+        classes.append(ClassMinima(par, Fraction(norm, scale), minima, relevant=len(minima) == 2))
     return ContactVectorSet(dim=d, classes=tuple(classes))
-
-
-def commensurate(a: QuadForm, p) -> Vec:
-    """2Ap, the translation joining the cell center to the neighbor across F(p)."""
-    pt = linalg.exact_vec(p)
-    # a non-integral entry makes p no lattice vector, let alone a contact vector
-    cl = None if any(isinstance(x, Fraction) for x in pt) else coset_minima(a).class_of(pt)
-    if cl is None or pt not in cl.minima:
-        raise NotContactVectorError(f"({', '.join(map(str, pt))}) is not a contact vector of the form")
-    return linalg.vscale(2, linalg.mat_vec(a.gram, linalg.vec(pt)))
-
-
-def layer_index(e, v) -> int:
-    """The integer z with <e, v> = z; rejects non-integral products."""
-    prod = linalg.dot(linalg.vec(e), linalg.vec(v))
-    if prod.denominator != 1:
-        raise NonIntegralLayerError(f"<e,v> = {prod} is not an integer")
-    return int(prod)
 
 
 # --- lattice catalog -------------------------------------------------------

@@ -120,8 +120,8 @@ def scale_to_integers(v: Sequence) -> tuple[tuple[int, ...], int]:
 
 
 def _integer_rows(m: Sequence[Sequence]) -> list[list[int]]:
-    """Each rational row times the lcm of its own denominators; its RREF stays the same."""
-    return [list(scale_to_integers(row)[0]) for row in m]
+    """Each rational row times the lcm of its own denominators (an int row as is); its RREF stays the same."""
+    return [list(row) if all(type(x) is int for x in row) else list(scale_to_integers(row)[0]) for row in m]
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:

@@ -219,8 +219,12 @@ class VPolytope:
         # a primitive row is its pivot times the RREF row, so over the lcm of all
         # pivots the rows are ints that sort like the RREF rows: the belt order is kept
         den = lcm(*(_pivot(r) for space, _ in groups for r in space))
+
+        def key(group):  # one pivot per row
+            return [[x * k for x in r] for r, k in zip(group[0], [den // _pivot(r) for r in group[0]])]
+
         out = []
-        for space, face_ids in sorted(groups, key=lambda g: [[x * den // _pivot(r) for x in r] for r in g[0]]):
+        for space, face_ids in sorted(groups, key=key):
             facet_set: set[int] = set()
             for fi in face_ids:
                 facet_set.update(faces[fi].facets)

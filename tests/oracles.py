@@ -5,7 +5,9 @@ plain box scan, dual sets from a box scan bounded by an inverse computed
 here or from every sign pattern through that inverse, vertices from
 solving all d-subsets of inequalities, face dimensions from eliminating
 vertex differences, determinants from the same elimination, and
-Minkowski sums from translating vertex sets.
+Minkowski sums from translating vertex sets.  The commensurate vectors and
+layer indices of the paper's lemmas, which only the tests ask for, live
+here too, and so does a random unimodular change of basis.
 """
 
 from __future__ import annotations
@@ -237,3 +239,50 @@ def check_sum_against_candidates(sum_cell, base_vertices, e, b):
         if v not in cset:
             return False, ("sum vertex not a candidate", v)
     return True, None
+
+
+class NotContactVectorError(lattice.LatticeError):
+    pass
+
+
+class NonIntegralLayerError(lattice.LatticeError):
+    pass
+
+
+def commensurate(a: "lattice.QuadForm", p) -> tuple:
+    """2Ap, the translation joining the cell center to the neighbor across F(p)."""
+    pt = linalg.exact_vec(p)
+    # a non-integral entry makes p no lattice vector, let alone a contact vector
+    cl = None if any(isinstance(x, Fraction) for x in pt) else lattice.coset_minima(a).class_of(pt)
+    if cl is None or pt not in cl.minima:
+        raise NotContactVectorError(f"({', '.join(map(str, pt))}) is not a contact vector of the form")
+    return linalg.vscale(2, linalg.mat_vec(a.gram, linalg.vec(pt)))
+
+
+def layer_index(e, v) -> int:
+    """The integer z with <e, v> = z; rejects non-integral products."""
+    prod = linalg.dot(linalg.vec(e), linalg.vec(v))
+    if prod.denominator != 1:
+        raise NonIntegralLayerError(f"<e,v> = {prod} is not an integer")
+    return int(prod)
+
+
+def random_unimodular(rng, d: int, shears: int) -> tuple:
+    """(U, U^-1) for a random signed permutation times `shears` random shears e_i += c e_j, |c| <= 2.
+
+    U is built column operation by column operation and U^-1 row operation
+    by row operation in the reverse order, so U U^-1 = I holds exactly.
+    """
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    u_inv = [row[:] for row in u]
+    perm = rng.sample(range(d), d)
+    signs = [rng.choice((1, -1)) for _ in range(d)]
+    u = [[signs[j] * u[i][perm[j]] for j in range(d)] for i in range(d)]
+    u_inv = [[signs[i] * u_inv[perm[i]][j] for j in range(d)] for i in range(d)]
+    for _ in range(shears):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in u:  # column i += c * column j
+            row[i] += c * row[j]
+        u_inv[j] = [x - c * y for x, y in zip(u_inv[j], u_inv[i])]  # row j -= c * row i
+    return tuple(map(tuple, u)), tuple(map(tuple, u_inv))

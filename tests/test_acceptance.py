@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import box_scan_minima, check_sum_against_candidates, random_pd_form_box6
+from oracles import box_scan_minima, check_sum_against_candidates, layer_index, random_pd_form_box6
 from voroseg import lattice, linalg
 from voroseg.extension import (
     CannotNormalizeError,
@@ -24,7 +24,7 @@ from voroseg.extension import (
     sum_with_segment,
     voronoi_of_sum_form,
 )
-from voroseg.lattice import catalog, coset_minima, layer_index
+from voroseg.lattice import catalog, coset_minima
 from voroseg.polytope import (
     build_cell,
     enumerate_vertices,

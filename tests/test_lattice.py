@@ -1,22 +1,29 @@
+import itertools
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from oracles import box_scan_minima, det
+from oracles import (
+    NonIntegralLayerError,
+    NotContactVectorError,
+    box_scan_minima,
+    commensurate,
+    det,
+    layer_index,
+    mat_mul,
+    random_unimodular,
+)
 from voroseg import lattice, linalg, polytope
 from voroseg.lattice import (
     DimensionCapError,
-    NonIntegralLayerError,
-    NotContactVectorError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     UnknownLatticeError,
     catalog,
-    commensurate,
     coset_minima,
     eval_form,
-    layer_index,
     make_form,
 )
 
@@ -148,6 +155,34 @@ def test_oracle_equivalence_random_forms():
                 norm, minima = oracle[cl.parity]
                 assert cl.min_norm == norm, (a.gram, cl.parity)
                 assert cl.minima == minima, (a.gram, cl.parity)
+
+
+def test_gl_d_z_change_of_basis_maps_every_class_minimum():
+    # A' = U^T A U is the same lattice in the basis U: v is minimal in class p
+    # under A iff U^-1 v is minimal in class U^-1 p mod 2 under A'.  Skewed
+    # bases meet many classes' minima late, after their suffix maxima shrank.
+    rng = random.Random(7)
+    g = [[F(0)] * 7 for _ in range(7)]
+    for i, j in itertools.combinations(range(7), 2):
+        g[i][j] = g[j][i] = rng.choice([F(0), F(1, 2), F(-1, 2), F(1), F(-1)])
+    for i in range(7):
+        g[i][i] = 1 + sum(map(abs, g[i])) + rng.choice([0, F(1, 2)])
+    forms = [catalog("E6"), catalog("E7*"), catalog("E8"), catalog("An*", 7), catalog("Dn", 8), make_form(g)]
+    flags = set()
+    for a in forms:
+        cs = coset_minima(a)
+        for _ in range(2):
+            u, u_inv = random_unimodular(rng, a.dim, 2 * a.dim)
+            cs2 = coset_minima(make_form(mat_mul(mat_mul(tuple(zip(*u)), a.gram), u)))
+            assert len(cs2.classes) == len(cs.classes)
+            for cl in cs.classes:
+                cl2 = cs2.class_of(tuple(sum(map(operator.mul, row, cl.parity)) for row in u_inv))
+                moved = [tuple(sum(map(operator.mul, row, v)) for row in u_inv) for v in cl.minima]
+                assert cl2.min_norm == cl.min_norm, (a.gram, u, cl.parity)
+                assert cl2.minima == tuple(sorted(moved)), (a.gram, u, cl.parity)
+                assert cl2.relevant == cl.relevant, (a.gram, u, cl.parity)
+                flags.add(cl.relevant)
+    assert flags == {True, False}
 
 
 def test_relevance_agrees_with_facet_geometry():
