@@ -22,20 +22,15 @@ from .polytope import (
     irreducibility_graph,
     is_parallelotope,
     shadow_boundary,
-    support_value,
     voronoi_cell,
 )
 from .extension import (
     Direction,
     DualSet,
     ExtensionReport,
-    a_e,
     check_theorem,
     dual_set,
-    f_e,
     normalize_direction,
-    p_e_set,
-    segment_as_polytope,
     subset_check,
     sum_with_segment,
     voronoi_of_sum_form,

@@ -43,21 +43,24 @@ def _within_cap(n) -> None:
 
 
 def _load_form(args) -> lattice.QuadForm:
-    """The form of --job, --form or --lattice; bad input exits with status 2, a catalog n before its form is built."""
+    """The form of the one source given; bad input exits with status 2, a catalog n before its form is built."""
+    flags = [f for f in ("--job", "--form", "--lattice") if hasattr(args, f[2:])]
+    given = [f for f in flags + ["--n"] if getattr(args, f[2:]) is not None]
+    if given not in (["--job"], ["--form"], ["--lattice"], ["--lattice", "--n"]):
+        why = " and ".join(given) + " given" if given else "no form given"
+        _input_error(args.command, f"{why}: give exactly one of {', '.join(flags)}, and --n only with --lattice")
     try:
-        if getattr(args, "job", None):
+        if given == ["--job"]:
             doc = json.loads(Path(args.job).read_text())
             if isinstance(doc, dict) and "catalogName" in doc:
                 _within_cap(doc.get("n"))
                 return catalog(doc["catalogName"], doc.get("n"))
             a = jsonio.form_from_dict(doc)
-        elif args.form:
+        elif given == ["--form"]:
             a = jsonio.form_from_dict(json.loads(Path(args.form).read_text()))
-        elif args.lattice:
+        else:
             _within_cap(args.n)
             return catalog(args.lattice, args.n)
-        else:
-            _input_error(args.command, "one of --form/--lattice is required")
         _within_cap(a.dim)
     except (OSError, ValueError, lattice.LatticeError) as exc:  # JSONDecodeError is a ValueError
         _input_error(args.command, str(exc))

@@ -53,10 +53,6 @@ class CannotNormalizeError(ExtensionError):
         )
 
 
-class SegmentHypothesisError(ExtensionError):
-    pass
-
-
 class NotInDualSetError(ExtensionError):
     pass
 
@@ -85,17 +81,6 @@ class Direction:
             raise ValueError("segment weight b must be positive")
 
 
-def f_e(p: Sequence, dir: Direction) -> Fraction:
-    """Support of the weighted segment in direction p: b * |<p, e>|."""
-    return dir.b * abs(linalg.inner(p, dir.e))
-
-
-def a_e(p: Sequence, dir: Direction) -> Fraction:
-    """The rank-1 form b <p, e>^2; agrees with f_e exactly on products in {0,+1,-1}."""
-    t = linalg.inner(p, dir.e)
-    return dir.b * t * t
-
-
 def perturbed_form(a: QuadForm, dir: Direction) -> QuadForm:
     g = tuple(
         tuple(a.gram[i][j] + dir.b * dir.e[i] * dir.e[j] for j in range(a.dim))
@@ -107,28 +92,6 @@ def perturbed_form(a: QuadForm, dir: Direction) -> QuadForm:
 def _free(p: Sequence, e: Sequence) -> bool:
     """True iff <p, e> lies in {0, +1, -1}."""
     return linalg.inner(p, e) in (0, 1, -1)
-
-
-def p_e_set(normals: Iterable[Sequence], e: Sequence) -> tuple[IntVec, ...]:
-    """The normals whose product with e lies in {0, +1, -1}."""
-    ev = linalg.exact_vec(e)
-    return tuple(p for p in _integer_normals(normals) if _free(p, ev))
-
-
-def segment_as_polytope(dir: Direction, normals: Iterable[Sequence]) -> HPolytope:
-    """The segment b*[-e, e] as the cell {x : <p, x> <= f_e(p)}.
-
-    Needs the products <p, e> to realise a zero and both signs over the
-    normal set, otherwise the inequalities cut out more than the segment.
-    """
-    ns = [linalg.vec(p) for p in normals]
-    prods = [linalg.inner(p, dir.e) for p in ns]
-    if not any(t == 0 for t in prods):
-        raise SegmentHypothesisError("no normal orthogonal to e")
-    if not (any(t > 0 for t in prods) and any(t < 0 for t in prods)):
-        raise SegmentHypothesisError("products do not attain both signs")
-    d = len(dir.e)
-    return polytope.hpolytope(d, [(p, dir.b * abs(t)) for p, t in zip(ns, prods)])
 
 
 def _integer_normals(normals: Iterable[Sequence]) -> list[IntVec]:

@@ -4,7 +4,10 @@ Every coordinate and form value is rendered as an exact rational string
 "p/q" (or "p" when the denominator is 1); counts and dimensions stay as
 JSON numbers.  Vertices are rendered straight from a cell's integer points
 and their common denominator (`VPolytope.points` and `scale`), with one gcd
-per coordinate and no Fraction formed.  The OFF export is the single
+per coordinate and no Fraction formed.  A document is rendered in one pass,
+byte-identical to `json.dumps(obj, sort_keys=True, indent=2)`: the stdlib
+uses its C encoder only without `indent`, and its pure-Python one spends
+generator frames on every vector entry.  The OFF export is the single
 deliberately lossy surface: display-only decimals at 12 significant digits.
 """
 
@@ -13,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 from math import gcd
 from typing import Sequence
 
@@ -48,7 +52,45 @@ def _vertex_strings(v: VPolytope) -> list[list[str]]:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """obj as `json.dumps(obj, sort_keys=True, indent=2)` renders it, plus a newline."""
+    out: list[str] = []
+    _render(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(x, nl: str, out: list[str]) -> None:
+    """Append the JSON of x to out; nl is a newline and the indent of x's own line."""
+    if isinstance(x, (list, tuple)) and x:
+        inner = nl + "  "
+        kinds = set(map(type, x))
+        if kinds == {int}:
+            out += ("[", inner, ("," + inner).join(map(int.__repr__, x)), nl, "]")
+        elif kinds == {str}:
+            out += ("[", inner, ("," + inner).join(map(_string, x)), nl, "]")
+        else:
+            sep = "[" + inner
+            for y in x:
+                out.append(sep)
+                _render(y, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif type(x) is str:
+        out.append(_string(x))
+    elif type(x) is int:
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict) and x:
+        inner = sep = nl + "  "
+        out.append("{")
+        for k in sorted(x):
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out += (sep, _string(k), ": ")
+            _render(x[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:  # bool, None, a float, an empty list or dict; any type JSON lacks raises TypeError
+        out.append(json.dumps(x))
 
 
 def form_to_dict(a: QuadForm) -> dict:

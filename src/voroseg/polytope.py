@@ -457,11 +457,6 @@ def _heights(v: VPolytope, q: Sequence) -> tuple[list[int], int]:
     return [sum(map(operator.mul, qi, x)) for x in v.points], den * v.scale
 
 
-def support_value(v: VPolytope, q: Sequence) -> Fraction:
-    heights, den = _heights(v, q)
-    return Fraction(max(heights), den)
-
-
 @dataclass(frozen=True)
 class Face:
     """A proper face, carried as the facets containing it and its vertices."""
@@ -662,12 +657,6 @@ def classify_products(prods: Sequence) -> str:
     if any(p > 0 for p in prods) and any(p < 0 for p in prods):
         return DIRECT_SUM
     return SHIFT
-
-
-def classify_face(v: VPolytope, face: Face, e: Sequence) -> str:
-    """classify_products of e's products with the normals of the facets on the face."""
-    ev = linalg.exact_vec(e)
-    return classify_products([linalg.inner(v.hpoly.ineqs[i].normal, ev) for i in face.facets])
 
 
 def voronoi_cell(a: QuadForm) -> VPolytope:

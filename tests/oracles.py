@@ -5,9 +5,11 @@ plain box scan, dual sets from a box scan bounded by an inverse computed
 here or from every sign pattern through that inverse, vertices from
 solving all d-subsets of inequalities, face dimensions from eliminating
 vertex differences, determinants from the same elimination, and
-Minkowski sums from translating vertex sets.  The commensurate vectors and
-layer indices of the paper's lemmas, which only the tests ask for, live
-here too, and so does a random unimodular change of basis.
+Minkowski sums from translating vertex sets.  The commensurate vectors,
+layer indices, segment supports f_e and a_e, the set P(e) and the segment
+as a cell of the paper's lemmas, and a cell's support values and face
+classes under e, which only the tests ask for, live here too, and so does
+a random unimodular change of basis.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from voroseg import lattice, linalg
+from voroseg import extension, lattice, linalg, polytope
 
 
 def random_pd_form_box6(rng, d: int) -> "lattice.QuadForm":
@@ -265,6 +267,50 @@ def layer_index(e, v) -> int:
     if prod.denominator != 1:
         raise NonIntegralLayerError(f"<e,v> = {prod} is not an integer")
     return int(prod)
+
+
+class SegmentHypothesisError(extension.ExtensionError):
+    pass
+
+
+def f_e(p, dir: "extension.Direction") -> Fraction:
+    """Support of the weighted segment in direction p: b * |<p, e>|."""
+    return dir.b * abs(linalg.inner(p, dir.e))
+
+
+def a_e(p, dir: "extension.Direction") -> Fraction:
+    """The rank-1 form b <p, e>^2; agrees with f_e exactly on products in {0,+1,-1}."""
+    t = linalg.inner(p, dir.e)
+    return dir.b * t * t
+
+
+def p_e_set(normals, e) -> tuple:
+    """The normals whose product with e lies in {0, +1, -1}, as sorted int tuples."""
+    return tuple(sorted(tuple(p) for p in normals if linalg.inner(p, e) in (0, 1, -1)))
+
+
+def segment_as_polytope(dir: "extension.Direction", normals) -> "polytope.HPolytope":
+    """The segment b*[-e, e] as the cell {x : <p, x> <= f_e(p)}.
+
+    Needs the products <p, e> to realise a zero and both signs over the
+    normal set, otherwise the inequalities cut out more than the segment.
+    """
+    prods = [linalg.inner(p, dir.e) for p in normals]
+    if 0 not in prods:
+        raise SegmentHypothesisError("no normal orthogonal to e")
+    if not (any(t > 0 for t in prods) and any(t < 0 for t in prods)):
+        raise SegmentHypothesisError("products do not attain both signs")
+    return polytope.hpolytope(len(dir.e), [(p, dir.b * abs(t)) for p, t in zip(normals, prods)])
+
+
+def support_value(v: "polytope.VPolytope", q) -> Fraction:
+    """max <q, x> over the vertices x of the cell."""
+    return max(linalg.inner(linalg.vec(q), x) for x in v.vertices)
+
+
+def classify_face(v: "polytope.VPolytope", face: "polytope.Face", e) -> str:
+    """polytope.classify_products of e's products with the normals of the facets on the face."""
+    return polytope.classify_products([linalg.inner(v.hpoly.ineqs[i].normal, e) for i in face.facets])
 
 
 def random_unimodular(rng, d: int, shears: int) -> tuple:

@@ -10,7 +10,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import box_scan_minima, check_sum_against_candidates, layer_index, random_pd_form_box6
+from oracles import (
+    box_scan_minima,
+    check_sum_against_candidates,
+    layer_index,
+    random_pd_form_box6,
+    segment_as_polytope,
+)
 from voroseg import lattice, linalg
 from voroseg.extension import (
     CannotNormalizeError,
@@ -19,7 +25,6 @@ from voroseg.extension import (
     dual_set,
     lemma_l8_check,
     normalize_direction,
-    segment_as_polytope,
     subset_check,
     sum_with_segment,
     voronoi_of_sum_form,

@@ -344,3 +344,29 @@ def test_rat_renders_ints_and_fractions_only():
     for bad in (1 / 3, 2.0, True, "1/2"):
         with pytest.raises(TypeError):
             jsonio.rat(bad)
+
+
+@pytest.mark.parametrize("argv, clash", [
+    (["cell", "--form", "{form}", "--lattice", "An", "--n", "2"], "--form and --lattice and --n given"),
+    (["relevant", "--form", "{form}", "--lattice", "An"], "--form and --lattice given"),
+    (["check", "--job", "{job}", "--form", "{form}"], "--job and --form given"),
+    (["check", "--job", "{job}", "--lattice", "An", "--n", "2"], "--job and --lattice and --n given"),
+    (["check", "--form", "{form}", "--lattice", "An", "--e=0,1"], "--form and --lattice given"),
+    (["check", "--job", "{job}", "--form", "{form}", "--lattice", "An"], "--job and --form and --lattice given"),
+    (["relevant", "--form", "{form}", "--n", "5"], "--form and --n given"),
+    (["check", "--job", "{job}", "--n", "2"], "--job and --n given"),
+    (["dual-set", "--n", "2"], "--n given"),
+    (["verify"], "no form given"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_second_form_source_exits_2(tmp_path, capsys, monkeypatch, argv, clash):
+    # each of these used to run on one source and silently drop the other
+    monkeypatch.setattr(cli, "catalog", lambda *a: pytest.fail("catalog form built"))
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"catalogName": "An", "n": 2, "e": [0, 1], "b": ["1"]}))
+    form = Path(__file__).parent / "data" / "form_d4_mixed.json"
+    with pytest.raises(SystemExit) as exc:
+        main([x.format(form=form, job=job) for x in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"voroseg {argv[0]}: error: {clash}") and captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -9,9 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    SegmentHypothesisError,
+    a_e,
     box_scan_dual_set,
     box_scan_minima,
     check_sum_against_candidates,
+    f_e,
+    p_e_set,
+    segment_as_polytope,
     sign_pattern_dual_set,
 )
 from voroseg import extension, lattice, linalg, polytope
@@ -20,17 +25,12 @@ from voroseg.extension import (
     Direction,
     NormalSetMismatchError,
     NotInDualSetError,
-    SegmentHypothesisError,
-    a_e,
     check_theorem,
     dual_set,
-    f_e,
     in_dual_set,
     lemma_l8_check,
     normalize_direction,
-    p_e_set,
     perturbed_form,
-    segment_as_polytope,
     subset_check,
     sum_with_segment,
     voronoi_of_sum_form,

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import affine_direction_space, brute_force_vertices, mat_mul, null_basis
+from oracles import (
+    affine_direction_space,
+    brute_force_vertices,
+    classify_face,
+    mat_mul,
+    null_basis,
+    segment_as_polytope,
+    support_value,
+)
 from voroseg import extension, jsonio, lattice, linalg, polytope
 from voroseg.lattice import catalog, coset_minima
 from voroseg.polytope import (
@@ -32,10 +40,8 @@ from voroseg.polytope import (
     hpolytope,
     irreducibility_graph,
     is_parallelotope,
-    classify_face,
     prune_to_facets,
     shadow_boundary,
-    support_value,
     voronoi_cell,
 )
 
@@ -386,7 +392,7 @@ def _flat_segment_cells():
     for name, n in [("An", 2), ("Zn", 3), ("Dn", 4)]:
         cs = coset_minima(catalog(name, n))
         for e in extension.dual_set(cs.facet_normals()).members[:2]:
-            h = extension.segment_as_polytope(extension.Direction(e, F(1, 2)), cs.contact_vectors())
+            h = segment_as_polytope(extension.Direction(e, F(1, 2)), cs.contact_vectors())
             out.append(enumerate_vertices(h))
     return out
 

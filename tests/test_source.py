@@ -35,3 +35,21 @@ def test_cli_never_exits_with_a_message():
         )
     ]
     assert not found, found
+
+
+def test_one_json_writer():
+    # the stdlib renders `indent` in pure Python; every document goes through
+    # jsonio._render, which hands json.dumps only a scalar or an empty container
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("json", "json.encoder"):
+                found += [(path.name, alias.name) for alias in node.names if alias.name in ("dump", "dumps")]
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.dump", "json.dumps"):
+                fn = node
+                while not isinstance(fn, (ast.FunctionDef, ast.Module)):
+                    fn = parents[fn]
+                found.append((path.name, getattr(fn, "name", "<module>")))
+    assert found == [("jsonio.py", "_render")], found
