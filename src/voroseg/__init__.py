@@ -13,7 +13,6 @@ from .polytope import (
     Face,
     HPolytope,
     VPolytope,
-    adjacency_check,
     belts,
     build_cell,
     codim2_faces,
@@ -31,7 +30,6 @@ from .extension import (
     check_theorem,
     dual_set,
     normalize_direction,
-    subset_check,
     sum_with_segment,
     voronoi_of_sum_form,
 )

@@ -42,29 +42,33 @@ def _within_cap(n) -> None:
         raise lattice.DimensionCapError(f"dimension {n} exceeds enumeration cap {lattice.DEFAULT_DIM_CAP}")
 
 
-def _load_form(args) -> lattice.QuadForm:
-    """The form of the one source given; bad input exits with status 2, a catalog n before its form is built."""
+def _load_form(args) -> tuple[lattice.QuadForm, dict]:
+    """The form of the one source given, and the --job document ({} without one), read once.
+
+    Bad input exits with status 2, a catalog n before its form is built.
+    """
     flags = [f for f in ("--job", "--form", "--lattice") if hasattr(args, f[2:])]
     given = [f for f in flags + ["--n"] if getattr(args, f[2:]) is not None]
     if given not in (["--job"], ["--form"], ["--lattice"], ["--lattice", "--n"]):
         why = " and ".join(given) + " given" if given else "no form given"
         _input_error(args.command, f"{why}: give exactly one of {', '.join(flags)}, and --n only with --lattice")
+    job: dict = {}
     try:
         if given == ["--job"]:
-            doc = json.loads(Path(args.job).read_text())
-            if isinstance(doc, dict) and "catalogName" in doc:
-                _within_cap(doc.get("n"))
-                return catalog(doc["catalogName"], doc.get("n"))
-            a = jsonio.form_from_dict(doc)
+            job = json.loads(Path(args.job).read_text())
+            if isinstance(job, dict) and "catalogName" in job:
+                _within_cap(job.get("n"))
+                return catalog(job["catalogName"], job.get("n")), job
+            a = jsonio.form_from_dict(job)  # which refuses any document but a dict
         elif given == ["--form"]:
             a = jsonio.form_from_dict(json.loads(Path(args.form).read_text()))
         else:
             _within_cap(args.n)
-            return catalog(args.lattice, args.n)
+            return catalog(args.lattice, args.n), job
         _within_cap(a.dim)
     except (OSError, ValueError, lattice.LatticeError) as exc:  # JSONDecodeError is a ValueError
         _input_error(args.command, str(exc))
-    return a
+    return a, job
 
 
 def _rationals(entries) -> tuple[Fraction, ...] | None:
@@ -113,7 +117,7 @@ def _emit(args, doc: dict, summary: str) -> None:
 
 
 def cmd_cell(args) -> int:
-    a = _load_form(args)
+    a, _ = _load_form(args)
     if args.off and a.dim > 3:
         _input_error("cell", f"--off needs d <= 3; got d {a.dim}")
     doc: dict = {"form": jsonio.form_to_dict(a)}
@@ -140,7 +144,7 @@ def cmd_cell(args) -> int:
 
 
 def cmd_relevant(args) -> int:
-    a = _load_form(args)
+    a, _ = _load_form(args)
     cs = coset_minima(a)
     doc = {"form": jsonio.form_to_dict(a), "contacts": jsonio.contacts_to_dict(cs)}
     summary = (
@@ -152,7 +156,7 @@ def cmd_relevant(args) -> int:
 
 
 def cmd_dual_set(args) -> int:
-    a = _load_form(args)
+    a, _ = _load_form(args)
     ds = extension.dual_set(coset_minima(a).facet_normals())
     doc = {"form": jsonio.form_to_dict(a), "dual_set": jsonio.dual_set_to_dict(ds)}
     _emit(args, doc, f"dual-set: {len(ds.members)} members")
@@ -160,10 +164,9 @@ def cmd_dual_set(args) -> int:
 
 
 def cmd_check(args) -> int:
-    a = _load_form(args)
-    doc_in = json.loads(Path(args.job).read_text()) if args.job else {}
-    e = args.e or doc_in.get("e")
-    bs = args.b or doc_in.get("b")
+    a, job = _load_form(args)
+    e = args.e or job.get("e")
+    bs = args.b or job.get("b")
     if e is None:
         _input_error("check", "needs --e (or a --job file with an e entry)")
     e = _direction(e, a.dim)
@@ -183,7 +186,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    a = _load_form(args)
+    a, _ = _load_form(args)
     try:
         v = polytope.voronoi_cell(a)
     except polytope.VRepCapError as exc:

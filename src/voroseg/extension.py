@@ -57,10 +57,6 @@ class NotInDualSetError(ExtensionError):
     pass
 
 
-class NormalSetMismatchError(ExtensionError):
-    pass
-
-
 @dataclass(frozen=True)
 class Direction:
     """A segment direction e with weight b > 0 (segment = b * [-e, e]).
@@ -236,39 +232,6 @@ def voronoi_of_sum_form(a: QuadForm, dir: Direction) -> HPolytope:
         raise ValueError("voronoi_of_sum_form needs an integer (normalized) e")
     a2 = perturbed_form(a, dir)
     return build_cell(a2, coset_minima(a2).facet_normals())
-
-
-def subset_check(
-    h1: HPolytope,
-    h2: HPolytope,
-    v1: VPolytope | None = None,
-    v2: VPolytope | None = None,
-) -> tuple[bool, Vec | None]:
-    """Check P(s1) + P(s2) inside P(s1 + s2) over a shared normal set.
-
-    This is a theorem for support-function sums, so a False return (with
-    the offending vertex sum as witness) signals an implementation bug.
-    The support of a Minkowski sum is the sum of the supports, so one
-    maximiser per summand and inequality decides.  Precomputed vertex
-    representations may be passed to avoid re-enumeration.
-    """
-    if h1.normals != h2.normals:
-        raise NormalSetMismatchError("the two cells must share their normal set")
-    total = polytope.hpolytope(
-        h1.dim,
-        [(iq1.normal, iq1.support + iq2.support) for iq1, iq2 in zip(h1.ineqs, h2.ineqs)],
-    )
-    v1 = v1 if v1 is not None and v1.hpoly == h1 else enumerate_vertices(h1)
-    v2 = v2 if v2 is not None and v2.hpoly == h2 else enumerate_vertices(h2)
-    for iq in total.ineqs:
-        tops = []
-        for v in (v1, v2):
-            top = max(v.points, key=functools.partial(linalg.inner, iq.normal))
-            tops.append(linalg.vscale(Fraction(1, v.scale), top))
-        s = linalg.vadd(*tops)
-        if linalg.dot(iq.normal, s) > iq.support:
-            return False, s
-    return True, None
 
 
 def lemma_l8_check(a: QuadForm, cell: VPolytope, e: Sequence) -> bool:

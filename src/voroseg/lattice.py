@@ -20,7 +20,7 @@ from math import isqrt, lcm
 from typing import Iterator
 
 from . import linalg
-from .linalg import Mat
+from .linalg import Mat, Vec
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -68,6 +68,14 @@ class QuadForm:
         den = _lcm_denominator(x for row in self.gram for x in row)
         return tuple(tuple(int(x * den) for x in row) for row in self.gram), den
 
+    @functools.cached_property
+    def ldl(self) -> tuple[Mat, Vec]:
+        """(L, D) with A = L D L^T, factored once per form; `make_form` tests positive definiteness here."""
+        try:
+            return linalg.ldl(self.gram)
+        except linalg.LinAlgError:  # ldl's only failure on a symmetric matrix: a pivot <= 0
+            raise NotPositiveDefiniteError("Gram matrix must be positive definite") from None
+
 
 def make_form(gram) -> QuadForm:
     """Validate a Gram matrix and wrap it as a form.
@@ -81,9 +89,9 @@ def make_form(gram) -> QuadForm:
         raise NotSymmetricError("Gram matrix must be square and nonempty")
     if not linalg.is_symmetric(m):
         raise NotSymmetricError("Gram matrix must be symmetric")
-    if not linalg.is_positive_definite(m):
-        raise NotPositiveDefiniteError("Gram matrix must be positive definite")
-    return QuadForm(dim=d, gram=m)
+    a = QuadForm(dim=d, gram=m)
+    a.ldl  # raises NotPositiveDefiniteError; coset_minima reads the factors
+    return a
 
 
 def eval_form(a: QuadForm, p) -> Fraction:
@@ -238,7 +246,7 @@ def coset_minima(a: QuadForm) -> ContactVectorSet:
     if d > DEFAULT_DIM_CAP:
         raise DimensionCapError(f"dimension {d} exceeds enumeration cap {DEFAULT_DIM_CAP}")
     g, den = a.integer_gram
-    L, D = linalg.ldl(a.gram)
+    L, D = a.ldl
     m = _lcm_denominator(x for row in L for x in row)
     k = _lcm_denominator(D)
     lm = tuple(tuple(int(x * m) for x in row) for row in L)

@@ -36,10 +36,6 @@ class DimensionMismatchError(LinAlgError):
     pass
 
 
-class NonSymmetricError(LinAlgError):
-    pass
-
-
 class InconsistentSystemError(LinAlgError):
     """The system has no solution."""
 
@@ -241,17 +237,6 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], i
     if pivots[:n] != list(range(n)):
         raise LinAlgError("adjugate needs a nonsingular matrix")
     return tuple(tuple(sign * x for x in r[n:]) for r in rows), sign * p
-
-
-def is_positive_definite(m: Mat) -> bool:
-    """Exact test: the LDL^T pivots, ratios of leading principal minors, are all positive."""
-    if not is_symmetric(m):
-        raise NonSymmetricError("positive-definiteness test needs a symmetric matrix")
-    try:
-        ldl(m)
-    except LinAlgError:  # ldl's only failure on a symmetric matrix: a pivot <= 0
-        return False
-    return True
 
 
 def ldl(m: Mat) -> tuple[Mat, Vec]:

@@ -10,18 +10,21 @@ inequality list, from a simplicial cone, in integer arithmetic:
 inequalities are integer rows, vertices primitive homogeneous integer
 pairs and tight sets bitmasks, and the result keeps the vertices x as the
 integer points Q x over one common denominator Q (`VPolytope.points`).
-Per inequality, the mask of the vertices on it persists
-across insertions, and adjacency candidates are counted through these
-masks.  On top of it sit face extraction, belts, the tiling
-(parallelotope) verifier, the facet graph used for irreducibility, and
-shadow-boundary classification.  Facets and ridges are found by counting
-the facets on a face through the tight sets the double description keeps
-per vertex: in a full-dimensional cell a facet's vertices lie on no other
-inequality, a ridge's on exactly its two facets and a smaller face's on
-three or more (Ziegler, Lectures on Polytopes, 2.1).  Rank, an integer
-RREF (`linalg.integer_rref`), is formed only for `affine_rank` and for one
-direction space per belt; a ridge's belt is named by the plane of its two
-facets' normals.  Faces are
+Per inequality, the mask of the vertices on it persists across
+insertions.  The edges of a simple vertex, tight on exactly d rows, are
+read from ANDs of these masks; only between two non-simple vertices are
+adjacency candidates counted through them and tested.  On top of it sit
+face extraction, belts, the tiling (parallelotope) verifier, the facet
+graph used for irreducibility, and shadow-boundary classification.
+Facets and ridges are found by counting the facets on a face through the
+tight sets the double description keeps per vertex: in a full-dimensional
+cell a facet's vertices lie on no other inequality, a ridge's on exactly
+its two facets and a smaller face's on three or more (Ziegler, Lectures
+on Polytopes, 2.1).  Rank, an integer RREF (`linalg.integer_rref`), is
+formed only for `affine_rank`; a ridge's belt is named by the plane of
+its two facets' normals, and the belt's direction space is written down
+from their 2x2 minors (`_belt_space`).  Ridges, belts and the tiling
+verdict are computed once per cell and kept on it.  Faces are
 classified against a segment direction e by the signs of the products
 <p, e> of their facets' normals (`classify_products`), each formed once
 per inequality.
@@ -58,10 +61,6 @@ class EmptyPolytopeError(PolytopeError):
 
 
 class VRepCapError(PolytopeError):
-    pass
-
-
-class NotFacetNormalError(PolytopeError):
     pass
 
 
@@ -170,15 +169,15 @@ class VPolytope:
         return tuple(tuple(r) for r in rows)
 
     @functools.cached_property
-    def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[IntMat, list[int]], ...]]:
-        """The (d-2)-faces sorted by vertex ids, and per belt its direction space and ridges.
+    def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[IntMat, tuple[int, int], list[int]], ...]]:
+        """The (d-2)-faces sorted by vertex ids, and per belt its direction space, free columns and ridges.
 
         In a full-dimensional cell a ridge lies on exactly 2 facets (the diamond
         property) and a smaller face on at least 3, so a facet pair is a ridge iff
         its common vertices, at least d - 1 of them, lie on no third facet.  Every
         inequality tight on a ridge has its normal in the plane of the pair's
         normals, so the pair's primitive 2x2 minors, first one positive, name the
-        ridge's belt, whose direction space is formed once, from its first ridge's pair.
+        ridge's belt, whose direction space is formed once, from its first ridge's pair (`_belt_space`).
         """
         d = self.dim
         if self.affine_rank < d:
@@ -198,15 +197,15 @@ class VPolytope:
                 if _meet(on_facets, ids, pair) == pair:
                     found.append((tuple(ids), i, j))
         faces: list[Face] = []
-        by_key: dict[IntVec, tuple[IntMat, list[int]]] = {}
+        by_key: dict[IntVec, tuple[IntMat, tuple[int, int], list[int]]] = {}
         for ids, i, j in sorted(found):
             p, q = normals[i], normals[j]
             minors = [p[k] * q[m] - p[m] * q[k] for k, m in itertools.combinations(range(d), 2)]
             g = gcd(*minors) if _pivot(minors) > 0 else -gcd(*minors)
             key = tuple(x // g for x in minors)
             if key not in by_key:
-                by_key[key] = (_direction_space([p, q], d), [])
-            space, face_ids = by_key[key]
+                by_key[key] = (*_belt_space(p, q), [])
+            space, _, face_ids = by_key[key]
             face_ids.append(len(faces))
             faces.append(Face((i, j), ids, d - 2, space))
         return tuple(faces), tuple(by_key.values())
@@ -218,22 +217,18 @@ class VPolytope:
         normals = self.hpoly.normals
         # a primitive row is its pivot times the RREF row, so over the lcm of all
         # pivots the rows are ints that sort like the RREF rows: the belt order is kept
-        den = lcm(*(_pivot(r) for space, _ in groups for r in space))
+        den = lcm(*(_pivot(r) for space, _, _ in groups for r in space))
 
         def key(group):  # one pivot per row
             return [[x * k for x in r] for r, k in zip(group[0], [den // _pivot(r) for r in group[0]])]
 
         out = []
-        for space, face_ids in sorted(groups, key=key):
+        for space, free, face_ids in sorted(groups, key=key):
             facet_set: set[int] = set()
             for fi in face_ids:
                 facet_set.update(faces[fi].facets)
             # the null space of the RREF direction space is the identity at its two
             # free columns, so a normal's coordinates in that basis are its entries there
-            pivots = {next(j for j, x in enumerate(r) if x) for r in space}
-            free = [j for j in range(self.dim) if j not in pivots]
-            if len(free) != 2:
-                raise PolytopeError("belt direction space must have codimension 2")
             projected = []
             for i in sorted(facet_set):
                 n = normals[i]
@@ -247,10 +242,50 @@ class VPolytope:
             out.append(Belt(direction_space=space, facet_ids=cyc, face_ids=tuple(face_ids)))
         return tuple(out)
 
+    @functools.cached_property
+    def _verdict(self) -> ParallelotopeVerdict:
+        """The tiling verdict; read through `is_parallelotope`."""
+        pts = self.points
+        # negation reverses lexicographic order, so the antipode of vertex i is n-1-i
+        if any(x != linalg.vneg(y) for x, y in zip(pts, reversed(pts))):
+            return ParallelotopeVerdict(ok=False, failure="central-symmetry")
+        # through `belts`, not `_belts`: bench/tracer.py counts its calls
+        for bi, belt in enumerate(belts(self)):
+            if belt.length not in (4, 6):
+                return ParallelotopeVerdict(ok=False, failure="belt", belt_index=bi, belt_length=belt.length)
+        for i in self.facet_ids:
+            ids = self.incidence[i]
+            # likewise a point reflection of the facet would map its k-th vertex to its (m-1-k)-th
+            if len({linalg.vadd(pts[j], pts[k]) for j, k in zip(ids, reversed(ids))}) > 1:
+                return ParallelotopeVerdict(ok=False, failure="facet-symmetry", facet_id=i)
+        return ParallelotopeVerdict(ok=True)
 
-def _direction_space(rows: Sequence[Sequence[int]], d: int) -> IntMat:
-    """Primitive integer RREF rows (`linalg.integer_rref`) of the subspace of R^d orthogonal to rows."""
-    return linalg.integer_rref(linalg.null_space(rows, d))
+
+def _belt_space(p: IntVec, q: IntVec) -> tuple[IntMat, tuple[int, int]]:
+    """The integer RREF (`linalg.integer_rref`) of the space orthogonal to independent p and q, and its free columns.
+
+    With the minors m(x, y) = p_x q_y - p_y q_x, b the last column where p or
+    q is nonzero and a the last column before b with m(a, b) != 0, the vector
+    with m(a, b) at j, -m(j, b) at a and -m(a, j) at b is orthogonal to p and q
+    (the expansion of a 3x3 determinant with a repeated row).  Between a and b
+    m(j, b) = 0, and past b both minors are 0, so these rows for j != a, b,
+    made primitive with a positive pivot, are the RREF rows with pivot j.
+    """
+
+    def m(x: int, y: int) -> int:
+        return p[x] * q[y] - p[y] * q[x]
+
+    b = max(j for j, (x, y) in enumerate(zip(p, q)) if x or y)
+    a = next(j for j in range(b - 1, -1, -1) if m(j, b))
+    mab = m(a, b)
+    rows = []
+    for j in range(len(p)):
+        if j != a and j != b:
+            r = [0] * len(p)
+            r[j], r[a], r[b] = mab, -m(j, b), -m(a, j)
+            g = gcd(*r) if mab > 0 else -gcd(*r)
+            rows.append(tuple(x // g for x in r))
+    return tuple(rows), (a, b)
 
 
 def _pivot(row: Sequence[int]) -> int:
@@ -273,12 +308,14 @@ def _face_dim(normals: Sequence[Sequence[int]], eq: Iterable[int]) -> int:
     return len(normals[0]) - len(linalg.integer_rref([normals[i] for i in eq]))
 
 
-def _bits(mask: int) -> Iterable[int]:
-    """The positions of the set bits of mask, lowest first."""
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, highest first."""
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        b = mask.bit_length() - 1
+        out.append(b)
+        mask ^= 1 << b
+    return out
 
 
 def enumerate_vertices(h: HPolytope) -> VPolytope:
@@ -292,11 +329,19 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     u and w are adjacent iff the vertices on every inequality tight at both
     are exactly u and w (Fukuda & Prodon 1996).  Vertex ids are never
     reused, so each inequality's mask of the live vertices on it is kept
-    across insertions and only changed where vertices leave or arrive.  The
-    plus vertices that share d - 1 tight inequalities with a minus vertex
-    w, the only ones that can be adjacent to it, are found by counting
-    through those masks in time linear in w's tight set, not by scanning
-    every plus vertex.  The result keeps the integer points.  Facets are
+    across insertions and only changed where vertices leave or arrive.  A
+    vertex is an extreme ray of the cone of the rows inserted so far, so its
+    tight rows have rank d.  When w is simple, tight on exactly d rows,
+    those rows are independent and each d - 1 of them cut out an edge of the
+    cone whose only other live vertex is the AND of their masks without w
+    (Ziegler, Lectures on Polytopes, ch. 3): prefix and suffix ANDs give all
+    d ends, with no count and no meet test.  Likewise a simple plus vertex
+    u that shares d - 1 rows with w shares an edge with it.  Only for two
+    non-simple vertices, whose d - 1 common rows need not be independent,
+    does the general path run: the plus vertices that share d - 1 tight
+    inequalities with w, the only ones that can be adjacent to it, are found
+    by counting through the masks in time linear in w's tight set, and the
+    meet test decides each.  The result keeps the integer points.  Facets are
     counted, and only affine_rank is ranked: in a full-dimensional cell,
     inequality i is a facet iff its vertices, at least d, lie on no other
     inequality, as a smaller face lies on two facets or more; a cell of
@@ -360,24 +405,45 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
         new_pts: dict[tuple[int, ...], int] = {}
         for w in minus:
             tw, sw, vw = tights[w], slack[w], verts[w]
-            # at_least[c]: the plus vertices tight on at least c of w's inequalities,
-            # so at_least[d-1] are those sharing d - 1 of them with w
-            at_least = [plus_mask] + [0] * (d - 1)
-            for i in _bits(tw):
-                o = on[i]
-                for c in range(d - 1, 0, -1):
-                    at_least[c] |= at_least[c - 1] & o
-            for u in _bits(at_least[d - 1]):
+            rows_w = _bits(tw)
+            ends = []
+            if len(rows_w) == d:
+                # w is simple: each d - 1 of its rows meet in an edge, whose live vertices
+                # are w and one more, the AND of the other rows' masks without w
+                pre = [alive & ~(1 << w)]
+                for i in rows_w[:-1]:
+                    pre.append(pre[-1] & on[i])
+                suf = -1
+                for c in range(d - 1, -1, -1):
+                    end = pre[c] & suf
+                    if end & (end - 1):
+                        raise PolytopeError("an edge of the double description holds three vertices")
+                    if end & plus_mask:
+                        ends.append(end.bit_length() - 1)
+                    suf &= on[rows_w[c]]
+            else:
+                # at_least[c]: the plus vertices tight on at least c of w's inequalities,
+                # so at_least[d-1] are those sharing d - 1 of them with w
+                at_least = [plus_mask] + [0] * (d - 1)
+                for i in rows_w:
+                    o = on[i]
+                    for c in range(d - 1, 0, -1):
+                        at_least[c] |= at_least[c - 1] & o
+                for u in _bits(at_least[d - 1]):
+                    # a simple u shares an edge's d - 1 rows with w; else no third
+                    # vertex may be tight wherever both are (combinatorial adjacency)
+                    if tights[u].bit_count() > d:
+                        pair = 1 << u | 1 << w
+                        meet = alive
+                        for i in _bits(tights[u] & tw):
+                            meet &= on[i]
+                            if meet == pair:
+                                break
+                        if meet != pair:
+                            continue
+                    ends.append(u)
+            for u in ends:
                 common = tights[u] & tw
-                # combinatorial adjacency: no third vertex is tight wherever both are
-                pair = 1 << u | 1 << w
-                meet = alive
-                for i in _bits(common):
-                    meet &= on[i]
-                    if meet == pair:
-                        break
-                if meet != pair:
-                    continue
                 su = slack[u]
                 x = tuple(su * b - sw * a for a, b in zip(verts[u], vw))
                 g = gcd(*x)
@@ -418,7 +484,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
             i for i in range(last) if on[i].bit_count() >= d and _meet(tights, _bits(on[i]), 1 << i) == 1 << i
         )
     else:
-        facet_ids = tuple(_bits(everywhere)) if affine_rank == d - 1 else ()
+        facet_ids = tuple(sorted(_bits(everywhere))) if affine_rank == d - 1 else ()
     return VPolytope(
         hpoly=h,
         scale=common_q,
@@ -470,7 +536,7 @@ class Face:
 def _face_from_vertices(v: VPolytope, vertex_ids: Sequence[int]) -> Face:
     ids = tuple(sorted(vertex_ids))
     eq = frozenset.intersection(*(v.tights[i] for i in ids))
-    dirs = _direction_space([v.hpoly.ineqs[i].normal for i in eq], v.dim)
+    dirs = linalg.integer_rref(linalg.null_space([v.hpoly.ineqs[i].normal for i in eq], v.dim))
     facets = tuple(i for i in v.facet_ids if i in eq)
     return Face(facets=facets, vertex_ids=ids, dim=len(dirs), direction_space=dirs)
 
@@ -544,22 +610,11 @@ class ParallelotopeVerdict:
 
 
 def is_parallelotope(v: VPolytope) -> ParallelotopeVerdict:
-    """Venkov-McMullen test: central symmetry, 4/6-belts, symmetric facets."""
-    pts = v.points
-    # negation reverses lexicographic order, so the antipode of vertex i is n-1-i
-    if any(x != linalg.vneg(y) for x, y in zip(pts, reversed(pts))):
-        return ParallelotopeVerdict(ok=False, failure="central-symmetry")
-    for bi, belt in enumerate(belts(v)):
-        if belt.length not in (4, 6):
-            return ParallelotopeVerdict(
-                ok=False, failure="belt", belt_index=bi, belt_length=belt.length
-            )
-    for i in v.facet_ids:
-        ids = v.incidence[i]
-        # likewise a point reflection of the facet would map its k-th vertex to its (m-1-k)-th
-        if len({linalg.vadd(pts[j], pts[k]) for j, k in zip(ids, reversed(ids))}) > 1:
-            return ParallelotopeVerdict(ok=False, failure="facet-symmetry", facet_id=i)
-    return ParallelotopeVerdict(ok=True)
+    """Venkov-McMullen test: central symmetry, 4/6-belts, symmetric facets.
+
+    Computed once per cell and kept on it, like its belts.
+    """
+    return v._verdict
 
 
 @dataclass(frozen=True)
@@ -667,22 +722,3 @@ def voronoi_cell(a: QuadForm) -> VPolytope:
     """
     normals = lattice.coset_minima(a).facet_normals()
     return enumerate_vertices(build_cell(a, normals))
-
-
-def adjacency_check(a: QuadForm, v: VPolytope, p: Sequence) -> bool:
-    """True iff the cell and its translate by 2Ap share exactly the facet F(p).
-
-    The translate lies beyond the hyperplane <p, x> = a(p), so sharing the
-    facet is equivalent to F(p) being centrally symmetric about Ap; as in
-    is_parallelotope, the reflection pairs the facet's k-th and (m-1-k)-th vertices.
-    """
-    pv = linalg.vec(p)
-    fid = next(
-        (i for i in v.facet_ids if v.hpoly.ineqs[i].normal == pv), None
-    )
-    if fid is None:
-        raise NotFacetNormalError(f"{tuple(p)} is not a facet normal of the cell")
-    shift = linalg.vscale(2 * v.scale, linalg.mat_vec(a.gram, pv))
-    ids = v.incidence[fid]
-    pts = v.points
-    return all(linalg.vadd(pts[j], pts[k]) == shift for j, k in zip(ids, reversed(ids)))

@@ -9,11 +9,13 @@ Minkowski sums from translating vertex sets.  The commensurate vectors,
 layer indices, segment supports f_e and a_e, the set P(e) and the segment
 as a cell of the paper's lemmas, and a cell's support values and face
 classes under e, which only the tests ask for, live here too, and so does
-a random unimodular change of basis.
+a random unimodular change of basis, with the positive-definiteness test,
+the support-sum inclusion check and the facet adjacency check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -332,3 +334,71 @@ def random_unimodular(rng, d: int, shears: int) -> tuple:
             row[i] += c * row[j]
         u_inv[j] = [x - c * y for x, y in zip(u_inv[j], u_inv[i])]  # row j -= c * row i
     return tuple(map(tuple, u)), tuple(map(tuple, u_inv))
+
+
+class NonSymmetricError(linalg.LinAlgError):
+    pass
+
+
+def is_positive_definite(m) -> bool:
+    """Exact test: the LDL^T pivots, ratios of leading principal minors, are all positive."""
+    if not linalg.is_symmetric(m):
+        raise NonSymmetricError("positive-definiteness test needs a symmetric matrix")
+    try:
+        linalg.ldl(m)
+    except linalg.LinAlgError:  # ldl's only failure on a symmetric matrix: a pivot <= 0
+        return False
+    return True
+
+
+class NormalSetMismatchError(extension.ExtensionError):
+    pass
+
+
+def subset_check(h1, h2, v1=None, v2=None) -> tuple:
+    """Check P(s1) + P(s2) inside P(s1 + s2) over a shared normal set.
+
+    This is a theorem for support-function sums, so a False return (with
+    the offending vertex sum as witness) signals an implementation bug.
+    The support of a Minkowski sum is the sum of the supports, so one
+    maximiser per summand and inequality decides.  Precomputed vertex
+    representations may be passed to avoid re-enumeration.
+    """
+    if h1.normals != h2.normals:
+        raise NormalSetMismatchError("the two cells must share their normal set")
+    total = polytope.hpolytope(
+        h1.dim,
+        [(iq1.normal, iq1.support + iq2.support) for iq1, iq2 in zip(h1.ineqs, h2.ineqs)],
+    )
+    v1 = v1 if v1 is not None and v1.hpoly == h1 else polytope.enumerate_vertices(h1)
+    v2 = v2 if v2 is not None and v2.hpoly == h2 else polytope.enumerate_vertices(h2)
+    for iq in total.ineqs:
+        tops = []
+        for v in (v1, v2):
+            top = max(v.points, key=functools.partial(linalg.inner, iq.normal))
+            tops.append(linalg.vscale(Fraction(1, v.scale), top))
+        s = linalg.vadd(*tops)
+        if linalg.dot(iq.normal, s) > iq.support:
+            return False, s
+    return True, None
+
+
+class NotFacetNormalError(polytope.PolytopeError):
+    pass
+
+
+def adjacency_check(a: "lattice.QuadForm", v: "polytope.VPolytope", p) -> bool:
+    """True iff the cell and its translate by 2Ap share exactly the facet F(p).
+
+    The translate lies beyond the hyperplane <p, x> = a(p), so sharing the
+    facet is equivalent to F(p) being centrally symmetric about Ap; as in
+    is_parallelotope, the reflection pairs the facet's k-th and (m-1-k)-th vertices.
+    """
+    pv = linalg.vec(p)
+    fid = next((i for i in v.facet_ids if v.hpoly.ineqs[i].normal == pv), None)
+    if fid is None:
+        raise NotFacetNormalError(f"{tuple(p)} is not a facet normal of the cell")
+    shift = linalg.vscale(2 * v.scale, linalg.mat_vec(a.gram, pv))
+    ids = v.incidence[fid]
+    pts = v.points
+    return all(linalg.vadd(pts[j], pts[k]) == shift for j, k in zip(ids, reversed(ids)))

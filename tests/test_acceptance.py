@@ -16,6 +16,7 @@ from oracles import (
     layer_index,
     random_pd_form_box6,
     segment_as_polytope,
+    subset_check,
 )
 from voroseg import lattice, linalg
 from voroseg.extension import (
@@ -25,7 +26,6 @@ from voroseg.extension import (
     dual_set,
     lemma_l8_check,
     normalize_direction,
-    subset_check,
     sum_with_segment,
     voronoi_of_sum_form,
 )

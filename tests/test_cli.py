@@ -111,6 +111,20 @@ def test_check_job_file(tmp_path, capsys):
     assert "in_dual_set=True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("form", [{"catalogName": "An", "n": 2}, {"gram": [["2", "-1"], ["-1", "2"]]}],
+                         ids=["catalog", "gram"])
+def test_check_job_file_is_read_once(tmp_path, capsys, monkeypatch, form):
+    # a second read could take the form and the e/b entries from two versions of the file
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(form | {"e": [0, 1], "b": ["1/2", "1"]}))
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: reads.append(self) or read_text(self, *a, **k))
+    assert main(["check", "--job", str(job)]) == 0
+    assert reads.count(job) == 1
+    assert "e=[0, 1] in_dual_set=True" in capsys.readouterr().out
+
+
 def test_verify(capsys):
     assert main(["verify", "--lattice", "Dn", "--n", "4"]) == 0
     assert "parallelotope=True irreducible=True" in capsys.readouterr().out

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    NormalSetMismatchError,
     SegmentHypothesisError,
     a_e,
     box_scan_dual_set,
@@ -18,12 +19,12 @@ from oracles import (
     p_e_set,
     segment_as_polytope,
     sign_pattern_dual_set,
+    subset_check,
 )
 from voroseg import extension, lattice, linalg, polytope
 from voroseg.extension import (
     CannotNormalizeError,
     Direction,
-    NormalSetMismatchError,
     NotInDualSetError,
     check_theorem,
     dual_set,
@@ -31,7 +32,6 @@ from voroseg.extension import (
     lemma_l8_check,
     normalize_direction,
     perturbed_form,
-    subset_check,
     sum_with_segment,
     voronoi_of_sum_form,
 )

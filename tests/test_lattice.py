@@ -42,6 +42,16 @@ def test_make_form_rejects_bad_input():
         make_form([[1, 0, 0], [0, 1, 0]])
 
 
+def test_one_ldl_per_form(monkeypatch):
+    # make_form's positive-definiteness test factors the Gram; the minima search reuses it
+    calls = []
+    fn = linalg.ldl
+    monkeypatch.setattr(linalg, "ldl", lambda m: calls.append(m) or fn(m))
+    a = make_form([[2, -1, 0], [-1, 2, -1], [0, -1, 3]])
+    lattice.coset_minima.__wrapped__(a)  # past the memo, which could answer without a search
+    assert calls == [a.gram]
+
+
 def test_eval_form_examples():
     z2 = catalog("Zn", 2)
     a2 = catalog("An", 2)

@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _reduced_rows, det, mat_mul, null_basis
+from oracles import NonSymmetricError, _reduced_rows, det, is_positive_definite, mat_mul, null_basis
 from voroseg import jsonio, linalg
 from voroseg.linalg import (
     InconsistentSystemError,
     LinAlgError,
-    NonSymmetricError,
     UnderdeterminedSystemError,
     adjugate,
     dot,
     identity,
     inner,
     integer_rref,
-    is_positive_definite,
     mat,
     mat_vec,
     null_space,

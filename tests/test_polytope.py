@@ -14,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    NotFacetNormalError,
+    adjacency_check,
     affine_direction_space,
     brute_force_vertices,
     classify_face,
@@ -26,11 +28,9 @@ from voroseg import extension, jsonio, lattice, linalg, polytope
 from voroseg.lattice import catalog, coset_minima
 from voroseg.polytope import (
     EmptyPolytopeError,
-    NotFacetNormalError,
     NotParallelotopeError,
     UnboundedCellError,
     VRepCapError,
-    adjacency_check,
     belts,
     build_cell,
     codim2_faces,
@@ -500,6 +500,25 @@ def test_enumerate_vertices_matches_oracle_on_random_symmetric_systems(d, exampl
     check()
 
 
+def test_enumerate_vertices_matches_oracle_on_non_simple_systems():
+    # only between two vertices tight on more than d rows each do the count and the
+    # meet test run; a meet decides when d - 1 common rows are dependent, as at a
+    # redundant row through a lower face or in a flat cell, which random systems draw rarely
+    octahedron = hpolytope(3, [(s, 1) for s in itertools.product((1, -1), repeat=3)])
+    d4 = catalog("Dn", 4)
+    cell = voronoi_cell(d4).hpoly  # the 24-cell
+    over_contacts = build_cell(d4, coset_minima(d4).contact_vectors())  # the same cell, 48 rows
+    flat = hpolytope(4, [(tuple(int(j == i) * sign for j in range(4)), 1) for i in range(4) for sign in (1, -1)]
+                     + [((1, 2, 3, 4), 0), ((-1, -2, -3, -4), 0)])
+    for systems, oracle in [([octahedron], octahedron), ([cell, over_contacts], cell), ([flat], flat)]:
+        want = brute_force_vertices(oracle)
+        for h in systems:
+            v = enumerate_vertices(h)
+            assert any(len(t) > h.dim for t in v.tights)
+            assert v.vertices == want
+            assert v.tights == _dot_tights(v)
+
+
 def _drawn_empty_system():
     """An empty system that symmetric_hpolytopes(3) drew for an earlier form of the ridge test.
 
@@ -719,6 +738,36 @@ def test_gl_d_z_change_of_basis_keeps_the_cell_combinatorics():
                 ]
 
 
+def _minors(p, q):
+    return [p[i] * q[j] - p[j] * q[i] for i, j in itertools.combinations(range(len(p)), 2)]
+
+
+def _independent_pairs():
+    """Integer rows p, q of one length from 2 to 8 with a nonzero 2x2 minor, zero entries weighted up."""
+    def pairs(d):
+        row = st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=d, max_size=d).map(tuple)
+        return st.tuples(row, row)
+
+    return st.integers(2, 8).flatmap(pairs).filter(lambda pq: any(_minors(*pq)))
+
+
+# a derandomized draw changes whenever the check's body does, so the cases of the closed form are pinned
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_independent_pairs())
+@example(((1, 0), (0, 1)))  # d = 2: the space is {0}
+@example(((1, 2, 0, 0), (3, 1, 0, 0)))  # trailing zero columns, past b, give unit rows
+@example(((1, 0, 0, 1), (0, 1, 0, 1)))  # a = 1 != b - 1 = 2, as m(2, 3) = 0
+@example(((2, 1, 1), (1, 1, 0)))  # m(a, b) = m(1, 2) = -1
+@example(((1, 0, 0), (0, 0, 1)))  # the free column a = 0 before the pivot column 1
+def test_belt_space_matches_the_null_space_rref(pq):
+    p, q = pq
+    space, free = polytope._belt_space(p, q)
+    want = linalg.integer_rref(linalg.null_space([p, q], len(p)))
+    assert space == want
+    pivots = [next(j for j, x in enumerate(r) if x) for r in want]
+    assert list(free) == [j for j in range(len(p)) if j not in pivots]
+
+
 def test_one_direction_space_per_belt(monkeypatch):
     # the ridges of one belt share its direction space, formed once, from its first ridge's facet normals
     a4 = catalog("An*", 4)
@@ -726,12 +775,12 @@ def test_one_direction_space_per_belt(monkeypatch):
     e = extension.dual_set(coset_minima(d4).facet_normals()).members[0]
     summed = extension.sum_with_segment(voronoi_cell(d4), extension.Direction(e, F(1, 2)))
     calls = Counter()
-    fn = linalg.null_space
-    monkeypatch.setattr(linalg, "null_space", lambda *a: calls.update(["null_space"]) or fn(*a))
+    fn = polytope._belt_space
+    monkeypatch.setattr(polytope, "_belt_space", lambda *a: calls.update(["belt_space"]) or fn(*a))
     for v in (voronoi_cell(a4), summed):
         calls.clear()
         got = belts(v)
-        assert calls["null_space"] == len(got)
+        assert calls["belt_space"] == len(got)
         assert len(codim2_faces(v)) > len(got) > 0
 
 
@@ -763,6 +812,22 @@ def test_codim2_faces_computed_once_per_cell():
 def test_belts_computed_once_per_cell():
     v = cell_of("Dn", 4)
     assert belts(v) is belts(v)
+
+
+def test_tiling_verdict_computed_once_per_cell(monkeypatch):
+    # `verify` asks for the verdict twice, directly and through irreducibility_graph
+    calls = Counter()
+    fn = polytope.belts
+    monkeypatch.setattr(polytope, "belts", lambda v: calls.update(["belts"]) or fn(v))
+    octagon = hpolytope(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), F(3, 2)), ((1, -1), F(3, 2))]
+                        + [((-1, 0), 1), ((0, -1), 1), ((-1, -1), F(3, 2)), ((-1, 1), F(3, 2))])
+    for v in (cell_of("Dn", 4), enumerate_vertices(octagon)):
+        calls.clear()
+        first = is_parallelotope(v)
+        assert calls["belts"] == 1
+        assert is_parallelotope(v) is first
+        assert calls["belts"] == 1
+    assert first.failure == "belt"
 
 
 def _belts_off_entries():
