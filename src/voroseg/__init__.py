@@ -20,7 +20,6 @@ from .polytope import (
     enumerate_vertices,
     irreducibility_graph,
     is_parallelotope,
-    shadow_boundary,
     voronoi_cell,
 )
 from .extension import (

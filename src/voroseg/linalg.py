@@ -97,10 +97,6 @@ def is_zero_vec(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
 
-def mat_vec(m: Mat, v: Sequence) -> Vec:
-    return tuple(dot(row, v) for row in m)
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 

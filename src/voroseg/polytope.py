@@ -13,9 +13,14 @@ integer points Q x over one common denominator Q (`VPolytope.points`).
 Per inequality, the mask of the vertices on it persists across
 insertions.  The edges of a simple vertex, tight on exactly d rows, are
 read from ANDs of these masks; only between two non-simple vertices are
-adjacency candidates counted through them and tested.  On top of it sit
-face extraction, belts, the tiling (parallelotope) verifier, the facet
-graph used for irreducibility, and shadow-boundary classification.
+adjacency candidates counted through them and tested.  A centrally
+symmetric system, whose row last-1-i is the opposite of row i with the
+same positive support, is inserted in mirror pairs: the live set stays
+symmetric about 0, so the opposite row cuts off the mirror images of
+what a row cuts off and its new vertices are the negated new vertices,
+formed with no second edge search.  Any other system is inserted one row
+at a time.  On top of it sit face extraction, belts, the tiling
+(parallelotope) verifier and the facet graph used for irreducibility.
 Facets and ridges are found by counting the facets on a face through the
 tight sets the double description keeps per vertex: in a full-dimensional
 cell a facet's vertices lie on no other inequality, a ridge's on exactly
@@ -318,6 +323,77 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _edge_cuts(d: int, bit: int, minus: list[int], plus_mask: int, alive: int, slack: dict[int, int],
+               verts: dict[int, IntVec], tights: dict[int, int], on: list[int]) -> dict[IntVec, int]:
+    """The points where row `bit` crosses the edges from the vertices it cuts off to those it keeps, with tight masks.
+
+    minus are the vertices it cuts off, plus_mask those strictly inside it and
+    slack every live vertex's product with it; `enumerate_vertices` tells
+    how the edges are read from the masks.
+    """
+    new_pts: dict[IntVec, int] = {}
+    for w in minus:
+        tw, sw, vw = tights[w], slack[w], verts[w]
+        rows_w = _bits(tw)
+        ends = []
+        if len(rows_w) == d:
+            # w is simple: each d - 1 of its rows meet in an edge, whose live vertices
+            # are w and one more, the AND of the other rows' masks without w
+            pre = [alive & ~(1 << w)]
+            for i in rows_w[:-1]:
+                pre.append(pre[-1] & on[i])
+            suf = -1
+            for c in range(d - 1, -1, -1):
+                end = pre[c] & suf
+                if end & (end - 1):
+                    raise PolytopeError("an edge of the double description holds three vertices")
+                if end & plus_mask:
+                    ends.append(end.bit_length() - 1)
+                suf &= on[rows_w[c]]
+        else:
+            # at_least[c]: the plus vertices tight on at least c of w's inequalities,
+            # so at_least[d-1] are those sharing d - 1 of them with w
+            at_least = [plus_mask] + [0] * (d - 1)
+            for i in rows_w:
+                o = on[i]
+                for c in range(d - 1, 0, -1):
+                    at_least[c] |= at_least[c - 1] & o
+            for u in _bits(at_least[d - 1]):
+                # a simple u shares an edge's d - 1 rows with w; else no third
+                # vertex may be tight wherever both are (combinatorial adjacency)
+                if tights[u].bit_count() > d:
+                    pair = 1 << u | 1 << w
+                    meet = alive
+                    for i in _bits(tights[u] & tw):
+                        meet &= on[i]
+                        if meet == pair:
+                            break
+                    if meet != pair:
+                        continue
+                ends.append(u)
+        for u in ends:
+            common = tights[u] & tw
+            su = slack[u]
+            x = tuple(su * b - sw * a for a, b in zip(verts[u], vw))
+            g = gcd(*x)
+            x = tuple(c // g for c in x)
+            # x lies strictly inside [u, w], so a processed inequality is
+            # tight at x exactly when it is tight at both ends
+            new_pts[x] = new_pts.get(x, 0) | common | bit
+    return new_pts
+
+
+def _mirror_ids(mask: int) -> int:
+    """Swap each even bit of mask with the odd bit above it: the mirror images of vertices numbered in pairs."""
+    evens = ((1 << (mask.bit_length() + 1 & ~1)) - 1) // 3  # 0b0101...01
+    return (mask & evens) << 1 | mask >> 1 & evens
+
+
+def _check_budget(live: int) -> None:
+    if live > VERTEX_BUDGET:
+        raise VRepCapError(f"double description passed the vertex budget of {VERTEX_BUDGET} live vertices")
+
+
 def enumerate_vertices(h: HPolytope) -> VPolytope:
     """Exact vertex enumeration by incremental half-space insertion.
 
@@ -341,11 +417,12 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     does the general path run: the plus vertices that share d - 1 tight
     inequalities with w, the only ones that can be adjacent to it, are found
     by counting through the masks in time linear in w's tight set, and the
-    meet test decides each.  The result keeps the integer points.  Facets are
-    counted, and only affine_rank is ranked: in a full-dimensional cell,
-    inequality i is a facet iff its vertices, at least d, lie on no other
-    inequality, as a smaller face lies on two facets or more; a cell of
-    dimension d - 1 has the inequalities tight everywhere, a lower one none.
+    meet test decides each (`_edge_cuts`).  The result keeps the integer
+    points.  Facets are counted, and only affine_rank is ranked: in a
+    full-dimensional cell, inequality i is a facet iff its vertices, at
+    least d, lie on no other inequality, as a smaller face lies on two
+    facets or more; a cell of dimension d - 1 has the inequalities tight
+    everywhere, a lower one none.
 
     The pass starts from a simplicial cone (Motzkin et al. 1953): the row
     q >= 0 and the first d rows independent with it form a nonsingular B,
@@ -353,8 +430,24 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     row of B but the k-th.  Rays with q = 0 are directions at infinity;
     one that survives every row means the system is unbounded, or empty
     when no ray has q > 0.  Lower-dimensional cells need nothing extra.
-    After each insertion that cuts vertices off, more than VERTEX_BUDGET
-    live vertices raise VRepCapError, whose message names the budget.
+    Negation reverses the sorted order, so in a symmetric system row
+    last-1-i is the opposite of row i; the seed rows' opposites come next.
+
+    Mirror pairs.  When each row last-1-i is the opposite of row i with the
+    same support s > 0, as in every Voronoi cell and segment sum, the seed
+    rows and their opposites cut out a parallelepiped symmetric about 0,
+    whose vertices are renumbered so that 2j+1 is the mirror image of 2j.
+    Each further row k then enters with its opposite m = last-1-k: k's
+    hyperplane <n, x> = s lies strictly inside m's half-space <n, x> >= -s,
+    so m cuts off the mirror images of the vertices k cut off, and m's zero
+    set and new vertices are k's mirrored, tight sets mapped i -> last-1-i
+    and vertex masks with adjacent bits swapped.  Only k's edges are
+    searched, and only the even vertex of a pair gets a slack: the odd
+    one's is 2s'q minus it.  Any other system (a triangle, a flat cell, a
+    zero-width slab, opposite rows with unequal supports) enters one row at
+    a time.  After each inserted inequality that cuts vertices off, more
+    than VERTEX_BUDGET live vertices raise VRepCapError, whose message
+    names the budget.
     """
     d = h.dim
     last = len(h.ineqs)
@@ -377,80 +470,39 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
         verts[k] = tuple(x // g for x in ray)
         tights[k] = seeds & ~(1 << i)
     on = [0] * (last + 1)
-    for j, t in tights.items():
-        for i in _bits(t):
-            on[i] |= 1 << j
-    alive = (1 << len(verts)) - 1
-    next_id = len(verts)
-    # negation reverses the sorted order, so in a symmetric system row last-1-i is
-    # the opposite of row i: the seed rows' opposites first close the cone quickly
-    for k in dict.fromkeys([last - 1 - i for i in basis[1:]] + list(range(last))):
-        if seeds >> k & 1:
-            continue
-        row = rows[k]
+    alive = next_id = 0
+
+    def renumber(order: list[int]) -> None:
+        """Give the live vertices the ids 0, 1, ... in this order, and rebuild on and alive."""
+        nonlocal alive, next_id
+        pairs = [(verts.pop(j), tights.pop(j)) for j in order]
+        on[:] = [0] * (last + 1)
+        for j, (v, t) in enumerate(pairs):
+            verts[j], tights[j] = v, t
+            for i in _bits(t):
+                on[i] |= 1 << j
+        alive = (1 << len(order)) - 1
+        next_id = len(order)
+
+    def insert(k: int, slack: dict[int, int], step: int) -> tuple[list[int], list[int], dict[int, int]]:
+        """Insert row k, given every live vertex's slack on it; new vertex ids go up by step.
+
+        Returns the vertices on row k and those it cut off, and per row the
+        mask of the new vertices tight on it: all of them are tight on row k.
+        """
+        nonlocal alive, next_id
         bit = 1 << k
-        slack = {j: sum(map(operator.mul, row, v)) for j, v in verts.items()}
         minus = [j for j, t in slack.items() if t < 0]
         zero = [j for j, t in slack.items() if not t]
-        zero_mask = sum(1 << j for j in zero)
+        on[k] = sum(1 << j for j in zero)
         for j in zero:
             tights[j] |= bit
         if not minus:
-            on[k] = zero_mask
-            continue
+            return zero, minus, {}
         if len(minus) == len(verts):
             raise EmptyPolytopeError("inequalities are infeasible")
         minus_mask = sum(1 << j for j in minus)
-        plus_mask = alive & ~minus_mask & ~zero_mask
-        new_pts: dict[tuple[int, ...], int] = {}
-        for w in minus:
-            tw, sw, vw = tights[w], slack[w], verts[w]
-            rows_w = _bits(tw)
-            ends = []
-            if len(rows_w) == d:
-                # w is simple: each d - 1 of its rows meet in an edge, whose live vertices
-                # are w and one more, the AND of the other rows' masks without w
-                pre = [alive & ~(1 << w)]
-                for i in rows_w[:-1]:
-                    pre.append(pre[-1] & on[i])
-                suf = -1
-                for c in range(d - 1, -1, -1):
-                    end = pre[c] & suf
-                    if end & (end - 1):
-                        raise PolytopeError("an edge of the double description holds three vertices")
-                    if end & plus_mask:
-                        ends.append(end.bit_length() - 1)
-                    suf &= on[rows_w[c]]
-            else:
-                # at_least[c]: the plus vertices tight on at least c of w's inequalities,
-                # so at_least[d-1] are those sharing d - 1 of them with w
-                at_least = [plus_mask] + [0] * (d - 1)
-                for i in rows_w:
-                    o = on[i]
-                    for c in range(d - 1, 0, -1):
-                        at_least[c] |= at_least[c - 1] & o
-                for u in _bits(at_least[d - 1]):
-                    # a simple u shares an edge's d - 1 rows with w; else no third
-                    # vertex may be tight wherever both are (combinatorial adjacency)
-                    if tights[u].bit_count() > d:
-                        pair = 1 << u | 1 << w
-                        meet = alive
-                        for i in _bits(tights[u] & tw):
-                            meet &= on[i]
-                            if meet == pair:
-                                break
-                        if meet != pair:
-                            continue
-                    ends.append(u)
-            for u in ends:
-                common = tights[u] & tw
-                su = slack[u]
-                x = tuple(su * b - sw * a for a, b in zip(verts[u], vw))
-                g = gcd(*x)
-                x = tuple(c // g for c in x)
-                # x lies strictly inside [u, w], so a processed inequality is
-                # tight at x exactly when it is tight at both ends
-                new_pts[x] = new_pts.get(x, 0) | common | bit
+        new_pts = _edge_cuts(d, bit, minus, alive & ~minus_mask & ~on[k], alive, slack, verts, tights, on)
         touched = 0
         for w in minus:
             touched |= tights.pop(w)
@@ -458,16 +510,68 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
         for i in _bits(touched):
             on[i] &= ~minus_mask
         alive &= ~minus_mask
-        on[k] = zero_mask
+        added: dict[int, int] = {}
         for x, t in new_pts.items():
             verts[next_id] = x
             tights[next_id] = t
             for i in _bits(t):
-                on[i] |= 1 << next_id
-            alive |= 1 << next_id
-            next_id += 1
-        if len(verts) > VERTEX_BUDGET:
-            raise VRepCapError(f"double description passed the vertex budget of {VERTEX_BUDGET} live vertices")
+                added[i] = added.get(i, 0) | 1 << next_id
+            next_id += step
+        for i, mask in added.items():
+            on[i] |= mask
+        alive |= added.get(k, 0)
+        _check_budget(len(verts))
+        return zero, minus, added
+
+    renumber(list(verts))
+    opposites = [last - 1 - i for i in basis[1:]]
+    mirrored = all(r[0] > 0 and rows[last - 1 - i] == (r[0], *(-x for x in r[1:])) for i, r in enumerate(rows[:last]))
+    for k in dict.fromkeys(opposites if mirrored else opposites + list(range(last))):
+        if not seeds >> k & 1:
+            row = rows[k]
+            insert(k, {j: sum(map(operator.mul, row, v)) for j, v in verts.items()}, 1)
+    if mirrored:
+        index = {v: j for j, v in verts.items()}
+        order = []
+        for j, (q, *x) in verts.items():
+            mj = index.get((q, *(-c for c in x)))
+            # bounded, so row last is tight nowhere and tight sets mirror within bits 0..last-1
+            if not q or mj in (None, j):
+                raise PolytopeError("a vertex of the seed parallelepiped has no mirror image")
+            if j < mj:
+                order += [j, mj]
+        renumber(order)
+        flip = f"0{last}b"
+        for k in range(last // 2):
+            m = last - 1 - k
+            if (seeds >> k | seeds >> m) & 1:
+                continue
+            row, first = rows[k], next_id
+            two_s = 2 * row[0]
+            slack = {j: sum(map(operator.mul, row, v)) for j, v in verts.items() if not j & 1}
+            slack.update([(j + 1, two_s * verts[j][0] - t) for j, t in slack.items()])
+            zero, minus, added = insert(k, slack, 2)
+            bit = 1 << m
+            for j in zero:
+                tights[j ^ 1] |= bit
+            if minus:
+                gone = _mirror_ids(sum(1 << j for j in minus))
+                touched = 0
+                for w in minus:
+                    touched |= tights.pop(w ^ 1)
+                    del verts[w ^ 1]
+                for i in _bits(touched):
+                    on[i] &= ~gone
+                for j in range(first, next_id, 2):
+                    q, *x = verts[j]
+                    verts[j + 1] = (q, *(-c for c in x))
+                    tights[j + 1] = int(format(tights[j], flip)[::-1], 2)
+                # row k's new vertices are even, so row m's deltas are k's shifted by one
+                for i, mask in added.items():
+                    on[last - 1 - i] |= mask << 1
+                alive = alive & ~gone | added.get(k, 0) << 1
+                _check_budget(len(verts))
+            on[m] = _mirror_ids(on[k])
     if any(not v[0] for v in verts.values()):
         if all(not v[0] for v in verts.values()):
             raise EmptyPolytopeError("inequalities are infeasible")
@@ -539,10 +643,6 @@ def _face_from_vertices(v: VPolytope, vertex_ids: Sequence[int]) -> Face:
     dirs = linalg.integer_rref(linalg.null_space([v.hpoly.ineqs[i].normal for i in eq], v.dim))
     facets = tuple(i for i in v.facet_ids if i in eq)
     return Face(facets=facets, vertex_ids=ids, dim=len(dirs), direction_space=dirs)
-
-
-def facet_face(v: VPolytope, facet_id: int) -> Face:
-    return _face_from_vertices(v, v.incidence[facet_id])
 
 
 def contact_face(v: VPolytope, p: Sequence, supp) -> Face | None:
@@ -667,32 +767,6 @@ def irreducibility_graph(v: VPolytope) -> FacetGraph:
         edges=tuple(sorted(edges)),
         connected=len(seen) == len(pairs),
     )
-
-
-@dataclass(frozen=True)
-class ShadowFace:
-    face: Face
-    parallel: bool  # parallel to e (else transversal)
-
-
-def shadow_boundary(v: VPolytope, e: Sequence) -> tuple[ShadowFace, ...]:
-    """Facets and codim-2 faces met by lines in direction e only in themselves.
-
-    These are the facets and codim-2 faces that classify_products finds
-    parallel or transversal to e rather than shifted along it, from one
-    product with e per inequality.  A facet of a full-dimensional cell lies
-    on no other facet, so it is never transversal.
-    """
-    ev = linalg.exact_vec(e)
-    if linalg.is_zero_vec(ev):
-        raise ValueError("direction e must be nonzero")
-    prods = [linalg.inner(n, ev) for n in v.hpoly.normals]
-    out = []
-    for f in [facet_face(v, i) for i in v.facet_ids] + list(codim2_faces(v)):
-        kind = classify_products([prods[i] for i in f.facets])
-        if kind != SHIFT:
-            out.append(ShadowFace(face=f, parallel=kind == PARALLEL_EXTENSION))
-    return tuple(out)
 
 
 PARALLEL_EXTENSION = "parallel-extension"

@@ -10,7 +10,8 @@ layer indices, segment supports f_e and a_e, the set P(e) and the segment
 as a cell of the paper's lemmas, and a cell's support values and face
 classes under e, which only the tests ask for, live here too, and so does
 a random unimodular change of basis, with the positive-definiteness test,
-the support-sum inclusion check and the facet adjacency check.
+the support-sum inclusion check, the facet adjacency check, a facet's face,
+the shadow boundary of a cell under e and the matrix-vector product.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from voroseg import extension, lattice, linalg, polytope
@@ -126,6 +128,11 @@ def det(m) -> Fraction:
 def mat_mul(a, b) -> tuple:
     """Plain product of two rational matrices, as a tuple of row tuples."""
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def mat_vec(m, v) -> tuple:
+    """The product of a matrix and a vector, one `linalg.dot` per row."""
+    return tuple(linalg.dot(row, v) for row in m)
 
 
 def null_basis(rows, ncols: int) -> list:
@@ -260,7 +267,7 @@ def commensurate(a: "lattice.QuadForm", p) -> tuple:
     cl = None if any(isinstance(x, Fraction) for x in pt) else lattice.coset_minima(a).class_of(pt)
     if cl is None or pt not in cl.minima:
         raise NotContactVectorError(f"({', '.join(map(str, pt))}) is not a contact vector of the form")
-    return linalg.vscale(2, linalg.mat_vec(a.gram, linalg.vec(pt)))
+    return linalg.vscale(2, mat_vec(a.gram, linalg.vec(pt)))
 
 
 def layer_index(e, v) -> int:
@@ -313,6 +320,38 @@ def support_value(v: "polytope.VPolytope", q) -> Fraction:
 def classify_face(v: "polytope.VPolytope", face: "polytope.Face", e) -> str:
     """polytope.classify_products of e's products with the normals of the facets on the face."""
     return polytope.classify_products([linalg.inner(v.hpoly.ineqs[i].normal, e) for i in face.facets])
+
+
+def facet_face(v: "polytope.VPolytope", facet_id: int) -> "polytope.Face":
+    """The face of a facet: where its own hyperplane supports the cell."""
+    iq = v.hpoly.ineqs[facet_id]
+    return polytope.contact_face(v, iq.normal, iq.support)
+
+
+@dataclass(frozen=True)
+class ShadowFace:
+    face: "polytope.Face"
+    parallel: bool  # parallel to e (else transversal)
+
+
+def shadow_boundary(v: "polytope.VPolytope", e) -> tuple:
+    """Facets and codim-2 faces met by lines in direction e only in themselves.
+
+    These are the facets and codim-2 faces that classify_products finds
+    parallel or transversal to e rather than shifted along it, from one
+    product with e per inequality.  A facet of a full-dimensional cell lies
+    on no other facet, so it is never transversal.
+    """
+    ev = linalg.exact_vec(e)
+    if linalg.is_zero_vec(ev):
+        raise ValueError("direction e must be nonzero")
+    prods = [linalg.inner(n, ev) for n in v.hpoly.normals]
+    out = []
+    for f in [facet_face(v, i) for i in v.facet_ids] + list(polytope.codim2_faces(v)):
+        kind = polytope.classify_products([prods[i] for i in f.facets])
+        if kind != polytope.SHIFT:
+            out.append(ShadowFace(face=f, parallel=kind == polytope.PARALLEL_EXTENSION))
+    return tuple(out)
 
 
 def random_unimodular(rng, d: int, shears: int) -> tuple:
@@ -398,7 +437,7 @@ def adjacency_check(a: "lattice.QuadForm", v: "polytope.VPolytope", p) -> bool:
     fid = next((i for i in v.facet_ids if v.hpoly.ineqs[i].normal == pv), None)
     if fid is None:
         raise NotFacetNormalError(f"{tuple(p)} is not a facet normal of the cell")
-    shift = linalg.vscale(2 * v.scale, linalg.mat_vec(a.gram, pv))
+    shift = linalg.vscale(2 * v.scale, mat_vec(a.gram, pv))
     ids = v.incidence[fid]
     pts = v.points
     return all(linalg.vadd(pts[j], pts[k]) == shift for j, k in zip(ids, reversed(ids)))

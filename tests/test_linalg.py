@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NonSymmetricError, _reduced_rows, det, is_positive_definite, mat_mul, null_basis
+from oracles import NonSymmetricError, _reduced_rows, det, is_positive_definite, mat_mul, mat_vec, null_basis
 from voroseg import jsonio, linalg
 from voroseg.linalg import (
     InconsistentSystemError,
@@ -18,7 +18,6 @@ from voroseg.linalg import (
     inner,
     integer_rref,
     mat,
-    mat_vec,
     null_space,
     rank,
     solve_linear,

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -19,9 +20,12 @@ from oracles import (
     affine_direction_space,
     brute_force_vertices,
     classify_face,
+    facet_face,
     mat_mul,
+    mat_vec,
     null_basis,
     segment_as_polytope,
+    shadow_boundary,
     support_value,
 )
 from voroseg import extension, jsonio, lattice, linalg, polytope
@@ -36,12 +40,10 @@ from voroseg.polytope import (
     codim2_faces,
     contact_face,
     enumerate_vertices,
-    facet_face,
     hpolytope,
     irreducibility_graph,
     is_parallelotope,
     prune_to_facets,
-    shadow_boundary,
     voronoi_cell,
 )
 
@@ -228,7 +230,7 @@ def test_facet_centroid_is_Ap():
         v = cell_of(name, n)
         for i in v.facet_ids:
             p = v.hpoly.ineqs[i].normal
-            ap = linalg.mat_vec(a.gram, p)
+            ap = mat_vec(a.gram, p)
             pts = [v.vertices[j] for j in v.incidence[i]]
             centroid = linalg.vscale(F(1, len(pts)), __import__("functools").reduce(linalg.vadd, pts))
             assert centroid == ap
@@ -487,17 +489,30 @@ def symmetric_hpolytopes(draw, d):
     return hpolytope(d, pairs)
 
 
+def _with_opposites(d, pairs):
+    return hpolytope(d, pairs + [(tuple(-x for x in n), s) for n, s in pairs])
+
+
+_BOX3 = [((1, 0, 0), F(2, 3)), ((0, 1, 0), 1), ((0, 0, 1), F(5, 7))]
+
+
 # the oracle solves every d-subset of inequalities in Fractions, so d = 4 gets few examples
 @pytest.mark.parametrize("d, examples", [(2, 40), (3, 30), (4, 8)])
 def test_enumerate_vertices_matches_oracle_on_random_symmetric_systems(d, examples):
     @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
     @given(symmetric_hpolytopes(d))
+    @example(_with_opposites(3, _BOX3 + [((1, 1, 0), F(3, 2)), ((2, 2, 0), F(5, 2))]))  # merged into x + y <= 5/4
+    @example(_with_opposites(3, _BOX3 + [((1, -1, 1), 1), ((1, 2, 3), 100)]))  # a far pair, which cuts nothing
     def check(h):
         v = enumerate_vertices(h)
         assert v.vertices == brute_force_vertices(h)
         assert v.tights == _dot_tights(v)
 
     check()
+
+
+# the oracle takes seconds on the 24-cell, which two tests check
+_brute_force_once = functools.cache(brute_force_vertices)
 
 
 def test_enumerate_vertices_matches_oracle_on_non_simple_systems():
@@ -511,12 +526,52 @@ def test_enumerate_vertices_matches_oracle_on_non_simple_systems():
     flat = hpolytope(4, [(tuple(int(j == i) * sign for j in range(4)), 1) for i in range(4) for sign in (1, -1)]
                      + [((1, 2, 3, 4), 0), ((-1, -2, -3, -4), 0)])
     for systems, oracle in [([octahedron], octahedron), ([cell, over_contacts], cell), ([flat], flat)]:
-        want = brute_force_vertices(oracle)
+        want = _brute_force_once(oracle)
         for h in systems:
             v = enumerate_vertices(h)
             assert any(len(t) > h.dim for t in v.tights)
             assert v.vertices == want
             assert v.tights == _dot_tights(v)
+
+
+def _mirrored(h):
+    """Whether row last-1-i is the opposite of row i with the same positive support, for every i."""
+    last = len(h.ineqs)
+    return all(
+        iq.support > 0 and h.ineqs[last - 1 - i] == polytope.Inequality(tuple(-x for x in iq.normal), iq.support)
+        for i, iq in enumerate(h.ineqs)
+    )
+
+
+def _d4_dual_set_sum_system():
+    """The system `sum_with_segment` hands the double description for D4 plus a dual-set segment."""
+    d4 = catalog("Dn", 4)
+    e = extension.dual_set(coset_minima(d4).facet_normals()).members[0]
+    with mock.patch.object(extension, "enumerate_vertices", wraps=enumerate_vertices) as record:
+        extension.sum_with_segment(voronoi_cell(d4), extension.Direction(e, F(1, 2)))
+    return record.call_args.args[0]
+
+
+def test_mirror_pairs_and_single_rows_on_one_set_of_shapes():
+    # symmetric systems with positive supports are inserted in mirror pairs; a box
+    # with one pair of unequal supports and a zero-width slab one row at a time
+    d4 = catalog("Dn", 4)
+    cell = voronoi_cell(d4).hpoly  # the 24-cell
+    square = [((0, 1, 0), 1), ((0, -1, 0), 1), ((0, 0, 1), 1), ((0, 0, -1), 1)]
+    # (system, a system of the same polytope for the oracle, whether it is mirrored)
+    cases = [
+        (hpolytope(3, [(s, 1) for s in itertools.product((1, -1), repeat=3)]), None, True),  # the octahedron
+        (cell, None, True),
+        (build_cell(d4, coset_minima(d4).contact_vectors()), cell, True),  # the 24-cell, 48 rows
+        (_d4_dual_set_sum_system(), None, True),
+        (hpolytope(3, square + [((1, 0, 0), F(3, 2)), ((-1, 0, 0), 1)]), None, False),
+        (_with_opposites(3, square[::2] + [((1, 0, 0), 1), ((1, 1, 1), 0)]), None, False),  # a zero-width slab
+    ]
+    for h, oracle, mirrored in cases:
+        assert _mirrored(h) == mirrored
+        v = enumerate_vertices(h)
+        assert v.vertices == _brute_force_once(oracle or h)
+        assert v.tights == _dot_tights(v)
 
 
 def _drawn_empty_system():
@@ -802,6 +857,18 @@ def test_enumerate_vertices_calls_no_rational_kernel(monkeypatch):
     assert calls == Counter()
     assert len(out[0].vertices) == 120  # the A4* cell is the permutohedron
     assert out[1].vertices == summed.vertices
+
+
+def test_one_edge_search_per_mirror_pair(monkeypatch):
+    # the seed cone's d rows search no edges, and each other row with its opposite
+    # searches once, so a symmetric cell searches for at most half of its rows
+    h = cell_of("An*", 4).hpoly
+    calls = Counter()
+    search = polytope._edge_cuts
+    monkeypatch.setattr(polytope, "_edge_cuts", lambda *a: calls.update(["search"]) or search(*a))
+    v = enumerate_vertices(h)
+    assert 0 < calls["search"] <= len(h.ineqs) // 2
+    assert len(v.vertices) == 120
 
 
 def test_codim2_faces_computed_once_per_cell():
