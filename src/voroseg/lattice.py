@@ -7,12 +7,13 @@ vectors of the nonzero classes are the contact vectors, and the classes
 whose minimum is attained by a single +/- pair contribute facet normals
 (Voronoi's criterion).  All 2^d - 1 classes are searched by one
 Fincke-Pohst tree in integers, whose nodes serve every class that shares
-their fixed parity bits.
+their fixed parity bits; its setup is in integers too (`linalg.ldl`, `_class_start_bounds`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,7 +71,7 @@ class QuadForm:
 
     @functools.cached_property
     def ldl(self) -> tuple[Mat, Vec]:
-        """(L, D) with A = L D L^T, factored once per form; `make_form` tests positive definiteness here."""
+        """(L, D) with A = L D L^T, factored fraction-free once per form; `make_form` tests definiteness here."""
         try:
             return linalg.ldl(self.gram)
         except linalg.LinAlgError:  # ldl's only failure on a symmetric matrix: a pivot <= 0
@@ -81,9 +82,14 @@ def make_form(gram) -> QuadForm:
     """Validate a Gram matrix and wrap it as a form.
 
     Degenerate (positive semidefinite but singular) input is rejected:
-    the cell machinery needs a full-dimensional bounded cell.
+    the cell machinery needs a full-dimensional bounded cell.  So is a float
+    or a bool entry, which Fraction would read as a binary fraction or 0/1.
     """
-    m = linalg.mat(gram)
+    rows = [tuple(r) for r in gram]
+    bad = [(i, j, x) for i, r in enumerate(rows) for j, x in enumerate(r) if isinstance(x, (float, bool))]
+    if bad:
+        raise LatticeError("Gram entry (%d, %d) is %r; give an int, a Fraction or a string such as \"-7/3\"" % bad[0])
+    m = linalg.mat(rows)
     d = len(m)
     if d == 0 or any(len(r) != d for r in m):
         raise NotSymmetricError("Gram matrix must be square and nonempty")
@@ -142,27 +148,33 @@ def _lcm_denominator(entries) -> int:
     return lcm(*(x.denominator for x in entries))
 
 
-def _class_start_bound(g: IntMat, parity: IntVec) -> int:
-    """Upper bound for the class minimum under g: greedy descent from the 0/1 rep.
+def _class_start_bounds(g: IntMat) -> list[int]:
+    """Upper bound for each class minimum under g (entry c for class c), in one sweep.
 
-    g is the integer Gram den * A and the bound is in its units.  A step
-    p -> p + s e_j changes the norm by 2s (gp)_j + s^2 g_jj, so each trial
-    costs O(1) with gp = g p kept up to date; p itself is not needed.
+    g is the integer Gram den * A, in whose units the bounds are.  A class's 0/1
+    representative p is that of the class without its lowest bit plus e_j, so g p
+    and <p, g p> cost O(d).  A greedy descent takes each step p -> p + s e_j,
+    s = +/-2, that changes the norm by 2s (gp)_j + 4 g_jj < 0: |(gp)_j| > g_jj.
     """
     d = len(g)
-    gp = [sum(row[k] for k in range(d) if parity[k]) for row in g]
-    val = sum(gp[k] for k in range(d) if parity[k])
-    improved = True
-    while improved:
-        improved = False
-        for j in range(d):
-            for step in (2, -2):
-                delta = 2 * step * gp[j] + step * step * g[j][j]
-                if delta < 0:
-                    val += delta
-                    gp = [x + step * y for x, y in zip(gp, g[j])]
+    reps = [([0] * d, 0)]  # (g p, <p, g p>) for class c's 0/1 representative p
+    for c in range(1, 1 << d):
+        gp, val = reps[c & (c - 1)]  # c without its lowest bit, which is bit d-1-j for v_j
+        j = d - (c & -c).bit_length()
+        reps.append((list(map(operator.add, gp, g[j])), val + 2 * gp[j] + g[j][j]))
+    bounds = []
+    for gp, val in reps:
+        improved = True
+        while improved:
+            improved = False
+            for k, row in enumerate(g):
+                if abs(gp[k]) > row[k]:
+                    val += 4 * (row[k] - abs(gp[k]))
+                    step = -2 if gp[k] > 0 else 2
+                    gp = [x + step * y for x, y in zip(gp, row)]
                     improved = True
-    return val
+        bounds.append(val)
+    return bounds
 
 
 def _enumerate_minima(lm: IntMat, w: IntVec, m: int, bounds: list[int]) -> list[list[IntVec]]:
@@ -237,10 +249,11 @@ def coset_minima(a: QuadForm) -> ContactVectorSet:
     node is cut only when its partial norm exceeds the current bound of
     every class it can still reach, and each bound starts at the norm of a
     feasible representative and only shrinks toward its class minimum, so
-    no minimal vector is ever cut.  The search runs in integers over the
-    Gram scaled by the lcm of its denominators; only the returned minimum
-    norms are Fractions.  Above DEFAULT_DIM_CAP, the one dimension cap of
-    every minima search, it raises DimensionCapError.
+    no minimal vector is ever cut; `_class_start_bounds` gives them all in
+    one sweep.  The search runs in integers over the Gram scaled by the lcm
+    of its denominators and the fraction-free LDL^T factors (`QuadForm.ldl`);
+    only the returned minimum norms are Fractions.  Above DEFAULT_DIM_CAP,
+    the one dimension cap of every minima search, it raises DimensionCapError.
     """
     d = a.dim
     if d > DEFAULT_DIM_CAP:
@@ -248,19 +261,18 @@ def coset_minima(a: QuadForm) -> ContactVectorSet:
     g, den = a.integer_gram
     L, D = a.ldl
     m = _lcm_denominator(x for row in L for x in row)
-    k = _lcm_denominator(D)
     lm = tuple(tuple(int(x * m) for x in row) for row in L)
-    w = tuple(int(x * k) for x in D)
+    w, k = linalg.scale_to_integers(D)
     scale = k * m * m
-    parities = [tuple((bits >> (d - 1 - j)) & 1 for j in range(d)) for bits in range(2 ** d)]
+    parities = list(itertools.product((0, 1), repeat=d))  # class c's parity is c's d binary digits
     # every vector's scaled norm is an integer, so this division is exact
-    bounds = [-1] + [_class_start_bound(g, par) * scale // den for par in parities[1:]]
+    bounds = [-1] + [b * scale // den for b in _class_start_bounds(g)[1:]]
     found_all = _enumerate_minima(lm, w, m, bounds)  # shrinks bounds to the class minima
     classes = []
     for par, norm, found in zip(parities[1:], bounds[1:], found_all[1:]):
         if not found:
             raise LatticeError(f"no vector of parity {par} within the start bound")
-        minima = tuple(sorted(set(found) | {tuple(-x for x in v) for v in found}))
+        minima = tuple(sorted(set(found) | {tuple(map(operator.neg, v)) for v in found}))
         classes.append(ClassMinima(par, Fraction(norm, scale), minima, relevant=len(minima) == 2))
     return ContactVectorSet(dim=d, classes=tuple(classes))
 

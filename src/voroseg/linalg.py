@@ -236,23 +236,26 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], i
 
 
 def ldl(m: Mat) -> tuple[Mat, Vec]:
-    """LDL^T factorisation of a symmetric positive-definite matrix.
+    """LDL^T factorisation of a symmetric positive-definite matrix, fraction-free (Bareiss 1968).
 
     Returns (L, diag) with L unit lower triangular so that m = L diag L^T.
+    The lower triangle of den m, den the lcm of m's denominators, is eliminated
+    without pivoting: column j's pivot is the leading minor Delta_{j+1}, L_ij is
+    row i's entry over it, diag_j = Delta_{j+1} / (Delta_j den), and a pivot <= 0 raises.
     """
-    n = len(m)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
+    n, den = len(m), lcm(*(x.denominator for row in m for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row[: i + 1]] for i, row in enumerate(m)]
+    piv = [1]  # Delta_0, Delta_1, ...
     for j in range(n):
-        s = m[j][j] - sum((L[j][k] * L[j][k] * D[k] for k in range(j)), Fraction(0))
-        if s <= 0:
+        p, prev, col = a[j][j], piv[-1], [r[j] for r in a[j + 1 :]]
+        if p <= 0:
             raise LinAlgError("matrix is not positive definite")
-        D[j] = s
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            t = m[i][j] - sum((L[i][k] * L[j][k] * D[k] for k in range(j)), Fraction(0))
-            L[i][j] = t / s
-    return tuple(tuple(row) for row in L), tuple(D)
+        for r in a[j + 1 :]:
+            r[j + 1 :] = [(p * x - r[j] * y) // prev for x, y in zip(r[j + 1 :], col)]
+        piv.append(p)
+    unit = (Fraction(1),) + (Fraction(0),) * n  # row i of L ends in unit[: n - i]
+    L = tuple(tuple(map(Fraction, r[:i], piv[1:])) + unit[: n - i] for i, r in enumerate(a))
+    return L, tuple(Fraction(p, q * den) for q, p in zip(piv, piv[1:]))
 
 
 def null_space(m: Sequence[Sequence], ncols: int) -> tuple[tuple[int, ...], ...]:

@@ -9,7 +9,9 @@ Minkowski sums from translating vertex sets.  The commensurate vectors,
 layer indices, segment supports f_e and a_e, the set P(e) and the segment
 as a cell of the paper's lemmas, and a cell's support values and face
 classes under e, which only the tests ask for, live here too, and so does
-a random unimodular change of basis, with the positive-definiteness test,
+a random unimodular change of basis, with the positive-definiteness test
+by Sylvester's criterion, the LDL^T factorisation in Fractions, one parity
+class's start bound by greedy descent from its own 0/1 representative,
 the support-sum inclusion check, the facet adjacency check, a facet's face,
 the shadow boundary of a cell under e and the matrix-vector product.
 """
@@ -380,14 +382,54 @@ class NonSymmetricError(linalg.LinAlgError):
 
 
 def is_positive_definite(m) -> bool:
-    """Exact test: the LDL^T pivots, ratios of leading principal minors, are all positive."""
+    """Exact test by Sylvester's criterion: every leading principal minor is positive (own `det`)."""
     if not linalg.is_symmetric(m):
         raise NonSymmetricError("positive-definiteness test needs a symmetric matrix")
-    try:
-        linalg.ldl(m)
-    except linalg.LinAlgError:  # ldl's only failure on a symmetric matrix: a pivot <= 0
-        return False
-    return True
+    return all(det([row[:k] for row in m[:k]]) > 0 for k in range(1, len(m) + 1))
+
+
+def fraction_ldl(m) -> tuple:
+    """(L, D) with m = L diag(D) L^T, L unit lower triangular, column by column in Fractions.
+
+    Raises linalg.LinAlgError at the first pivot <= 0, as `linalg.ldl` does.
+    """
+    n = len(m)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    D = [Fraction(0)] * n
+    for j in range(n):
+        s = m[j][j] - sum((L[j][k] * L[j][k] * D[k] for k in range(j)), Fraction(0))
+        if s <= 0:
+            raise linalg.LinAlgError("matrix is not positive definite")
+        D[j] = s
+        L[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            t = m[i][j] - sum((L[i][k] * L[j][k] * D[k] for k in range(j)), Fraction(0))
+            L[i][j] = t / s
+    return tuple(tuple(row) for row in L), tuple(D)
+
+
+def greedy_class_bound(g, parity) -> int:
+    """Norm under the integer Gram g reached by a greedy descent from the class's 0/1 representative.
+
+    Each coordinate in turn tries steps of +2 and then -2 and keeps one that
+    lowers the norm, until a whole round keeps none; g p is rebuilt from the
+    representative, and a step p -> p + s e_j changes the norm by
+    2s (gp)_j + s^2 g_jj.
+    """
+    d = len(g)
+    gp = [sum(row[k] for k in range(d) if parity[k]) for row in g]
+    val = sum(gp[k] for k in range(d) if parity[k])
+    improved = True
+    while improved:
+        improved = False
+        for j in range(d):
+            for step in (2, -2):
+                delta = 2 * step * gp[j] + step * step * g[j][j]
+                if delta < 0:
+                    val += delta
+                    gp = [x + step * y for x, y in zip(gp, g[j])]
+                    improved = True
+    return val
 
 
 class NormalSetMismatchError(extension.ExtensionError):

@@ -11,13 +11,16 @@ from oracles import (
     box_scan_minima,
     commensurate,
     det,
+    greedy_class_bound,
     layer_index,
     mat_mul,
+    random_pd_form_box6,
     random_unimodular,
 )
 from voroseg import lattice, linalg, polytope
 from voroseg.lattice import (
     DimensionCapError,
+    LatticeError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     UnknownLatticeError,
@@ -40,6 +43,15 @@ def test_make_form_rejects_bad_input():
         make_form([[1, 2], [0, 1]])
     with pytest.raises(NotSymmetricError):
         make_form([[1, 0, 0], [0, 1, 0]])
+
+
+def test_make_form_rejects_float_and_bool_entries():
+    # Fraction(0.1) is 3602879701896397/36028797018963968 and Fraction(True) is 1
+    with pytest.raises(LatticeError, match=r"entry \(0, 0\) is 0\.1"):
+        make_form([[0.1, 0], [0, 1]])
+    with pytest.raises(LatticeError, match=r"entry \(1, 0\) is True"):
+        make_form([[2, 1], [True, 2]])
+    assert make_form([[F(1, 10), 0], [0, "1"]]).gram == linalg.mat([[F(1, 10), 0], [0, 1]])
 
 
 def test_one_ldl_per_form(monkeypatch):
@@ -153,8 +165,6 @@ def test_facet_count_bound():
 
 
 def test_oracle_equivalence_random_forms():
-    from oracles import random_pd_form_box6
-
     rng = random.Random(2024)
     for d in (2, 3, 4):
         for _ in range(4):
@@ -165,6 +175,34 @@ def test_oracle_equivalence_random_forms():
                 norm, minima = oracle[cl.parity]
                 assert cl.min_norm == norm, (a.gram, cl.parity)
                 assert cl.minima == minima, (a.gram, cl.parity)
+
+
+def test_start_bounds_equal_the_per_class_greedy_descent():
+    # a looser but feasible bound leaves every minimum right and only slows the
+    # shared search, so the sweep is held to the per-class descent exactly
+    rng = random.Random(21)
+    forms = [a for _, _, a in lattice.catalog_entries(8)]
+    for d in range(1, 8):
+        for _ in range(4):
+            b = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+            forms.append(make_form([[sum(r[i] * r[j] for r in b) + (i == j) for j in range(d)] for i in range(d)]))
+    for a in forms:
+        g, _ = a.integer_gram
+        want = [greedy_class_bound(g, par) for par in itertools.product((0, 1), repeat=a.dim)]
+        assert lattice._class_start_bounds(g) == want, a.gram
+
+
+def test_start_bounds_are_at_least_the_class_minima():
+    rng = random.Random(4)
+    forms = [(a, 3) for _, _, a in lattice.catalog_entries(4)]
+    forms += [(random_pd_form_box6(rng, d), 6) for d in (2, 3, 4) for _ in range(2)]
+    for a, radius in forms:
+        g, den = a.integer_gram
+        bounds = lattice._class_start_bounds(g)
+        oracle = box_scan_minima(a.gram, radius)
+        for c, par in enumerate(itertools.product((0, 1), repeat=a.dim)):
+            if c:
+                assert F(bounds[c], den) >= oracle[par][0], (a.gram, par)
 
 
 def test_gl_d_z_change_of_basis_maps_every_class_minimum():

@@ -3,10 +3,19 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import NonSymmetricError, _reduced_rows, det, is_positive_definite, mat_mul, mat_vec, null_basis
+from oracles import (
+    NonSymmetricError,
+    _reduced_rows,
+    det,
+    fraction_ldl,
+    is_positive_definite,
+    mat_mul,
+    mat_vec,
+    null_basis,
+)
 from voroseg import jsonio, linalg
 from voroseg.linalg import (
     InconsistentSystemError,
@@ -124,6 +133,43 @@ def test_ldl_reconstructs():
     L, D = linalg.ldl(a)
     diag = mat([[D[0], 0], [0, D[1]]])
     assert mat_mul(mat_mul(L, diag), transpose(L)) == a
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational d x d matrices, d = 1 to 6.  Three in four are B^T B + s I
+    for k x d B with k <= d + 1 and s in {-1, -1/2, 0, 1/2, 1}: positive definite
+    for s > 0, singular semidefinite for k < d and s = 0, often indefinite for
+    s < 0.  The rest have entries drawn freely and are mostly indefinite."""
+    d = draw(st.integers(1, 6))
+    entry = st.sampled_from([F(p, q) for p in (0, 1, -1, 2, -3) for q in (1, 2, 3)])
+    if draw(st.integers(0, 3)) == 0:
+        m = [[draw(entry) for _ in range(d)] for _ in range(d)]
+        return mat([[m[max(i, j)][min(i, j)] for j in range(d)] for i in range(d)])
+    b = [[draw(entry) for _ in range(d)] for _ in range(draw(st.integers(0, d + 1)))]
+    s = draw(st.sampled_from((F(-1), F(-1, 2), F(0), F(1, 2), F(1))))
+    return mat([[sum((r[i] * r[j] for r in b), s * (i == j)) for j in range(d)] for i in range(d)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(symmetric_matrices())
+@example(mat([[1, 1], [1, 1]]))
+@example(mat([[F(3, 2)]]))
+def test_ldl_matches_sylvester_and_fraction_ldl(m):
+    # the fraction-free factorisation fails exactly on the matrices Sylvester's
+    # criterion rejects, and otherwise gives the Fraction LDL^T's (L, D)
+    if not is_positive_definite(m):
+        with pytest.raises(LinAlgError):
+            linalg.ldl(m)
+        with pytest.raises(LinAlgError):
+            fraction_ldl(m)
+        return
+    L, D = linalg.ldl(m)
+    n = len(m)
+    assert all(L[i][i] == 1 and not any(L[i][i + 1 :]) for i in range(n))
+    diag = tuple(tuple(D[i] if i == j else F(0) for j in range(n)) for i in range(n))
+    assert mat_mul(mat_mul(L, diag), transpose(L)) == m
+    assert (L, D) == fraction_ldl(m)
 
 
 def test_null_space_and_coords():
