@@ -82,17 +82,26 @@ def make_form(gram) -> QuadForm:
     """Validate a Gram matrix and wrap it as a form.
 
     Degenerate (positive semidefinite but singular) input is rejected:
-    the cell machinery needs a full-dimensional bounded cell.  So is a float
-    or a bool entry, which Fraction would read as a binary fraction or 0/1.
+    the cell machinery needs a full-dimensional bounded cell.  An entry is a
+    Fraction, or an int or string read by `linalg.parse_rational`; a float,
+    a bool or a decimal or exponent string is refused, which Fraction would
+    read as a binary fraction, as 0/1 or with thousands of digits.
     """
     rows = [tuple(r) for r in gram]
-    bad = [(i, j, x) for i, r in enumerate(rows) for j, x in enumerate(r) if isinstance(x, (float, bool))]
-    if bad:
-        raise LatticeError("Gram entry (%d, %d) is %r; give an int, a Fraction or a string such as \"-7/3\"" % bad[0])
-    m = linalg.mat(rows)
-    d = len(m)
-    if d == 0 or any(len(r) != d for r in m):
+    d = len(rows)
+    if d == 0 or any(len(r) != d for r in rows):
         raise NotSymmetricError("Gram matrix must be square and nonempty")
+
+    def entry(i: int, j: int, x) -> Fraction:
+        if isinstance(x, Fraction):
+            return x
+        try:
+            return linalg.parse_rational(x)
+        except ValueError:
+            hint = 'give an int, a Fraction or a string such as "-7/3"'
+            raise LatticeError(f"Gram entry ({i}, {j}) is {x!r}; {hint}") from None
+
+    m = tuple(tuple(entry(i, j, x) for j, x in enumerate(r)) for i, r in enumerate(rows))
     if not linalg.is_symmetric(m):
         raise NotSymmetricError("Gram matrix must be symmetric")
     a = QuadForm(dim=d, gram=m)

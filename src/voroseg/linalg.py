@@ -10,7 +10,8 @@ integers by the lcm of its own denominators (`scale_to_integers`).
 the face spaces of `polytope` are built from them.  `independent_rows` is
 the one incremental reduction: it picks the first integer rows that span
 and stops as soon as they do, which settles `hpolytope`'s span check and
-the basis choices of the double description's seed cone and `dual_set`.
+the basis choices of the double description's seed parallelepiped and
+`dual_set`.
 `inner` is the product that keeps integer vectors in integers: the facet
 normals are int tuples and an integral segment direction e is kept as one,
 so the products with e are ints.

@@ -5,34 +5,34 @@ normal and its support once by the lcm of the normal's denominators,
 merges positively parallel normals by their primitive integer direction
 and sorts on int tuples.
 
-Vertex enumeration is an incremental double-description pass over the
-inequality list, from a simplicial cone, in integer arithmetic:
-inequalities are integer rows, vertices primitive homogeneous integer
-pairs and tight sets bitmasks, and the result keeps the vertices x as the
-integer points Q x over one common denominator Q (`VPolytope.points`).
-Per inequality, the mask of the vertices on it persists across
-insertions.  The edges of a simple vertex, tight on exactly d rows, are
-read from ANDs of these masks; only between two non-simple vertices are
-adjacency candidates counted through them and tested.  A centrally
-symmetric system, whose row last-1-i is the opposite of row i with the
-same positive support, is inserted in mirror pairs: the live set stays
-symmetric about 0, so the opposite row cuts off the mirror images of
-what a row cuts off and its new vertices are the negated new vertices,
-formed with no second edge search.  Any other system is inserted one row
-at a time.  On top of it sit face extraction, belts, the tiling
+Vertex enumeration is an incremental double-description pass in integer
+arithmetic for centrally symmetric systems only: row last-1-i must be the
+opposite of row i with the same support > 0, as in every Voronoi cell and
+segment sum, and any other system raises PolytopeError before any
+insertion.  Inequalities are integer rows, vertices primitive homogeneous
+integer pairs and tight sets bitmasks, and the result keeps the vertices
+x as the integer points Q x over one common denominator Q
+(`VPolytope.points`).  The pass starts from the parallelepiped that d
+independent rows and their opposites cut out, its vertices numbered so
+that 2j+1 is the mirror image of 2j, and inserts every further row with
+its opposite: the opposite row cuts off the mirror images of what the row
+cuts off, and its new vertices are the negated new vertices, formed with
+no second edge search.  Per inequality, the mask of the vertices on it
+persists across insertions.  The edges of a simple vertex, tight on
+exactly d rows, are read from ANDs of these masks; only between two
+non-simple vertices are adjacency candidates counted through them and
+tested.  On top of it sit face extraction, belts, the tiling
 (parallelotope) verifier and the facet graph used for irreducibility.
 Facets and ridges are found by counting the facets on a face through the
-tight sets the double description keeps per vertex: in a full-dimensional
-cell a facet's vertices lie on no other inequality, a ridge's on exactly
-its two facets and a smaller face's on three or more (Ziegler, Lectures
-on Polytopes, 2.1).  Rank, an integer RREF (`linalg.integer_rref`), is
-formed only for `affine_rank`; a ridge's belt is named by the plane of
-its two facets' normals, and the belt's direction space is written down
-from their 2x2 minors (`_belt_space`).  Ridges, belts and the tiling
-verdict are computed once per cell and kept on it.  Faces are
-classified against a segment direction e by the signs of the products
-<p, e> of their facets' normals (`classify_products`), each formed once
-per inequality.
+tight sets the double description keeps per vertex: a facet's vertices
+lie on no other inequality, a ridge's on exactly its two facets and a
+smaller face's on three or more (Ziegler, Lectures on Polytopes, 2.1).  A
+ridge's belt is named by the plane of its two facets' normals, and the
+belt's direction space is written down from their 2x2 minors
+(`_belt_space`).  Ridges, belts and the tiling verdict are computed once
+per cell and kept on it.  Faces are classified against a segment
+direction e by the signs of the products <p, e> of their facets' normals
+(`classify_products`), each formed once per inequality.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
     A rational normal and its support are scaled once by the lcm of the
     normal's denominators, which leaves the half-space and an integer
     normal unchanged.  Inequalities are keyed by the primitive direction
-    n / gcd(n); of two with one key, the bound s / gcd(n) decides.
+    n / gcd(n); of two with one key, the bound s / gcd(n) decides, and of
+    equal bounds the smaller gcd(n).
     """
     by_dir: dict[IntVec, tuple[int, IntVec, Fraction]] = {}
     for normal, support in pairs:
@@ -116,8 +117,9 @@ def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
             raise ValueError("zero vector has no direction")
         prim = tuple(x // g for x in n)
         old = by_dir.get(prim)
-        # the tighter bound s/g wins, and of equal bounds the smaller normal
-        if old is None or (s * old[0], n) < (old[2] * g, old[1]):
+        # the tighter bound s/g wins, and of equal bounds the smaller multiple g of the
+        # direction, so that n and -n keep opposite normals and a symmetric system stays so
+        if old is None or (s * old[0], g) < (old[2] * g, old[0]):
             by_dir[prim] = (g, n, s)
     kept = sorted(by_dir.values(), key=operator.itemgetter(1))
     ineqs = tuple(Inequality(n, s) for _, n, s in kept)
@@ -152,7 +154,6 @@ class VPolytope:
     points: tuple[IntVec, ...]
     tights: tuple[frozenset[int], ...]
     facet_ids: tuple[int, ...]
-    affine_rank: int
 
     @property
     def dim(self) -> int:
@@ -185,8 +186,6 @@ class VPolytope:
         ridge's belt, whose direction space is formed once, from its first ridge's pair (`_belt_space`).
         """
         d = self.dim
-        if self.affine_rank < d:
-            return (), ()
         normals = self.hpoly.normals
         facet_mask = sum(1 << i for i in self.facet_ids)
         on_facets = [sum(1 << i for i in t) & facet_mask for t in self.tights]
@@ -308,11 +307,6 @@ def _meet(masks: dict[int, int] | Sequence[int], ids: Iterable[int], floor: int)
     return out
 
 
-def _face_dim(normals: Sequence[Sequence[int]], eq: Iterable[int]) -> int:
-    """dim F, where eq are the inequalities tight on all of F and normals their integer rows."""
-    return len(normals[0]) - len(linalg.integer_rref([normals[i] for i in eq]))
-
-
 def _bits(mask: int) -> list[int]:
     """The positions of the set bits of mask, highest first."""
     out = []
@@ -395,7 +389,12 @@ def _check_budget(live: int) -> None:
 
 
 def enumerate_vertices(h: HPolytope) -> VPolytope:
-    """Exact vertex enumeration by incremental half-space insertion.
+    """Exact vertex enumeration of a centrally symmetric system, by mirror-pair insertion.
+
+    Contract: row last-1-i is the opposite of row i with the same support
+    s > 0, as in every Voronoi cell and segment sum, so 0 is interior and
+    the polytope is symmetric about it.  Any other system raises
+    PolytopeError before any insertion.
 
     Integer double description: inequality <n, x> <= s, whose normal n is
     an integer vector, enters as the integer row (s', -n') = m (s, -n), m
@@ -406,10 +405,9 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     are exactly u and w (Fukuda & Prodon 1996).  Vertex ids are never
     reused, so each inequality's mask of the live vertices on it is kept
     across insertions and only changed where vertices leave or arrive.  A
-    vertex is an extreme ray of the cone of the rows inserted so far, so its
-    tight rows have rank d.  When w is simple, tight on exactly d rows,
-    those rows are independent and each d - 1 of them cut out an edge of the
-    cone whose only other live vertex is the AND of their masks without w
+    vertex's tight rows have rank d.  When w is simple, tight on exactly d
+    rows, those rows are independent and each d - 1 of them cut out an
+    edge whose only other live vertex is the AND of their masks without w
     (Ziegler, Lectures on Polytopes, ch. 3): prefix and suffix ANDs give all
     d ends, with no count and no meet test.  Likewise a simple plus vertex
     u that shares d - 1 rows with w shares an edge with it.  Only for two
@@ -418,184 +416,105 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     inequalities with w, the only ones that can be adjacent to it, are found
     by counting through the masks in time linear in w's tight set, and the
     meet test decides each (`_edge_cuts`).  The result keeps the integer
-    points.  Facets are counted, and only affine_rank is ranked: in a
-    full-dimensional cell, inequality i is a facet iff its vertices, at
-    least d, lie on no other inequality, as a smaller face lies on two
-    facets or more; a cell of dimension d - 1 has the inequalities tight
-    everywhere, a lower one none.
+    points.  Facets are counted: inequality i is a facet iff its vertices,
+    at least d, lie on no other inequality, as a smaller face lies on two
+    facets or more.
 
-    The pass starts from a simplicial cone (Motzkin et al. 1953): the row
-    q >= 0 and the first d rows independent with it form a nonsingular B,
-    and column k of sign(det B) adj(B) is the extreme ray tight on every
-    row of B but the k-th.  Rays with q = 0 are directions at infinity;
-    one that survives every row means the system is unbounded, or empty
-    when no ray has q > 0.  Lower-dimensional cells need nothing extra.
-    Negation reverses the sorted order, so in a symmetric system row
-    last-1-i is the opposite of row i; the seed rows' opposites come next.
-
-    Mirror pairs.  When each row last-1-i is the opposite of row i with the
-    same support s > 0, as in every Voronoi cell and segment sum, the seed
-    rows and their opposites cut out a parallelepiped symmetric about 0,
-    whose vertices are renumbered so that 2j+1 is the mirror image of 2j.
+    The pass starts from the parallelepiped that d independent rows B
+    (`linalg.independent_rows`) and their opposites cut out: the vertex with
+    sign pattern sigma is adj(B) (sigma s') / det(B), tight on row i where
+    sigma_i = + and on its opposite where sigma_i = -.  Vertex 2j has the
+    pattern sigma with first sign + and vertex 2j+1, its mirror image, -sigma.
     Each further row k then enters with its opposite m = last-1-k: k's
-    hyperplane <n, x> = s lies strictly inside m's half-space <n, x> >= -s,
-    so m cuts off the mirror images of the vertices k cut off, and m's zero
-    set and new vertices are k's mirrored, tight sets mapped i -> last-1-i
-    and vertex masks with adjacent bits swapped.  Only k's edges are
-    searched, and only the even vertex of a pair gets a slack: the odd
-    one's is 2s'q minus it.  Any other system (a triangle, a flat cell, a
-    zero-width slab, opposite rows with unequal supports) enters one row at
-    a time.  After each inserted inequality that cuts vertices off, more
-    than VERTEX_BUDGET live vertices raise VRepCapError, whose message
-    names the budget.
+    hyperplane <n, x> = s lies strictly inside m's half-space
+    <n, x> >= -s, so m cuts off the mirror images of the vertices k cut
+    off, and m's zero set and new vertices are k's mirrored, tight sets
+    mapped i -> last-1-i and vertex masks with adjacent bits swapped.  Only
+    k's edges are searched, and only the even vertex of a pair gets a
+    slack: the odd one's is 2s'q minus it.  After each pair that cuts
+    vertices off, more than VERTEX_BUDGET live vertices raise VRepCapError,
+    whose message names the budget.
     """
     d = h.dim
     last = len(h.ineqs)
-    # row last is q >= 0; it is tight exactly on the rays at infinity
-    rows = [
-        (iq.support.numerator, *(-iq.support.denominator * x for x in iq.normal)) for iq in h.ineqs
-    ] + [(1,) + (0,) * d]
-    basis = [last] + [i - 1 for i in linalg.independent_rows([rows[last]] + rows[:last])[1:]]
-    if len(basis) <= d:
+    rows = [(iq.support.numerator, *(-iq.support.denominator * x for x in iq.normal)) for iq in h.ineqs]
+    if any(r[0] <= 0 or rows[last - 1 - i] != (r[0], *(-x for x in r[1:])) for i, r in enumerate(rows)):
+        raise PolytopeError("row last-1-i must be the opposite of row i, with the same support > 0")
+    # the first independent rows: before any row's opposite, as the first half spans what all rows span
+    basis = linalg.independent_rows([r[1:] for r in rows])
+    if len(basis) < d:
         raise UnboundedCellError("normals do not span R^d; cell is unbounded")
-    adj, det = linalg.adjugate([rows[i] for i in basis])
-    seeds = sum(1 << i for i in basis)
+    adj, det = linalg.adjugate([[-x for x in rows[i][1:]] for i in basis])
     # vertex ids are never reused, so the masks over them stay valid across
     # insertions: on[i] holds the live vertices tight on processed inequality i
     verts: dict[int, tuple[int, ...]] = {}
     tights: dict[int, int] = {}
-    for k, i in enumerate(basis):
-        ray = tuple(r[k] for r in adj)
-        g = gcd(*ray) if det > 0 else -gcd(*ray)
-        verts[k] = tuple(x // g for x in ray)
-        tights[k] = seeds & ~(1 << i)
-    on = [0] * (last + 1)
-    alive = next_id = 0
-
-    def renumber(order: list[int]) -> None:
-        """Give the live vertices the ids 0, 1, ... in this order, and rebuild on and alive."""
-        nonlocal alive, next_id
-        pairs = [(verts.pop(j), tights.pop(j)) for j in order]
-        on[:] = [0] * (last + 1)
-        for j, (v, t) in enumerate(pairs):
-            verts[j], tights[j] = v, t
-            for i in _bits(t):
+    on = [0] * last
+    for half in itertools.product((1, -1), repeat=d - 1):
+        for sigma in ((1, *half), (-1, *(-s for s in half))):
+            j = len(verts)
+            x = [sum(a * s * rows[i][0] for a, s, i in zip(r, sigma, basis)) for r in adj]
+            g = gcd(det, *x) if det > 0 else -gcd(det, *x)
+            verts[j] = (det // g, *(c // g for c in x))
+            tights[j] = sum(1 << (i if s > 0 else last - 1 - i) for s, i in zip(sigma, basis))
+            for i in _bits(tights[j]):
                 on[i] |= 1 << j
-        alive = (1 << len(order)) - 1
-        next_id = len(order)
-
-    def insert(k: int, slack: dict[int, int], step: int) -> tuple[list[int], list[int], dict[int, int]]:
-        """Insert row k, given every live vertex's slack on it; new vertex ids go up by step.
-
-        Returns the vertices on row k and those it cut off, and per row the
-        mask of the new vertices tight on it: all of them are tight on row k.
-        """
-        nonlocal alive, next_id
-        bit = 1 << k
+    alive = (1 << len(verts)) - 1
+    next_id = len(verts)
+    flip = f"0{last}b"
+    for k in range(last // 2):
+        if k in basis:
+            continue
+        m, bit, row = last - 1 - k, 1 << k, rows[k]
+        two_s = 2 * row[0]
+        slack = {j: sum(map(operator.mul, row, v)) for j, v in verts.items() if not j & 1}
+        slack.update([(j + 1, two_s * verts[j][0] - t) for j, t in slack.items()])
         minus = [j for j, t in slack.items() if t < 0]
         zero = [j for j, t in slack.items() if not t]
         on[k] = sum(1 << j for j in zero)
         for j in zero:
             tights[j] |= bit
-        if not minus:
-            return zero, minus, {}
-        if len(minus) == len(verts):
-            raise EmptyPolytopeError("inequalities are infeasible")
-        minus_mask = sum(1 << j for j in minus)
-        new_pts = _edge_cuts(d, bit, minus, alive & ~minus_mask & ~on[k], alive, slack, verts, tights, on)
-        touched = 0
-        for w in minus:
-            touched |= tights.pop(w)
-            del verts[w]
-        for i in _bits(touched):
-            on[i] &= ~minus_mask
-        alive &= ~minus_mask
-        added: dict[int, int] = {}
-        for x, t in new_pts.items():
-            verts[next_id] = x
-            tights[next_id] = t
-            for i in _bits(t):
-                added[i] = added.get(i, 0) | 1 << next_id
-            next_id += step
-        for i, mask in added.items():
-            on[i] |= mask
-        alive |= added.get(k, 0)
-        _check_budget(len(verts))
-        return zero, minus, added
-
-    renumber(list(verts))
-    opposites = [last - 1 - i for i in basis[1:]]
-    mirrored = all(r[0] > 0 and rows[last - 1 - i] == (r[0], *(-x for x in r[1:])) for i, r in enumerate(rows[:last]))
-    for k in dict.fromkeys(opposites if mirrored else opposites + list(range(last))):
-        if not seeds >> k & 1:
-            row = rows[k]
-            insert(k, {j: sum(map(operator.mul, row, v)) for j, v in verts.items()}, 1)
-    if mirrored:
-        index = {v: j for j, v in verts.items()}
-        order = []
-        for j, (q, *x) in verts.items():
-            mj = index.get((q, *(-c for c in x)))
-            # bounded, so row last is tight nowhere and tight sets mirror within bits 0..last-1
-            if not q or mj in (None, j):
-                raise PolytopeError("a vertex of the seed parallelepiped has no mirror image")
-            if j < mj:
-                order += [j, mj]
-        renumber(order)
-        flip = f"0{last}b"
-        for k in range(last // 2):
-            m = last - 1 - k
-            if (seeds >> k | seeds >> m) & 1:
-                continue
-            row, first = rows[k], next_id
-            two_s = 2 * row[0]
-            slack = {j: sum(map(operator.mul, row, v)) for j, v in verts.items() if not j & 1}
-            slack.update([(j + 1, two_s * verts[j][0] - t) for j, t in slack.items()])
-            zero, minus, added = insert(k, slack, 2)
-            bit = 1 << m
-            for j in zero:
-                tights[j ^ 1] |= bit
-            if minus:
-                gone = _mirror_ids(sum(1 << j for j in minus))
-                touched = 0
-                for w in minus:
-                    touched |= tights.pop(w ^ 1)
-                    del verts[w ^ 1]
-                for i in _bits(touched):
-                    on[i] &= ~gone
-                for j in range(first, next_id, 2):
-                    q, *x = verts[j]
-                    verts[j + 1] = (q, *(-c for c in x))
-                    tights[j + 1] = int(format(tights[j], flip)[::-1], 2)
-                # row k's new vertices are even, so row m's deltas are k's shifted by one
-                for i, mask in added.items():
-                    on[last - 1 - i] |= mask << 1
-                alive = alive & ~gone | added.get(k, 0) << 1
-                _check_budget(len(verts))
-            on[m] = _mirror_ids(on[k])
-    if any(not v[0] for v in verts.values()):
-        if all(not v[0] for v in verts.values()):
-            raise EmptyPolytopeError("inequalities are infeasible")
-        raise UnboundedCellError("a direction at infinity satisfies every inequality; cell is unbounded")
+        if minus:
+            cut = sum(1 << j for j in minus)
+            new_pts = _edge_cuts(d, bit, minus, alive & ~cut & ~on[k], alive, slack, verts, tights, on)
+            # k cuts off the vertices in minus and m their mirror images
+            gone = cut | _mirror_ids(cut)
+            touched = 0
+            for w in minus:
+                touched |= tights.pop(w) | tights.pop(w ^ 1)
+                del verts[w], verts[w ^ 1]
+            for i in _bits(touched):
+                on[i] &= ~gone
+            added: dict[int, int] = {}
+            for (q, *x), t in new_pts.items():
+                verts[next_id], verts[next_id + 1] = (q, *x), (q, *(-c for c in x))
+                tights[next_id], tights[next_id + 1] = t, int(format(t, flip)[::-1], 2)
+                for i in _bits(t):
+                    added[i] = added.get(i, 0) | 1 << next_id
+                next_id += 2
+            # row k's new vertices are even, so row m's deltas are k's shifted by one
+            for i, mask in added.items():
+                on[i] |= mask
+                on[last - 1 - i] |= mask << 1
+            new = added.get(k, 0)
+            alive = alive & ~gone | new | new << 1
+            _check_budget(len(verts))
+        for j in zero:
+            tights[j ^ 1] |= 1 << m
+        on[m] = _mirror_ids(on[k])
     # a primitive pair's q is the lcm of the reduced denominators of X/q, so common_q
     # is that of all vertex denominators; the integer points sort like the rationals
     common_q = lcm(*(v[0] for v in verts.values()))
     scaled = {j: tuple(x * (common_q // v[0]) for x in v[1:]) for j, v in verts.items()}
     order = sorted(verts, key=scaled.__getitem__)
-    everywhere = functools.reduce(operator.and_, tights.values())
-    affine_rank = _face_dim(h.normals, _bits(everywhere))
-    if affine_rank == d:
-        facet_ids = tuple(
-            i for i in range(last) if on[i].bit_count() >= d and _meet(tights, _bits(on[i]), 1 << i) == 1 << i
-        )
-    else:
-        facet_ids = tuple(sorted(_bits(everywhere))) if affine_rank == d - 1 else ()
     return VPolytope(
         hpoly=h,
         scale=common_q,
         points=tuple(scaled[j] for j in order),
         tights=tuple(frozenset(_bits(tights[j])) for j in order),
-        facet_ids=facet_ids,
-        affine_rank=affine_rank,
+        facet_ids=tuple(
+            i for i in range(last) if on[i].bit_count() >= d and _meet(tights, _bits(on[i]), 1 << i) == 1 << i
+        ),
     )
 
 
@@ -613,7 +532,6 @@ def prune_to_facets(v: VPolytope) -> VPolytope:
         points=v.points,
         tights=tuple(frozenset(renumber[i] for i in ts if i in renumber) for ts in v.tights),
         facet_ids=tuple(range(len(h2.ineqs))),
-        affine_rank=v.affine_rank,
     )
 
 

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: minima come from a
 plain box scan, dual sets from a box scan bounded by an inverse computed
 here or from every sign pattern through that inverse, vertices from
-solving all d-subsets of inequalities, face dimensions from eliminating
+solving all d-subsets of inequalities (or, for a polytope held on a
+line, from the bounds along it), face dimensions from eliminating
 vertex differences, determinants from the same elimination, and
 Minkowski sums from translating vertex sets.  The commensurate vectors,
 layer indices, segment supports f_e and a_e, the set P(e) and the segment
@@ -229,6 +230,26 @@ def brute_force_vertices(h) -> tuple:
     return tuple(sorted(pts))
 
 
+def line_vertices(h, e) -> tuple:
+    """All vertices of an H-polytope that its rows of support 0 hold on the line through 0 and e.
+
+    Those rows, each with its opposite, give <p, x> = 0; when their normals
+    are orthogonal to e and span e's orthogonal complement (by the
+    elimination above), the polytope lies on the line x = t e, where each
+    other row bounds t.  Solving every d-subset is out of reach here: a
+    segment over the 26 contact vectors of Z^3 has 2600 of them.
+    """
+    pinned = {tuple(iq.normal) for iq in h.ineqs if iq.support == 0}
+    if {tuple(-x for x in p) for p in pinned} != pinned or any(linalg.inner(p, e) for p in pinned):
+        raise ValueError("the rows of support 0 are not opposite pairs orthogonal to e")
+    if len(_reduced_rows(list(pinned))) != h.dim - 1:
+        raise ValueError("the rows of support 0 do not hold the polytope on a line")
+    bounds = [(iq.support / t, t > 0) for iq in h.ineqs if (t := linalg.inner(iq.normal, e))]
+    hi = min(s for s, up in bounds if up)
+    lo = max(s for s, up in bounds if not up)
+    return tuple(sorted({linalg.vscale(t, e) for t in (lo, hi)})) if lo <= hi else ()
+
+
 def minkowski_candidates(vertices, e, b) -> tuple:
     """Candidate vertex set {v +/- b e} of a polytope-plus-segment sum."""
     ev = linalg.vec(e)
@@ -442,8 +463,10 @@ def subset_check(h1, h2, v1=None, v2=None) -> tuple:
     This is a theorem for support-function sums, so a False return (with
     the offending vertex sum as witness) signals an implementation bug.
     The support of a Minkowski sum is the sum of the supports, so one
-    maximiser per summand and inequality decides.  Precomputed vertex
-    representations may be passed to avoid re-enumeration.
+    maximiser per summand and inequality decides.  A summand's vertices may
+    be passed: a segment b[-e, e] passes its vertices +/- be, as its system
+    has supports 0 and `polytope.enumerate_vertices` refuses it; otherwise
+    they come from `enumerate_vertices`.
     """
     if h1.normals != h2.normals:
         raise NormalSetMismatchError("the two cells must share their normal set")
@@ -451,14 +474,9 @@ def subset_check(h1, h2, v1=None, v2=None) -> tuple:
         h1.dim,
         [(iq1.normal, iq1.support + iq2.support) for iq1, iq2 in zip(h1.ineqs, h2.ineqs)],
     )
-    v1 = v1 if v1 is not None and v1.hpoly == h1 else polytope.enumerate_vertices(h1)
-    v2 = v2 if v2 is not None and v2.hpoly == h2 else polytope.enumerate_vertices(h2)
+    summands = [polytope.enumerate_vertices(h).vertices if v is None else v for h, v in ((h1, v1), (h2, v2))]
     for iq in total.ineqs:
-        tops = []
-        for v in (v1, v2):
-            top = max(v.points, key=functools.partial(linalg.inner, iq.normal))
-            tops.append(linalg.vscale(Fraction(1, v.scale), top))
-        s = linalg.vadd(*tops)
+        s = linalg.vadd(*(max(v, key=functools.partial(linalg.inner, iq.normal)) for v in summands))
         if linalg.dot(iq.normal, s) > iq.support:
             return False, s
     return True, None

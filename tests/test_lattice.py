@@ -45,6 +45,21 @@ def test_make_form_rejects_bad_input():
         make_form([[1, 0, 0], [0, 1, 0]])
 
 
+def test_make_form_refuses_ragged_rows_as_not_symmetric():
+    # a ragged Gram is no square matrix, whatever linalg.mat would say of it
+    for gram in ([[1, 0], [0]], [[1], [0, 1]], [[2, 1, 0], [1, 2], [0, 1, 2]]):
+        with pytest.raises(NotSymmetricError, match="square"):
+            make_form(gram)
+
+
+def test_make_form_reads_strings_as_parse_rational_does():
+    # an exponent or decimal string would give Fraction thousands of digits or a silent 3/2
+    for s in ("1e5000", "1.5", "1/0", " ", "0x10"):
+        with pytest.raises(LatticeError, match=r"entry \(0, 0\) is " + repr(s)):
+            make_form([[s, 0], [0, 1]])
+    assert make_form([["3/2", "-1/2"], ["-1/2", "+1"]]).gram == ((F(3, 2), F(-1, 2)), (F(-1, 2), F(1)))
+
+
 def test_make_form_rejects_float_and_bool_entries():
     # Fraction(0.1) is 3602879701896397/36028797018963968 and Fraction(True) is 1
     with pytest.raises(LatticeError, match=r"entry \(0, 0\) is 0\.1"):
