@@ -4,6 +4,7 @@ from .lattice import (
     ContactVectorSet,
     QuadForm,
     catalog,
+    catalog_entries,
     coset_minima,
     eval_form,
     make_form,
@@ -16,7 +17,6 @@ from .polytope import (
     belts,
     build_cell,
     codim2_faces,
-    contact_face,
     enumerate_vertices,
     irreducibility_graph,
     is_parallelotope,

@@ -6,7 +6,9 @@ set of the facet normals.  For free directions the sum of the cell with
 the segment b*[-e, e] equals the Voronoi cell of the rank-1-perturbed form
 (Gram A + b e e^T); for all other directions of an irreducible cell the
 sum is not a parallelotope.  Both constructions and the equivalence check
-live here.  An integral e is kept as ints (`Direction`), so with the
+live here; the pipeline needs no more, so lemma L8 (a transversal ridge of
+a dual-set direction is a contact face on a 4-belt) is checked only by the
+test oracles.  An integral e is kept as ints (`Direction`), so with the
 integer facet normals every product <p, e> is an int; `sum_with_segment`
 forms one per inequality and reads from that list the shifted supports,
 the transversal ridges and the weights of the new normals, which stay
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg, lattice, polytope
-from .lattice import IntVec, QuadForm, coset_minima, eval_form
+from .lattice import IntVec, QuadForm, coset_minima
 from .linalg import Vec
 from .polytope import (
     HPolytope,
@@ -53,10 +55,6 @@ class CannotNormalizeError(ExtensionError):
         )
 
 
-class NotInDualSetError(ExtensionError):
-    pass
-
-
 @dataclass(frozen=True)
 class Direction:
     """A segment direction e with weight b > 0 (segment = b * [-e, e]).
@@ -83,11 +81,6 @@ def perturbed_form(a: QuadForm, dir: Direction) -> QuadForm:
         for i in range(a.dim)
     )
     return lattice.make_form(g)
-
-
-def _free(p: Sequence, e: Sequence) -> bool:
-    """True iff <p, e> lies in {0, +1, -1}."""
-    return linalg.inner(p, e) in (0, 1, -1)
 
 
 def _integer_normals(normals: Iterable[Sequence]) -> list[IntVec]:
@@ -161,13 +154,6 @@ def dual_set(normals: Sequence[Sequence]) -> DualSet:
     return DualSet(members=tuple(sorted(members)), basis_used=tuple(basis))
 
 
-def in_dual_set(normals: Sequence[Sequence], e: Sequence) -> tuple[bool, tuple[IntVec, ...]]:
-    """Membership test with the violating normals as witness."""
-    ev = linalg.exact_vec(e)
-    bad = tuple(p for p in _integer_normals(normals) if not _free(p, ev))
-    return (not bad, bad)
-
-
 def normalize_direction(e_raw: Sequence, normals: Sequence[Sequence]) -> IntVec:
     """Rescale e so its products with all facet normals land in {0, +1, -1}.
 
@@ -232,40 +218,6 @@ def voronoi_of_sum_form(a: QuadForm, dir: Direction) -> HPolytope:
         raise ValueError("voronoi_of_sum_form needs an integer (normalized) e")
     a2 = perturbed_form(a, dir)
     return build_cell(a2, coset_minima(a2).facet_normals())
-
-
-def lemma_l8_check(a: QuadForm, cell: VPolytope, e: Sequence) -> bool:
-    """Transversal shadow-boundary codim-2 faces are contact faces killed by e.
-
-    For e in the dual set, every such face must be the contact face of
-    p1 + p2 (its two facet normals), have <p1 + p2, e> = 0, and sit on a
-    4-belt.  Returns False as soon as one face violates any of these.
-    """
-    ev = linalg.exact_vec(e)
-    normals = cell.hpoly.normals
-    prods = [linalg.inner(n, ev) for n in normals]
-    bad = tuple(p for p, t in zip(normals, prods) if t not in (0, 1, -1))
-    if bad:
-        raise NotInDualSetError(f"e = {tuple(e)} has products outside {{0,+1,-1}}: {bad[:3]}")
-    cs = coset_minima(a)
-    faces = polytope.codim2_faces(cell)
-    on_4_belt = {fi for belt in polytope.belts(cell) if belt.length == 4 for fi in belt.face_ids}
-    for fi, face in enumerate(faces):
-        if polytope.classify_products([prods[k] for k in face.facets]) != polytope.DIRECT_SUM:
-            continue
-        i, j = face.facets
-        p = linalg.vadd(normals[i], normals[j])
-        if prods[i] + prods[j] != 0:
-            return False
-        cl = cs.class_of(p)
-        if cl is None or p not in cl.minima:
-            return False
-        cf = polytope.contact_face(cell, p, eval_form(a, p))
-        if cf is None or cf.vertex_ids != face.vertex_ids:
-            return False
-        if fi not in on_4_belt:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

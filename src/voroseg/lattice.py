@@ -145,13 +145,6 @@ class ContactVectorSet:
                 out.extend(cl.minima)
         return tuple(sorted(out))
 
-    def class_of(self, p: IntVec) -> ClassMinima | None:
-        key = tuple(x % 2 for x in p)
-        for cl in self.classes:
-            if cl.parity == key:
-                return cl
-        return None
-
 
 def _lcm_denominator(entries) -> int:
     return lcm(*(x.denominator for x in entries))

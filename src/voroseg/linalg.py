@@ -3,11 +3,13 @@
 Vectors are tuples of Fractions (`vec`), or of ints where every entry is
 integral (`exact_vec`); matrices are tuples of row tuples, and nothing in
 here ever rounds.  Every row reduction (`rank`, `integer_rref`,
-`solve_linear`, `adjugate` and `null_space`) runs one integer kernel,
-fraction-free Gauss-Jordan elimination: a rational row is first scaled to
-integers by the lcm of its own denominators (`scale_to_integers`).
-`integer_rref` and `null_space` return integer rows and form no Fraction;
-the face spaces of `polytope` are built from them.  `independent_rows` is
+`solve_linear` and `adjugate`) runs one integer kernel, fraction-free
+Gauss-Jordan elimination: a rational row is first scaled to integers by
+the lcm of its own denominators (`scale_to_integers`).  `integer_rref`
+returns integer rows and forms no Fraction.  There is no null-space
+routine: a belt's direction space is written down from two normals'
+minors in `polytope`, and the tests check it against the null space the
+oracles compute by their own elimination.  `independent_rows` is
 the one incremental reduction: it picks the first integer rows that span
 and stops as soon as they do, which settles `hpolytope`'s span check and
 the basis choices of the double description's seed parallelepiped and
@@ -53,13 +55,6 @@ def exact_vec(entries: Iterable) -> tuple:
     """The entries as ints when all are integral, else as Fractions (`vec`)."""
     v = vec(entries)
     return tuple(int(x) for x in v) if all(x.denominator == 1 for x in v) else v
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    m = tuple(vec(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise DimensionMismatchError("ragged rows")
-    return m
 
 
 def identity(d: int) -> Mat:
@@ -257,27 +252,6 @@ def ldl(m: Mat) -> tuple[Mat, Vec]:
     unit = (Fraction(1),) + (Fraction(0),) * n  # row i of L ends in unit[: n - i]
     L = tuple(tuple(map(Fraction, r[:i], piv[1:])) + unit[: n - i] for i, r in enumerate(a))
     return L, tuple(Fraction(p, q * den) for q, p in zip(piv, piv[1:]))
-
-
-def null_space(m: Sequence[Sequence], ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Integer basis (as rows) of the right null space of m, one row per free column of the RREF.
-
-    The RREF is the eliminated integer rows over p, so p times the RREF's
-    null vector for free column f is p at f, minus each pivot row's entry at
-    f at that row's pivot, and 0 elsewhere.
-    """
-    rows = _integer_rows(m)
-    pivots, p, _ = _bareiss(rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        x = [0] * ncols
-        x[f] = p
-        for r, c in zip(rows, pivots):
-            x[c] = -r[f]
-        basis.append(tuple(x))
-    return tuple(basis)
 
 
 def parse_rational(s: int | str) -> Fraction:

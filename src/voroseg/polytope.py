@@ -21,7 +21,7 @@ no second edge search.  Per inequality, the mask of the vertices on it
 persists across insertions.  The edges of a simple vertex, tight on
 exactly d rows, are read from ANDs of these masks; only between two
 non-simple vertices are adjacency candidates counted through them and
-tested.  On top of it sit face extraction, belts, the tiling
+tested.  On top of it sit the ridges, belts, the tiling
 (parallelotope) verifier and the facet graph used for irreducibility.
 Facets and ridges are found by counting the facets on a face through the
 tight sets the double description keeps per vertex: a facet's vertices
@@ -61,10 +61,6 @@ class UnboundedCellError(PolytopeError):
     pass
 
 
-class EmptyPolytopeError(PolytopeError):
-    pass
-
-
 class VRepCapError(PolytopeError):
     pass
 
@@ -97,10 +93,16 @@ class HPolytope:
         return tuple(iq.normal for iq in self.ineqs)
 
 
+# the entry types `hpolytope` takes: a float would be read as a binary fraction, a bool as 0 or 1
+_EXACT = frozenset((int, Fraction))
+
+
 def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
     """The H-polytope of the (normal, support) pairs, canonicalised in integers.
 
-    A rational normal and its support are scaled once by the lcm of the
+    Every normal entry and support is an int or a Fraction; anything else,
+    a float or a bool included, raises ValueError naming the pair.  A
+    rational normal and its support are scaled once by the lcm of the
     normal's denominators, which leaves the half-space and an integer
     normal unchanged.  Inequalities are keyed by the primitive direction
     n / gcd(n); of two with one key, the bound s / gcd(n) decides, and of
@@ -110,6 +112,8 @@ def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
     for normal, support in pairs:
         if len(normal) != dim:
             raise linalg.DimensionMismatchError("normal length != dim")
+        if type(support) not in _EXACT or not _EXACT.issuperset(map(type, normal)):
+            raise ValueError(f"inequality ({tuple(normal)!r}, {support!r}): give int or Fraction entries")
         n, m = linalg.scale_to_integers(normal)
         s = Fraction(support) * m
         g = gcd(*n)
@@ -535,45 +539,19 @@ def prune_to_facets(v: VPolytope) -> VPolytope:
     )
 
 
-def _heights(v: VPolytope, q: Sequence) -> tuple[list[int], int]:
-    """<q, x> for every vertex x, as integers over one common denominator."""
-    if not v.points:
-        raise EmptyPolytopeError("support of an empty polytope")
-    qi, den = linalg.scale_to_integers(linalg.vec(q))
-    if len(qi) != v.dim:
-        raise linalg.DimensionMismatchError(f"direction of length {len(qi)} in dimension {v.dim}")
-    return [sum(map(operator.mul, qi, x)) for x in v.points], den * v.scale
-
-
 @dataclass(frozen=True)
 class Face:
-    """A proper face, carried as the facets containing it and its vertices."""
+    """A ridge, a (d-2)-face of the cell: its two facets, its vertices and its belt's direction space.
 
-    facets: tuple[int, ...]
+    Only `codim2_faces` builds one; a face of any other dimension, such as
+    the contact face of a lattice vector, is found by the test oracles from
+    the cell's points.
+    """
+
+    facets: tuple[int, int]
     vertex_ids: tuple[int, ...]
     dim: int
     direction_space: IntMat  # RREF rows of (aff F - aff F), each scaled to a primitive integer row
-
-
-def _face_from_vertices(v: VPolytope, vertex_ids: Sequence[int]) -> Face:
-    ids = tuple(sorted(vertex_ids))
-    eq = frozenset.intersection(*(v.tights[i] for i in ids))
-    dirs = linalg.integer_rref(linalg.null_space([v.hpoly.ineqs[i].normal for i in eq], v.dim))
-    facets = tuple(i for i in v.facet_ids if i in eq)
-    return Face(facets=facets, vertex_ids=ids, dim=len(dirs), direction_space=dirs)
-
-
-def contact_face(v: VPolytope, p: Sequence, supp) -> Face | None:
-    """The face where the hyperplane <p, x> = supp supports the cell.
-
-    Returns None when the hyperplane misses the cell or cuts through it,
-    i.e. when supp is not the exact support value in direction p.
-    """
-    heights, den = _heights(v, p)
-    top = max(heights)
-    if Fraction(top, den) != Fraction(supp):
-        return None
-    return _face_from_vertices(v, [i for i, t in enumerate(heights) if t == top])
 
 
 def codim2_faces(v: VPolytope) -> tuple[Face, ...]:

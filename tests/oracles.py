@@ -14,7 +14,10 @@ a random unimodular change of basis, with the positive-definiteness test
 by Sylvester's criterion, the LDL^T factorisation in Fractions, one parity
 class's start bound by greedy descent from its own 0/1 representative,
 the support-sum inclusion check, the facet adjacency check, a facet's face,
-the shadow boundary of a cell under e and the matrix-vector product.
+the shadow boundary of a cell under e and the matrix-vector product.  The
+package's faces are its ridges and belts only, so the face where a
+hyperplane supports a cell, lemma L8, a parity class, dual-set membership
+and a null space are found here, from the cell's and the form's own fields.
 """
 
 from __future__ import annotations
@@ -283,11 +286,17 @@ class NonIntegralLayerError(lattice.LatticeError):
     pass
 
 
+def parity_class(cs: "lattice.ContactVectorSet", p):
+    """p's class in cs, None for an even p: class c, whose parity is c's binary digits, is cs.classes[c - 1]."""
+    c = int("".join(str(x % 2) for x in p), 2)
+    return cs.classes[c - 1] if c else None
+
+
 def commensurate(a: "lattice.QuadForm", p) -> tuple:
     """2Ap, the translation joining the cell center to the neighbor across F(p)."""
     pt = linalg.exact_vec(p)
     # a non-integral entry makes p no lattice vector, let alone a contact vector
-    cl = None if any(isinstance(x, Fraction) for x in pt) else lattice.coset_minima(a).class_of(pt)
+    cl = None if any(isinstance(x, Fraction) for x in pt) else parity_class(lattice.coset_minima(a), pt)
     if cl is None or pt not in cl.minima:
         raise NotContactVectorError(f"({', '.join(map(str, pt))}) is not a contact vector of the form")
     return linalg.vscale(2, mat_vec(a.gram, linalg.vec(pt)))
@@ -345,15 +354,80 @@ def classify_face(v: "polytope.VPolytope", face: "polytope.Face", e) -> str:
     return polytope.classify_products([linalg.inner(v.hpoly.ineqs[i].normal, e) for i in face.facets])
 
 
-def facet_face(v: "polytope.VPolytope", facet_id: int) -> "polytope.Face":
+def support_vertex_ids(v: "polytope.VPolytope", p, supp) -> tuple | None:
+    """The ids of the vertices where <p, x> is largest, None unless that largest value is supp.
+
+    Reads only the cell's points X = Q x and its scale Q, so the largest <p, X> must be supp Q.
+    """
+    heights = [sum(a * b for a, b in zip(p, x)) for x in v.points]
+    top = max(heights)
+    if top != supp * v.scale:
+        return None
+    return tuple(i for i, t in enumerate(heights) if t == top)
+
+
+@dataclass(frozen=True)
+class SupportFace:
+    facets: tuple[int, ...]  # the facets that hold every vertex of the face
+    vertex_ids: tuple[int, ...]
+    dim: int
+
+
+def support_face(v: "polytope.VPolytope", p, supp) -> SupportFace | None:
+    """Where <p, x> = supp supports the cell (else None): its vertices, the facets on them all and its dimension."""
+    ids = support_vertex_ids(v, p, supp)
+    if ids is None:
+        return None
+    pts = [v.points[j] for j in ids]
+    ineqs = v.hpoly.ineqs
+    facets = tuple(
+        i for i in v.facet_ids
+        if all(sum(a * b for a, b in zip(ineqs[i].normal, x)) == ineqs[i].support * v.scale for x in pts)
+    )
+    return SupportFace(facets, ids, len(affine_direction_space(pts)))
+
+
+def facet_face(v: "polytope.VPolytope", facet_id: int) -> SupportFace:
     """The face of a facet: where its own hyperplane supports the cell."""
     iq = v.hpoly.ineqs[facet_id]
-    return polytope.contact_face(v, iq.normal, iq.support)
+    return support_face(v, iq.normal, iq.support)
+
+
+def lemma_l8_holds(a: "lattice.QuadForm", v: "polytope.VPolytope", e) -> bool:
+    """Lemma L8 for e in the dual set (else ValueError): each ridge transversal to e is a contact face on a 4-belt.
+
+    On a ridge whose facet normals p_i, p_j have products with e of opposite
+    signs, p = p_i + p_j must have <p, e> = 0, be among its class's minima
+    and touch the cell in exactly the ridge's vertices at a(p), and the ridge
+    must lie on a 4-belt.
+    """
+    normals = v.hpoly.normals
+    if not _free_against(normals, e):
+        raise ValueError(f"{tuple(e)} is not in the dual set of the cell's normals")
+    cs = lattice.coset_minima(a)
+    prods = [sum(x * y for x, y in zip(n, e)) for n in normals]
+    on_4_belt = {fi for belt in polytope.belts(v) if belt.length == 4 for fi in belt.face_ids}
+    for fi, face in enumerate(polytope.codim2_faces(v)):
+        i, j = face.facets
+        if prods[i] * prods[j] >= 0:
+            continue
+        p = tuple(x + y for x, y in zip(normals[i], normals[j]))
+        norm = sum(x * g * y for x, row in zip(p, a.gram) for g, y in zip(row, p))
+        cl = parity_class(cs, p)
+        if (
+            sum(x * y for x, y in zip(p, e))
+            or cl is None
+            or p not in cl.minima
+            or support_vertex_ids(v, p, norm) != face.vertex_ids
+            or fi not in on_4_belt
+        ):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
 class ShadowFace:
-    face: "polytope.Face"
+    face: "polytope.Face | SupportFace"
     parallel: bool  # parallel to e (else transversal)
 
 

@@ -14,6 +14,7 @@ from oracles import (
     box_scan_minima,
     check_sum_against_candidates,
     layer_index,
+    lemma_l8_holds,
     line_vertices,
     random_pd_form_box6,
     segment_as_polytope,
@@ -25,7 +26,6 @@ from voroseg.extension import (
     Direction,
     check_theorem,
     dual_set,
-    lemma_l8_check,
     normalize_direction,
     sum_with_segment,
     voronoi_of_sum_form,
@@ -169,7 +169,7 @@ def test_acceptance_6_lemma_suite():
             for _ in range(200):
                 layer_index(e, tuple(rng.randint(-10, 10) for _ in range(a.dim)))
             # Lemma l8: transversal shadow codim-2 faces are contact, on 4-belts
-            assert lemma_l8_check(a, cell, e), (name, n, e)
+            assert lemma_l8_holds(a, cell, e), (name, n, e)
             # Lemma l2/lae: segment recovery, vertices exactly +/- b e
             for b in (F(1, 2), F(2)):
                 seg = segment_as_polytope(Direction(e, b), contacts)

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from oracles import (
     NormalSetMismatchError,
     SegmentHypothesisError,
+    _free_against,
     a_e,
     box_scan_dual_set,
     brute_force_vertices,
     box_scan_minima,
     check_sum_against_candidates,
     f_e,
+    lemma_l8_holds,
     line_vertices,
     p_e_set,
     segment_as_polytope,
@@ -27,11 +29,8 @@ from voroseg import extension, lattice, linalg, polytope
 from voroseg.extension import (
     CannotNormalizeError,
     Direction,
-    NotInDualSetError,
     check_theorem,
     dual_set,
-    in_dual_set,
-    lemma_l8_check,
     normalize_direction,
     perturbed_form,
     sum_with_segment,
@@ -195,8 +194,12 @@ def test_minima_and_dual_set_match_oracles_mixed_denominators(a):
 
 
 def test_in_dual_set_witnesses():
-    ok, bad = in_dual_set(A2_NORMALS, (1, 1))
-    assert not ok and ((1, 1) in bad or (-1, -1) in bad)
+    # (1, 1) has product 2 with +/-(1, 1), which normalize_direction names as a witness
+    assert not _free_against(A2_NORMALS, (1, 1))
+    with pytest.raises(CannotNormalizeError) as exc:
+        normalize_direction((1, 1), A2_NORMALS)
+    p, w = exc.value.witnesses[1]
+    assert w == 2 and p in ((1, 1), (-1, -1)) and not _free_against([p], (1, 1))
 
 
 def test_normalize_examples():
@@ -254,7 +257,7 @@ def test_voronoi_of_sum_form_examples():
     v2 = enumerate_vertices(h2)
     assert list(v2.vertices) == sorted(linalg.vec(p) for p in itertools.product((-1, 1), (-2, 2)))
     a = perturbed_form(A2, Direction((0, 1), 1))
-    assert a.gram == linalg.mat([[2, -1], [-1, 3]])
+    assert a.gram == ((2, -1), (-1, 3))
     assert len(voronoi_of_sum_form(A2, Direction((0, 1), 1)).ineqs) == 6
 
 
@@ -308,7 +311,7 @@ def test_sum_with_segment_matches_candidate_hull_oracle():
         s = sum_with_segment(cell, Direction(e, b))
         ok, why = check_sum_against_candidates(s, cell.vertices, e, b)
         assert ok, (a.gram, e, b, why)
-        free[in_dual_set(cell.hpoly.normals, e)[0]] += 1
+        free[_free_against(cell.hpoly.normals, e)] += 1
 
     check()
     assert free[True] and free[False]
@@ -408,14 +411,16 @@ def test_subset_check_normal_mismatch():
 
 
 def test_lemma_l8_examples():
-    assert lemma_l8_check(Z2, voronoi_cell(Z2), (1, 1))
-    assert lemma_l8_check(A2, voronoi_cell(A2), (0, 1))
+    assert lemma_l8_holds(Z2, voronoi_cell(Z2), (1, 1))
+    assert lemma_l8_holds(A2, voronoi_cell(A2), (0, 1))
     d4 = catalog("Dn", 4)
     cell = voronoi_cell(d4)
     for e in dual_set(coset_minima(d4).facet_normals()).members[:6]:
-        assert lemma_l8_check(d4, cell, e)
-    with pytest.raises(NotInDualSetError):
-        lemma_l8_check(A2, voronoi_cell(A2), (1, 1))
+        assert lemma_l8_holds(d4, cell, e)
+    # under 2 I the square's corner (1, -1) would need support a(1, -1) = 4, but it has 2
+    assert not lemma_l8_holds(lattice.make_form([[2, 0], [0, 2]]), voronoi_cell(Z2), (1, 1))
+    with pytest.raises(ValueError):
+        lemma_l8_holds(A2, voronoi_cell(A2), (1, 1))
 
 
 def test_check_theorem_forward_a2():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     NotFacetNormalError,
+    _reduced_rows,
     adjacency_check,
     affine_direction_space,
     brute_force_vertices,
@@ -27,6 +28,7 @@ from oracles import (
     null_basis,
     segment_as_polytope,
     shadow_boundary,
+    support_face,
     support_value,
 )
 from voroseg import extension, jsonio, lattice, linalg, polytope
@@ -40,7 +42,6 @@ from voroseg.polytope import (
     belts,
     build_cell,
     codim2_faces,
-    contact_face,
     enumerate_vertices,
     hpolytope,
     irreducibility_graph,
@@ -90,6 +91,14 @@ def test_parallel_dedup_keeps_tighter():
     h = hpolytope(2, [((1, 0), 1), ((-1, 0), 1), ((3, 0), 3), ((-3, 0), 3), ((0, 1), 1), ((0, -1), 1)])
     assert h.normals == ((-1, 0), (0, -1), (0, 1), (1, 0))
     assert len(enumerate_vertices(h).points) == 4
+
+
+def test_hpolytope_refuses_float_and_bool_entries():
+    # Fraction(0.1) would keep the support 3602879701896397/36028797018963968, and True would be read as 1
+    for bad, named in [(((1,), 0.1), r"\(\(1,\), 0\.1\)"), (((1.0,), 1), r"\(\(1\.0,\), 1\)"),
+                       (((True,), 1), r"\(\(True,\), 1\)")]:
+        with pytest.raises(ValueError, match=r"inequality " + named):
+            hpolytope(1, [bad, ((-1,), 1)])
 
 
 def test_enumerate_square_and_hexagon():
@@ -154,12 +163,12 @@ def test_support_value_examples():
 
 def test_contact_face_examples():
     sq = cell_of("Zn", 2)
-    edge = contact_face(sq, (1, 0), 1)
+    edge = support_face(sq, (1, 0), 1)
     assert edge.dim == 1 and len(edge.vertex_ids) == 2
-    vert = contact_face(sq, (1, 1), 2)
+    vert = support_face(sq, (1, 1), 2)
     assert vert.dim == 0
     assert sq.vertices[vert.vertex_ids[0]] == linalg.vec((1, 1))
-    assert contact_face(sq, (1, 0), 2) is None
+    assert support_face(sq, (1, 0), 2) is None
 
 
 def test_codim2_counts():
@@ -316,8 +325,8 @@ def test_shadow_boundary_facets_iff_orthogonal_normal():
 
 def test_classify_face_examples():
     sq = cell_of("Zn", 2)
-    edge = contact_face(sq, (1, 0), 1)
-    vert = contact_face(sq, (1, -1), 2)
+    edge = support_face(sq, (1, 0), 1)
+    vert = support_face(sq, (1, -1), 2)
     assert classify_face(sq, edge, (0, 1)) == polytope.PARALLEL_EXTENSION
     assert classify_face(sq, edge, (1, 1)) == polytope.SHIFT
     assert classify_face(sq, vert, (1, 1)) == polytope.DIRECT_SUM
@@ -426,7 +435,9 @@ def test_prune_tight_sets_match_dot_products():
 def test_faces_match_affine_dimension_oracle():
     cells = [cell_of(name, n) for name, n, _ in lattice.catalog_entries(max_dim=4)]
     cells += _segment_sums(pruned=False) + _contact_cells()
-    cells.append(_redundant_square())
+    # [-1, 1]^4 with +/-(x1 + x2) <= 2: redundant rows, each on a 2-face of d = 4 vertices
+    cube = [(tuple(s * (i == j) for j in range(4)), 1) for i in range(4) for s in (1, -1)]
+    cells += [_redundant_square(), enumerate_vertices(hpolytope(4, cube + [((1, 1, 0, 0), 2), ((-1, -1, 0, 0), 2)]))]
     for v in cells:
         d = v.dim
         assert len(affine_direction_space(v.vertices)) == d
@@ -838,8 +849,8 @@ def _independent_pairs():
 def test_belt_space_matches_the_null_space_rref(pq):
     p, q = pq
     space, free = polytope._belt_space(p, q)
-    want = linalg.integer_rref(linalg.null_space([p, q], len(p)))
-    assert space == want
+    want = tuple(map(tuple, _reduced_rows(null_basis([p, q], len(p)))))
+    assert _as_rref(space) == want
     pivots = [next(j for j, x in enumerate(r) if x) for r in want]
     assert list(free) == [j for j in range(len(p)) if j not in pivots]
 
