@@ -24,15 +24,16 @@ non-simple vertices are adjacency candidates counted through them and
 tested.  On top of it sit the ridges, belts, the tiling
 (parallelotope) verifier and the facet graph used for irreducibility.
 Facets and ridges are found by counting the facets on a face through the
-tight sets the double description keeps per vertex: a facet's vertices
+tight masks the double description keeps per vertex: a facet's vertices
 lie on no other inequality, a ridge's on exactly its two facets and a
-smaller face's on three or more (Ziegler, Lectures on Polytopes, 2.1).  A
-ridge's belt is named by the plane of its two facets' normals, and the
-belt's direction space is written down from their 2x2 minors
-(`_belt_space`).  Ridges, belts and the tiling verdict are computed once
-per cell and kept on it.  Faces are classified against a segment
-direction e by the signs of the products <p, e> of their facets' normals
-(`classify_products`), each formed once per inequality.
+smaller face's on three or more (Ziegler, Lectures on Polytopes, 2.1);
+ridges come in mirror pairs, as the opposites of a ridge's two facets
+meet in its antipode.  A ridge's belt is named by the plane of its two
+facets' normals, and the belt's direction space is written down from
+their 2x2 minors (`_belt_space`).  Ridges, belts and the tiling verdict
+are computed once per cell and kept on it.  Faces are classified against
+a segment direction e by the signs of the products <p, e> of their
+facets' normals (`classify_products`), each formed once per inequality.
 """
 
 from __future__ import annotations
@@ -148,15 +149,15 @@ class VPolytope:
 
     scale is Q, the lcm of all vertex denominators, and points the sorted
     integer points Q x of the vertices x; Q depends only on the vertex set,
-    so equal (scale, points) means equal vertices.  tights[v] is the set of
-    inequalities vertex v satisfies with equality; facet_ids are the
-    inequalities whose tight vertex set is (d-1)-dimensional.
+    so equal (scale, points) means equal vertices.  tights[v] is an int with
+    bit i set iff vertex v satisfies inequality i with equality; facet_ids
+    are the inequalities whose tight vertex set is (d-1)-dimensional.
     """
 
     hpoly: HPolytope
     scale: int
     points: tuple[IntVec, ...]
-    tights: tuple[frozenset[int], ...]
+    tights: tuple[int, ...]
     facet_ids: tuple[int, ...]
 
     @property
@@ -173,10 +174,15 @@ class VPolytope:
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """incidence[i] lists the vertex ids lying on inequality i with equality."""
         rows: list[list[int]] = [[] for _ in self.hpoly.ineqs]
-        for vid, ts in enumerate(self.tights):
-            for i in ts:
+        for vid, t in enumerate(self.tights):
+            for i in _bits(t):
                 rows[i].append(vid)
         return tuple(tuple(r) for r in rows)
+
+    @functools.cached_property
+    def _symmetric(self) -> bool:
+        """Whether the points are centrally symmetric: negation reverses lexicographic order, so vertex n-1-i is -i."""
+        return all(x == linalg.vneg(y) for x, y in zip(self.points, reversed(self.points)))
 
     @functools.cached_property
     def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[IntMat, tuple[int, int], list[int]], ...]]:
@@ -188,34 +194,40 @@ class VPolytope:
         inequality tight on a ridge has its normal in the plane of the pair's
         normals, so the pair's primitive 2x2 minors, first one positive, name the
         ridge's belt, whose direction space is formed once, from its first ridge's pair (`_belt_space`).
+        The cell must be centrally symmetric, as every cell the package builds
+        is (else PolytopeError).  Then facets n-1-j < n-1-i, the opposites of
+        i < j, meet in the antipodes V-1-s of the ridge's ids s, with negated
+        minors and so the same key, and only pairs with i + j < n-1 are tested
+        (opposite facets share no vertex, as every support is > 0).
         """
+        if not self._symmetric:
+            raise PolytopeError("ridges are found in mirror pairs: the cell's points must be centrally symmetric")
         d = self.dim
         normals = self.hpoly.normals
+        last_ineq, last_vertex = len(normals) - 1, len(self.points) - 1
         facet_mask = sum(1 << i for i in self.facet_ids)
-        on_facets = [sum(1 << i for i in t) & facet_mask for t in self.tights]
-        # a facet's vertices as a mask, to count a pair's common ones, and as a set, to list them
         inc = self.incidence
-        members = [(i, sum(1 << j for j in inc[i]), set(inc[i])) for i in self.facet_ids]
+        # a facet's vertices as a mask, whose AND with another's counts and lists their common ones
+        members = [(i, sum(1 << k for k in inc[i])) for i in self.facet_ids]
         found = []
-        for (i, mi, si), (j, mj, sj) in itertools.combinations(members, 2):
-            if (mi & mj).bit_count() >= d - 1:
-                ids = sorted(si & sj)
+        for (i, mi), (j, mj) in itertools.combinations(members, 2):
+            if i + j < last_ineq and (common := mi & mj).bit_count() >= d - 1:
+                ids = _bits(common)
                 pair = 1 << i | 1 << j
-                # with no common vertex the meet is -1, never a pair: at d = 1 the threshold is 0
-                if _meet(on_facets, ids, pair) == pair:
-                    found.append((tuple(ids), i, j))
+                if _meet(self.tights, ids, pair) & facet_mask == pair:
+                    p, q = normals[i], normals[j]
+                    minors = [p[k] * q[m] - p[m] * q[k] for k, m in itertools.combinations(range(d), 2)]
+                    g = gcd(*minors) if _pivot(minors) > 0 else -gcd(*minors)
+                    key = tuple(x // g for x in minors)
+                    found.append((tuple(reversed(ids)), i, j, key))
+                    found.append((tuple(last_vertex - k for k in ids), last_ineq - j, last_ineq - i, key))
         faces: list[Face] = []
         by_key: dict[IntVec, tuple[IntMat, tuple[int, int], list[int]]] = {}
-        for ids, i, j in sorted(found):
-            p, q = normals[i], normals[j]
-            minors = [p[k] * q[m] - p[m] * q[k] for k, m in itertools.combinations(range(d), 2)]
-            g = gcd(*minors) if _pivot(minors) > 0 else -gcd(*minors)
-            key = tuple(x // g for x in minors)
+        for ids, i, j, key in sorted(found):
             if key not in by_key:
-                by_key[key] = (*_belt_space(p, q), [])
-            space, _, face_ids = by_key[key]
-            face_ids.append(len(faces))
-            faces.append(Face((i, j), ids, d - 2, space))
+                by_key[key] = (*_belt_space(normals[i], normals[j]), [])
+            by_key[key][2].append(len(faces))
+            faces.append(Face((i, j), ids))
         return tuple(faces), tuple(by_key.values())
 
     @functools.cached_property
@@ -232,13 +244,10 @@ class VPolytope:
 
         out = []
         for space, free, face_ids in sorted(groups, key=key):
-            facet_set: set[int] = set()
-            for fi in face_ids:
-                facet_set.update(faces[fi].facets)
             # the null space of the RREF direction space is the identity at its two
             # free columns, so a normal's coordinates in that basis are its entries there
             projected = []
-            for i in sorted(facet_set):
+            for i in sorted({f for fi in face_ids for f in faces[fi].facets}):
                 n = normals[i]
                 if any(sum(map(operator.mul, r, n)) for r in space):
                     raise PolytopeError(f"facet {i} is not parallel to its belt's direction space")
@@ -253,17 +262,16 @@ class VPolytope:
     @functools.cached_property
     def _verdict(self) -> ParallelotopeVerdict:
         """The tiling verdict; read through `is_parallelotope`."""
-        pts = self.points
-        # negation reverses lexicographic order, so the antipode of vertex i is n-1-i
-        if any(x != linalg.vneg(y) for x, y in zip(pts, reversed(pts))):
+        if not self._symmetric:
             return ParallelotopeVerdict(ok=False, failure="central-symmetry")
         # through `belts`, not `_belts`: bench/tracer.py counts its calls
         for bi, belt in enumerate(belts(self)):
             if belt.length not in (4, 6):
                 return ParallelotopeVerdict(ok=False, failure="belt", belt_index=bi, belt_length=belt.length)
+        pts = self.points
         for i in self.facet_ids:
             ids = self.incidence[i]
-            # likewise a point reflection of the facet would map its k-th vertex to its (m-1-k)-th
+            # a point reflection of the facet reverses their order too: it would map its k-th vertex to its (m-1-k)-th
             if len({linalg.vadd(pts[j], pts[k]) for j, k in zip(ids, reversed(ids))}) > 1:
                 return ParallelotopeVerdict(ok=False, failure="facet-symmetry", facet_id=i)
         return ParallelotopeVerdict(ok=True)
@@ -515,7 +523,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
         hpoly=h,
         scale=common_q,
         points=tuple(scaled[j] for j in order),
-        tights=tuple(frozenset(_bits(tights[j])) for j in order),
+        tights=tuple(tights[j] for j in order),
         facet_ids=tuple(
             i for i in range(last) if on[i].bit_count() >= d and _meet(tights, _bits(on[i]), 1 << i) == 1 << i
         ),
@@ -526,32 +534,30 @@ def prune_to_facets(v: VPolytope) -> VPolytope:
     """Drop redundant inequalities, keeping only facet-supporting ones.
 
     The facets keep their sorted order, so the H-polytope stays canonical;
-    each vertex keeps its tight set, restricted to the facets and renumbered.
+    each vertex keeps its tight mask, restricted to the facets and renumbered.
     """
-    renumber = {old: new for new, old in enumerate(v.facet_ids)}
+    renumber = {old: 1 << new for new, old in enumerate(v.facet_ids)}
     h2 = HPolytope(dim=v.dim, ineqs=tuple(v.hpoly.ineqs[i] for i in v.facet_ids))
     return VPolytope(
         hpoly=h2,
         scale=v.scale,
         points=v.points,
-        tights=tuple(frozenset(renumber[i] for i in ts if i in renumber) for ts in v.tights),
+        tights=tuple(sum(renumber.get(i, 0) for i in _bits(t)) for t in v.tights),
         facet_ids=tuple(range(len(h2.ineqs))),
     )
 
 
 @dataclass(frozen=True)
 class Face:
-    """A ridge, a (d-2)-face of the cell: its two facets, its vertices and its belt's direction space.
+    """A ridge, a (d-2)-face of the cell: its two facets and its sorted vertex ids.
 
-    Only `codim2_faces` builds one; a face of any other dimension, such as
-    the contact face of a lattice vector, is found by the test oracles from
-    the cell's points.
+    Its direction space is its belt's.  Only `codim2_faces` builds one; a face
+    of any other dimension, such as the contact face of a lattice vector, is
+    found by the test oracles from the cell's points.
     """
 
     facets: tuple[int, int]
     vertex_ids: tuple[int, ...]
-    dim: int
-    direction_space: IntMat  # RREF rows of (aff F - aff F), each scaled to a primitive integer row
 
 
 def codim2_faces(v: VPolytope) -> tuple[Face, ...]:
@@ -561,7 +567,7 @@ def codim2_faces(v: VPolytope) -> tuple[Face, ...]:
 
 @dataclass(frozen=True)
 class Belt:
-    direction_space: IntMat
+    direction_space: IntMat  # RREF rows of (aff F - aff F) for each ridge F on it, each a primitive integer row
     facet_ids: tuple[int, ...]  # cyclically ordered
     face_ids: tuple[int, ...]   # indices into codim2_faces(v)
 
@@ -626,16 +632,10 @@ def irreducibility_graph(v: VPolytope) -> FacetGraph:
     verdict = is_parallelotope(v)
     if not verdict.ok:
         raise NotParallelotopeError(f"input is not a parallelotope: {verdict}")
-    # a parallelotope's vertex n-1-j is the antipode of vertex j
-    by_incidence = {v.incidence[i]: i for i in v.facet_ids}
-    pair_of: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for i in v.facet_ids:
-        if i in pair_of:
-            continue
-        partner = by_incidence[tuple(len(v.points) - 1 - j for j in reversed(v.incidence[i]))]
-        pair_of[i] = pair_of[partner] = len(pairs)
-        pairs.append((min(i, partner), max(i, partner)))
+    # inequality n-1-i is the opposite of inequality i, as `_ridges` relies on
+    last = len(v.hpoly.ineqs) - 1
+    pairs = [(i, last - i) for i in v.facet_ids if 2 * i < last]
+    pair_of = {i: k for k, pair in enumerate(pairs) for i in pair}
     faces = codim2_faces(v)
     edges: set[tuple[int, int]] = set()
     for belt in belts(v):

@@ -137,8 +137,8 @@ def mat_mul(a, b) -> tuple:
 
 
 def mat_vec(m, v) -> tuple:
-    """The product of a matrix and a vector, one `linalg.dot` per row."""
-    return tuple(linalg.dot(row, v) for row in m)
+    """The product of a matrix and a vector, one `linalg.inner` per row."""
+    return tuple(linalg.inner(row, v) for row in m)
 
 
 def null_basis(rows, ncols: int) -> list:
@@ -269,7 +269,7 @@ def check_sum_against_candidates(sum_cell, base_vertices, e, b):
     cands = minkowski_candidates(base_vertices, e, b)
     for c in cands:
         for iq in sum_cell.hpoly.ineqs:
-            if linalg.dot(iq.normal, c) > iq.support:
+            if linalg.inner(iq.normal, c) > iq.support:
                 return False, ("candidate outside sum", c)
     cset = set(cands)
     for v in sum_cell.vertices:
@@ -304,7 +304,7 @@ def commensurate(a: "lattice.QuadForm", p) -> tuple:
 
 def layer_index(e, v) -> int:
     """The integer z with <e, v> = z; rejects non-integral products."""
-    prod = linalg.dot(linalg.vec(e), linalg.vec(v))
+    prod = linalg.inner(linalg.vec(e), linalg.vec(v))
     if prod.denominator != 1:
         raise NonIntegralLayerError(f"<e,v> = {prod} is not an integer")
     return int(prod)
@@ -551,7 +551,7 @@ def subset_check(h1, h2, v1=None, v2=None) -> tuple:
     summands = [polytope.enumerate_vertices(h).vertices if v is None else v for h, v in ((h1, v1), (h2, v2))]
     for iq in total.ineqs:
         s = linalg.vadd(*(max(v, key=functools.partial(linalg.inner, iq.normal)) for v in summands))
-        if linalg.dot(iq.normal, s) > iq.support:
+        if linalg.inner(iq.normal, s) > iq.support:
             return False, s
     return True, None
 

@@ -8,8 +8,6 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from oracles import (
     box_scan_minima,
     check_sum_against_candidates,

@@ -25,7 +25,7 @@ from oracles import (
     sign_pattern_dual_set,
     subset_check,
 )
-from voroseg import extension, lattice, linalg, polytope
+from voroseg import lattice, linalg, polytope
 from voroseg.extension import (
     CannotNormalizeError,
     Direction,
@@ -245,7 +245,7 @@ def test_sum_added_normals_kill_e_and_support_facets():
         for i in s.facet_ids:
             q = s.hpoly.ineqs[i].normal
             if tuple(q) not in base:
-                assert linalg.dot(q, linalg.vec(e)) == 0
+                assert linalg.inner(q, e) == 0
 
 
 def test_voronoi_of_sum_form_examples():

@@ -73,3 +73,19 @@ def test_every_public_name_has_a_caller_in_the_package():
     }
     # bench/tracer.py counts the calls of these three, so they stay until the bench drops them
     assert sorted(found - {"linalg.dot", "linalg.solve_linear", "linalg.rank"}) == []
+
+
+def test_every_name_a_test_module_imports_is_read():
+    # an import that nothing reads hides which oracles and package names a module uses
+    found = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert not found, found
