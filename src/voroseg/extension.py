@@ -8,7 +8,11 @@ the segment b*[-e, e] equals the Voronoi cell of the rank-1-perturbed form
 sum is not a parallelotope.  Both constructions and the equivalence check
 live here; the pipeline needs no more, so lemma L8 (a transversal ridge of
 a dual-set direction is a contact face on a 4-belt) is checked only by the
-test oracles.  An integral e is kept as ints (`Direction`), so with the
+test oracles.  `dual_set` searches the products sigma of e with a basis
+of the normals depth first, and each child updates the partial products
+of all normals still unchecked in one column sweep over a single list.
+Normals and e take int or Fraction entries only, as `polytope.hpolytope`
+does.  An integral e is kept as ints (`Direction`), so with the
 integer facet normals every product <p, e> is an int; `sum_with_segment`
 forms one per inequality and reads from that list the shifted supports,
 the transversal ridges and the weights of the new normals, which stay
@@ -19,6 +23,8 @@ code in Fractions.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -83,15 +89,30 @@ def perturbed_form(a: QuadForm, dir: Direction) -> QuadForm:
     return lattice.make_form(g)
 
 
+def _exact_entries(v: Sequence, what: str) -> tuple:
+    """v as a tuple; an entry that `hpolytope` would refuse, a float or a bool, raises ValueError naming v."""
+    v = tuple(v)
+    if not polytope._EXACT.issuperset(map(type, v)):
+        raise ValueError(f"{what} {v!r}: give int or Fraction entries")
+    return v
+
+
 def _integer_normals(normals: Iterable[Sequence]) -> list[IntVec]:
-    """The normals as sorted int tuples; a normal with a non-integral entry raises ValueError."""
+    """The normals as sorted int tuples.
+
+    A float or bool entry, or a non-integral one, raises ValueError naming
+    the normal; normals of two lengths raise DimensionMismatchError.
+    """
     out = []
     for p in normals:
-        if not all(type(x) is int for x in p):
-            p = linalg.exact_vec(p)
-            if any(isinstance(x, Fraction) for x in p):
+        p = _exact_entries(p, "facet normal")
+        if Fraction in map(type, p):
+            if any(x.denominator != 1 for x in p):
                 raise ValueError(f"facet normal ({', '.join(map(str, p))}) is not integral")
-        out.append(tuple(p))
+            p = tuple(map(int, p))
+        if out and len(p) != len(out[0]):
+            raise linalg.DimensionMismatchError(f"facet normals of lengths {len(out[0])} and {len(p)}")
+        out.append(p)
     return sorted(out)
 
 
@@ -105,20 +126,35 @@ class DualSet:
         return tuple(e) in self.members
 
 
+def _depth(r: IntVec) -> int:
+    """The index of r's last nonzero entry (0 for a zero row, whose products are all 0)."""
+    return max(itertools.compress(range(len(r)), r), default=0)
+
+
 def dual_set(normals: Sequence[Sequence]) -> DualSet:
     """All integer e with <e, p> in {0, +1, -1} for every normal p.
 
     e is determined by its products sigma with d linearly independent
     normals B, as e = adj(B) sigma / det(B), with sigma_k in {0, +1, -1}.
     adj(B) and det(B) are computed once, in integers, and so is the row
-    r_p = p^T adj(B) of every normal, which gives <p, e> det = <r_p, sigma>.
-    A depth-first search fixes sigma_0, sigma_1, ... in turn and keeps the
-    numerator adj(B) sigma as it goes.  Each row is filed under its last
-    nonzero index k, because sigma_0..sigma_k decide its product, and a
-    prefix is cut when one of the rows filed at its depth has a product
-    outside {0, +det, -det}: no completion of it can be a member.  At a
-    leaf, e is kept when sigma is nonzero and the numerator divisible by
-    det; every normal has been checked on the way, so nothing is missed.
+    r_p = p^T adj(B) of every normal, which gives <p, e> det = <r_p, sigma>;
+    column j of all rows at once is the sum over i of adj(B)_ij times
+    column i of the normals.  -p has the row -r_p, whose product passes or
+    fails with r_p's, so rows are kept up to sign.  A row's depth is its
+    last nonzero index k: sigma_0..sigma_k decide its product.
+
+    The rows are stored by depth, and after them the d rows of adj(B),
+    whose products with sigma make the numerator adj(B) sigma and which no
+    depth checks.  A depth-first search fixes sigma_0, sigma_1, ... in turn
+    and carries one list: the partial products with the prefix of every
+    row of depth >= k.  A child s = +-1 adds or subtracts column k of
+    those rows with one map over the list; the prefix is cut when a row of
+    depth k has a product outside {0, +det, -det}, since no completion of
+    it can be a member, and the rest of the list is handed down.  At a
+    leaf the list is the numerator, and e is kept when sigma is nonzero
+    (adj(B) is nonsingular, so then the numerator is nonzero) and the
+    numerator is divisible by det; every normal has been checked on the
+    way, so nothing is missed.
     """
     ns = _integer_normals(normals)
     if not ns:
@@ -128,29 +164,38 @@ def dual_set(normals: Sequence[Sequence]) -> DualSet:
     if len(basis) < d:
         raise ValueError("facet normals do not span R^d")
     adj, det = linalg.adjugate(basis)
-    cols = tuple(zip(*adj))  # sigma_k adds sigma_k times column k to the numerator
-    rows_at: list[set[IntVec]] = [set() for _ in range(d)]
-    for p in ns:
-        r = tuple(linalg.inner(p, c) for c in cols)
-        k = max((j for j, x in enumerate(r) if x), default=0)  # a zero row is always free
-        row = r[: k + 1]
-        # -p has the row -row, whose product passes or fails with row's
-        rows_at[k].add(max(row, tuple(-x for x in row)))
-    ok = (0, det, -det)
+    ncols = tuple(zip(*ns))
+    row_cols = []
+    for c in zip(*adj):
+        acc = [0] * len(ns)
+        for x, col in zip(c, ncols):
+            if x:
+                acc = list(map(operator.add, acc, map(operator.mul, col, itertools.repeat(x))))
+        row_cols.append(acc)
+    by_depth = sorted((_depth(r), r) for r in {max(r, tuple(map(operator.neg, r))) for r in zip(*row_cols)})
+    widths = [0] * d  # the number of rows of each depth
+    for k, _ in by_depth:
+        widths[k] += 1
+    rows = [r for _, r in by_depth] + list(adj)
+    # column k of the rows of depth >= k, which the list holds at depth k
+    cols, start = [], 0
+    for k in range(d):
+        cols.append([r[k] for r in rows[start:]])
+        start += widths[k]
+    ok = {0, det, -det}
     members: list[IntVec] = []
 
-    def search(sigma: tuple[int, ...], num: tuple[int, ...]) -> None:
-        k = len(sigma)
+    def search(k: int, part: list[int]) -> None:
         if k == d:
-            if any(sigma) and not any(x % det for x in num):
-                members.append(tuple(x // det for x in num))
+            if any(part) and not any(x % det for x in part):
+                members.append(tuple(x // det for x in part))
             return
-        for s in (0, 1, -1):
-            prefix = sigma + (s,)
-            if all(linalg.inner(r, prefix) in ok for r in rows_at[k]):
-                search(prefix, num if s == 0 else tuple(x + s * c for x, c in zip(num, cols[k])))
+        w, col = widths[k], cols[k]
+        for child in (part, list(map(operator.add, part, col)), list(map(operator.sub, part, col))):
+            if ok.issuperset(child[:w]):
+                search(k + 1, child[w:])
 
-    search((), (0,) * d)
+    search(0, [0] * len(rows))
     return DualSet(members=tuple(sorted(members)), basis_used=tuple(basis))
 
 
@@ -160,9 +205,9 @@ def normalize_direction(e_raw: Sequence, normals: Sequence[Sequence]) -> IntVec:
     Possible exactly when the nonzero |products| share a single value w;
     the result is e/w, which then belongs to the dual set.  Otherwise
     raises CannotNormalizeError carrying two witnesses with distinct
-    nonzero |products|.
+    nonzero |products|.  A float or bool entry of e raises ValueError.
     """
-    ev = linalg.exact_vec(e_raw)
+    ev = linalg.exact_vec(_exact_entries(e_raw, "direction"))
     if linalg.is_zero_vec(ev):
         raise ValueError("direction vector must be nonzero")
     ns = _integer_normals(normals)
@@ -263,9 +308,10 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
     with a non-normalizable direction the parallelotope verdict is reported
     but flagged theorem-silent.  When the double description of the cell,
     a sum or a perturbed form's cell raises VRepCapError, only the
-    dual-set verdict is given and every b sample is skipped.
+    dual-set verdict is given and every b sample is skipped.  A float or
+    bool entry of e raises ValueError.
     """
-    ev = linalg.vec(e_raw)
+    ev = linalg.vec(_exact_entries(e_raw, "direction"))
     bs = tuple(Fraction(b) for b in b_samples)
     if not bs:
         raise ValueError("check_theorem needs at least one segment weight b")

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -17,10 +18,12 @@ from oracles import (
     brute_force_vertices,
     box_scan_minima,
     check_sum_against_candidates,
+    det,
     f_e,
     lemma_l8_holds,
     line_vertices,
     p_e_set,
+    random_unimodular,
     segment_as_polytope,
     sign_pattern_dual_set,
     subset_check,
@@ -149,19 +152,62 @@ def test_dual_set_rejects_non_integral_normal():
         dual_set([(F(1, 2), 0), (F(-1, 2), 0), (0, 1), (0, -1)])
 
 
+def test_float_bool_and_ragged_input_is_refused():
+    # Fraction reads 1.0 and True as 1, and a zip would cut ragged normals to one length
+    for bad in ((1.0, 0), (True, 0)):
+        with pytest.raises(ValueError, match=r"facet normal \(.*\): give int or Fraction entries"):
+            dual_set([bad, (-1, 0), (0, 1), (0, -1)])
+        with pytest.raises(ValueError, match="direction"):
+            normalize_direction(bad, SQ_NORMALS)
+    with pytest.raises(linalg.DimensionMismatchError, match="lengths 2 and 3"):
+        dual_set([(1, 0), (-1, 0), (0, 1), (0, -1, 0)])
+    with pytest.raises(linalg.DimensionMismatchError, match="lengths 3 and 2"):
+        dual_set([(1, 0, 0), (-1, 0), (0, 1), (0, -1)])
+    for e in ((True, False), (0.5, 0), (1.0, 0)):
+        with pytest.raises(ValueError, match="direction"):
+            check_theorem(A2, e, [1])
+    assert dual_set([(F(1), 0), (-1, 0), (0, 1), (0, -1)]).members == dual_set(SQ_NORMALS).members
+
+
 def test_dual_set_matches_box_scan_oracle_catalog():
     for name, n, a in lattice.catalog_entries(4):
         normals = coset_minima(a).facet_normals()
         assert dual_set(normals).members == box_scan_dual_set(normals), (name, n)
 
 
+def _path_form(rng, d):
+    """A diagonally dominant form whose nonzero off-diagonal entries form a path in random order."""
+    order = rng.sample(range(d), d)
+    g = [[F(0)] * d for _ in range(d)]
+    for i, j in zip(order, order[1:]):
+        g[i][j] = g[j][i] = rng.choice([F(1, 2), F(-1, 2), F(1), F(-1)])
+    for i in range(d):
+        g[i][i] = 1 + sum(map(abs, g[i])) + rng.choice([0, F(1, 2)])
+    return lattice.make_form(g)
+
+
 def test_dual_set_matches_sign_pattern_oracle_d6_to_d8():
-    # the forms of the dual_census bench workload, beyond the box scan's reach
+    # the forms of the dual_census bench workload, beyond the box scan's reach: its catalog
+    # forms, two random d = 6 forms drawn as it draws them, and three images p -> U^T p of
+    # each catalog form under GL(d, Z), which file the search's rows at other depths and
+    # give bases with other determinants
     forms = [("E6", None), ("E6*", None), ("E7", None), ("E7*", None), ("E8", None), ("An", 6),
              ("An*", 6), ("Dn", 6), ("Dn*", 6), ("An*", 7), ("Dn*", 7)]
-    for name, n in forms:
-        normals = coset_minima(catalog(name, n)).facet_normals()
-        assert dual_set(normals).members == sign_pattern_dual_set(normals), (name, n)
+    rng = random.Random(25)
+    cases = [((name, n), coset_minima(catalog(name, n)).facet_normals()) for name, n in forms]
+    cases += [(("path", 6, i), coset_minima(_path_form(rng, 6)).facet_normals()) for i in range(2)]
+    dets = set()
+    for key, normals in cases[: len(forms)]:
+        d = len(normals[0])
+        for _ in range(3):
+            u, _ = random_unimodular(rng, d, 2 * d)
+            image = [tuple(sum(map(operator.mul, col, p)) for col in zip(*u)) for p in normals]
+            cases.append(((key, u), image))
+    for key, normals in cases:
+        ds = dual_set(normals)
+        assert ds.members == sign_pattern_dual_set(normals), key
+        dets.add(abs(det(ds.basis_used)))
+    assert dets == {1, 2, 3}  # the catalog's bases have determinant 1 or 2
 
 
 @st.composite
