@@ -11,13 +11,13 @@ a dual-set direction is a contact face on a 4-belt) is checked only by the
 test oracles.  `dual_set` searches the products sigma of e with a basis
 of the normals depth first, and each child updates the partial products
 of all normals still unchecked in one column sweep over a single list.
-Normals and e take int or Fraction entries only, as `polytope.hpolytope`
-does.  An integral e is kept as ints (`Direction`), so with the
-integer facet normals every product <p, e> is an int; `sum_with_segment`
-forms one per inequality and reads from that list the shifted supports,
-the transversal ridges and the weights of the new normals, which stay
-integer.  A rational e, possible only through the library, runs the same
-code in Fractions.
+Normals and the weights b take int or Fraction entries only
+(`linalg.exact_entries`).  Below `check_theorem` e is an int vector
+(`Direction`), so with the integer facet normals every product <p, e> is
+an int; `sum_with_segment` forms one per inequality and reads from that
+list the shifted supports, the transversal ridges and the weights of the
+new normals, which stay integer.  `check_theorem` takes a rational e and
+scales it to an integer vector once.
 """
 
 from __future__ import annotations
@@ -61,22 +61,31 @@ class CannotNormalizeError(ExtensionError):
         )
 
 
+def _int_direction(e: Sequence) -> IntVec:
+    """e as a tuple of ints; a zero e, or any entry that is no int, a bool included, raises ValueError."""
+    e = tuple(e)
+    if not all(type(x) is int for x in e):
+        raise ValueError(f"direction {e!r}: give int entries")
+    if not any(e):
+        raise ValueError("direction vector must be nonzero")
+    return e
+
+
 @dataclass(frozen=True)
 class Direction:
-    """A segment direction e with weight b > 0 (segment = b * [-e, e]).
+    """A segment direction e, a nonzero int vector, with weight b > 0 (segment = b * [-e, e]).
 
-    An integral e is kept as ints, so its products with the integer facet
-    normals are ints; any other e is kept as Fractions.
+    e's products with the integer facet normals are ints.  b is an int or
+    a Fraction; any other entry raises ValueError, as does a rational e.
     """
 
-    e: IntVec | Vec
+    e: IntVec
     b: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "e", linalg.exact_vec(self.e))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if linalg.is_zero_vec(self.e):
-            raise ValueError("direction vector must be nonzero")
+        object.__setattr__(self, "e", _int_direction(self.e))
+        (b,) = linalg.exact_entries((self.b,), "segment weight", self.b)
+        object.__setattr__(self, "b", Fraction(b))
         if self.b <= 0:
             raise ValueError("segment weight b must be positive")
 
@@ -89,14 +98,6 @@ def perturbed_form(a: QuadForm, dir: Direction) -> QuadForm:
     return lattice.make_form(g)
 
 
-def _exact_entries(v: Sequence, what: str) -> tuple:
-    """v as a tuple; an entry that `hpolytope` would refuse, a float or a bool, raises ValueError naming v."""
-    v = tuple(v)
-    if not polytope._EXACT.issuperset(map(type, v)):
-        raise ValueError(f"{what} {v!r}: give int or Fraction entries")
-    return v
-
-
 def _integer_normals(normals: Iterable[Sequence]) -> list[IntVec]:
     """The normals as sorted int tuples.
 
@@ -105,7 +106,7 @@ def _integer_normals(normals: Iterable[Sequence]) -> list[IntVec]:
     """
     out = []
     for p in normals:
-        p = _exact_entries(p, "facet normal")
+        p = linalg.exact_entries(p, "facet normal")
         if Fraction in map(type, p):
             if any(x.denominator != 1 for x in p):
                 raise ValueError(f"facet normal ({', '.join(map(str, p))}) is not integral")
@@ -200,18 +201,17 @@ def dual_set(normals: Sequence[Sequence]) -> DualSet:
 
 
 def normalize_direction(e_raw: Sequence, normals: Sequence[Sequence]) -> IntVec:
-    """Rescale e so its products with all facet normals land in {0, +1, -1}.
+    """Rescale the int vector e so its products with all facet normals land in {0, +1, -1}.
 
     Possible exactly when the nonzero |products| share a single value w;
     the result is e/w, which then belongs to the dual set.  Otherwise
     raises CannotNormalizeError carrying two witnesses with distinct
-    nonzero |products|.  A float or bool entry of e raises ValueError.
+    nonzero |products|.  A zero e, or an entry that is no int, raises
+    ValueError.
     """
-    ev = linalg.exact_vec(_exact_entries(e_raw, "direction"))
-    if linalg.is_zero_vec(ev):
-        raise ValueError("direction vector must be nonzero")
+    ev = _int_direction(e_raw)
     ns = _integer_normals(normals)
-    by_value: dict[int | Fraction, IntVec] = {}
+    by_value: dict[int, IntVec] = {}
     for p in ns:
         t = abs(linalg.inner(p, ev))
         if t != 0 and t not in by_value:
@@ -222,10 +222,9 @@ def normalize_direction(e_raw: Sequence, normals: Sequence[Sequence]) -> IntVec:
     if not by_value:
         raise ExtensionError("e is orthogonal to every normal; the normals do not span R^d")
     w = next(iter(by_value))
-    ei = linalg.exact_vec(linalg.vscale(Fraction(1, w), ev))
-    if any(isinstance(x, Fraction) for x in ei):
+    if any(x % w for x in ev):
         raise ExtensionError(f"e/{w} is not integral; the normals do not generate Z^d")
-    return ei
+    return tuple(x // w for x in ev)
 
 
 def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
@@ -244,10 +243,10 @@ def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
         (iq.normal, iq.support + dir.b * abs(t)) for iq, t in zip(h.ineqs, prods)
     ]
     for face in polytope.codim2_faces(cell):
-        if polytope.classify_products([prods[k] for k in face.facets]) != polytope.DIRECT_SUM:
-            continue
-        # a transversal ridge lies on two facets whose products with e have opposite signs
         i, j = face.facets
+        # a transversal ridge lies on two facets whose products with e have opposite signs
+        if prods[i] * prods[j] >= 0:
+            continue
         wi, wj = abs(prods[i]), abs(prods[j])
         fi, fj = h.ineqs[i], h.ineqs[j]
         q = tuple(wj * x + wi * y for x, y in zip(fi.normal, fj.normal))
@@ -258,9 +257,6 @@ def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
 
 def voronoi_of_sum_form(a: QuadForm, dir: Direction) -> HPolytope:
     """The Voronoi cell of the rank-1-perturbed form, by the full pipeline."""
-    # Direction keeps an integral e as ints and any other as Fractions
-    if any(isinstance(x, Fraction) for x in dir.e):
-        raise ValueError("voronoi_of_sum_form needs an integer (normalized) e")
     a2 = perturbed_form(a, dir)
     return build_cell(a2, coset_minima(a2).facet_normals())
 
@@ -309,19 +305,25 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
     but flagged theorem-silent.  When the double description of the cell,
     a sum or a perturbed form's cell raises VRepCapError, only the
     dual-set verdict is given and every b sample is skipped.  A float or
-    bool entry of e raises ValueError.
+    bool entry of e or of a b raises ValueError.
+
+    A rational e is scaled once to the integer vector den e, den the lcm
+    of its denominators, and the segment b*[-e, e] is the one of den e
+    with weight b/den.  The report keeps e and the witnesses' products
+    with it as given.
     """
-    ev = linalg.vec(_exact_entries(e_raw, "direction"))
-    bs = tuple(Fraction(b) for b in b_samples)
+    ev = tuple(map(Fraction, linalg.exact_entries(e_raw, "direction")))
+    e_int, den = linalg.scale_to_integers(ev)
+    bs = tuple(map(Fraction, linalg.exact_entries(b_samples, "segment weights")))
     if not bs:
         raise ValueError("check_theorem needs at least one segment weight b")
     normals = coset_minima(a).facet_normals()
     try:
-        norm_e: IntVec | None = normalize_direction(ev, normals)
+        norm_e: IntVec | None = normalize_direction(e_int, normals)
         violating: tuple = ()
     except CannotNormalizeError as exc:
         norm_e = None
-        violating = exc.witnesses
+        violating = tuple((p, Fraction(w, den)) for p, w in exc.witnesses)
     in_dual = norm_e is not None
     report = functools.partial(
         ExtensionReport, dim=a.dim, e_raw=ev, b_samples=bs, normalized_e=norm_e,
@@ -333,7 +335,7 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
         cell = voronoi_cell(a)
         irreducible = polytope.irreducibility_graph(cell).connected
         for b in bs:
-            dir = Direction(e=norm_e if in_dual else ev, b=b)
+            dir = Direction(norm_e, b) if in_dual else Direction(e_int, b / den)
             sum_cell = sum_with_segment(cell, dir)
             verdict = is_parallelotope(sum_cell)
             if not in_dual:

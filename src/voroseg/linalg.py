@@ -1,8 +1,9 @@
 """Exact rational linear algebra over tuple-based vectors and matrices.
 
-Vectors are tuples of Fractions (`vec`), or of ints where every entry is
-integral (`exact_vec`); matrices are tuples of row tuples, and nothing in
-here ever rounds.  Every row reduction (`rank`, `integer_rref`,
+Vectors are tuples of ints and Fractions and matrices tuples of row
+tuples, and nothing in here ever rounds.  Exact input takes int or
+Fraction entries only (`exact_entries`): a float or a bool would pass for
+a value it is not.  Every row reduction (`rank`, `integer_rref`,
 `solve_linear` and `adjugate`) runs one integer kernel, fraction-free
 Gauss-Jordan elimination: a rational row is first scaled to integers by
 the lcm of its own denominators (`scale_to_integers`).  `integer_rref`
@@ -15,8 +16,8 @@ and stops as soon as they do, which settles `hpolytope`'s span check and
 the basis choices of the double description's seed parallelepiped and
 `dual_set`.
 `inner` is the product that keeps integer vectors in integers: the facet
-normals are int tuples and an integral segment direction e is kept as one,
-so the products with e are ints.
+normals and the segment direction e are int tuples, so the products with
+e are ints.
 """
 
 from __future__ import annotations
@@ -47,14 +48,19 @@ class UnderdeterminedSystemError(LinAlgError):
     """The system has more than one solution."""
 
 
-def vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in entries)
+# the entry types of exact input: Fraction(0.1) is 3602879701896397/36028797018963968 and Fraction(True) is 1
+_EXACT = frozenset((int, Fraction))
 
 
-def exact_vec(entries: Iterable) -> tuple:
-    """The entries as ints when all are integral, else as Fractions (`vec`)."""
-    v = vec(entries)
-    return tuple(int(x) for x in v) if all(x.denominator == 1 for x in v) else v
+def exact_entries(v: Iterable, what: str, named: object = None) -> tuple:
+    """v as a tuple; an entry that is no int or Fraction, a float or a bool included, raises ValueError.
+
+    The error names `what` and `named`, by default v itself.
+    """
+    v = tuple(v)
+    if not _EXACT.issuperset(map(type, v)):
+        raise ValueError(f"{what} {v if named is None else named!r}: give int or Fraction entries")
+    return v
 
 
 def identity(d: int) -> Mat:
@@ -80,17 +86,8 @@ def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(map(operator.add, u, v))
 
 
-def vscale(c, u: Sequence) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 def vneg(u: Sequence) -> Vec:
     return tuple(-a for a in u)
-
-
-def is_zero_vec(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
 
 
 def transpose(m: Mat) -> Mat:

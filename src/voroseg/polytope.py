@@ -31,9 +31,7 @@ ridges come in mirror pairs, as the opposites of a ridge's two facets
 meet in its antipode.  A ridge's belt is named by the plane of its two
 facets' normals, and the belt's direction space is written down from
 their 2x2 minors (`_belt_space`).  Ridges, belts and the tiling verdict
-are computed once per cell and kept on it.  Faces are classified against
-a segment direction e by the signs of the products <p, e> of their
-facets' normals (`classify_products`), each formed once per inequality.
+are computed once per cell and kept on it.
 """
 
 from __future__ import annotations
@@ -94,10 +92,6 @@ class HPolytope:
         return tuple(iq.normal for iq in self.ineqs)
 
 
-# the entry types `hpolytope` takes: a float would be read as a binary fraction, a bool as 0 or 1
-_EXACT = frozenset((int, Fraction))
-
-
 def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
     """The H-polytope of the (normal, support) pairs, canonicalised in integers.
 
@@ -113,8 +107,7 @@ def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
     for normal, support in pairs:
         if len(normal) != dim:
             raise linalg.DimensionMismatchError("normal length != dim")
-        if type(support) not in _EXACT or not _EXACT.issuperset(map(type, normal)):
-            raise ValueError(f"inequality ({tuple(normal)!r}, {support!r}): give int or Fraction entries")
+        linalg.exact_entries((support, *normal), "inequality", (tuple(normal), support))
         n, m = linalg.scale_to_integers(normal)
         s = Fraction(support) * m
         g = gcd(*n)
@@ -663,25 +656,6 @@ def irreducibility_graph(v: VPolytope) -> FacetGraph:
         edges=tuple(sorted(edges)),
         connected=len(seen) == len(pairs),
     )
-
-
-PARALLEL_EXTENSION = "parallel-extension"
-SHIFT = "shift"
-DIRECT_SUM = "direct-sum"
-
-
-def classify_products(prods: Sequence) -> str:
-    """How a face behaves under Minkowski sum with a segment along e.
-
-    prods are the products <p, e> over the normals p of the facets
-    containing the face: all zero is a parallel extension, both strict
-    signs a direct sum (the face is transversal to e), anything else a shift.
-    """
-    if all(p == 0 for p in prods):
-        return PARALLEL_EXTENSION
-    if any(p > 0 for p in prods) and any(p < 0 for p in prods):
-        return DIRECT_SUM
-    return SHIFT
 
 
 def voronoi_cell(a: QuadForm) -> VPolytope:

@@ -14,7 +14,8 @@ a random unimodular change of basis, with the positive-definiteness test
 by Sylvester's criterion, the LDL^T factorisation in Fractions, one parity
 class's start bound by greedy descent from its own 0/1 representative,
 the support-sum inclusion check, the facet adjacency check, a facet's face,
-the shadow boundary of a cell under e and the matrix-vector product.  The
+the three-way classification of a face under e, the shadow boundary of a
+cell under e, the Fraction vectors and the matrix-vector product.  The
 package's faces are its ridges and belts only, so the face where a
 hyperplane supports a cell, lemma L8, a parity class, dual-set membership
 and a null space are found here, from the cell's and the form's own fields.
@@ -136,6 +137,17 @@ def mat_mul(a, b) -> tuple:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
+def vec(entries) -> tuple:
+    """The entries as a tuple of Fractions."""
+    return tuple(map(Fraction, entries))
+
+
+def vscale(c, u) -> tuple:
+    """c u, as a tuple of Fractions."""
+    c = Fraction(c)
+    return tuple(c * x for x in u)
+
+
 def mat_vec(m, v) -> tuple:
     """The product of a matrix and a vector, one `linalg.inner` per row."""
     return tuple(linalg.inner(row, v) for row in m)
@@ -250,13 +262,12 @@ def line_vertices(h, e) -> tuple:
     bounds = [(iq.support / t, t > 0) for iq in h.ineqs if (t := linalg.inner(iq.normal, e))]
     hi = min(s for s, up in bounds if up)
     lo = max(s for s, up in bounds if not up)
-    return tuple(sorted({linalg.vscale(t, e) for t in (lo, hi)})) if lo <= hi else ()
+    return tuple(sorted({vscale(t, e) for t in (lo, hi)})) if lo <= hi else ()
 
 
 def minkowski_candidates(vertices, e, b) -> tuple:
     """Candidate vertex set {v +/- b e} of a polytope-plus-segment sum."""
-    ev = linalg.vec(e)
-    shift = linalg.vscale(Fraction(b), ev)
+    shift = vscale(b, e)
     out = set()
     for v in vertices:
         out.add(linalg.vadd(v, shift))
@@ -294,17 +305,18 @@ def parity_class(cs: "lattice.ContactVectorSet", p):
 
 def commensurate(a: "lattice.QuadForm", p) -> tuple:
     """2Ap, the translation joining the cell center to the neighbor across F(p)."""
-    pt = linalg.exact_vec(p)
+    pv = vec(p)
     # a non-integral entry makes p no lattice vector, let alone a contact vector
-    cl = None if any(isinstance(x, Fraction) for x in pt) else parity_class(lattice.coset_minima(a), pt)
+    pt = tuple(map(int, pv)) if all(x.denominator == 1 for x in pv) else None
+    cl = None if pt is None else parity_class(lattice.coset_minima(a), pt)
     if cl is None or pt not in cl.minima:
-        raise NotContactVectorError(f"({', '.join(map(str, pt))}) is not a contact vector of the form")
-    return linalg.vscale(2, mat_vec(a.gram, linalg.vec(pt)))
+        raise NotContactVectorError(f"({', '.join(map(str, pv))}) is not a contact vector of the form")
+    return vscale(2, mat_vec(a.gram, pv))
 
 
 def layer_index(e, v) -> int:
     """The integer z with <e, v> = z; rejects non-integral products."""
-    prod = linalg.inner(linalg.vec(e), linalg.vec(v))
+    prod = linalg.inner(vec(e), vec(v))
     if prod.denominator != 1:
         raise NonIntegralLayerError(f"<e,v> = {prod} is not an integer")
     return int(prod)
@@ -346,12 +358,31 @@ def segment_as_polytope(dir: "extension.Direction", normals) -> "polytope.HPolyt
 
 def support_value(v: "polytope.VPolytope", q) -> Fraction:
     """max <q, x> over the vertices x of the cell."""
-    return max(linalg.inner(linalg.vec(q), x) for x in v.vertices)
+    return max(linalg.inner(vec(q), x) for x in v.vertices)
+
+
+PARALLEL_EXTENSION = "parallel-extension"
+SHIFT = "shift"
+DIRECT_SUM = "direct-sum"
+
+
+def classify_products(prods) -> str:
+    """How a face behaves under Minkowski sum with a segment along e.
+
+    prods are the products <p, e> over the normals p of the facets
+    containing the face: all zero is a parallel extension, both strict
+    signs a direct sum (the face is transversal to e), anything else a shift.
+    """
+    if all(p == 0 for p in prods):
+        return PARALLEL_EXTENSION
+    if any(p > 0 for p in prods) and any(p < 0 for p in prods):
+        return DIRECT_SUM
+    return SHIFT
 
 
 def classify_face(v: "polytope.VPolytope", face: "polytope.Face", e) -> str:
-    """polytope.classify_products of e's products with the normals of the facets on the face."""
-    return polytope.classify_products([linalg.inner(v.hpoly.ineqs[i].normal, e) for i in face.facets])
+    """classify_products of e's products with the normals of the facets on the face."""
+    return classify_products([linalg.inner(v.hpoly.ineqs[i].normal, e) for i in face.facets])
 
 
 def support_vertex_ids(v: "polytope.VPolytope", p, supp) -> tuple | None:
@@ -439,15 +470,14 @@ def shadow_boundary(v: "polytope.VPolytope", e) -> tuple:
     product with e per inequality.  A facet of a full-dimensional cell lies
     on no other facet, so it is never transversal.
     """
-    ev = linalg.exact_vec(e)
-    if linalg.is_zero_vec(ev):
+    if not any(e):
         raise ValueError("direction e must be nonzero")
-    prods = [linalg.inner(n, ev) for n in v.hpoly.normals]
+    prods = [linalg.inner(n, e) for n in v.hpoly.normals]
     out = []
     for f in [facet_face(v, i) for i in v.facet_ids] + list(polytope.codim2_faces(v)):
-        kind = polytope.classify_products([prods[i] for i in f.facets])
-        if kind != polytope.SHIFT:
-            out.append(ShadowFace(face=f, parallel=kind == polytope.PARALLEL_EXTENSION))
+        kind = classify_products([prods[i] for i in f.facets])
+        if kind != SHIFT:
+            out.append(ShadowFace(face=f, parallel=kind == PARALLEL_EXTENSION))
     return tuple(out)
 
 
@@ -567,11 +597,11 @@ def adjacency_check(a: "lattice.QuadForm", v: "polytope.VPolytope", p) -> bool:
     facet is equivalent to F(p) being centrally symmetric about Ap; as in
     is_parallelotope, the reflection pairs the facet's k-th and (m-1-k)-th vertices.
     """
-    pv = linalg.vec(p)
+    pv = vec(p)
     fid = next((i for i in v.facet_ids if v.hpoly.ineqs[i].normal == pv), None)
     if fid is None:
         raise NotFacetNormalError(f"{tuple(p)} is not a facet normal of the cell")
-    shift = linalg.vscale(2 * v.scale, mat_vec(a.gram, pv))
+    shift = vscale(2 * v.scale, mat_vec(a.gram, pv))
     ids = v.incidence[fid]
     pts = v.points
     return all(linalg.vadd(pts[j], pts[k]) == shift for j, k in zip(ids, reversed(ids)))

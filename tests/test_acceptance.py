@@ -17,8 +17,10 @@ from oracles import (
     random_pd_form_box6,
     segment_as_polytope,
     subset_check,
+    vec,
+    vscale,
 )
-from voroseg import lattice, linalg
+from voroseg import lattice
 from voroseg.extension import (
     CannotNormalizeError,
     Direction,
@@ -171,16 +173,16 @@ def test_acceptance_6_lemma_suite():
             # Lemma l2/lae: segment recovery, vertices exactly +/- b e
             for b in (F(1, 2), F(2)):
                 seg = segment_as_polytope(Direction(e, b), contacts)
-                ev = linalg.vec(e)
+                ev = vec(e)
                 assert line_vertices(seg, e) == tuple(
-                    sorted([linalg.vscale(-b, ev), linalg.vscale(b, ev)])
+                    sorted([vscale(-b, ev), vscale(b, ev)])
                 ), (name, n, e, b)
             # Lemma a12: cell + segment inside the sum-support cell
             seg_h = segment_as_polytope(Direction(e, 1), contacts)
             if contact_h is None:
                 contact_h = build_cell(a, contacts)
                 contact_v = enumerate_vertices(contact_h).vertices
-            ok, witness = subset_check(contact_h, seg_h, v1=contact_v, v2=[linalg.vec(e), linalg.vscale(-1, e)])
+            ok, witness = subset_check(contact_h, seg_h, v1=contact_v, v2=[vec(e), vscale(-1, e)])
             assert ok, (name, n, e, witness)
     _report(6, "lemma suite (a12, lay, l2/lae, l8) and reducibility classes "
                "hold on the whole d<=4 catalog", t0)

@@ -27,11 +27,14 @@ from oracles import (
     segment_as_polytope,
     sign_pattern_dual_set,
     subset_check,
+    vec,
+    vscale,
 )
-from voroseg import lattice, linalg, polytope
+from voroseg import jsonio, lattice, linalg, polytope
 from voroseg.extension import (
     CannotNormalizeError,
     Direction,
+    ExtensionError,
     check_theorem,
     dual_set,
     normalize_direction,
@@ -80,9 +83,9 @@ def test_p_e_set_examples():
 def test_segment_as_polytope_examples():
     # the segment's system has supports 0, outside the double description's contract
     seg = segment_as_polytope(Direction((0, 1), 1), SQ_NORMALS)
-    assert brute_force_vertices(seg) == (linalg.vec((0, -1)), linalg.vec((0, 1)))
+    assert brute_force_vertices(seg) == (vec((0, -1)), vec((0, 1)))
     seg3 = segment_as_polytope(Direction((0, 1), 3), A2_NORMALS)
-    assert brute_force_vertices(seg3) == line_vertices(seg3, (0, 1)) == (linalg.vec((0, -3)), linalg.vec((0, 3)))
+    assert brute_force_vertices(seg3) == line_vertices(seg3, (0, 1)) == (vec((0, -3)), vec((0, 3)))
     with pytest.raises(ValueError):  # the square has no rows of support 0 to hold it on a line
         line_vertices(polytope.hpolytope(2, [(p, 1) for p in SQ_NORMALS]), (0, 1))
     with pytest.raises(SegmentHypothesisError):
@@ -100,8 +103,8 @@ def test_segment_recovery_all_catalog_dual_dirs():
         for e in dual_set(cs.facet_normals()).members:
             for b in (F(1, 2), F(1), F(3)):
                 seg = segment_as_polytope(Direction(e, b), contacts)
-                ev = linalg.vec(e)
-                want = tuple(sorted([linalg.vscale(-b, ev), linalg.vscale(b, ev)]))
+                ev = vec(e)
+                want = tuple(sorted([vscale(-b, ev), vscale(b, ev)]))
                 assert line_vertices(seg, e) == want
                 # solving every d-subset of rows takes a minute on Z^3's 26 contact vectors
                 if n == 2:
@@ -166,6 +169,13 @@ def test_float_bool_and_ragged_input_is_refused():
     for e in ((True, False), (0.5, 0), (1.0, 0)):
         with pytest.raises(ValueError, match="direction"):
             check_theorem(A2, e, [1])
+    # Fraction(0.1) is 3602879701896397/36028797018963968, and True would be read as 1
+    for e, b in [((1.0, True), 0.1), ((1, 0), 0.1), ((1, 0), True)]:
+        with pytest.raises(ValueError):
+            Direction(e, b)
+    for b in (0.1, True):
+        with pytest.raises(ValueError, match="segment weights"):
+            check_theorem(A2, (0, 1), [b])
     assert dual_set([(F(1), 0), (-1, 0), (0, 1), (0, -1)]).members == dual_set(SQ_NORMALS).members
 
 
@@ -257,13 +267,16 @@ def test_normalize_examples():
     assert {w1, w2} == {1, 2}
     with pytest.raises(ValueError):
         normalize_direction((0, 0), SQ_NORMALS)
+    # normals that generate only 2Z^2 leave e/w = (1/2, 1/2)
+    with pytest.raises(ExtensionError, match="not integral"):
+        normalize_direction((1, 1), [(2, 0), (-2, 0), (0, 2), (0, -2)])
 
 
 def test_sum_square_diagonal_is_hexagon():
     sq = voronoi_cell(Z2)
     s = sum_with_segment(sq, Direction((1, 1), 1))
     want = sorted(
-        linalg.vec(p) for p in [(2, 2), (2, 0), (0, -2), (-2, -2), (-2, 0), (0, 2)]
+        vec(p) for p in [(2, 2), (2, 0), (0, -2), (-2, -2), (-2, 0), (0, 2)]
     )
     assert list(s.vertices) == want
 
@@ -271,7 +284,7 @@ def test_sum_square_diagonal_is_hexagon():
 def test_sum_square_axis_is_box():
     sq = voronoi_cell(Z2)
     s = sum_with_segment(sq, Direction((0, 1), 1))
-    want = sorted(linalg.vec(p) for p in itertools.product((-1, 1), (-2, 2)))
+    want = sorted(vec(p) for p in itertools.product((-1, 1), (-2, 2)))
     assert list(s.vertices) == want
 
 
@@ -301,15 +314,17 @@ def test_voronoi_of_sum_form_examples():
     }
     h2 = voronoi_of_sum_form(Z2, Direction((0, 1), 1))
     v2 = enumerate_vertices(h2)
-    assert list(v2.vertices) == sorted(linalg.vec(p) for p in itertools.product((-1, 1), (-2, 2)))
+    assert list(v2.vertices) == sorted(vec(p) for p in itertools.product((-1, 1), (-2, 2)))
     a = perturbed_form(A2, Direction((0, 1), 1))
     assert a.gram == ((2, -1), (-1, 3))
     assert len(voronoi_of_sum_form(A2, Direction((0, 1), 1)).ineqs) == 6
 
 
 def test_voronoi_of_sum_form_needs_integer_e():
-    with pytest.raises(ValueError):
-        voronoi_of_sum_form(Z2, Direction((F(1, 2), 0), 1))
+    # Direction refuses a rational e, so none reaches the perturbed form
+    for e in ((F(1, 2), 0), (F(1), 0)):
+        with pytest.raises(ValueError, match="give int entries"):
+            Direction(e, 1)
 
 
 def test_forward_equality_catalog_d_le_3():
@@ -382,14 +397,18 @@ def test_h_side_is_integer():
     h = polytope.hpolytope(2, [((F(1, 2), 0), F(1, 2)), ((-1, 0), 1), ((0, F(2, 3)), 2), ((0, -1), 3)])
     assert [(iq.normal, iq.support) for iq in h.ineqs] == [((-1, 0), 1), ((0, -1), 3), ((0, 2), 6), ((1, 0), 1)]
     assert all(_is_int_vec(n) for n in h.normals)
-    # a rational e stays in Fractions and gives the same sum as the vertex oracle
-    e, b = (F(1, 2), F(1, 2)), 1
+    # check_theorem sums a rational e as den e with weight b/den, and reports e as given
     square = voronoi_cell(Z2)
-    assert all(type(x) is F for x in Direction(e, b).e)
-    s = sum_with_segment(square, Direction(e, b))
-    assert all(_is_int_vec(n) for n in s.hpoly.normals)
-    ok, why = check_sum_against_candidates(s, square.vertices, e, b)
+    rep = check_theorem(Z2, (F(1, 2), 1), [1])
+    got = rep.results[0].sum_cell
+    want = sum_with_segment(square, Direction((1, 2), F(1, 2)))
+    assert (got.scale, got.points) == (want.scale, want.points)
+    assert all(_is_int_vec(n) for n in got.hpoly.normals)
+    ok, why = check_sum_against_candidates(got, square.vertices, (F(1, 2), 1), 1)
     assert ok, why
+    doc = jsonio.report_to_dict(rep)
+    assert doc["e_raw"] == ["1/2", "1"]
+    assert [w["abs_product"] for w in doc["cannot_normalize_witnesses"]] == ["1/2", "1"]
 
 
 def test_sum_with_segment_forms_one_product_per_inequality(monkeypatch):
@@ -424,7 +443,7 @@ def test_subset_check_square_plus_square():
 def test_subset_check_cell_plus_segment():
     h1 = build_cell(A2, A2_NORMALS)
     h2 = segment_as_polytope(Direction((0, 1), 1), A2_NORMALS)
-    ok, _ = subset_check(h1, h2, v2=[linalg.vec((0, -1)), linalg.vec((0, 1))])
+    ok, _ = subset_check(h1, h2, v2=[vec((0, -1)), vec((0, 1))])
     assert ok
 
 

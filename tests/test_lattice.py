@@ -17,6 +17,7 @@ from oracles import (
     parity_class,
     random_pd_form_box6,
     random_unimodular,
+    vec,
 )
 from voroseg import lattice, linalg, polytope
 from voroseg.lattice import (
@@ -263,9 +264,9 @@ def test_relevance_agrees_with_facet_geometry():
 
 
 def test_commensurate_examples():
-    assert commensurate(catalog("Zn", 2), (1, 0)) == linalg.vec((2, 0))
-    assert commensurate(catalog("An", 2), (1, 0)) == linalg.vec((4, -2))
-    assert commensurate(catalog("Zn", 3), (1, 1, 0)) == linalg.vec((2, 2, 0))
+    assert commensurate(catalog("Zn", 2), (1, 0)) == vec((2, 0))
+    assert commensurate(catalog("An", 2), (1, 0)) == vec((4, -2))
+    assert commensurate(catalog("Zn", 3), (1, 1, 0)) == vec((2, 2, 0))
     with pytest.raises(NotContactVectorError):
         commensurate(catalog("Zn", 2), (2, 1))
 

@@ -15,6 +15,7 @@ from oracles import (
     mat_mul,
     mat_vec,
     null_basis,
+    vec,
 )
 from voroseg import jsonio, linalg
 from voroseg.linalg import (
@@ -29,7 +30,6 @@ from voroseg.linalg import (
     rank,
     solve_linear,
     transpose,
-    vec,
 )
 
 

@@ -16,7 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    DIRECT_SUM,
     NotFacetNormalError,
+    PARALLEL_EXTENSION,
+    SHIFT,
     _reduced_rows,
     adjacency_check,
     affine_direction_space,
@@ -30,6 +33,8 @@ from oracles import (
     shadow_boundary,
     support_face,
     support_value,
+    vec,
+    vscale,
 )
 from voroseg import extension, jsonio, lattice, linalg, polytope
 from voroseg.lattice import catalog, coset_minima
@@ -104,7 +109,7 @@ def test_hpolytope_refuses_float_and_bool_entries():
 def test_enumerate_square_and_hexagon():
     sq = cell_of("Zn", 2)
     assert sq.vertices == tuple(
-        sorted(linalg.vec(p) for p in [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        sorted(vec(p) for p in [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     )
     hexagon = cell_of("An", 2)
     assert len(hexagon.vertices) == 6
@@ -167,7 +172,7 @@ def test_contact_face_examples():
     assert edge.dim == 1 and len(edge.vertex_ids) == 2
     vert = support_face(sq, (1, 1), 2)
     assert vert.dim == 0
-    assert sq.vertices[vert.vertex_ids[0]] == linalg.vec((1, 1))
+    assert sq.vertices[vert.vertex_ids[0]] == vec((1, 1))
     assert support_face(sq, (1, 0), 2) is None
 
 
@@ -264,7 +269,7 @@ def test_facet_centroid_is_Ap():
             p = v.hpoly.ineqs[i].normal
             ap = mat_vec(a.gram, p)
             pts = [v.vertices[j] for j in v.incidence[i]]
-            centroid = linalg.vscale(F(1, len(pts)), __import__("functools").reduce(linalg.vadd, pts))
+            centroid = vscale(F(1, len(pts)), __import__("functools").reduce(linalg.vadd, pts))
             assert centroid == ap
             pset = set(pts)
             assert all(tuple(2 * c - y for c, y in zip(ap, x)) in pset for x in pts)
@@ -300,7 +305,7 @@ def test_shadow_boundary_square_diagonal():
     sb = shadow_boundary(sq, (1, 1))
     assert all(not f.parallel for f in sb)
     got = sorted(sq.vertices[f.face.vertex_ids[0]] for f in sb)
-    assert got == [linalg.vec((-1, 1)), linalg.vec((1, -1))]
+    assert got == [vec((-1, 1)), vec((1, -1))]
 
 
 def test_shadow_boundary_square_axis():
@@ -334,9 +339,9 @@ def test_classify_face_examples():
     sq = cell_of("Zn", 2)
     edge = support_face(sq, (1, 0), 1)
     vert = support_face(sq, (1, -1), 2)
-    assert classify_face(sq, edge, (0, 1)) == polytope.PARALLEL_EXTENSION
-    assert classify_face(sq, edge, (1, 1)) == polytope.SHIFT
-    assert classify_face(sq, vert, (1, 1)) == polytope.DIRECT_SUM
+    assert classify_face(sq, edge, (0, 1)) == PARALLEL_EXTENSION
+    assert classify_face(sq, edge, (1, 1)) == SHIFT
+    assert classify_face(sq, vert, (1, 1)) == DIRECT_SUM
 
 
 def test_adjacency_examples():
@@ -371,7 +376,7 @@ def test_prune_drops_redundant():
 
 def test_one_dimensional_cell():
     v = cell_of("Zn", 1)
-    assert v.vertices == (linalg.vec((-1,)), linalg.vec((1,)))
+    assert v.vertices == (vec((-1,)), vec((1,)))
     assert belts(v) == ()
     assert is_parallelotope(v).ok
     assert irreducibility_graph(v).connected  # a segment is irreducible
