@@ -36,16 +36,11 @@ def _input_error(command: str, why: str) -> NoReturn:
     raise SystemExit(2)  # 1 means a check's invariants failed
 
 
-def _within_cap(n) -> None:
-    """Every command enumerates minima, so a dimension above their cap is bad input."""
-    if type(n) is int and n > lattice.DEFAULT_DIM_CAP:
-        raise lattice.DimensionCapError(f"dimension {n} exceeds enumeration cap {lattice.DEFAULT_DIM_CAP}")
-
-
 def _load_form(args) -> tuple[lattice.QuadForm, dict]:
     """The form of the one source given, and the --job document ({} without one), read once.
 
-    Bad input exits with status 2, a catalog n before its form is built.
+    Bad input exits with status 2; every command enumerates minima, so a
+    dimension above their cap is bad input, refused before the form is built.
     """
     flags = [f for f in ("--job", "--form", "--lattice") if hasattr(args, f[2:])]
     given = [f for f in flags + ["--n"] if getattr(args, f[2:]) is not None]
@@ -57,15 +52,14 @@ def _load_form(args) -> tuple[lattice.QuadForm, dict]:
         if given == ["--job"]:
             job = json.loads(Path(args.job).read_text())
             if isinstance(job, dict) and "catalogName" in job:
-                _within_cap(job.get("n"))
+                lattice.check_dim_cap(job.get("n"))
                 return catalog(job["catalogName"], job.get("n")), job
             a = jsonio.form_from_dict(job)  # which refuses any document but a dict
         elif given == ["--form"]:
             a = jsonio.form_from_dict(json.loads(Path(args.form).read_text()))
         else:
-            _within_cap(args.n)
+            lattice.check_dim_cap(args.n)
             return catalog(args.lattice, args.n), job
-        _within_cap(a.dim)
     except (OSError, ValueError, lattice.LatticeError) as exc:  # JSONDecodeError is a ValueError
         _input_error(args.command, str(exc))
     return a, job
@@ -216,7 +210,7 @@ def cmd_report(args) -> int:
         name, _, n = spec.strip().partition(":")
         try:
             n = int(n) if n else None
-            _within_cap(n)
+            lattice.check_dim_cap(n)
             a = catalog(name, n)
         except (ValueError, lattice.LatticeError) as exc:
             _input_error("report", f"lattice spec {spec.strip()!r}: {exc}")

@@ -22,7 +22,6 @@ scales it to an integer vector once.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -264,12 +263,15 @@ def voronoi_of_sum_form(a: QuadForm, dir: Direction) -> HPolytope:
 @dataclass(frozen=True)
 class BSampleResult:
     b: Fraction
-    skipped: bool = False
-    sum_cell: VPolytope | None = None
+    sum_cell: VPolytope | None = None  # None when the sample is skipped
     form_cell: VPolytope | None = None
     equal: bool | None = None
     discrepancy: Vec | None = None
     parallelotope: ParallelotopeVerdict | None = None
+
+    @property
+    def skipped(self) -> bool:
+        return self.sum_cell is None
 
 
 @dataclass(frozen=True)
@@ -280,13 +282,20 @@ class ExtensionReport:
     e_raw: Vec
     b_samples: tuple[Fraction, ...]
     normalized_e: IntVec | None
-    in_dual_set: bool
     violating: tuple
     results: tuple[BSampleResult, ...]
     irreducible_input: bool | None
-    theorem_silent: bool
     notes: tuple[str, ...]
     invariant_violations: tuple[str, ...]
+
+    @property
+    def in_dual_set(self) -> bool:
+        return self.normalized_e is not None
+
+    @property
+    def theorem_silent(self) -> bool:
+        """e cannot be normalized and the cell is reducible, so the theorem says nothing about the sum."""
+        return not self.in_dual_set and self.irreducible_input is False
 
     @property
     def invariants_ok(self) -> bool:
@@ -305,7 +314,8 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
     but flagged theorem-silent.  When the double description of the cell,
     a sum or a perturbed form's cell raises VRepCapError, only the
     dual-set verdict is given and every b sample is skipped.  A float or
-    bool entry of e or of a b raises ValueError.
+    bool entry of e or of a b, or a b <= 0, raises ValueError before any
+    minima are searched.
 
     A rational e is scaled once to the integer vector den e, den the lcm
     of its denominators, and the segment b*[-e, e] is the one of den e
@@ -317,6 +327,8 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
     bs = tuple(map(Fraction, linalg.exact_entries(b_samples, "segment weights")))
     if not bs:
         raise ValueError("check_theorem needs at least one segment weight b")
+    if min(bs) <= 0:
+        raise ValueError(f"segment weight b must be positive; got {min(bs)}")
     normals = coset_minima(a).facet_normals()
     try:
         norm_e: IntVec | None = normalize_direction(e_int, normals)
@@ -325,12 +337,9 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
         norm_e = None
         violating = tuple((p, Fraction(w, den)) for p, w in exc.witnesses)
     in_dual = norm_e is not None
-    report = functools.partial(
-        ExtensionReport, dim=a.dim, e_raw=ev, b_samples=bs, normalized_e=norm_e,
-        in_dual_set=in_dual, violating=violating,
-    )
     results: list[BSampleResult] = []
     violations: list[str] = []
+    notes: tuple[str, ...] = ()
     try:
         cell = voronoi_cell(a)
         irreducible = polytope.irreducibility_graph(cell).connected
@@ -358,17 +367,10 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
                 discrepancy=discrepancy, parallelotope=verdict,
             ))
     except polytope.VRepCapError as exc:
-        return report(
-            results=tuple(BSampleResult(b=b, skipped=True) for b in bs),
-            irreducible_input=None,
-            theorem_silent=False,
-            notes=(f"dual-set verdict only, no vertex-level checks: {exc}",),
-            invariant_violations=(),
-        )
-    return report(
-        results=tuple(results),
-        irreducible_input=irreducible,
-        theorem_silent=not in_dual and not irreducible,
-        notes=(),
+        results, violations, irreducible = [BSampleResult(b=b) for b in bs], [], None
+        notes = (f"dual-set verdict only, no vertex-level checks: {exc}",)
+    return ExtensionReport(
+        dim=a.dim, e_raw=ev, b_samples=bs, normalized_e=norm_e, violating=violating,
+        results=tuple(results), irreducible_input=irreducible, notes=notes,
         invariant_violations=tuple(violations),
     )

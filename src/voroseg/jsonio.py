@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _string
 from math import gcd
 from typing import Sequence
 
-from . import linalg, polytope
+from . import lattice, linalg, polytope
 from .extension import DualSet, ExtensionReport
 from .lattice import ContactVectorSet, QuadForm, make_form
 from .polytope import Belt, ParallelotopeVerdict, VPolytope
@@ -98,7 +98,10 @@ def form_to_dict(a: QuadForm) -> dict:
 
 
 def form_from_dict(doc) -> QuadForm:
-    """The form of a JSON document {dim, gram}; a document of any other shape raises ValueError."""
+    """The form of a JSON document {dim, gram}; a document of any other shape raises ValueError.
+
+    A Gram of more rows than the minima search's cap raises DimensionCapError before it is factored.
+    """
     if isinstance(doc, dict) and "form" in doc:  # allow re-ingesting documents that embed their form
         doc = doc["form"]
     if not isinstance(doc, dict) or "gram" not in doc:
@@ -106,6 +109,7 @@ def form_from_dict(doc) -> QuadForm:
     rows = doc["gram"]
     if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == len(rows) for r in rows):
         raise ValueError("gram must be a square list of rows")
+    lattice.check_dim_cap(len(rows))
     gram = [[linalg.parse_rational(x) for x in row] for row in rows]
     a = make_form(gram)
     if "dim" in doc and (type(doc["dim"]) is not int or doc["dim"] != a.dim):  # as for n, 4.0 and true are refused
@@ -209,19 +213,25 @@ def report_to_dict(rep: ExtensionReport) -> dict:
     }
 
 
-def _cycle_vertex_ids(v: VPolytope, ids: Sequence[int]) -> list[int]:
-    """Order the vertices of a 2D face counterclockwise around its centroid."""
+def _cycle_vertex_ids(v: VPolytope, ids: Sequence[int], normal: Sequence[int] | None) -> list[int]:
+    """Order the vertices of a 2D face counterclockwise around its centroid.
+
+    A facet of a 3D cell is ordered in the plane of the coordinates other
+    than the last one k where its outward normal is nonzero, one to one on
+    the facet, and counterclockwise as seen from outside.
+    """
     pts = [v.points[i] for i in ids]
     total = functools.reduce(linalg.vadd, pts)
     # the offsets from the centroid times len(pts) * scale > 0: the same angular order
     rel = [tuple(len(pts) * x - t for x, t in zip(p, total)) for p in pts]
-    if len(rel[0]) > 2:
-        # rel spans the RREF rows, each 0 at the other's pivot column, so the
-        # coordinates in the RREF basis are the entries at the pivot columns
-        pivots = [next(j for j, x in enumerate(r) if x) for r in linalg.integer_rref(rel)]
-        rel = [tuple(r[j] for j in pivots) for r in rel]
-    order = polytope._angular_order(list(enumerate(rel)))
-    return [ids[i] for i in order]
+    if normal is not None:
+        k = max(j for j, x in enumerate(normal) if x)
+        rel = [r[:k] + r[k + 1 :] for r in rel]
+    order = [ids[i] for i in polytope._angular_order(list(enumerate(rel)))]
+    # counterclockwise in that plane is about +e_k for k = 0 or 2 and about -e_k for k = 1
+    if normal is not None and (normal[k] > 0) == (k == 1):
+        order.reverse()
+    return order
 
 
 def to_off(v: VPolytope) -> str:
@@ -237,11 +247,11 @@ def to_off(v: VPolytope) -> str:
     verts = [" ".join(coord(c) for c in x) + (" 0" * (3 - d)) for x in v.vertices]
     if d == 3:
         faces = [
-            _cycle_vertex_ids(v, v.incidence[i]) for i in v.facet_ids
+            _cycle_vertex_ids(v, v.incidence[i], v.hpoly.ineqs[i].normal) for i in v.facet_ids
         ]
         nedges = len(polytope.codim2_faces(v))
     elif d == 2:
-        faces = [_cycle_vertex_ids(v, range(len(v.vertices)))]
+        faces = [_cycle_vertex_ids(v, range(len(v.vertices)), None)]
         nedges = len(v.vertices)
     else:
         faces = []

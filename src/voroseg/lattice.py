@@ -21,7 +21,7 @@ from math import isqrt, lcm
 from typing import Iterator
 
 from . import linalg
-from .linalg import Mat, Vec
+from .linalg import Mat
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -53,6 +53,12 @@ class UnknownLatticeError(LatticeError):
     pass
 
 
+def check_dim_cap(d) -> None:
+    """An int d above DEFAULT_DIM_CAP, the one dimension cap of every minima search, raises DimensionCapError."""
+    if type(d) is int and d > DEFAULT_DIM_CAP:
+        raise DimensionCapError(f"dimension {d} exceeds enumeration cap {DEFAULT_DIM_CAP}")
+
+
 @dataclass(frozen=True)
 class QuadForm:
     """Positive-definite rational quadratic form a(p) = <p, A p>."""
@@ -66,14 +72,14 @@ class QuadForm:
     @functools.cached_property
     def integer_gram(self) -> tuple[IntMat, int]:
         """(den A, den) for the lcm den of the Gram's denominators."""
-        den = _lcm_denominator(x for row in self.gram for x in row)
+        den = lcm(*(x.denominator for row in self.gram for x in row))
         return tuple(tuple(int(x * den) for x in row) for row in self.gram), den
 
     @functools.cached_property
-    def ldl(self) -> tuple[Mat, Vec]:
-        """(L, D) with A = L D L^T, factored fraction-free once per form; `make_form` tests definiteness here."""
+    def ldl(self) -> tuple[IntMat, IntVec]:
+        """`linalg.ldl`'s (low, delta) of the integer Gram den A, once per form; `make_form` tests definiteness here."""
         try:
-            return linalg.ldl(self.gram)
+            return linalg.ldl(self.integer_gram[0])
         except linalg.LinAlgError:  # ldl's only failure on a symmetric matrix: a pivot <= 0
             raise NotPositiveDefiniteError("Gram matrix must be positive definite") from None
 
@@ -146,10 +152,6 @@ class ContactVectorSet:
         return tuple(sorted(out))
 
 
-def _lcm_denominator(entries) -> int:
-    return lcm(*(x.denominator for x in entries))
-
-
 def _class_start_bounds(g: IntMat) -> list[int]:
     """Upper bound for each class minimum under g (entry c for class c), in one sweep.
 
@@ -179,12 +181,13 @@ def _class_start_bounds(g: IntMat) -> list[int]:
     return bounds
 
 
-def _enumerate_minima(lm: IntMat, w: IntVec, m: int, bounds: list[int]) -> list[list[IntVec]]:
+def _enumerate_minima(low: IntMat, mult: IntVec, w: IntVec, bounds: list[int]) -> list[list[IntVec]]:
     """Minimum-norm vectors of every parity class, by one exact LDL enumeration in integers.
 
-    With A = L D L^T, m a common denominator of L and K one of D, the scaled
-    norm K m^2 <v, A v> = sum_i w_i (m v_i + S_i)^2, where w_i = K D_i,
-    lm = m L and S_i = sum_{j>i} lm_ji v_j are all integers.  Coordinates are
+    With (low, delta) the factors of the integer Gram G (`linalg.ldl`),
+    mult_i = Delta_{i+1} and w_i = K / (Delta_i Delta_{i+1}) for K the lcm
+    of those products, K <v, G v> = sum_i w_i (mult_i v_i + S_i)^2, where
+    S_i = sum_{j>i} low[j][i] v_j, is a sum of integers.  Coordinates are
     fixed from the last down, so a node that has fixed v_{d-1}, ..., v_i
     has fixed the low d - i bits of its class index (v_j is bit d-1-j) and
     serves every class that agrees there.  Only representatives whose
@@ -201,7 +204,6 @@ def _enumerate_minima(lm: IntMat, w: IntVec, m: int, bounds: list[int]) -> list[
         mx.insert(0, [max(up[r], up[r | 1 << l]) for r in range(1 << l)])
     found: list[list[IntVec]] = [[] for _ in bounds]
     coords = [0] * d
-    rows = [row[:i] for i, row in enumerate(lm)]
 
     def shrink(c: int, norm: int) -> None:
         bounds[c] = norm
@@ -218,7 +220,7 @@ def _enumerate_minima(lm: IntMat, w: IntVec, m: int, bounds: list[int]) -> list[
         budget = here[r] - partial
         if budget < 0:
             return
-        wi, s, row = w[i], svec[i], rows[i]
+        wi, m, s, row = w[i], mult[i], svec[i], low[i]
         # w_i (m x + s)^2 <= budget  iff  |m x + s| <= rad, as m x + s is an integer
         rad = isqrt(budget // wi)
         lo = 0 if all_zero else -((rad + s) // m)
@@ -253,23 +255,20 @@ def coset_minima(a: QuadForm) -> ContactVectorSet:
     feasible representative and only shrinks toward its class minimum, so
     no minimal vector is ever cut; `_class_start_bounds` gives them all in
     one sweep.  The search runs in integers over the Gram scaled by the lcm
-    of its denominators and the fraction-free LDL^T factors (`QuadForm.ldl`);
-    only the returned minimum norms are Fractions.  Above DEFAULT_DIM_CAP,
-    the one dimension cap of every minima search, it raises DimensionCapError.
+    of its denominators and that Gram's fraction-free LDL^T factors and
+    leading minors (`QuadForm.ldl`); only the returned minimum norms are
+    Fractions.  Above DEFAULT_DIM_CAP it raises DimensionCapError.
     """
     d = a.dim
-    if d > DEFAULT_DIM_CAP:
-        raise DimensionCapError(f"dimension {d} exceeds enumeration cap {DEFAULT_DIM_CAP}")
+    check_dim_cap(d)
     g, den = a.integer_gram
-    L, D = a.ldl
-    m = _lcm_denominator(x for row in L for x in row)
-    lm = tuple(tuple(int(x * m) for x in row) for row in L)
-    w, k = linalg.scale_to_integers(D)
-    scale = k * m * m
+    low, delta = a.ldl
+    pairs = list(map(operator.mul, delta, delta[1:]))  # Delta_i Delta_{i+1}
+    k = lcm(*pairs)
+    scale = k * den  # K <v, G v> = K den a(v)
     parities = list(itertools.product((0, 1), repeat=d))  # class c's parity is c's d binary digits
-    # every vector's scaled norm is an integer, so this division is exact
-    bounds = [-1] + [b * scale // den for b in _class_start_bounds(g)[1:]]
-    found_all = _enumerate_minima(lm, w, m, bounds)  # shrinks bounds to the class minima
+    bounds = [-1] + [b * k for b in _class_start_bounds(g)[1:]]
+    found_all = _enumerate_minima(low, delta[1:], [k // p for p in pairs], bounds)  # shrinks bounds to the class minima
     classes = []
     for par, norm, found in zip(parities[1:], bounds[1:], found_all[1:]):
         if not found:
@@ -281,14 +280,11 @@ def coset_minima(a: QuadForm) -> ContactVectorSet:
 
 # --- lattice catalog -------------------------------------------------------
 
-def _gram_from_edges(n: int, edges: list[tuple[int, int]]) -> Mat:
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = Fraction(2)
+def _gram_from_edges(n: int, edges: list[tuple[int, int]]) -> IntMat:
+    g = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for i, j in edges:
-        g[i - 1][j - 1] = Fraction(-1)
-        g[j - 1][i - 1] = Fraction(-1)
-    return tuple(tuple(row) for row in g)
+        g[i - 1][j - 1] = g[j - 1][i - 1] = -1
+    return tuple(map(tuple, g))
 
 
 def _chain_edges(n: int) -> list[tuple[int, int]]:

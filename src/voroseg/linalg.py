@@ -1,23 +1,21 @@
-"""Exact rational linear algebra over tuple-based vectors and matrices.
+"""Exact linear algebra over tuple-based vectors and matrices.
 
 Vectors are tuples of ints and Fractions and matrices tuples of row
 tuples, and nothing in here ever rounds.  Exact input takes int or
 Fraction entries only (`exact_entries`): a float or a bool would pass for
-a value it is not.  Every row reduction (`rank`, `integer_rref`,
-`solve_linear` and `adjugate`) runs one integer kernel, fraction-free
-Gauss-Jordan elimination: a rational row is first scaled to integers by
-the lcm of its own denominators (`scale_to_integers`).  `integer_rref`
-returns integer rows and forms no Fraction.  There is no null-space
-routine: a belt's direction space is written down from two normals'
-minors in `polytope`, and the tests check it against the null space the
-oracles compute by their own elimination.  `independent_rows` is
-the one incremental reduction: it picks the first integer rows that span
-and stops as soon as they do, which settles `hpolytope`'s span check and
-the basis choices of the double description's seed parallelepiped and
-`dual_set`.
-`inner` is the product that keeps integer vectors in integers: the facet
-normals and the segment direction e are int tuples, so the products with
-e are ints.
+a value it is not.  The kernels take and return integers: `ldl` gives an
+integer Gram's leading minors and scaled factors, `adjugate` refuses any
+entry that is not an int, and `independent_rows` picks the first integer
+rows that span, stopping once they do (`hpolytope`'s span check, and the
+bases of the seed parallelepiped and of `dual_set`).  Only
+`parse_rational`, `dot` and `solve_linear` form a Fraction.  `dot`,
+`solve_linear` and `rank` have no caller in the package and stay while the
+bench counts their calls; the last two scale a rational row by the lcm of
+its own denominators (`scale_to_integers`) and, like `adjugate`, run one
+kernel, fraction-free Gauss-Jordan elimination (`_bareiss`).  There is no
+null-space routine: a belt's direction space is written down from two
+normals' minors in `polytope`.  `inner` keeps integer vectors in integers:
+with int facet normals and an int e, the products with e are ints.
 """
 
 from __future__ import annotations
@@ -63,10 +61,8 @@ def exact_entries(v: Iterable, what: str, named: object = None) -> tuple:
     return v
 
 
-def identity(d: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)
-    )
+def identity(d: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
@@ -174,22 +170,6 @@ def independent_rows(m: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-def integer_rref(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The RREF of integer rows, computed and returned in integers.
-
-    Zero rows are dropped and each row is scaled to the primitive integer
-    row with a positive pivot, so, like the RREF, the result depends only on
-    the row space, and its length is the rank.
-    """
-    rows = [list(r) for r in m]
-    pivots, _, _ = _bareiss(rows)
-    out = []
-    for r, c in zip(rows, pivots):
-        g = gcd(*r) if r[c] > 0 else -gcd(*r)
-        out.append(tuple(x // g for x in r))
-    return tuple(out)
-
-
 def solve_linear(m: Mat, rhs: Sequence) -> Vec:
     """Solve m x = rhs exactly for square m.
 
@@ -219,36 +199,36 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], i
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatchError("adjugate of non-square matrix")
-    if any(x.denominator != 1 for r in m for x in r):
-        raise LinAlgError("adjugate needs an integer matrix")
-    rows = [[int(x) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    if any(type(x) is not int for r in m for x in r):
+        raise LinAlgError("adjugate needs an integer matrix: give int entries")
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
     pivots, p, sign = _bareiss(rows)
     if pivots[:n] != list(range(n)):
         raise LinAlgError("adjugate needs a nonsingular matrix")
     return tuple(tuple(sign * x for x in r[n:]) for r in rows), sign * p
 
 
-def ldl(m: Mat) -> tuple[Mat, Vec]:
-    """LDL^T factorisation of a symmetric positive-definite matrix, fraction-free (Bareiss 1968).
+def ldl(g: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The LDL^T factors of a symmetric positive-definite integer matrix g, fraction-free (Bareiss 1968).
 
-    Returns (L, diag) with L unit lower triangular so that m = L diag L^T.
-    The lower triangle of den m, den the lcm of m's denominators, is eliminated
-    without pivoting: column j's pivot is the leading minor Delta_{j+1}, L_ij is
-    row i's entry over it, diag_j = Delta_{j+1} / (Delta_j den), and a pivot <= 0 raises.
+    Returns (low, delta): delta = (1, Delta_1, ..., Delta_n) are g's leading
+    minors and low[i][j] = Delta_{j+1} L_ij for j < i, with L the unit lower
+    triangular factor of g = L D L^T, D_j = Delta_{j+1} / Delta_j.  So
+    <v, g v> = sum_j t_j^2 / (Delta_j Delta_{j+1}), where
+    t_j = Delta_{j+1} v_j + sum_{i>j} low[i][j] v_i.  The lower triangle is
+    eliminated without pivoting, column j's pivot is Delta_{j+1}, and a
+    pivot <= 0 raises.
     """
-    n, den = len(m), lcm(*(x.denominator for row in m for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row[: i + 1]] for i, row in enumerate(m)]
-    piv = [1]  # Delta_0, Delta_1, ...
-    for j in range(n):
-        p, prev, col = a[j][j], piv[-1], [r[j] for r in a[j + 1 :]]
+    a = [list(row[: i + 1]) for i, row in enumerate(g)]
+    delta = [1]
+    for j in range(len(a)):
+        p, prev, col = a[j][j], delta[-1], [r[j] for r in a[j + 1 :]]
         if p <= 0:
             raise LinAlgError("matrix is not positive definite")
         for r in a[j + 1 :]:
             r[j + 1 :] = [(p * x - r[j] * y) // prev for x, y in zip(r[j + 1 :], col)]
-        piv.append(p)
-    unit = (Fraction(1),) + (Fraction(0),) * n  # row i of L ends in unit[: n - i]
-    L = tuple(tuple(map(Fraction, r[:i], piv[1:])) + unit[: n - i] for i, r in enumerate(a))
-    return L, tuple(Fraction(p, q * den) for q, p in zip(piv, piv[1:]))
+        delta.append(p)
+    return tuple(tuple(r[:i]) for i, r in enumerate(a)), tuple(delta)
 
 
 def parse_rational(s: int | str) -> Fraction:

@@ -271,7 +271,7 @@ class VPolytope:
 
 
 def _belt_space(p: IntVec, q: IntVec) -> tuple[IntMat, tuple[int, int]]:
-    """The integer RREF (`linalg.integer_rref`) of the space orthogonal to independent p and q, and its free columns.
+    """The space orthogonal to independent p and q as RREF rows made primitive in integers, pivot > 0, and its free columns.
 
     With the minors m(x, y) = p_x q_y - p_y q_x, b the last column where p or
     q is nonzero and a the last column before b with m(a, b) != 0, the vector

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from voroseg import cli, jsonio, polytope
+from voroseg import cli, jsonio, linalg, polytope
 from voroseg.cli import main
 
 
@@ -334,6 +334,19 @@ def test_dimension_cap_checked_before_the_catalog_form_is_built(monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_form_above_the_dimension_cap_is_refused_before_it_is_factored(tmp_path, capsys, monkeypatch):
+    # make_form's LDL^T is O(d^3): a d = 240 Gram took seconds before the cap refused it
+    monkeypatch.setattr(linalg, "ldl", lambda g: pytest.fail("Gram factored"))
+    d9 = [[int(i == j) for j in range(9)] for i in range(9)]
+    (tmp_path / "form.json").write_text(json.dumps({"gram": d9}))
+    (tmp_path / "job.json").write_text(json.dumps({"form": {"gram": d9}, "e": [1] + [0] * 8}))
+    for argv in (["relevant", "--form", str(tmp_path / "form.json")], ["check", "--job", str(tmp_path / "job.json")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"voroseg {argv[0]}: error: dimension 9 exceeds enumeration cap 8\n"
 
 
 def test_check_above_cap_summary_says_dual_set_only(capsys, monkeypatch):

@@ -30,7 +30,7 @@ from oracles import (
     vec,
     vscale,
 )
-from voroseg import jsonio, lattice, linalg, polytope
+from voroseg import extension, jsonio, lattice, linalg, polytope
 from voroseg.extension import (
     CannotNormalizeError,
     Direction,
@@ -544,6 +544,16 @@ def test_check_theorem_needs_a_b_sample():
     # with no b there is no vertex-level check, so invariants_ok would say nothing
     with pytest.raises(ValueError, match="at least one segment weight"):
         check_theorem(A2, (0, 1), [])
+
+
+def test_check_theorem_refuses_b_not_positive_before_any_search(monkeypatch):
+    # past the vertex budget no sum is built, so no Direction would see b; within it
+    # b = -1 came up only after the cell, its irreducibility graph and the first sum
+    monkeypatch.setattr(extension, "coset_minima", lambda a: pytest.fail("minima searched"))
+    for budget, bs in ((3, [-1, 0]), (polytope.VERTEX_BUDGET, [1, -1]), (polytope.VERTEX_BUDGET, [F(1, 2), 0])):
+        monkeypatch.setattr(polytope, "VERTEX_BUDGET", budget)
+        with pytest.raises(ValueError, match="must be positive"):
+            check_theorem(A2, (0, 1), bs)
 
 
 def test_check_theorem_scaled_direction_normalizes():

@@ -1,13 +1,16 @@
-"""`jsonio.dumps` against the stdlib encoder it replaces."""
+"""`jsonio.dumps` against the stdlib encoder it replaces, and the winding of the OFF export's faces."""
 
 import json
+import random
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voroseg import jsonio
+from oracles import random_pd_form_box6
+from voroseg import extension, jsonio, lattice, polytope
 
 DATA = Path(__file__).parent / "data"
 # inputs, not `dumps` outputs: a form document, and a belts listing and the pinned
@@ -45,3 +48,36 @@ def test_dumps_refuses_what_the_documents_never_hold():
 def test_dumps_reproduces_every_cli_golden(name):
     text = (DATA / name).read_text()
     assert jsonio.dumps(json.loads(text)) == text
+
+
+def _off_faces(text: str) -> list[list[int]]:
+    lines = text.splitlines()
+    nv, nf, _ = map(int, lines[1].split())
+    return [[int(x) for x in line.split()[1:]] for line in lines[2 + nv : 2 + nv + nf]]
+
+
+def test_off_faces_are_convex_and_counterclockwise_from_outside():
+    # a cell centred at 0 has every face plane <n, x> = s with s > 0, so for a, b and
+    # q on a face, (b - a) x (q - a) is a positive multiple of the outward normal n iff
+    # its product with a is positive: q lies left of the edge a -> b seen from outside,
+    # and a face is a convex counterclockwise cycle iff that holds for all its edges
+    rng = random.Random(5)
+    forms = [a for _, n, a in lattice.catalog_entries(3) if n == 3]
+    forms += [random_pd_form_box6(rng, 3) for _ in range(4)]
+    cells = []
+    for a in forms:
+        cell = polytope.voronoi_cell(a)
+        cells.append(cell)
+        for e in extension.dual_set(lattice.coset_minima(a).facet_normals()).members:
+            cells.append(extension.sum_with_segment(cell, extension.Direction(e, F(1, 2))))
+    for v in cells:
+        faces = _off_faces(jsonio.to_off(v))
+        assert [sorted(f) for f in faces] == [sorted(v.incidence[i]) for i in v.facet_ids]
+        for f in faces:
+            pts = [v.points[i] for i in f]
+            for a, b in zip(pts, pts[1:] + pts[:1]):
+                u = [y - x for x, y in zip(a, b)]
+                for q in pts:
+                    w = [y - x for x, y in zip(a, q)]
+                    c = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+                    assert q in (a, b) or sum(x * y for x, y in zip(c, a)) > 0, (v.hpoly.normals, f)

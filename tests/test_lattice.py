@@ -72,13 +72,13 @@ def test_make_form_rejects_float_and_bool_entries():
 
 
 def test_one_ldl_per_form(monkeypatch):
-    # make_form's positive-definiteness test factors the Gram; the minima search reuses it
+    # make_form's positive-definiteness test factors the integer Gram; the minima search reuses it
     calls = []
     fn = linalg.ldl
     monkeypatch.setattr(linalg, "ldl", lambda m: calls.append(m) or fn(m))
-    a = make_form([[2, -1, 0], [-1, 2, -1], [0, -1, 3]])
+    a = make_form([[2, "-1/2", 0], ["-1/2", 2, -1], [0, -1, 3]])
     lattice.coset_minima.__wrapped__(a)  # past the memo, which could answer without a search
-    assert calls == [a.gram]
+    assert calls == [a.integer_gram[0]] == [((4, -1, 0), (-1, 4, -2), (0, -2, 6))]
 
 
 def test_eval_form_examples():

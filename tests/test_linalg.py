@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +26,6 @@ from voroseg.linalg import (
     dot,
     identity,
     inner,
-    integer_rref,
     rank,
     solve_linear,
     transpose,
@@ -124,9 +123,18 @@ def test_invert_roundtrip():
     assert mat_mul(a, [[F(x, d) for x in row] for row in adj]) == identity(2)
 
 
+def _unit_lower_and_diagonal(low, delta):
+    """ldl's integer (low, delta) as the unit lower triangular L and the diagonal D of L D L^T."""
+    n = len(low)
+    L = tuple(tuple(F(low[i][j], delta[j + 1]) if j < i else F(i == j) for j in range(n)) for i in range(n))
+    return L, tuple(F(q, p) for p, q in zip(delta, delta[1:]))
+
+
 def test_ldl_reconstructs():
     a = ((2, -1), (-1, 2))
-    L, D = linalg.ldl(a)
+    low, delta = linalg.ldl(a)
+    assert (low, delta) == (((), (-1,)), (1, 2, 3))
+    L, D = _unit_lower_and_diagonal(low, delta)
     diag = ((D[0], 0), (0, D[1]))
     assert mat_mul(mat_mul(L, diag), transpose(L)) == a
 
@@ -152,20 +160,25 @@ def symmetric_matrices(draw):
 @example(((1, 1), (1, 1)))
 @example(((F(3, 2),),))
 def test_ldl_matches_sylvester_and_fraction_ldl(m):
-    # the fraction-free factorisation fails exactly on the matrices Sylvester's
-    # criterion rejects, and otherwise gives the Fraction LDL^T's (L, D)
+    # the fraction-free factorisation of the integer matrix den m fails exactly on
+    # the matrices Sylvester's criterion rejects, and otherwise gives den m's
+    # leading minors and, read as (L, D), the Fraction LDL^T of m with D times den
+    den = lcm(*(F(x).denominator for row in m for x in row))
+    g = tuple(tuple(int(x * den) for x in row) for row in m)
     if not is_positive_definite(m):
         with pytest.raises(LinAlgError):
-            linalg.ldl(m)
+            linalg.ldl(g)
         with pytest.raises(LinAlgError):
             fraction_ldl(m)
         return
-    L, D = linalg.ldl(m)
+    low, delta = linalg.ldl(g)
     n = len(m)
-    assert all(L[i][i] == 1 and not any(L[i][i + 1 :]) for i in range(n))
+    assert all(type(x) is int for x in delta) and all(type(x) is int for row in low for x in row)
+    assert list(delta) == [det([row[:k] for row in g[:k]]) for k in range(n + 1)]
+    L, D = _unit_lower_and_diagonal(low, delta)
     diag = tuple(tuple(D[i] if i == j else F(0) for j in range(n)) for i in range(n))
-    assert mat_mul(mat_mul(L, diag), transpose(L)) == m
-    assert (L, D) == fraction_ldl(m)
+    assert mat_mul(mat_mul(L, diag), transpose(L)) == g
+    assert (L, tuple(x / den for x in D)) == fraction_ldl(m)
 
 
 def test_adjugate_rejects_rational_and_singular_input():
@@ -173,7 +186,11 @@ def test_adjugate_rejects_rational_and_singular_input():
         adjugate([[F(3, 2), 0], [0, 1]])
     with pytest.raises(LinAlgError):
         adjugate([[1, 2], [2, 4]])
-    assert adjugate([[F(3), 0], [0, 1]]) == (((1, 0), (0, 3)), 3)
+    # an integral Fraction or a bool is no int either
+    for bad in ([[F(3), 0], [0, 1]], [[3, 0], [0, True]]):
+        with pytest.raises(LinAlgError):
+            adjugate(bad)
+    assert adjugate([[3, 0], [0, 1]]) == (((1, 0), (0, 3)), 3)
     assert adjugate([[0, 1], [1, 0]]) == (((0, -1), (-1, 0)), -1)
 
 
@@ -204,11 +221,7 @@ def test_kernel_matches_oracle_elimination(m, xs):
     nr, nc = len(m), len(m[0])
     want = _reduced_rows(m)
     assert rank(m) == len(want)
-    # the integer RREF is the RREF with each row scaled to a primitive one, pivot positive
     ints = [linalg.scale_to_integers(r)[0] for r in m]
-    key = integer_rref(ints)
-    assert [[F(x, next(y for y in r if y)) for x in r] for r in key] == want
-    assert all(gcd(*r) == 1 and next(y for y in r if y) > 0 for r in key)
     # the rows that raise the rank of the rows before them
     grows = [i for i in range(nr) if len(_reduced_rows(m[: i + 1])) > len(_reduced_rows(m[:i]))]
     assert linalg.independent_rows(ints) == grows
@@ -226,7 +239,7 @@ def test_kernel_matches_oracle_elimination(m, xs):
         with pytest.raises(InconsistentSystemError):
             solve_linear(sq, y)
     # adjugate of the block scaled to integers: m adj(m) = det(m) I
-    ints = [[v * 6 for v in r] for r in sq]
+    ints = [[int(v * 6) for v in r] for r in sq]
     d = det(ints)
     if d == 0:
         with pytest.raises(LinAlgError):

@@ -249,9 +249,10 @@ def test_hv_roundtrip_catalog():
             pts = [v.vertices[j] for j in v.incidence[i]]
             normals = null_basis(affine_direction_space(pts), v.dim)
             assert len(normals) == 1
-            # integer_rref scales a row to the primitive one with a positive pivot
-            got = linalg.integer_rref([linalg.scale_to_integers(normals[0])[0]])
-            assert got == linalg.integer_rref([v.hpoly.ineqs[i].normal])
+            # the same line: the primitive integer rows agree up to sign
+            got, want = linalg.scale_to_integers(normals[0])[0], v.hpoly.ineqs[i].normal
+            prim = tuple(x // gcd(*got) for x in got)
+            assert tuple(x // gcd(*want) for x in want) in (prim, tuple(-x for x in prim))
 
 
 def test_vertex_central_symmetry():
