@@ -314,8 +314,9 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
     but flagged theorem-silent.  When the double description of the cell,
     a sum or a perturbed form's cell raises VRepCapError, only the
     dual-set verdict is given and every b sample is skipped.  A float or
-    bool entry of e or of a b, or a b <= 0, raises ValueError before any
-    minima are searched.
+    bool entry of e or of a b, a zero e or a b <= 0 raises ValueError, and
+    an e whose length is not the form's dimension DimensionMismatchError,
+    before any minima are searched.
 
     A rational e is scaled once to the integer vector den e, den the lcm
     of its denominators, and the segment b*[-e, e] is the one of den e
@@ -323,6 +324,10 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
     with it as given.
     """
     ev = tuple(map(Fraction, linalg.exact_entries(e_raw, "direction")))
+    if not any(ev):
+        raise ValueError("direction vector must be nonzero")
+    if len(ev) != a.dim:
+        raise linalg.DimensionMismatchError(f"direction of length {len(ev)} for a form of dim {a.dim}")
     e_int, den = linalg.scale_to_integers(ev)
     bs = tuple(map(Fraction, linalg.exact_entries(b_samples, "segment weights")))
     if not bs:

@@ -18,20 +18,26 @@ that 2j+1 is the mirror image of 2j, and inserts every further row with
 its opposite: the opposite row cuts off the mirror images of what the row
 cuts off, and its new vertices are the negated new vertices, formed with
 no second edge search.  Per inequality, the mask of the vertices on it
-persists across insertions.  The edges of a simple vertex, tight on
-exactly d rows, are read from ANDs of these masks; only between two
-non-simple vertices are adjacency candidates counted through them and
-tested.  On top of it sit the ridges, belts, the tiling
+persists across insertions, and once the ids issued pass twice the live
+vertices plus a slack the live ones are renumbered in order, pairs kept.
+The edges of a simple vertex, tight on exactly d rows, are read from ANDs
+of these masks; only between two non-simple vertices are adjacency
+candidates counted through them and tested.  Whatever symmetry gives is
+formed once per mirror pair: the parallelepiped's and each cut's second
+vertices, the odd vertices' points, and the facet test of the rows past
+the first half.  On top of it sit the ridges, belts, the tiling
 (parallelotope) verifier and the facet graph used for irreducibility.
 Facets and ridges are found by counting the facets on a face through the
 tight masks the double description keeps per vertex: a facet's vertices
 lie on no other inequality, a ridge's on exactly its two facets and a
 smaller face's on three or more (Ziegler, Lectures on Polytopes, 2.1);
 ridges come in mirror pairs, as the opposites of a ridge's two facets
-meet in its antipode.  A ridge's belt is named by the plane of its two
-facets' normals, and the belt's direction space is written down from
-their 2x2 minors (`_belt_space`).  Ridges, belts and the tiling verdict
-are computed once per cell and kept on it.
+meet in its antipode, and a facet is centrally symmetric iff its
+opposite is.  A ridge's belt is named by the plane of its two facets'
+normals, and the belt's direction space is written down from their 2x2
+minors (`_belt_space`).  Ridges, belts and the tiling verdict are
+computed once per cell and kept on it; a belt's cyclic facet order, which
+only the OFF export and the tests read, is formed on its first read.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -50,6 +56,9 @@ from .linalg import Vec
 
 # most live vertices of a double description: over 8!, the most a Voronoi cell of d <= 7 has
 VERTEX_BUDGET = 50000
+# a double description renumbers its live vertices once it has issued more
+# than twice as many ids plus this slack (`enumerate_vertices`)
+_ID_SLACK = 64
 
 
 class PolytopeError(Exception):
@@ -174,8 +183,18 @@ class VPolytope:
 
     @functools.cached_property
     def _symmetric(self) -> bool:
-        """Whether the points are centrally symmetric: negation reverses lexicographic order, so vertex n-1-i is -i."""
-        return all(x == linalg.vneg(y) for x, y in zip(self.points, reversed(self.points)))
+        """Whether the cell is centrally symmetric as the face layer reads it.
+
+        Negation reverses lexicographic order, so vertex V-1-k must be -k, and
+        as inequality n-1-i is the opposite of inequality i, its tight mask
+        must be k's with each bit i moved to n-1-i (`_mirror_rows`).
+        """
+        width, pts, ts = f"0{len(self.hpoly.ineqs)}b", self.points, self.tights
+        # each antipodal pair once, from the first half; a middle vertex would be its own antipode
+        return all(
+            pts[-1 - k] == linalg.vneg(pts[k]) and ts[-1 - k] == _mirror_rows(ts[k], width)
+            for k in range((len(pts) + 1) // 2)
+        )
 
     @functools.cached_property
     def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[IntMat, tuple[int, int], list[int]], ...]]:
@@ -191,10 +210,11 @@ class VPolytope:
         is (else PolytopeError).  Then facets n-1-j < n-1-i, the opposites of
         i < j, meet in the antipodes V-1-s of the ridge's ids s, with negated
         minors and so the same key, and only pairs with i + j < n-1 are tested
-        (opposite facets share no vertex, as every support is > 0).
+        (opposite facets share no vertex, as every support is > 0): facets are
+        sorted, so the loop over j stops at the first j with i + j >= n-1.
         """
         if not self._symmetric:
-            raise PolytopeError("ridges are found in mirror pairs: the cell's points must be centrally symmetric")
+            raise PolytopeError("ridges are found in mirror pairs: the cell must be centrally symmetric")
         d = self.dim
         normals = self.hpoly.normals
         last_ineq, last_vertex = len(normals) - 1, len(self.points) - 1
@@ -203,8 +223,12 @@ class VPolytope:
         # a facet's vertices as a mask, whose AND with another's counts and lists their common ones
         members = [(i, sum(1 << k for k in inc[i])) for i in self.facet_ids]
         found = []
-        for (i, mi), (j, mj) in itertools.combinations(members, 2):
-            if i + j < last_ineq and (common := mi & mj).bit_count() >= d - 1:
+        for a, (i, mi) in enumerate(members):
+            for j, mj in members[a + 1:]:
+                if i + j >= last_ineq:
+                    break
+                if (common := mi & mj).bit_count() < d - 1:
+                    continue
                 ids = _bits(common)
                 pair = 1 << i | 1 << j
                 if _meet(self.tights, ids, pair) & facet_mask == pair:
@@ -225,7 +249,11 @@ class VPolytope:
 
     @functools.cached_property
     def _belts(self) -> tuple[Belt, ...]:
-        """The ridges' belts, ordered by direction space; read through `belts`."""
+        """The ridges' belts, ordered by direction space; read through `belts`.
+
+        Each keeps its direction space, its ridges and its sorted facets; the
+        cyclic order of those facets is formed when `Belt.facet_ids` is read.
+        """
         faces, groups = self._ridges
         normals = self.hpoly.normals
         # a primitive row is its pivot times the RREF row, so over the lcm of all
@@ -235,22 +263,16 @@ class VPolytope:
         def key(group):  # one pivot per row
             return [[x * k for x in r] for r, k in zip(group[0], [den // _pivot(r) for r in group[0]])]
 
-        out = []
-        for space, free, face_ids in sorted(groups, key=key):
-            # the null space of the RREF direction space is the identity at its two
-            # free columns, so a normal's coordinates in that basis are its entries there
-            projected = []
-            for i in sorted({f for fi in face_ids for f in faces[fi].facets}):
-                n = normals[i]
-                if any(sum(map(operator.mul, r, n)) for r in space):
-                    raise PolytopeError(f"facet {i} is not parallel to its belt's direction space")
-                # a positive multiple of the normal orders the same way
-                projected.append((i, (n[free[0]], n[free[1]])))
-            ordered = _angular_order(projected)
-            pivot = ordered.index(min(ordered))
-            cyc = tuple(ordered[pivot:] + ordered[:pivot])
-            out.append(Belt(direction_space=space, facet_ids=cyc, face_ids=tuple(face_ids)))
-        return tuple(out)
+        return tuple(
+            Belt(
+                direction_space=space,
+                face_ids=tuple(face_ids),
+                facets=tuple(sorted({f for fi in face_ids for f in faces[fi].facets})),
+                free=free,
+                normals=normals,
+            )
+            for space, free, face_ids in sorted(groups, key=key)
+        )
 
     @functools.cached_property
     def _verdict(self) -> ParallelotopeVerdict:
@@ -262,7 +284,11 @@ class VPolytope:
             if belt.length not in (4, 6):
                 return ParallelotopeVerdict(ok=False, failure="belt", belt_index=bi, belt_length=belt.length)
         pts = self.points
+        last = len(self.hpoly.ineqs) - 1
         for i in self.facet_ids:
+            # facet n-1-i is the antipode of facet i, and symmetric iff it is
+            if 2 * i > last:
+                break
             ids = self.incidence[i]
             # a point reflection of the facet reverses their order too: it would map its k-th vertex to its (m-1-k)-th
             if len({linalg.vadd(pts[j], pts[k]) for j, k in zip(ids, reversed(ids))}) > 1:
@@ -382,6 +408,14 @@ def _edge_cuts(d: int, bit: int, minus: list[int], plus_mask: int, alive: int, s
     return new_pts
 
 
+def _mirror_rows(mask: int, width: str) -> int:
+    """Move each bit i of mask to n-1-i, width being f"0{n}b".
+
+    With row n-1-i the opposite of row i, this is the tight mask of the antipode.
+    """
+    return int(format(mask, width)[::-1], 2)
+
+
 def _mirror_ids(mask: int) -> int:
     """Swap each even bit of mask with the odd bit above it: the mirror images of vertices numbered in pairs."""
     evens = ((1 << (mask.bit_length() + 1 & ~1)) - 1) // 3  # 0b0101...01
@@ -407,9 +441,14 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     q > 0 and x = X/q, so the row's product with the pair, the slack
     s'q - <n', X>, has the sign of s - <n, x>.  Tight sets are bitmasks;
     u and w are adjacent iff the vertices on every inequality tight at both
-    are exactly u and w (Fukuda & Prodon 1996).  Vertex ids are never
-    reused, so each inequality's mask of the live vertices on it is kept
-    across insertions and only changed where vertices leave or arrive.  A
+    are exactly u and w (Fukuda & Prodon 1996).  Each inequality's mask of
+    the live vertices on it is kept across insertions and only changed
+    where vertices leave or arrive, so an id is not reused while the masks
+    run over it: new vertices take fresh ids, and at the start of a mirror
+    pair that finds more than 2 V + _ID_SLACK ids issued for V live
+    vertices, the live ids are renumbered 0, 1, 2, ... in ascending order
+    (even ids stay even, each odd one after its even mirror image) and
+    every mask keeps its bits at the live ids, in order.  A
     vertex's tight rows have rank d.  When w is simple, tight on exactly d
     rows, those rows are independent and each d - 1 of them cut out an
     edge whose only other live vertex is the AND of their masks without w
@@ -429,7 +468,8 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     (`linalg.independent_rows`) and their opposites cut out: the vertex with
     sign pattern sigma is adj(B) (sigma s') / det(B), tight on row i where
     sigma_i = + and on its opposite where sigma_i = -.  Vertex 2j has the
-    pattern sigma with first sign + and vertex 2j+1, its mirror image, -sigma.
+    pattern sigma with first sign + and vertex 2j+1, its mirror image, -sigma:
+    the 2^(d-1) vertices with first sign + are formed and negated.
     Each further row k then enters with its opposite m = last-1-k: k's
     hyperplane <n, x> = s lies strictly inside m's half-space
     <n, x> >= -s, so m cuts off the mirror images of the vertices k cut
@@ -438,38 +478,56 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     k's edges are searched, and only the even vertex of a pair gets a
     slack: the odd one's is 2s'q minus it.  After each pair that cuts
     vertices off, more than VERTEX_BUDGET live vertices raise VRepCapError,
-    whose message names the budget.
+    whose message names the budget.  At the end the even vertices are
+    scaled to the common denominator and negated for the odd ones, and the
+    facet test runs on rows i < n/2: row n-1-i is a facet iff row i is.
     """
     d = h.dim
     last = len(h.ineqs)
     rows = [(iq.support.numerator, *(-iq.support.denominator * x for x in iq.normal)) for iq in h.ineqs]
-    if any(r[0] <= 0 or rows[last - 1 - i] != (r[0], *(-x for x in r[1:])) for i, r in enumerate(rows)):
+    # row i and row last-1-i are checked together, and a middle row would be its own opposite
+    mirrored = ((r, rows[last - 1 - i]) for i, r in enumerate(rows[:(last + 1) // 2]))
+    if any(r[0] <= 0 or m != (r[0], *(-x for x in r[1:])) for r, m in mirrored):
         raise PolytopeError("row last-1-i must be the opposite of row i, with the same support > 0")
     # the first independent rows: before any row's opposite, as the first half spans what all rows span
     basis = linalg.independent_rows([r[1:] for r in rows])
     if len(basis) < d:
         raise UnboundedCellError("normals do not span R^d; cell is unbounded")
     adj, det = linalg.adjugate([[-x for x in rows[i][1:]] for i in basis])
-    # vertex ids are never reused, so the masks over them stay valid across
-    # insertions: on[i] holds the live vertices tight on processed inequality i
+    # on[i] holds the live vertices tight on processed inequality i, valid across
+    # insertions as a dead id is never reissued; a renumbering rewrites all masks
     verts: dict[int, tuple[int, ...]] = {}
     tights: dict[int, int] = {}
     on = [0] * last
+    flip = f"0{last}b"
     for half in itertools.product((1, -1), repeat=d - 1):
-        for sigma in ((1, *half), (-1, *(-s for s in half))):
-            j = len(verts)
-            x = [sum(a * s * rows[i][0] for a, s, i in zip(r, sigma, basis)) for r in adj]
-            g = gcd(det, *x) if det > 0 else -gcd(det, *x)
-            verts[j] = (det // g, *(c // g for c in x))
-            tights[j] = sum(1 << (i if s > 0 else last - 1 - i) for s, i in zip(sigma, basis))
-            for i in _bits(tights[j]):
-                on[i] |= 1 << j
+        sigma = (1, *half)
+        j = len(verts)
+        x = [sum(a * s * rows[i][0] for a, s, i in zip(r, sigma, basis)) for r in adj]
+        g = gcd(det, *x) if det > 0 else -gcd(det, *x)
+        x = [c // g for c in x]
+        verts[j], verts[j + 1] = (det // g, *x), (det // g, *(-c for c in x))
+        t = sum(1 << (i if s > 0 else last - 1 - i) for s, i in zip(sigma, basis))
+        tights[j], tights[j + 1] = t, _mirror_rows(t, flip)
+        for i in _bits(t):
+            on[i] |= 1 << j
+            on[last - 1 - i] |= 2 << j
     alive = (1 << len(verts)) - 1
     next_id = len(verts)
-    flip = f"0{last}b"
     for k in range(last // 2):
         if k in basis:
             continue
+        if next_id > 2 * len(verts) + _ID_SLACK:
+            # the n-th live id in ascending order becomes n: each even id stays even and its
+            # odd mirror image follows it; a mask keeps, in order, its bits at the live ids
+            live = sorted(verts)
+            keep = operator.itemgetter(*live)
+            width = f"0{next_id}b"
+            on = [int("".join(keep(format(o, width)[::-1]))[::-1], 2) if o else 0 for o in on]
+            verts = {n: verts[j] for n, j in enumerate(live)}
+            tights = {n: tights[j] for n, j in enumerate(live)}
+            next_id = len(live)
+            alive = (1 << next_id) - 1
         m, bit, row = last - 1 - k, 1 << k, rows[k]
         two_s = 2 * row[0]
         slack = {j: sum(map(operator.mul, row, v)) for j, v in verts.items() if not j & 1}
@@ -493,7 +551,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
             added: dict[int, int] = {}
             for (q, *x), t in new_pts.items():
                 verts[next_id], verts[next_id + 1] = (q, *x), (q, *(-c for c in x))
-                tights[next_id], tights[next_id + 1] = t, int(format(t, flip)[::-1], 2)
+                tights[next_id], tights[next_id + 1] = t, _mirror_rows(t, flip)
                 for i in _bits(t):
                     added[i] = added.get(i, 0) | 1 << next_id
                 next_id += 2
@@ -510,16 +568,21 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     # a primitive pair's q is the lcm of the reduced denominators of X/q, so common_q
     # is that of all vertex denominators; the integer points sort like the rationals
     common_q = lcm(*(v[0] for v in verts.values()))
-    scaled = {j: tuple(x * (common_q // v[0]) for x in v[1:]) for j, v in verts.items()}
+    scaled: dict[int, IntVec] = {}
+    for j, (q, *x) in verts.items():
+        if not j & 1:
+            c = common_q // q
+            scaled[j] = tuple(y * c for y in x)
+            scaled[j + 1] = tuple(-y for y in scaled[j])
     order = sorted(verts, key=scaled.__getitem__)
+    # row last-1-i is a facet iff row i is: its vertices are the mirror images
+    half = [i for i in range(last // 2) if on[i].bit_count() >= d and _meet(tights, _bits(on[i]), 1 << i) == 1 << i]
     return VPolytope(
         hpoly=h,
         scale=common_q,
         points=tuple(scaled[j] for j in order),
         tights=tuple(tights[j] for j in order),
-        facet_ids=tuple(
-            i for i in range(last) if on[i].bit_count() >= d and _meet(tights, _bits(on[i]), 1 << i) == 1 << i
-        ),
+        facet_ids=(*half, *(last - 1 - i for i in reversed(half))),
     )
 
 
@@ -528,7 +591,11 @@ def prune_to_facets(v: VPolytope) -> VPolytope:
 
     The facets keep their sorted order, so the H-polytope stays canonical;
     each vertex keeps its tight mask, restricted to the facets and renumbered.
+    When every inequality is a facet the renumbering is the identity, and v
+    itself is returned.
     """
+    if len(v.facet_ids) == len(v.hpoly.ineqs):
+        return v
     renumber = {old: 1 << new for new, old in enumerate(v.facet_ids)}
     h2 = HPolytope(dim=v.dim, ineqs=tuple(v.hpoly.ineqs[i] for i in v.facet_ids))
     return VPolytope(
@@ -560,13 +627,43 @@ def codim2_faces(v: VPolytope) -> tuple[Face, ...]:
 
 @dataclass(frozen=True)
 class Belt:
+    """The ridges of a cell that share one direction space, and the facets on them.
+
+    `length` counts the facets; their cyclic order, `facet_ids`, is formed on
+    first read and kept, as the tiling test and the facet graph need only
+    the count and the ridges.
+    """
+
     direction_space: IntMat  # RREF rows of (aff F - aff F) for each ridge F on it, each a primitive integer row
-    facet_ids: tuple[int, ...]  # cyclically ordered
     face_ids: tuple[int, ...]   # indices into codim2_faces(v)
+    facets: tuple[int, ...]     # the facets on its ridges, ascending
+    free: tuple[int, int] = field(repr=False, compare=False)  # the direction space's free columns
+    normals: tuple[IntVec, ...] = field(repr=False, compare=False)  # the cell's normals
 
     @property
     def length(self) -> int:
-        return len(self.facet_ids)
+        return len(self.facets)
+
+    @functools.cached_property
+    def facet_ids(self) -> tuple[int, ...]:
+        """The facets in cyclic (counterclockwise) order about the direction space, from the smallest id.
+
+        The null space of the RREF direction space is the identity at its two
+        free columns, so a normal's coordinates in that basis are its entries
+        there; a normal with a nonzero product with a row of the space raises
+        PolytopeError.
+        """
+        a, b = self.free
+        projected = []
+        for i in self.facets:
+            n = self.normals[i]
+            if any(sum(map(operator.mul, r, n)) for r in self.direction_space):
+                raise PolytopeError(f"facet {i} is not parallel to its belt's direction space")
+            # a positive multiple of the normal orders the same way
+            projected.append((i, (n[a], n[b])))
+        ordered = _angular_order(projected)
+        pivot = ordered.index(self.facets[0])
+        return tuple(ordered[pivot:] + ordered[:pivot])
 
 
 def _angular_order(vectors: list[tuple[int, Vec]]) -> list[int]:
@@ -586,9 +683,10 @@ def _angular_order(vectors: list[tuple[int, Vec]]) -> list[int]:
 
 
 def belts(v: VPolytope) -> tuple[Belt, ...]:
-    """Codim-2 faces grouped by exact direction space; facets ordered cyclically.
+    """Codim-2 faces grouped by exact direction space, each with its facets.
 
-    Computed once per cell and kept on it, like its codim-2 faces.
+    Computed once per cell and kept on it, like its codim-2 faces; a belt
+    orders its facets cyclically when `Belt.facet_ids` is first read.
     """
     # each call still reads the ridges through codim2_faces, whose spans bench/tracer.py counts
     codim2_faces(v)

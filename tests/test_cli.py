@@ -130,6 +130,19 @@ def test_verify(capsys):
     assert "parallelotope=True irreducible=True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--lattice", "An", "--n", "3", "--e", "1,0,0", "--b", "1/2,1"],
+    ["check", "--lattice", "An", "--n", "3", "--e", "1,2,0", "--b", "1/2"],
+    ["cell", "--lattice", "An", "--n", "3"],
+    ["verify", "--lattice", "An", "--n", "3"],
+], ids=["check-forward", "check-converse", "cell", "verify"])
+def test_belt_cycles_are_not_formed_where_only_lengths_are_read(tmp_path, monkeypatch, argv):
+    # the JSON documents read belt lengths and ridges only; the cyclic order is
+    # formed on first read of Belt.facet_ids, by the OFF export and the tests
+    monkeypatch.setattr(polytope, "_angular_order", lambda vectors: pytest.fail("a belt cycle was formed"))
+    assert main(argv + ["--json", str(tmp_path / "out.json")]) == 0
+
+
 def test_report_rows(tmp_path, capsys):
     out = tmp_path / "rows.json"
     assert main(["report", "--lattices", "Zn:2,An:2", "--json", str(out)]) == 0

@@ -556,6 +556,19 @@ def test_check_theorem_refuses_b_not_positive_before_any_search(monkeypatch):
             check_theorem(A2, (0, 1), bs)
 
 
+def test_check_theorem_refuses_a_zero_or_wrong_length_e_before_any_search(monkeypatch):
+    calls = []
+    search = extension.coset_minima
+    monkeypatch.setattr(extension, "coset_minima", lambda a: calls.append(a) or search(a))
+    with pytest.raises(ValueError, match="must be nonzero"):
+        check_theorem(A2, (0, 0), [1])
+    with pytest.raises(linalg.DimensionMismatchError, match="length 3"):
+        check_theorem(A2, (1, 0, 0), [1])
+    assert calls == []
+    check_theorem(A2, (0, 1), [1])
+    assert calls[0] is A2
+
+
 def test_check_theorem_scaled_direction_normalizes():
     rep = check_theorem(A2, (0, 3), [1])
     assert rep.in_dual_set and rep.normalized_e == (0, 1)

@@ -239,6 +239,20 @@ def test_central_symmetry_failure_detected():
     assert not verdict.ok and verdict.failure == "central-symmetry"
 
 
+def test_broken_mirror_mask_fails_central_symmetry():
+    # the points of the A2 cell are symmetric, but one vertex's tight mask is not
+    # its antipode's with inequality i moved to n-1-i, as the face layer assumes
+    v = cell_of("An", 2)
+    t = v.tights[0]
+    broken = VPolytope(hpoly=v.hpoly, scale=v.scale, points=v.points,
+                       tights=(t & (t - 1), *v.tights[1:]), facet_ids=v.facet_ids)
+    with pytest.raises(PolytopeError, match="centrally symmetric"):
+        codim2_faces(broken)
+    verdict = is_parallelotope(broken)
+    assert not verdict.ok and verdict.failure == "central-symmetry"
+    assert is_parallelotope(v).ok
+
+
 def test_hv_roundtrip_catalog():
     # every inequality of a cell is a facet and its normal is recoverable
     # from the tight vertices alone, up to positive scaling
@@ -932,6 +946,37 @@ def test_one_edge_search_per_mirror_pair(monkeypatch):
     assert len(v.vertices) == 120
 
 
+@pytest.mark.parametrize("name, n", [("An*", 5), ("E6", None)])
+def test_compacted_vertex_ids_stay_bounded_and_paired(name, n, monkeypatch):
+    # these cells issue over 2 live + slack ids, so their double descriptions renumber
+    h = cell_of(name, n).hpoly
+    seen = []  # per edge search: the live vertices (the dict that the pair goes on to change), their count, new pairs
+
+    def check_pair(verts, live, new):
+        assert max(verts) < 2 * live + polytope._ID_SLACK + 2 * new
+        assert all(verts.get(j ^ 1) == (v[0], *(-x for x in v[1:])) for j, v in verts.items())
+
+    search = polytope._edge_cuts
+
+    def spy(*args):
+        if seen:
+            check_pair(*seen[-1])  # the state after the previous pair, renumbered or not
+        verts = args[6]
+        assert max(verts) < 2 * len(verts) + polytope._ID_SLACK
+        new = search(*args)
+        seen.append((verts, len(verts), len(new)))
+        return new
+
+    monkeypatch.setattr(polytope, "_edge_cuts", spy)
+    v = enumerate_vertices(h)
+    check_pair(*seen[-1])
+    # a renumbering builds a new dict of live vertices
+    assert any(a is not b for (a, _, _), (b, _, _) in zip(seen, seen[1:]))
+    monkeypatch.setattr(polytope, "_edge_cuts", search)
+    monkeypatch.setattr(polytope, "_ID_SLACK", 10 ** 9)
+    assert enumerate_vertices(h) == v
+
+
 def test_codim2_faces_computed_once_per_cell():
     v = cell_of("An", 3)
     assert codim2_faces(v) is codim2_faces(v)
@@ -940,6 +985,10 @@ def test_codim2_faces_computed_once_per_cell():
 def test_belts_computed_once_per_cell():
     v = cell_of("Dn", 4)
     assert belts(v) is belts(v)
+    # a belt's cyclic order is formed on its first read and kept
+    for belt in belts(v):
+        assert belt.facet_ids is belt.facet_ids
+        assert sorted(belt.facet_ids) == list(belt.facets) and len(belt.facet_ids) == belt.length
 
 
 def test_tiling_verdict_computed_once_per_cell(monkeypatch):
