@@ -227,11 +227,27 @@ def _cycle_vertex_ids(v: VPolytope, ids: Sequence[int], normal: Sequence[int] | 
     if normal is not None:
         k = max(j for j, x in enumerate(normal) if x)
         rel = [r[:k] + r[k + 1 :] for r in rel]
-    order = [ids[i] for i in polytope._angular_order(list(enumerate(rel)))]
+    order = [ids[i] for i in _angular_order(list(enumerate(rel)))]
     # counterclockwise in that plane is about +e_k for k = 0 or 2 and about -e_k for k = 1
     if normal is not None and (normal[k] > 0) == (k == 1):
         order.reverse()
     return order
+
+
+def _angular_order(vectors: list[tuple[int, Sequence[int]]]) -> list[int]:
+    """Sort ids by the exact counterclockwise angle of 2D vectors."""
+
+    def half(u: Sequence[int]) -> int:
+        return 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
+
+    def cmp(a: tuple[int, Sequence[int]], b: tuple[int, Sequence[int]]) -> int:
+        ha, hb = half(a[1]), half(b[1])
+        if ha != hb:
+            return ha - hb
+        cr = a[1][0] * b[1][1] - a[1][1] * b[1][0]
+        return 0 if cr == 0 else (-1 if cr > 0 else 1)
+
+    return [i for i, _ in sorted(vectors, key=functools.cmp_to_key(cmp))]
 
 
 def to_off(v: VPolytope) -> str:

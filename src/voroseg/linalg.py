@@ -6,8 +6,9 @@ Fraction entries only (`exact_entries`): a float or a bool would pass for
 a value it is not.  The kernels take and return integers: `ldl` gives an
 integer Gram's leading minors and scaled factors, `adjugate` refuses any
 entry that is not an int, and `independent_rows` picks the first integer
-rows that span, stopping once they do (`hpolytope`'s span check, and the
-bases of the seed parallelepiped and of `dual_set`).  Only
+rows that span, stopping once they do (`HPolytope.basis`, which is
+`hpolytope`'s span check and the seed parallelepiped's rows, and the
+basis of `dual_set`).  Only
 `parse_rational`, `dot` and `solve_linear` form a Fraction.  `dot`,
 `solve_linear` and `rank` have no caller in the package and stay while the
 bench counts their calls; the last two scale a rational row by the lcm of

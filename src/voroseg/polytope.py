@@ -36,8 +36,9 @@ meet in its antipode, and a facet is centrally symmetric iff its
 opposite is.  A ridge's belt is named by the plane of its two facets'
 normals, and the belt's direction space is written down from their 2x2
 minors (`_belt_space`).  Ridges, belts and the tiling verdict are
-computed once per cell and kept on it; a belt's cyclic facet order, which
-only the OFF export and the tests read, is formed on its first read.
+computed once per cell and kept on it.  A belt keeps its facets in
+ascending order, not in their cyclic order about it: the tiling test and
+the facet graph read only their count and the ridges.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -90,7 +91,7 @@ class HPolytope:
     The constructor canonicalises: every normal is an integer vector,
     positively parallel normals are merged (keeping the tighter bound),
     inequalities are sorted lexicographically, and the normals must span
-    R^d so that a symmetric system is bounded.
+    R^d so that a symmetric system is bounded (`basis`).
     """
 
     dim: int
@@ -99,6 +100,14 @@ class HPolytope:
     @property
     def normals(self) -> tuple[IntVec, ...]:
         return tuple(iq.normal for iq in self.ineqs)
+
+    @functools.cached_property
+    def basis(self) -> tuple[int, ...]:
+        """The ids of the first d independent normals (`linalg.independent_rows`); UnboundedCellError if they do not span R^d."""
+        ids = linalg.independent_rows(self.normals)
+        if len(ids) < self.dim:
+            raise UnboundedCellError("normals do not span R^d; cell is unbounded")
+        return tuple(ids)
 
 
 def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
@@ -129,10 +138,9 @@ def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
         if old is None or (s * old[0], g) < (old[2] * g, old[0]):
             by_dir[prim] = (g, n, s)
     kept = sorted(by_dir.values(), key=operator.itemgetter(1))
-    ineqs = tuple(Inequality(n, s) for _, n, s in kept)
-    if len(linalg.independent_rows([iq.normal for iq in ineqs])) < dim:
-        raise UnboundedCellError("normals do not span R^d; cell is unbounded")
-    return HPolytope(dim=dim, ineqs=ineqs)
+    h = HPolytope(dim=dim, ineqs=tuple(Inequality(n, s) for _, n, s in kept))
+    h.basis  # raises unless the normals span R^d; `enumerate_vertices` seeds from it
+    return h
 
 
 def build_cell(a: QuadForm, normals: Iterable[Sequence]) -> HPolytope:
@@ -197,8 +205,8 @@ class VPolytope:
         )
 
     @functools.cached_property
-    def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[IntMat, tuple[int, int], list[int]], ...]]:
-        """The (d-2)-faces sorted by vertex ids, and per belt its direction space, free columns and ridges.
+    def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[IntMat, list[int]], ...]]:
+        """The (d-2)-faces sorted by vertex ids, and per belt its direction space and ridges.
 
         In a full-dimensional cell a ridge lies on exactly 2 facets (the diamond
         property) and a smaller face on at least 3, so a facet pair is a ridge iff
@@ -239,11 +247,11 @@ class VPolytope:
                     found.append((tuple(reversed(ids)), i, j, key))
                     found.append((tuple(last_vertex - k for k in ids), last_ineq - j, last_ineq - i, key))
         faces: list[Face] = []
-        by_key: dict[IntVec, tuple[IntMat, tuple[int, int], list[int]]] = {}
+        by_key: dict[IntVec, tuple[IntMat, list[int]]] = {}
         for ids, i, j, key in sorted(found):
             if key not in by_key:
-                by_key[key] = (*_belt_space(normals[i], normals[j]), [])
-            by_key[key][2].append(len(faces))
+                by_key[key] = (_belt_space(normals[i], normals[j]), [])
+            by_key[key][1].append(len(faces))
             faces.append(Face((i, j), ids))
         return tuple(faces), tuple(by_key.values())
 
@@ -251,14 +259,13 @@ class VPolytope:
     def _belts(self) -> tuple[Belt, ...]:
         """The ridges' belts, ordered by direction space; read through `belts`.
 
-        Each keeps its direction space, its ridges and its sorted facets; the
-        cyclic order of those facets is formed when `Belt.facet_ids` is read.
+        Each keeps its direction space, its ridges and its sorted facets.  The
+        order is that of the RREF rows, which `check` reports as belt_index.
         """
         faces, groups = self._ridges
-        normals = self.hpoly.normals
         # a primitive row is its pivot times the RREF row, so over the lcm of all
         # pivots the rows are ints that sort like the RREF rows: the belt order is kept
-        den = lcm(*(_pivot(r) for space, _, _ in groups for r in space))
+        den = lcm(*(_pivot(r) for space, _ in groups for r in space))
 
         def key(group):  # one pivot per row
             return [[x * k for x in r] for r, k in zip(group[0], [den // _pivot(r) for r in group[0]])]
@@ -268,10 +275,8 @@ class VPolytope:
                 direction_space=space,
                 face_ids=tuple(face_ids),
                 facets=tuple(sorted({f for fi in face_ids for f in faces[fi].facets})),
-                free=free,
-                normals=normals,
             )
-            for space, free, face_ids in sorted(groups, key=key)
+            for space, face_ids in sorted(groups, key=key)
         )
 
     @functools.cached_property
@@ -296,8 +301,8 @@ class VPolytope:
         return ParallelotopeVerdict(ok=True)
 
 
-def _belt_space(p: IntVec, q: IntVec) -> tuple[IntMat, tuple[int, int]]:
-    """The space orthogonal to independent p and q as RREF rows made primitive in integers, pivot > 0, and its free columns.
+def _belt_space(p: IntVec, q: IntVec) -> IntMat:
+    """The space orthogonal to independent p and q as RREF rows made primitive in integers, pivot > 0.
 
     With the minors m(x, y) = p_x q_y - p_y q_x, b the last column where p or
     q is nonzero and a the last column before b with m(a, b) != 0, the vector
@@ -320,7 +325,7 @@ def _belt_space(p: IntVec, q: IntVec) -> tuple[IntMat, tuple[int, int]]:
             r[j], r[a], r[b] = mab, -m(j, b), -m(a, j)
             g = gcd(*r) if mab > 0 else -gcd(*r)
             rows.append(tuple(x // g for x in r))
-    return tuple(rows), (a, b)
+    return tuple(rows)
 
 
 def _pivot(row: Sequence[int]) -> int:
@@ -384,17 +389,12 @@ def _edge_cuts(d: int, bit: int, minus: list[int], plus_mask: int, alive: int, s
                 for c in range(d - 1, 0, -1):
                     at_least[c] |= at_least[c - 1] & o
             for u in _bits(at_least[d - 1]):
-                # a simple u shares an edge's d - 1 rows with w; else no third
-                # vertex may be tight wherever both are (combinatorial adjacency)
-                if tights[u].bit_count() > d:
-                    pair = 1 << u | 1 << w
-                    meet = alive
-                    for i in _bits(tights[u] & tw):
-                        meet &= on[i]
-                        if meet == pair:
-                            break
-                    if meet != pair:
-                        continue
+                # a simple u shares an edge's d - 1 rows with w; else no third live
+                # vertex may be tight wherever both are (combinatorial adjacency),
+                # and the masks on[i] hold live vertices only
+                pair = 1 << u | 1 << w
+                if tights[u].bit_count() > d and _meet(on, _bits(tights[u] & tw), pair) != pair:
+                    continue
                 ends.append(u)
         for u in ends:
             common = tights[u] & tw
@@ -406,6 +406,15 @@ def _edge_cuts(d: int, bit: int, minus: list[int], plus_mask: int, alive: int, s
             # tight at x exactly when it is tight at both ends
             new_pts[x] = new_pts.get(x, 0) | common | bit
     return new_pts
+
+
+def _pick_bits(masks: Iterable[int], ids: Sequence[int], width: int) -> list[int]:
+    """Each mask cut down to its bits at ids, in order: bit n of a result is bit ids[n] of its mask.
+
+    Every id is below width; one binary string per mask, picked by `operator.itemgetter`.
+    """
+    keep, fmt = operator.itemgetter(*ids), f"0{width}b"
+    return [int("".join(keep(format(m, fmt)[::-1]))[::-1], 2) if m else 0 for m in masks]
 
 
 def _mirror_rows(mask: int, width: str) -> int:
@@ -465,7 +474,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     facets or more.
 
     The pass starts from the parallelepiped that d independent rows B
-    (`linalg.independent_rows`) and their opposites cut out: the vertex with
+    (`HPolytope.basis`) and their opposites cut out: the vertex with
     sign pattern sigma is adj(B) (sigma s') / det(B), tight on row i where
     sigma_i = + and on its opposite where sigma_i = -.  Vertex 2j has the
     pattern sigma with first sign + and vertex 2j+1, its mirror image, -sigma:
@@ -490,9 +499,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     if any(r[0] <= 0 or m != (r[0], *(-x for x in r[1:])) for r, m in mirrored):
         raise PolytopeError("row last-1-i must be the opposite of row i, with the same support > 0")
     # the first independent rows: before any row's opposite, as the first half spans what all rows span
-    basis = linalg.independent_rows([r[1:] for r in rows])
-    if len(basis) < d:
-        raise UnboundedCellError("normals do not span R^d; cell is unbounded")
+    basis = h.basis
     adj, det = linalg.adjugate([[-x for x in rows[i][1:]] for i in basis])
     # on[i] holds the live vertices tight on processed inequality i, valid across
     # insertions as a dead id is never reissued; a renumbering rewrites all masks
@@ -521,9 +528,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
             # the n-th live id in ascending order becomes n: each even id stays even and its
             # odd mirror image follows it; a mask keeps, in order, its bits at the live ids
             live = sorted(verts)
-            keep = operator.itemgetter(*live)
-            width = f"0{next_id}b"
-            on = [int("".join(keep(format(o, width)[::-1]))[::-1], 2) if o else 0 for o in on]
+            on = _pick_bits(on, live, next_id)
             verts = {n: verts[j] for n, j in enumerate(live)}
             tights = {n: tights[j] for n, j in enumerate(live)}
             next_id = len(live)
@@ -596,13 +601,12 @@ def prune_to_facets(v: VPolytope) -> VPolytope:
     """
     if len(v.facet_ids) == len(v.hpoly.ineqs):
         return v
-    renumber = {old: 1 << new for new, old in enumerate(v.facet_ids)}
     h2 = HPolytope(dim=v.dim, ineqs=tuple(v.hpoly.ineqs[i] for i in v.facet_ids))
     return VPolytope(
         hpoly=h2,
         scale=v.scale,
         points=v.points,
-        tights=tuple(sum(renumber.get(i, 0) for i in _bits(t)) for t in v.tights),
+        tights=tuple(_pick_bits(v.tights, v.facet_ids, len(v.hpoly.ineqs))),
         facet_ids=tuple(range(len(h2.ineqs))),
     )
 
@@ -629,64 +633,24 @@ def codim2_faces(v: VPolytope) -> tuple[Face, ...]:
 class Belt:
     """The ridges of a cell that share one direction space, and the facets on them.
 
-    `length` counts the facets; their cyclic order, `facet_ids`, is formed on
-    first read and kept, as the tiling test and the facet graph need only
-    the count and the ridges.
+    `facets` lists them in ascending order, not in their cyclic order about
+    the belt: the tiling test and the facet graph read only their count
+    (`length`) and the ridges.
     """
 
     direction_space: IntMat  # RREF rows of (aff F - aff F) for each ridge F on it, each a primitive integer row
     face_ids: tuple[int, ...]   # indices into codim2_faces(v)
     facets: tuple[int, ...]     # the facets on its ridges, ascending
-    free: tuple[int, int] = field(repr=False, compare=False)  # the direction space's free columns
-    normals: tuple[IntVec, ...] = field(repr=False, compare=False)  # the cell's normals
 
     @property
     def length(self) -> int:
         return len(self.facets)
 
-    @functools.cached_property
-    def facet_ids(self) -> tuple[int, ...]:
-        """The facets in cyclic (counterclockwise) order about the direction space, from the smallest id.
-
-        The null space of the RREF direction space is the identity at its two
-        free columns, so a normal's coordinates in that basis are its entries
-        there; a normal with a nonzero product with a row of the space raises
-        PolytopeError.
-        """
-        a, b = self.free
-        projected = []
-        for i in self.facets:
-            n = self.normals[i]
-            if any(sum(map(operator.mul, r, n)) for r in self.direction_space):
-                raise PolytopeError(f"facet {i} is not parallel to its belt's direction space")
-            # a positive multiple of the normal orders the same way
-            projected.append((i, (n[a], n[b])))
-        ordered = _angular_order(projected)
-        pivot = ordered.index(self.facets[0])
-        return tuple(ordered[pivot:] + ordered[:pivot])
-
-
-def _angular_order(vectors: list[tuple[int, Vec]]) -> list[int]:
-    """Sort ids by the exact counterclockwise angle of 2D vectors."""
-
-    def half(u: Vec) -> int:
-        return 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-
-    def cmp(a: tuple[int, Vec], b: tuple[int, Vec]) -> int:
-        ha, hb = half(a[1]), half(b[1])
-        if ha != hb:
-            return ha - hb
-        cr = a[1][0] * b[1][1] - a[1][1] * b[1][0]
-        return 0 if cr == 0 else (-1 if cr > 0 else 1)
-
-    return [i for i, _ in sorted(vectors, key=functools.cmp_to_key(cmp))]
-
 
 def belts(v: VPolytope) -> tuple[Belt, ...]:
     """Codim-2 faces grouped by exact direction space, each with its facets.
 
-    Computed once per cell and kept on it, like its codim-2 faces; a belt
-    orders its facets cyclically when `Belt.facet_ids` is first read.
+    Computed once per cell and kept on it, like its codim-2 faces.
     """
     # each call still reads the ridges through codim2_faces, whose spans bench/tracer.py counts
     codim2_faces(v)

@@ -17,8 +17,9 @@ the support-sum inclusion check, the facet adjacency check, a facet's face,
 the three-way classification of a face under e, the shadow boundary of a
 cell under e, the Fraction vectors and the matrix-vector product.  The
 package's faces are its ridges and belts only, so the face where a
-hyperplane supports a cell, lemma L8, a parity class, dual-set membership
-and a null space are found here, from the cell's and the form's own fields.
+hyperplane supports a cell, a belt's cyclic facet order, lemma L8, a
+parity class, dual-set membership and a null space are found here, from
+the cell's and the form's own fields.
 """
 
 from __future__ import annotations
@@ -422,6 +423,47 @@ def facet_face(v: "polytope.VPolytope", facet_id: int) -> SupportFace:
     """The face of a facet: where its own hyperplane supports the cell."""
     iq = v.hpoly.ineqs[facet_id]
     return support_face(v, iq.normal, iq.support)
+
+
+class OffBeltNormalError(polytope.PolytopeError):
+    pass
+
+
+def belt_cycle(v: "polytope.VPolytope", belt: "polytope.Belt") -> tuple:
+    """A belt's facets in counterclockwise order about its direction space, from the smallest id.
+
+    The direction space is that of the belt's first ridge, by the elimination
+    above on the ridge's integer points, whose differences span it as the
+    vertices' do.  Its null space has the basis that is the identity at the
+    two non-pivot columns a < b, so a normal orthogonal to the space has the
+    coordinates (n_a, n_b) there; a facet normal that is not orthogonal to it
+    raises OffBeltNormalError.  The order is exact: the half-plane y > 0, with
+    the ray y = 0, x > 0, before the other, then by the sign of the cross product.
+    """
+    ridge = polytope.codim2_faces(v)[belt.face_ids[0]]
+    space = affine_direction_space([v.points[j] for j in ridge.vertex_ids])
+    pivots = {next(j for j, x in enumerate(r) if x) for r in space}
+    a, b = (j for j in range(v.dim) if j not in pivots)
+    plane = []
+    for i in belt.facets:
+        n = v.hpoly.ineqs[i].normal
+        if any(sum(x * y for x, y in zip(r, n)) for r in space):
+            raise OffBeltNormalError(f"facet {i} is not orthogonal to its belt's direction space")
+        plane.append((i, n[a], n[b]))
+
+    def upper(x, y) -> bool:
+        return y > 0 or (y == 0 and x > 0)
+
+    def before(s, t) -> int:
+        (_, x, y), (_, u, w) = s, t
+        if upper(x, y) != upper(u, w):
+            return -1 if upper(x, y) else 1
+        cross = x * w - y * u
+        return -1 if cross > 0 else int(cross < 0)
+
+    order = [i for i, _, _ in sorted(plane, key=functools.cmp_to_key(before))]
+    start = order.index(min(order))
+    return tuple(order[start:] + order[:start])
 
 
 def lemma_l8_holds(a: "lattice.QuadForm", v: "polytope.VPolytope", e) -> bool:

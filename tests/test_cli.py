@@ -137,9 +137,9 @@ def test_verify(capsys):
     ["verify", "--lattice", "An", "--n", "3"],
 ], ids=["check-forward", "check-converse", "cell", "verify"])
 def test_belt_cycles_are_not_formed_where_only_lengths_are_read(tmp_path, monkeypatch, argv):
-    # the JSON documents read belt lengths and ridges only; the cyclic order is
-    # formed on first read of Belt.facet_ids, by the OFF export and the tests
-    monkeypatch.setattr(polytope, "_angular_order", lambda vectors: pytest.fail("a belt cycle was formed"))
+    # the JSON documents read belt lengths and ridges only; an angular order is
+    # formed only by the OFF export, for its faces, and a belt's by the test oracles
+    monkeypatch.setattr(jsonio, "_angular_order", lambda vectors: pytest.fail("an angular order was formed"))
     assert main(argv + ["--json", str(tmp_path / "out.json")]) == 0
 
 

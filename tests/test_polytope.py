@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -18,11 +19,13 @@ from hypothesis import strategies as st
 from oracles import (
     DIRECT_SUM,
     NotFacetNormalError,
+    OffBeltNormalError,
     PARALLEL_EXTENSION,
     SHIFT,
     _reduced_rows,
     adjacency_check,
     affine_direction_space,
+    belt_cycle,
     brute_force_vertices,
     classify_face,
     facet_face,
@@ -191,7 +194,7 @@ def test_belts_square_hexagon_cube():
 def test_belt_facets_close_under_antipodes():
     v = cell_of("An", 3)
     for belt in belts(v):
-        normals = {tuple(v.hpoly.ineqs[i].normal) for i in belt.facet_ids}
+        normals = {tuple(v.hpoly.ineqs[i].normal) for i in belt.facets}
         assert {tuple(-x for x in n) for n in normals} == normals
         assert belt.length % 2 == 0
 
@@ -689,6 +692,27 @@ def test_enumerate_vertices_refuses_systems_outside_the_contract(name, monkeypat
         enumerate_vertices(h)
 
 
+def test_enumerate_vertices_refuses_normals_that_do_not_span():
+    # hpolytope refuses such a system; one built by hand meets the same check when it is seeded
+    slab = polytope.HPolytope(dim=2, ineqs=(polytope.Inequality((-1, 0), F(1)), polytope.Inequality((1, 0), F(1))))
+    with pytest.raises(UnboundedCellError, match="do not span"):
+        enumerate_vertices(slab)
+
+
+def test_one_basis_per_segment_sum(monkeypatch):
+    # the basis of hpolytope's span check is the one enumerate_vertices seeds from
+    d4 = catalog("Dn", 4)
+    cell = voronoi_cell(d4)
+    members = extension.dual_set(coset_minima(d4).facet_normals()).members
+    calls = Counter()
+    fn = linalg.independent_rows
+    monkeypatch.setattr(linalg, "independent_rows", lambda m: calls.update(["rows"]) or fn(m))
+    for e in members[:3]:
+        calls.clear()
+        extension.sum_with_segment(cell, extension.Direction(e, F(1, 2)))
+        assert calls["rows"] == 1
+
+
 def _ridge_oracle_cells():
     """(cell, whether it is a parallelotope) for the cells of the face oracle test."""
     cells = [(cell_of(name, n), True) for name, n, _ in lattice.catalog_entries(max_dim=4)]
@@ -733,7 +757,7 @@ def _check_ridges_and_belts(v, parallelotope):
     for b in bs:
         # a belt's facets are the facets on its ridges, all parallel to its direction space
         on_ridges = sorted({i for fi in b.face_ids for i in facets if on[i].issuperset(ridges[fi].vertex_ids)})
-        assert sorted(b.facet_ids) == on_ridges
+        assert list(b.facets) == on_ridges
         assert all(parallel(i, b.direction_space) for i in on_ridges)
         if parallelotope:
             # and on a parallelotope every facet parallel to it is on the belt; on other
@@ -891,11 +915,8 @@ def _independent_pairs():
 @example(((1, 0, 0), (0, 0, 1)))  # the free column a = 0 before the pivot column 1
 def test_belt_space_matches_the_null_space_rref(pq):
     p, q = pq
-    space, free = polytope._belt_space(p, q)
     want = tuple(map(tuple, _reduced_rows(null_basis([p, q], len(p)))))
-    assert _as_rref(space) == want
-    pivots = [next(j for j, x in enumerate(r) if x) for r in want]
-    assert list(free) == [j for j in range(len(p)) if j not in pivots]
+    assert _as_rref(polytope._belt_space(p, q)) == want
 
 
 def test_one_direction_space_per_belt(monkeypatch):
@@ -985,10 +1006,20 @@ def test_codim2_faces_computed_once_per_cell():
 def test_belts_computed_once_per_cell():
     v = cell_of("Dn", 4)
     assert belts(v) is belts(v)
-    # a belt's cyclic order is formed on its first read and kept
+    # a belt's facets are those the oracle orders cyclically about it
     for belt in belts(v):
-        assert belt.facet_ids is belt.facet_ids
-        assert sorted(belt.facet_ids) == list(belt.facets) and len(belt.facet_ids) == belt.length
+        cycle = belt_cycle(v, belt)
+        assert sorted(cycle) == list(belt.facets) and len(cycle) == belt.length
+
+
+def test_belt_cycle_refuses_a_facet_off_the_belt():
+    # the oracle checks every facet normal against the belt's direction space before ordering
+    v = cell_of("Zn", 3)
+    first, second = belts(v)[:2]
+    extra = next(i for i in second.facets if i not in first.facets)
+    stray = dataclasses.replace(first, facets=tuple(sorted((*first.facets, extra))))
+    with pytest.raises(OffBeltNormalError, match=f"facet {extra} is not orthogonal"):
+        belt_cycle(v, stray)
 
 
 def test_tiling_verdict_computed_once_per_cell(monkeypatch):
@@ -1013,7 +1044,7 @@ def _belts_off_entries():
     out = []
     for name, n, a in lattice.catalog_entries(max_dim=4):
         v = voronoi_cell(a)
-        entry = {"name": name, "n": n, "belts": [list(b.facet_ids) for b in belts(v)]}
+        entry = {"name": name, "n": n, "belts": [list(belt_cycle(v, b)) for b in belts(v)]}
         if n <= 3:
             entry["off"] = jsonio.to_off(v)
         out.append(entry)
@@ -1023,7 +1054,7 @@ def _belts_off_entries():
         for e in extension.dual_set(coset_minima(a).facet_normals()).members:
             v = extension.sum_with_segment(cell, extension.Direction(e, F(1, 2)))
             out.append({"name": name, "n": n, "e": list(e), "b": "1/2",
-                        "belts": [list(b.facet_ids) for b in belts(v)]})
+                        "belts": [list(belt_cycle(v, b)) for b in belts(v)]})
     return out
 
 
@@ -1057,7 +1088,7 @@ def test_large_cells_match_their_recorded_digests(name, n):
         v.points,
         tuple(tuple(i for i in range(len(v.hpoly.ineqs)) if t >> i & 1) for t in v.tights),
         v.facet_ids,
-        tuple((b.direction_space, b.facet_ids, b.face_ids) for b in belts(v)),
+        tuple((b.direction_space, belt_cycle(v, b), b.face_ids) for b in belts(v)),
         (verdict.ok, verdict.failure, verdict.belt_index, verdict.belt_length, verdict.facet_id),
     )
     assert hashlib.sha256(repr(doc).encode()).hexdigest() == _LARGE_CELL_DIGESTS[name, n]
