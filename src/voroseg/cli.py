@@ -121,7 +121,7 @@ def cmd_cell(args) -> int:
         h = polytope.build_cell(a, coset_minima(a).facet_normals())
         doc["cell"] = jsonio.hrep_to_dict(h)
         doc["cell"]["note"] = f"H-representation only: {exc}"
-        summary = f"cell: dim {a.dim}, {len(h.ineqs)} facets (H-rep only: {exc})"
+        summary = f"cell: dim {a.dim}, {len(h.normals)} facets (H-rep only: {exc})"
     else:
         belts = polytope.belts(v)
         doc["cell"] = jsonio.cell_to_dict(v, belts)

@@ -16,8 +16,11 @@ Normals and the weights b take int or Fraction entries only
 (`Direction`), so with the integer facet normals every product <p, e> is
 an int; `sum_with_segment` forms one per inequality and reads from that
 list the shifted supports, the transversal ridges and the weights of the
-new normals, which stay integer.  `check_theorem` takes a rational e and
-scales it to an integer vector once.
+new normals, which stay integer.  The supports stay integer too: the
+cell's are ints over its scale Q (`HPolytope`), and with b = nb/db every
+support of the sum is an int over Q db, so the sum forms no Fraction
+from the cell's normals to its vertices.  `check_theorem` takes a
+rational e and scales it to an integer vector once.
 """
 
 from __future__ import annotations
@@ -234,23 +237,26 @@ def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
     of a transversal shadow-boundary codim-2 face with the segment; the
     normal of the latter is the positive combination of the face's two
     facet normals that kills e.  Each normal's product with e is formed
-    once and serves all three.  Redundant inequalities are pruned.
+    once and serves all three.  Every support is an int over the cell's
+    scale Q times the denominator db of b, handed to `hpolytope` as such.
+    Redundant inequalities are pruned.
     """
     h = cell.hpoly
-    prods = [linalg.inner(iq.normal, dir.e) for iq in h.ineqs]
-    pairs: list[tuple[Sequence, Fraction]] = [
-        (iq.normal, iq.support + dir.b * abs(t)) for iq, t in zip(h.ineqs, prods)
-    ]
+    # over the common denominator Q db, with b = nb/db, a support S/Q becomes S db and b|t| becomes nb Q |t|
+    nb, db = dir.b.numerator, dir.b.denominator
+    shift = nb * h.scale
+    sups = [s * db for s in h.supports]
+    prods = [linalg.inner(n, dir.e) for n in h.normals]
+    pairs: list[tuple[IntVec, int]] = [(n, s + shift * abs(t)) for n, s, t in zip(h.normals, sups, prods)]
     for face in polytope.codim2_faces(cell):
         i, j = face.facets
         # a transversal ridge lies on two facets whose products with e have opposite signs
         if prods[i] * prods[j] >= 0:
             continue
         wi, wj = abs(prods[i]), abs(prods[j])
-        fi, fj = h.ineqs[i], h.ineqs[j]
-        q = tuple(wj * x + wi * y for x, y in zip(fi.normal, fj.normal))
-        pairs.append((q, wj * fi.support + wi * fj.support))
-    summed = polytope.hpolytope(cell.dim, pairs)
+        q = tuple(wj * x + wi * y for x, y in zip(h.normals[i], h.normals[j]))
+        pairs.append((q, wj * sups[i] + wi * sups[j]))
+    summed = polytope.hpolytope(cell.dim, pairs, h.scale * db)
     return prune_to_facets(enumerate_vertices(summed))
 
 

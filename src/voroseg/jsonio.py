@@ -2,9 +2,10 @@
 
 Every coordinate and form value is rendered as an exact rational string
 "p/q" (or "p" when the denominator is 1); counts and dimensions stay as
-JSON numbers.  Vertices are rendered straight from a cell's integer points
-and their common denominator (`VPolytope.points` and `scale`), with one gcd
-per coordinate and no Fraction formed.  A document is rendered in one pass,
+JSON numbers.  Vertices and supports are rendered straight from a cell's
+integer points or an H-polytope's integer supports and their common
+denominator (`VPolytope.points` and `scale`, `HPolytope.supports` and
+`scale`), with one gcd per number and no Fraction formed.  A document is rendered in one pass,
 byte-identical to `json.dumps(obj, sort_keys=True, indent=2)`: the stdlib
 uses its C encoder only without `indent`, and its pure-Python one spends
 generator frames on every vector entry.  The OFF export is the single
@@ -41,14 +42,16 @@ def rat_mat(m) -> list[list[str]]:
     return [rat_vec(r) for r in m]
 
 
+def _over(xs: Sequence[int], q: int) -> list[str]:
+    """Each int x over the int q > 0 as `rat` renders Fraction(x, q), by one gcd and no Fraction."""
+    gs = [gcd(x, q) for x in xs]
+    return [str(x // g) if g == q else f"{x // g}/{q // g}" for x, g in zip(xs, gs)]
+
+
 def _vertex_strings(v: VPolytope) -> list[list[str]]:
     """The vertices points / scale, each coordinate as `rat` renders its Fraction."""
     q = v.scale
-    out = []
-    for p in v.points:
-        gs = [gcd(x, q) for x in p]
-        out.append([str(x // g) if g == q else f"{x // g}/{q // g}" for x, g in zip(p, gs)])
-    return out
+    return [_over(p, q) for p in v.points]
 
 
 def dumps(obj) -> str:
@@ -158,13 +161,14 @@ def cell_to_dict(v: VPolytope, belts: Sequence[Belt] | None = None) -> dict:
 
 
 def hrep_to_dict(h: polytope.HPolytope) -> dict:
+    """The inequalities, each support rendered from the H-polytope's integer supports and scale."""
     return {
         "dim": h.dim,
         "ineqs": [
-            {"normal": rat_vec(iq.normal), "support": rat(iq.support)}
-            for iq in h.ineqs
+            {"normal": rat_vec(n), "support": s}
+            for n, s in zip(h.normals, _over(h.supports, h.scale))
         ],
-        "facet_count": len(h.ineqs),
+        "facet_count": len(h.normals),
     }
 
 
@@ -263,7 +267,7 @@ def to_off(v: VPolytope) -> str:
     verts = [" ".join(coord(c) for c in x) + (" 0" * (3 - d)) for x in v.vertices]
     if d == 3:
         faces = [
-            _cycle_vertex_ids(v, v.incidence[i], v.hpoly.ineqs[i].normal) for i in v.facet_ids
+            _cycle_vertex_ids(v, v.incidence[i], v.hpoly.normals[i]) for i in v.facet_ids
         ]
         nedges = len(polytope.codim2_faces(v))
     elif d == 2:

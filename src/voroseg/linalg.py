@@ -8,11 +8,14 @@ integer Gram's leading minors and scaled factors, `adjugate` refuses any
 entry that is not an int, and `independent_rows` picks the first integer
 rows that span, stopping once they do (`HPolytope.basis`, which is
 `hpolytope`'s span check and the seed parallelepiped's rows, and the
-basis of `dual_set`).  Only
+basis of `dual_set`).  The H-side hands them int normals only, and its
+supports stay ints over one denominator (`polytope.HPolytope`), so no
+rational vector reaches `polytope`.  Only
 `parse_rational`, `dot` and `solve_linear` form a Fraction.  `dot`,
 `solve_linear` and `rank` have no caller in the package and stay while the
 bench counts their calls; the last two scale a rational row by the lcm of
-its own denominators (`scale_to_integers`) and, like `adjugate`, run one
+its own denominators (`scale_to_integers`, which also makes
+`check_theorem`'s rational e an int vector) and, like `adjugate`, run one
 kernel, fraction-free Gauss-Jordan elimination (`_bareiss`).  There is no
 null-space routine: a belt's direction space is written down from two
 normals' minors in `polytope`.  `inner` keeps integer vectors in integers:

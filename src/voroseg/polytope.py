@@ -1,9 +1,14 @@
 """Exact H/V polytope engine for centrally symmetric cells.
 
-Every H-polytope keeps integer normals: `hpolytope` scales a rational
-normal and its support once by the lcm of the normal's denominators,
-merges positively parallel normals by their primitive integer direction
-and sorts on int tuples.
+Every H-polytope is stored in integers: int normals, int supports and
+one common denominator of the supports, their least (`HPolytope.scale`).
+`hpolytope` takes int normals only and int or Fraction supports over an
+optional common denominator, merges positively parallel normals by their
+primitive integer direction, comparing bounds in ints, and sorts on int
+tuples.  Every support the package forms is a(p) or a(p) + b|<p, e>|,
+an integer over den(A) den(b), so `build_cell` and the segment sum hand
+ints and that denominator down, and no Fraction is formed between the
+Gram matrix and the vertices.
 
 Vertex enumeration is an incremental double-description pass in integer
 arithmetic for centrally symmetric systems only: row last-1-i must be the
@@ -52,7 +57,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg, lattice
-from .lattice import IntMat, IntVec, QuadForm, eval_form
+from .lattice import IntMat, IntVec, QuadForm
 from .linalg import Vec
 
 # most live vertices of a double description: over 8!, the most a Voronoi cell of d <= 7 has
@@ -86,20 +91,26 @@ class Inequality:
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Intersection of half-spaces <normal, x> <= support.
+    """Intersection of half-spaces <normals[i], x> <= supports[i] / scale.
 
-    The constructor canonicalises: every normal is an integer vector,
-    positively parallel normals are merged (keeping the tighter bound),
-    inequalities are sorted lexicographically, and the normals must span
-    R^d so that a symmetric system is bounded (`basis`).
+    Stored in integers and canonical (`hpolytope`): every normal is an int
+    vector, no two are positively parallel, they are sorted
+    lexicographically and span R^d, so that a symmetric system is bounded
+    (`basis`), and scale is the least common denominator of the rational
+    supports, so equal systems have equal fields.  `ineqs` is the rational
+    view, formed on first read.
     """
 
     dim: int
-    ineqs: tuple[Inequality, ...]
+    normals: tuple[IntVec, ...]
+    supports: tuple[int, ...]
+    scale: int
 
-    @property
-    def normals(self) -> tuple[IntVec, ...]:
-        return tuple(iq.normal for iq in self.ineqs)
+    @functools.cached_property
+    def ineqs(self) -> tuple[Inequality, ...]:
+        """The inequalities with Fraction supports, supports / scale, in the order of normals."""
+        q = self.scale
+        return tuple(Inequality(n, Fraction(s, q)) for n, s in zip(self.normals, self.supports))
 
     @functools.cached_property
     def basis(self) -> tuple[int, ...]:
@@ -110,47 +121,77 @@ class HPolytope:
         return tuple(ids)
 
 
-def hpolytope(dim: int, pairs: Iterable[tuple[Sequence, object]]) -> HPolytope:
-    """The H-polytope of the (normal, support) pairs, canonicalised in integers.
+def _reduced(dim: int, normals: tuple[IntVec, ...], supports: Sequence[int], scale: int) -> HPolytope:
+    """The H-polytope of integer supports over scale > 0, both divided by their gcd."""
+    g = gcd(scale, *supports)
+    return HPolytope(dim, normals, tuple(s // g for s in supports), scale // g)
 
-    Every normal entry and support is an int or a Fraction; anything else,
-    a float or a bool included, raises ValueError naming the pair.  A
-    rational normal and its support are scaled once by the lcm of the
-    normal's denominators, which leaves the half-space and an integer
-    normal unchanged.  Inequalities are keyed by the primitive direction
-    n / gcd(n); of two with one key, the bound s / gcd(n) decides, and of
-    equal bounds the smaller gcd(n).
+
+def hpolytope(dim: int, pairs: Iterable[tuple[Sequence[int], int | Fraction]], scale: int = 1) -> HPolytope:
+    """The H-polytope of <normal, x> <= support / scale over the (normal, support) pairs, canonicalised in integers.
+
+    Every normal entry is an int and every support an int or a Fraction;
+    anything else, a Fraction normal entry or a float or bool anywhere,
+    raises ValueError naming the pair.  scale, a positive int, is a common
+    denominator of the supports.  Fraction supports are brought to ints
+    over one denominator first, and from there on all is in ints.
+    Inequalities are keyed by the primitive direction n / gcd(n); of two
+    with one key, the bound s / gcd(n) decides, and of equal bounds the
+    smaller gcd(n).  The kept supports and their denominator are divided by
+    their gcd, which leaves the least one.
     """
-    by_dir: dict[IntVec, tuple[int, IntVec, Fraction]] = {}
-    for normal, support in pairs:
-        if len(normal) != dim:
+    if type(scale) is not int or scale <= 0:
+        raise ValueError(f"support denominator {scale!r}: give a positive int")
+    rows = []
+    for n, s in pairs:
+        n = tuple(n)
+        if len(n) != dim:
             raise linalg.DimensionMismatchError("normal length != dim")
-        linalg.exact_entries((support, *normal), "inequality", (tuple(normal), support))
-        n, m = linalg.scale_to_integers(normal)
-        s = Fraction(support) * m
+        # a float would pass for a value it is not, and a bool for 0 or 1
+        if type(s) not in (int, Fraction) or not all(type(x) is int for x in n):
+            raise ValueError(f"inequality {(n, s)!r}: give int normal entries and an int or Fraction support")
+        rows.append((n, s))
+    if Fraction in map(type, (s for _, s in rows)):
+        m = lcm(*(s.denominator for _, s in rows))
+        rows = [(n, s.numerator * (m // s.denominator)) for n, s in rows]
+        scale *= m
+    by_dir: dict[IntVec, tuple[int, IntVec, int]] = {}
+    for n, s in rows:
         g = gcd(*n)
-        if not g:
+        if g == 1:
+            prim = n
+        elif g:
+            prim = tuple(x // g for x in n)
+        else:
             raise ValueError("zero vector has no direction")
-        prim = tuple(x // g for x in n)
         old = by_dir.get(prim)
         # the tighter bound s/g wins, and of equal bounds the smaller multiple g of the
         # direction, so that n and -n keep opposite normals and a symmetric system stays so
         if old is None or (s * old[0], g) < (old[2] * g, old[0]):
             by_dir[prim] = (g, n, s)
     kept = sorted(by_dir.values(), key=operator.itemgetter(1))
-    h = HPolytope(dim=dim, ineqs=tuple(Inequality(n, s) for _, n, s in kept))
+    h = _reduced(dim, tuple(n for _, n, _ in kept), [s for _, _, s in kept], scale)
     h.basis  # raises unless the normals span R^d; `enumerate_vertices` seeds from it
     return h
 
 
-def build_cell(a: QuadForm, normals: Iterable[Sequence]) -> HPolytope:
-    """The cell {x : <p, x> <= a(p)} over the given symmetric normal set."""
+def build_cell(a: QuadForm, normals: Iterable[Sequence[int]]) -> HPolytope:
+    """The cell {x : <p, x> <= a(p)} over the given symmetric set of int normals.
+
+    Each support is the int <p, G p> over the integer Gram G = den A
+    (`QuadForm.integer_gram`), handed to `hpolytope` over den.
+    """
     ns = [tuple(p) for p in normals]
     nset = set(ns)
+    g, den = a.integer_gram
+    sups: dict[IntVec, int] = {}
     for p in ns:
-        if tuple(-x for x in p) not in nset:
+        m = tuple(map(operator.neg, p))
+        if m not in nset:
             raise ValueError(f"normal set not symmetric: missing -{p}")
-    return hpolytope(a.dim, [(p, eval_form(a, p)) for p in ns])
+        # a(-p) = a(p): one product per mirror pair
+        sups[p] = sups[m] if m in sups else sum(x * sum(map(operator.mul, row, p)) for x, row in zip(p, g) if x)
+    return hpolytope(a.dim, [(p, sups[p]) for p in ns], den)
 
 
 @dataclass(frozen=True)
@@ -183,7 +224,7 @@ class VPolytope:
     @functools.cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """incidence[i] lists the vertex ids lying on inequality i with equality."""
-        rows: list[list[int]] = [[] for _ in self.hpoly.ineqs]
+        rows: list[list[int]] = [[] for _ in self.hpoly.normals]
         for vid, t in enumerate(self.tights):
             for i in _bits(t):
                 rows[i].append(vid)
@@ -197,7 +238,7 @@ class VPolytope:
         as inequality n-1-i is the opposite of inequality i, its tight mask
         must be k's with each bit i moved to n-1-i (`_mirror_rows`).
         """
-        width, pts, ts = f"0{len(self.hpoly.ineqs)}b", self.points, self.tights
+        width, pts, ts = f"0{len(self.hpoly.normals)}b", self.points, self.tights
         # each antipodal pair once, from the first half; a middle vertex would be its own antipode
         return all(
             pts[-1 - k] == linalg.vneg(pts[k]) and ts[-1 - k] == _mirror_rows(ts[k], width)
@@ -289,7 +330,7 @@ class VPolytope:
             if belt.length not in (4, 6):
                 return ParallelotopeVerdict(ok=False, failure="belt", belt_index=bi, belt_length=belt.length)
         pts = self.points
-        last = len(self.hpoly.ineqs) - 1
+        last = len(self.hpoly.normals) - 1
         for i in self.facet_ids:
             # facet n-1-i is the antipode of facet i, and symmetric iff it is
             if 2 * i > last:
@@ -444,11 +485,11 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     the polytope is symmetric about it.  Any other system raises
     PolytopeError before any insertion.
 
-    Integer double description: inequality <n, x> <= s, whose normal n is
-    an integer vector, enters as the integer row (s', -n') = m (s, -n), m
-    the denominator of s, and a vertex x as the primitive pair (q, X) with
+    Integer double description: inequality <n, x> <= S/Q, with n the int
+    normal, S the int support and Q the system's `scale`, enters as the
+    integer row (S, -Q n), and a vertex x as the primitive pair (q, X) with
     q > 0 and x = X/q, so the row's product with the pair, the slack
-    s'q - <n', X>, has the sign of s - <n, x>.  Tight sets are bitmasks;
+    Sq - Q<n, X>, has the sign of S/Q - <n, x>.  Tight sets are bitmasks;
     u and w are adjacent iff the vertices on every inequality tight at both
     are exactly u and w (Fukuda & Prodon 1996).  Each inequality's mask of
     the live vertices on it is kept across insertions and only changed
@@ -473,9 +514,10 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     at least d, lie on no other inequality, as a smaller face lies on two
     facets or more.
 
-    The pass starts from the parallelepiped that d independent rows B
-    (`HPolytope.basis`) and their opposites cut out: the vertex with
-    sign pattern sigma is adj(B) (sigma s') / det(B), tight on row i where
+    The pass starts from the parallelepiped that d independent rows
+    (`HPolytope.basis`) and their opposites cut out: with N their normals
+    and S their supports, the vertex with sign pattern sigma is
+    adj(N) (sigma S) / (det(N) Q), tight on row i where
     sigma_i = + and on its opposite where sigma_i = -.  Vertex 2j has the
     pattern sigma with first sign + and vertex 2j+1, its mirror image, -sigma:
     the 2^(d-1) vertices with first sign + are formed and negated.
@@ -485,22 +527,25 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     off, and m's zero set and new vertices are k's mirrored, tight sets
     mapped i -> last-1-i and vertex masks with adjacent bits swapped.  Only
     k's edges are searched, and only the even vertex of a pair gets a
-    slack: the odd one's is 2s'q minus it.  After each pair that cuts
+    slack: the odd one's is 2Sq minus it.  After each pair that cuts
     vertices off, more than VERTEX_BUDGET live vertices raise VRepCapError,
     whose message names the budget.  At the end the even vertices are
     scaled to the common denominator and negated for the odd ones, and the
     facet test runs on rows i < n/2: row n-1-i is a facet iff row i is.
     """
     d = h.dim
-    last = len(h.ineqs)
-    rows = [(iq.support.numerator, *(-iq.support.denominator * x for x in iq.normal)) for iq in h.ineqs]
+    normals, supports = h.normals, h.supports
+    last = len(normals)
     # row i and row last-1-i are checked together, and a middle row would be its own opposite
-    mirrored = ((r, rows[last - 1 - i]) for i, r in enumerate(rows[:(last + 1) // 2]))
-    if any(r[0] <= 0 or m != (r[0], *(-x for x in r[1:])) for r, m in mirrored):
+    if any(supports[i] <= 0 or supports[-1 - i] != supports[i] or normals[-1 - i] != linalg.vneg(normals[i])
+           for i in range((last + 1) // 2)):
         raise PolytopeError("row last-1-i must be the opposite of row i, with the same support > 0")
+    den = h.scale
+    rows = [(s, *(-den * x for x in n)) for n, s in zip(normals, supports)]
     # the first independent rows: before any row's opposite, as the first half spans what all rows span
     basis = h.basis
-    adj, det = linalg.adjugate([[-x for x in rows[i][1:]] for i in basis])
+    adj, det = linalg.adjugate([normals[i] for i in basis])
+    det_q = det * den
     # on[i] holds the live vertices tight on processed inequality i, valid across
     # insertions as a dead id is never reissued; a renumbering rewrites all masks
     verts: dict[int, tuple[int, ...]] = {}
@@ -510,10 +555,10 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     for half in itertools.product((1, -1), repeat=d - 1):
         sigma = (1, *half)
         j = len(verts)
-        x = [sum(a * s * rows[i][0] for a, s, i in zip(r, sigma, basis)) for r in adj]
-        g = gcd(det, *x) if det > 0 else -gcd(det, *x)
+        x = [sum(a * s * supports[i] for a, s, i in zip(r, sigma, basis)) for r in adj]
+        g = gcd(det_q, *x) if det_q > 0 else -gcd(det_q, *x)
         x = [c // g for c in x]
-        verts[j], verts[j + 1] = (det // g, *x), (det // g, *(-c for c in x))
+        verts[j], verts[j + 1] = (det_q // g, *x), (det_q // g, *(-c for c in x))
         t = sum(1 << (i if s > 0 else last - 1 - i) for s, i in zip(sigma, basis))
         tights[j], tights[j + 1] = t, _mirror_rows(t, flip)
         for i in _bits(t):
@@ -594,20 +639,22 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
 def prune_to_facets(v: VPolytope) -> VPolytope:
     """Drop redundant inequalities, keeping only facet-supporting ones.
 
-    The facets keep their sorted order, so the H-polytope stays canonical;
-    each vertex keeps its tight mask, restricted to the facets and renumbered.
-    When every inequality is a facet the renumbering is the identity, and v
-    itself is returned.
+    The facets keep their sorted order and their supports, over the least
+    common denominator of those kept, so the H-polytope stays canonical;
+    each vertex keeps its tight mask, restricted to the facets and
+    renumbered.  When every inequality is a facet the renumbering is the
+    identity, and v itself is returned.
     """
-    if len(v.facet_ids) == len(v.hpoly.ineqs):
+    h = v.hpoly
+    if len(v.facet_ids) == len(h.normals):
         return v
-    h2 = HPolytope(dim=v.dim, ineqs=tuple(v.hpoly.ineqs[i] for i in v.facet_ids))
+    h2 = _reduced(v.dim, tuple(h.normals[i] for i in v.facet_ids), [h.supports[i] for i in v.facet_ids], h.scale)
     return VPolytope(
         hpoly=h2,
         scale=v.scale,
         points=v.points,
-        tights=tuple(_pick_bits(v.tights, v.facet_ids, len(v.hpoly.ineqs))),
-        facet_ids=tuple(range(len(h2.ineqs))),
+        tights=tuple(_pick_bits(v.tights, v.facet_ids, len(h.normals))),
+        facet_ids=tuple(range(len(h2.normals))),
     )
 
 
@@ -688,7 +735,7 @@ def irreducibility_graph(v: VPolytope) -> FacetGraph:
     if not verdict.ok:
         raise NotParallelotopeError(f"input is not a parallelotope: {verdict}")
     # inequality n-1-i is the opposite of inequality i, as `_ridges` relies on
-    last = len(v.hpoly.ineqs) - 1
+    last = len(v.hpoly.normals) - 1
     pairs = [(i, last - i) for i in v.facet_ids if 2 * i < last]
     pair_of = {i: k for k, pair in enumerate(pairs) for i in pair}
     faces = codim2_faces(v)

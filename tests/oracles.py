@@ -4,13 +4,14 @@ These deliberately avoid the production code paths: minima come from a
 plain box scan, dual sets from a box scan bounded by an inverse computed
 here or from every sign pattern through that inverse, vertices from
 solving all d-subsets of inequalities (or, for a polytope held on a
-line, from the bounds along it), face dimensions from eliminating
-vertex differences, determinants from the same elimination, and
-Minkowski sums from translating vertex sets.  The commensurate vectors,
-layer indices, segment supports f_e and a_e, the set P(e) and the segment
-as a cell of the paper's lemmas, and a cell's support values and face
-classes under e, which only the tests ask for, live here too, and so does
-a random unimodular change of basis, with the positive-definiteness test
+line, from the bounds along it), face dimensions from the Gram matrix
+of the vertex differences, every RREF from a fraction-free elimination
+of integer rows, determinants from a rational one, and Minkowski sums
+from translating vertex sets.  The commensurate vectors, layer indices,
+segment supports f_e and a_e, the set P(e) and the segment as a cell of
+the paper's lemmas, and a cell's support values and face classes under
+e, which only the tests ask for, live here too, and so does a random
+unimodular change of basis, with the positive-definiteness test
 by Sylvester's criterion, the LDL^T factorisation in Fractions, one parity
 class's start bound by greedy descent from its own 0/1 representative,
 the support-sum inclusion check, the facet adjacency check, a facet's face,
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,9 +124,46 @@ def _eliminate(rows) -> tuple[list, Fraction]:
     return out, scale
 
 
+def _integer_rref(rows) -> list:
+    """The RREF of rational rows, zero rows dropped, as (pivot column, int row) pairs (own elimination, fraction-free).
+
+    Each row is scaled to integers by the lcm of its denominators and enters
+    in turn: it is reduced against the rows kept so far by cross-multiplying
+    at their pivot columns, and kept, divided by the gcd of its entries,
+    when a nonzero entry remains.  The kept rows, sorted by pivot column,
+    then clear each other's pivot columns.  Each int row is its RREF row
+    times its pivot; no Fraction is formed.
+    """
+    kept = []
+    for r in rows:
+        m = math.lcm(*(x.denominator for x in r))  # an int's is 1
+        v = [x.numerator * (m // x.denominator) for x in r]
+        for c, k in kept:
+            if v[c]:
+                f, g = k[c], v[c]
+                v = [f * x - g * y for x, y in zip(v, k)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is not None:
+            g = math.gcd(*v)
+            kept.append((c, [x // g for x in v]))
+    kept.sort(key=lambda ck: ck[0])
+    # column c of row i is cleared in the rows before it; no row after it has an entry there
+    for i, (c, k) in enumerate(kept):
+        for j, (cj, kj) in enumerate(kept[:i]):
+            if kj[c]:
+                f, g = k[c], kj[c]
+                kj = [f * x - g * y for x, y in zip(kj, k)]
+                h = math.gcd(*kj)
+                kept[j] = (cj, [x // h for x in kj])
+    return kept
+
+
 def _reduced_rows(rows) -> list:
-    """Reduced row echelon form of rational rows, zero rows dropped (own elimination)."""
-    return _eliminate(rows)[0]
+    """Reduced row echelon form of rational rows, zero rows dropped (own elimination).
+
+    Fractions are formed only here, dividing each row of `_integer_rref` by its pivot.
+    """
+    return [[Fraction(x, r[c]) for x in r] for c, r in _integer_rref(rows)]
 
 
 def det(m) -> Fraction:
@@ -167,9 +206,19 @@ def null_basis(rows, ncols: int) -> list:
     return basis
 
 
+def _direction_rows(points) -> list:
+    """d rows that span aff(points) - aff(points): D^T D for the differences D of each point but the first from it.
+
+    D^T D x = 0 iff |D x|^2 = 0 iff D x = 0, so D^T D has D's null space and
+    so its row space, in d rows however many points there are.
+    """
+    cols = list(zip(*[[x - y for x, y in zip(p, points[0])] for p in points[1:]]))
+    return [[sum(map(operator.mul, a, b)) for b in cols] for a in cols]
+
+
 def affine_direction_space(points) -> list:
     """RREF rows of aff(points) - aff(points), from vertex differences (own elimination)."""
-    return _reduced_rows([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+    return _reduced_rows(_direction_rows(points))
 
 
 def _basis_inverse(ns) -> list:
@@ -433,21 +482,22 @@ def belt_cycle(v: "polytope.VPolytope", belt: "polytope.Belt") -> tuple:
     """A belt's facets in counterclockwise order about its direction space, from the smallest id.
 
     The direction space is that of the belt's first ridge, by the elimination
-    above on the ridge's integer points, whose differences span it as the
-    vertices' do.  Its null space has the basis that is the identity at the
-    two non-pivot columns a < b, so a normal orthogonal to the space has the
-    coordinates (n_a, n_b) there; a facet normal that is not orthogonal to it
-    raises OffBeltNormalError.  The order is exact: the half-plane y > 0, with
+    above of the Gram rows of the ridge's integer points, whose differences
+    span it as the vertices' do, and its RREF rows are kept as int
+    multiples, with the same pivots and null space.  Its null space has the basis that is the
+    identity at the two non-pivot columns a < b, so a normal orthogonal to
+    the space has the coordinates (n_a, n_b) there; a facet normal that is
+    not orthogonal to it raises OffBeltNormalError.  The order is exact: the half-plane y > 0, with
     the ray y = 0, x > 0, before the other, then by the sign of the cross product.
     """
     ridge = polytope.codim2_faces(v)[belt.face_ids[0]]
-    space = affine_direction_space([v.points[j] for j in ridge.vertex_ids])
-    pivots = {next(j for j, x in enumerate(r) if x) for r in space}
+    space = _integer_rref(_direction_rows([v.points[j] for j in ridge.vertex_ids]))
+    pivots = {c for c, _ in space}
     a, b = (j for j in range(v.dim) if j not in pivots)
     plane = []
     for i in belt.facets:
         n = v.hpoly.ineqs[i].normal
-        if any(sum(x * y for x, y in zip(r, n)) for r in space):
+        if any(sum(map(operator.mul, r, n)) for _, r in space):
             raise OffBeltNormalError(f"facet {i} is not orthogonal to its belt's direction space")
         plane.append((i, n[a], n[b]))
 

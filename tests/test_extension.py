@@ -393,10 +393,10 @@ def test_h_side_is_integer():
         assert _is_int_vec(d.e)
         assert all(_is_int_vec(n) for n in sum_with_segment(cell, d).hpoly.normals)
     assert all(_is_int_vec(n) for n in voronoi_of_sum_form(d4, Direction(e, 3)).normals)
-    # a rational normal is scaled to integers together with its support
-    h = polytope.hpolytope(2, [((F(1, 2), 0), F(1, 2)), ((-1, 0), 1), ((0, F(2, 3)), 2), ((0, -1), 3)])
-    assert [(iq.normal, iq.support) for iq in h.ineqs] == [((-1, 0), 1), ((0, -1), 3), ((0, 2), 6), ((1, 0), 1)]
-    assert all(_is_int_vec(n) for n in h.normals)
+    # a normal entry that is no int is refused, an integral Fraction too, and no normal is rescaled
+    for bad in (F(1, 2), F(2), 1.0, True):
+        with pytest.raises(ValueError, match="give int normal entries"):
+            polytope.hpolytope(2, [((bad, 0), F(1, 2)), ((-1, 0), 1), ((0, 1), 2), ((0, -1), 3)])
     # check_theorem sums a rational e as den e with weight b/den, and reports e as given
     square = voronoi_cell(Z2)
     rep = check_theorem(Z2, (F(1, 2), 1), [1])

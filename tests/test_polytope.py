@@ -109,6 +109,37 @@ def test_hpolytope_refuses_float_and_bool_entries():
             hpolytope(1, [bad, ((-1,), 1)])
 
 
+def test_hpolytope_scale_is_the_least_common_denominator():
+    # supports 1/2 and 2/3 are 3/6 and 4/6; given as ints over 12 they are reduced to the same
+    pairs = [((1, 0), F(1, 2)), ((-1, 0), F(1, 2)), ((0, 1), F(2, 3)), ((0, -1), F(2, 3))]
+    h = hpolytope(2, pairs)
+    assert (h.normals, h.supports, h.scale) == (((-1, 0), (0, -1), (0, 1), (1, 0)), (3, 4, 4, 3), 6)
+    assert h == hpolytope(2, [(n, int(s * 12)) for n, s in pairs], 12)
+    assert h.ineqs[0] == polytope.Inequality((-1, 0), F(1, 2))
+    # integral supports have the denominator 1, whatever denominator they are given over
+    k = hpolytope(2, [(n, 4) for n, _ in pairs], 2)
+    assert (k.supports, k.scale) == ((2, 2, 2, 2), 1)
+    for bad in (0, -2, True, F(2)):
+        with pytest.raises(ValueError, match="support denominator"):
+            hpolytope(2, pairs, bad)
+
+
+def test_hpolytope_fraction_supports_and_ints_over_a_scale_agree():
+    # (2, 0) <= 1 ties with (1, 0) <= 1/2, so the smaller multiple stays, in either order;
+    # (3, 3) <= 2 is looser than (1, 1) <= 3/5 and goes
+    rest = [((-1, 0), F(1, 2)), ((0, 1), F(2, 3)), ((0, -1), F(2, 3)), ((1, 1), F(3, 5)), ((3, 3), 2),
+            ((-1, -1), F(3, 5))]
+    tie = [((1, 0), F(1, 2)), ((2, 0), 1)]
+    systems = [tie + rest, tie[::-1] + rest, rest + tie]
+    out = [hpolytope(2, pairs) for pairs in systems]
+    out += [hpolytope(2, [(n, int(s * 60)) for n, s in pairs], 60) for pairs in systems]
+    out += [hpolytope(2, [(n, s * 5) for n, s in systems[0]], 5)]  # Fractions over a denominator
+    assert all(h == out[0] for h in out)
+    h = out[0]
+    assert h.normals == ((-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1))
+    assert (h.supports, h.scale) == ((18, 15, 20, 20, 15, 18), 30)
+
+
 def test_enumerate_square_and_hexagon():
     sq = cell_of("Zn", 2)
     assert sq.vertices == tuple(
@@ -452,6 +483,15 @@ def _redundant_square():
     ))
 
 
+def test_prune_to_facets_reduces_the_scale():
+    # the one support over 4 is redundant: the facets' supports are over 2
+    box = [((1, 0), 1), ((-1, 0), 1), ((0, 1), F(1, 2)), ((0, -1), F(1, 2))]
+    h = hpolytope(2, box + [((1, 1), F(7, 4)), ((-1, -1), F(7, 4))])
+    pruned = prune_to_facets(enumerate_vertices(h)).hpoly
+    assert (h.scale, pruned.scale, pruned.supports) == (4, 2, (2, 1, 1, 2))
+    assert pruned == hpolytope(2, box)
+
+
 def test_prune_tight_sets_match_dot_products():
     cells = [prune_to_facets(cell_of(name, n)) for name, n, _ in lattice.catalog_entries(max_dim=4)]
     cells += _segment_sums() + [prune_to_facets(_redundant_square())]
@@ -538,7 +578,13 @@ def symmetric_hpolytopes(draw, d):
     n, s = pairs[draw(st.integers(0, len(pairs) - 1))]
     scale = draw(st.sampled_from((F(2), F(3, 2), F(5, 7))))
     pair(tuple(scale * x for x in n), scale * s * draw(st.sampled_from((F(1, 2), F(1), F(4, 3)))))
-    return hpolytope(d, pairs)
+    return hpolytope(d, [_integral(n, s) for n, s in pairs])
+
+
+def _integral(n, s):
+    """A rational normal and its support times the lcm of the normal's denominators: an int normal, the same half-space."""
+    m = lcm(*(x.denominator for x in n))
+    return tuple(int(x * m) for x in n), s * m
 
 
 def _with_opposites(d, pairs):
@@ -694,7 +740,7 @@ def test_enumerate_vertices_refuses_systems_outside_the_contract(name, monkeypat
 
 def test_enumerate_vertices_refuses_normals_that_do_not_span():
     # hpolytope refuses such a system; one built by hand meets the same check when it is seeded
-    slab = polytope.HPolytope(dim=2, ineqs=(polytope.Inequality((-1, 0), F(1)), polytope.Inequality((1, 0), F(1))))
+    slab = polytope.HPolytope(dim=2, normals=((-1, 0), (1, 0)), supports=(1, 1), scale=1)
     with pytest.raises(UnboundedCellError, match="do not span"):
         enumerate_vertices(slab)
 
@@ -953,6 +999,26 @@ def test_enumerate_vertices_calls_no_rational_kernel(monkeypatch):
     assert calls == Counter()
     assert len(out[0].vertices) == 120  # the A4* cell is the permutohedron
     assert out[1].vertices == summed.vertices
+
+
+def test_check_path_forms_no_fraction(monkeypatch):
+    # every support is an int over one denominator from the Gram to the vertices: the A4* cell's
+    # over den(A) = 5, and those of D4 plus a dual-set segment with b = 1/2 over 2
+    a4 = catalog("An*", 4)
+    normals = coset_minima(a4).facet_normals()
+    d4 = catalog("Dn", 4)
+    cell = voronoi_cell(d4)
+    direction = extension.Direction(extension.dual_set(coset_minima(d4).facet_normals()).members[0], F(1, 2))
+    made = []
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__", staticmethod(lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)))
+    h = build_cell(a4, normals)
+    v = enumerate_vertices(h)
+    summed = extension.sum_with_segment(cell, direction)
+    monkeypatch.undo()
+    assert made == []
+    assert (h.scale, len(v.points)) == (5, 120)
+    assert summed.hpoly.scale == 2
 
 
 def test_one_edge_search_per_mirror_pair(monkeypatch):
