@@ -9,8 +9,9 @@ sum is not a parallelotope.  Both constructions and the equivalence check
 live here; the pipeline needs no more, so lemma L8 (a transversal ridge of
 a dual-set direction is a contact face on a 4-belt) is checked only by the
 test oracles.  `dual_set` searches the products sigma of e with a basis
-of the normals depth first, and each child updates the partial products
-of all normals still unchecked in one column sweep over a single list.
+of the normals depth first, its sparsest coordinates last; each child is
+tested on the normals its coordinate decides, and only then updates the
+partial products of the normals still unchecked in one column sweep.
 Normals and the weights b take int or Fraction entries only
 (`linalg.exact_entries`).  Below `check_theorem` e is an int vector
 (`Direction`), so with the integer facet normals every product <p, e> is
@@ -144,17 +145,22 @@ def dual_set(normals: Sequence[Sequence]) -> DualSet:
     column j of all rows at once is the sum over i of adj(B)_ij times
     column i of the normals.  -p has the row -r_p, whose product passes or
     fails with r_p's, so rows are kept up to sign.  A row's depth is its
-    last nonzero index k: sigma_0..sigma_k decide its product.
+    last nonzero index k: sigma_0..sigma_k decide its product.  sigma's
+    coordinates are fixed in descending order of how many rows are nonzero
+    in them, with the rows and the rows of adj(B) permuted the same way, so
+    few rows wait for the sparse coordinates; the members do not depend on
+    the order, and `basis_used` is the first independent sorted normals.
 
     The rows are stored by depth, and after them the d rows of adj(B),
     whose products with sigma make the numerator adj(B) sigma and which no
     depth checks.  A depth-first search fixes sigma_0, sigma_1, ... in turn
     and carries one list: the partial products with the prefix of every
-    row of depth >= k.  A child s = +-1 adds or subtracts column k of
-    those rows with one map over the list; the prefix is cut when a row of
-    depth k has a product outside {0, +det, -det}, since no completion of
-    it can be a member, and the rest of the list is handed down.  At a
-    leaf the list is the numerator, and e is kept when sigma is nonzero
+    row of depth >= k.  A child s = +-1 is first tested on the rows of
+    depth k alone, and cut when one of them has a product outside
+    {0, +det, -det}, since no completion of it can be a member.  Only a
+    child that passes forms its tail, the deeper rows plus or minus column
+    k in one map, and hands it down.  At a leaf the list is the numerator,
+    and e is kept when sigma is nonzero
     (adj(B) is nonsingular, so then the numerator is nonzero) and the
     numerator is divisible by det; every normal has been checked on the
     way, so nothing is missed.
@@ -175,16 +181,20 @@ def dual_set(normals: Sequence[Sequence]) -> DualSet:
             if x:
                 acc = list(map(operator.add, acc, map(operator.mul, col, itertools.repeat(x))))
         row_cols.append(acc)
+    # sigma's coordinates in descending order of how many rows are nonzero in them
+    order = sorted(range(d), key=lambda j: -sum(map(bool, row_cols[j])))
+    row_cols = [row_cols[j] for j in order]
     by_depth = sorted((_depth(r), r) for r in {max(r, tuple(map(operator.neg, r))) for r in zip(*row_cols)})
     widths = [0] * d  # the number of rows of each depth
     for k, _ in by_depth:
         widths[k] += 1
-    rows = [r for _, r in by_depth] + list(adj)
-    # column k of the rows of depth >= k, which the list holds at depth k
-    cols, start = [], 0
-    for k in range(d):
-        cols.append([r[k] for r in rows[start:]])
-        start += widths[k]
+    rows = [r for _, r in by_depth] + [tuple(map(r.__getitem__, order)) for r in adj]
+    # column k of the rows of depth k (heads) and of the deeper rows (tails), which the list holds at depth k
+    heads, tails, start = [], [], 0
+    for k, w in enumerate(widths):
+        heads.append([r[k] for r in rows[start : start + w]])
+        tails.append([r[k] for r in rows[start + w :]])
+        start += w
     ok = {0, det, -det}
     members: list[IntVec] = []
 
@@ -193,10 +203,14 @@ def dual_set(normals: Sequence[Sequence]) -> DualSet:
             if any(part) and not any(x % det for x in part):
                 members.append(tuple(x // det for x in part))
             return
-        w, col = widths[k], cols[k]
-        for child in (part, list(map(operator.add, part, col)), list(map(operator.sub, part, col))):
-            if ok.issuperset(child[:w]):
-                search(k + 1, child[w:])
+        w, head, tail = widths[k], heads[k], tails[k]
+        rest = part[w:]
+        if ok.issuperset(part[:w]):
+            search(k + 1, rest)
+        for op in (operator.add, operator.sub):
+            # map stops at head's end: only the products of the rows of depth k are formed
+            if ok.issuperset(map(op, part, head)):
+                search(k + 1, list(map(op, rest, tail)))
 
     search(0, [0] * len(rows))
     return DualSet(members=tuple(sorted(members)), basis_used=tuple(basis))

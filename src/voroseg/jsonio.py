@@ -8,13 +8,18 @@ denominator (`VPolytope.points` and `scale`, `HPolytope.supports` and
 `scale`), with one gcd per number and no Fraction formed.  A document is rendered in one pass,
 byte-identical to `json.dumps(obj, sort_keys=True, indent=2)`: the stdlib
 uses its C encoder only without `indent`, and its pure-Python one spends
-generator frames on every vector entry.  The OFF export is the single
+generator frames on every vector entry.  So a list of ints or of strings
+is one join, a list of nonempty int vectors (minima, dual-set members,
+bases, incidences) one join per vector, and true, false and null are
+written as literals; only a float or an empty container reaches
+`json.dumps`.  The OFF export is the single
 deliberately lossy surface: display-only decimals at 12 significant digits.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
@@ -62,6 +67,17 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
+def _int_vectors(x, nl: str) -> str:
+    """x's nonempty int vectors, one join each, on lines that start with nl.
+
+    Not inside `_render`: before Python 3.12, a comprehension there makes the
+    locals it reads closure cells on every call.
+    """
+    deeper = nl + "  "
+    sep, close = "," + deeper, nl + "]"
+    return ("," + nl).join(["[" + deeper + sep.join(map(int.__repr__, v)) + close for v in x])
+
+
 def _render(x, nl: str, out: list[str]) -> None:
     """Append the JSON of x to out; nl is a newline and the indent of x's own line."""
     if isinstance(x, (list, tuple)) and x:
@@ -71,6 +87,10 @@ def _render(x, nl: str, out: list[str]) -> None:
             out += ("[", inner, ("," + inner).join(map(int.__repr__, x)), nl, "]")
         elif kinds == {str}:
             out += ("[", inner, ("," + inner).join(map(_string, x)), nl, "]")
+        elif (kinds <= {list, tuple} and all(x) and type(x[0][0]) is int
+              and set(map(type, itertools.chain.from_iterable(x))) == {int}):
+            # the first entry turns away the vertex lists, whose entries are strings, in O(1)
+            out += ("[", inner, _int_vectors(x, inner), nl, "]")
         else:
             sep = "[" + inner
             for y in x:
@@ -92,7 +112,13 @@ def _render(x, nl: str, out: list[str]) -> None:
             _render(x[k], inner, out)
             sep = "," + inner
         out.append(nl + "}")
-    else:  # bool, None, a float, an empty list or dict; any type JSON lacks raises TypeError
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif x is None:
+        out.append("null")
+    else:  # a float, an empty list or dict; any type JSON lacks raises TypeError
         out.append(json.dumps(x))
 
 

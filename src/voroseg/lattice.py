@@ -273,7 +273,8 @@ def coset_minima(a: QuadForm) -> ContactVectorSet:
     for par, norm, found in zip(parities[1:], bounds[1:], found_all[1:]):
         if not found:
             raise LatticeError(f"no vector of parity {par} within the start bound")
-        minima = tuple(sorted(set(found) | {tuple(map(operator.neg, v)) for v in found}))
+        # the search meets each vector once, with a positive trailing coordinate, so no set is needed
+        minima = tuple(sorted(found + [tuple(map(operator.neg, v)) for v in found]))
         classes.append(ClassMinima(par, Fraction(norm, scale), minima, relevant=len(minima) == 2))
     return ContactVectorSet(dim=d, classes=tuple(classes))
 

@@ -216,6 +216,9 @@ def test_dual_set_matches_sign_pattern_oracle_d6_to_d8():
     for key, normals in cases:
         ds = dual_set(normals)
         assert ds.members == sign_pattern_dual_set(normals), key
+        # the first independent sorted normals, whatever order the search fixes sigma's coordinates in
+        ordered = sorted(normals)
+        assert ds.basis_used == tuple(ordered[i] for i in linalg.independent_rows(ordered)), key
         dets.add(abs(det(ds.basis_used)))
     assert dets == {1, 2, 3}  # the catalog's bases have determinant 1 or 2
 

@@ -33,6 +33,12 @@ documents = st.recursive(
 @example(["1", 1, "-1", -1])
 @example({"\xe9": "\xfc \u2603 \U0001d11e \u2028\u2029", "\x00\x1f\x7f": "\"\\\n\t\r\b\f/", "\ud800": ["\udfff", "\x1b"]})
 @example([-1, 0, -(10**40), 10**300, [2**64, -(2**63)]])
+# lists of int vectors, which `_render` joins one vector at a time, and near misses that it must not
+@example([[1, 2], [3]])
+@example([[1, True], [2]])
+@example([[], [1]])
+@example([[[1]], [2]])
+@example([(1, 2), [3, 4]])
 def test_dumps_matches_stdlib_indent_encoder(doc):
     assert jsonio.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -243,6 +243,8 @@ def test_gl_d_z_change_of_basis_maps_every_class_minimum():
             for cl in cs.classes:
                 cl2 = parity_class(cs2, tuple(sum(map(operator.mul, row, cl.parity)) for row in u_inv))
                 moved = [tuple(sum(map(operator.mul, row, v)) for row in u_inv) for v in cl.minima]
+                # no class repeats a minimal vector: the minima are assembled without a set
+                assert len(set(cl.minima)) == len(cl.minima) and len(set(cl2.minima)) == len(cl2.minima), a.gram
                 assert cl2.min_norm == cl.min_norm, (a.gram, u, cl.parity)
                 assert cl2.minima == tuple(sorted(moved)), (a.gram, u, cl.parity)
                 assert cl2.relevant == cl.relevant, (a.gram, u, cl.parity)
