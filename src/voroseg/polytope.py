@@ -17,10 +17,15 @@ segment sum, and any other system raises PolytopeError before any
 insertion.  Inequalities are integer rows, vertices primitive homogeneous
 integer pairs and tight sets bitmasks, and the result keeps the vertices
 x as the integer points Q x over one common denominator Q
-(`VPolytope.points`).  The pass starts from the parallelepiped that d
-independent rows and their opposites cut out, its vertices numbered so
-that 2j+1 is the mirror image of 2j, and inserts every further row with
-its opposite: the opposite row cuts off the mirror images of what the row
+(`VPolytope.points`).  Rows enter in ascending order of support, a tie
+going to the lower row id (`HPolytope.order`): for a Voronoi cell the
+support is a(p), so the nearest facets come first, and fewer vertices
+are built only to be cut off later (Fukuda & Prodon 1996; Avis, Bremner
+& Seidel 1997).  The pass starts from the parallelepiped that the first
+d independent rows in that order and their opposites cut out
+(`HPolytope.basis`), its vertices numbered so that 2j+1 is the mirror
+image of 2j, and inserts every further row of the first half with its
+opposite: the opposite row cuts off the mirror images of what the row
 cuts off, and its new vertices are the negated new vertices, formed with
 no second edge search.  Per inequality, the mask of the vertices on it
 persists across insertions, and once the ids issued pass twice the live
@@ -98,7 +103,8 @@ class HPolytope:
     lexicographically and span R^d, so that a symmetric system is bounded
     (`basis`), and scale is the least common denominator of the rational
     supports, so equal systems have equal fields.  `ineqs` is the rational
-    view, formed on first read.
+    view, formed on first read.  `order` and `basis` are formed once per
+    system and steer `enumerate_vertices`.
     """
 
     dim: int
@@ -113,12 +119,29 @@ class HPolytope:
         return tuple(Inequality(n, Fraction(s, q)) for n, s in zip(self.normals, self.supports))
 
     @functools.cached_property
+    def order(self) -> tuple[int, ...]:
+        """The row ids in ascending order of support, a tie going to the lower id.
+
+        All supports are over one scale.  For a Voronoi cell the support is
+        a(p), the norm of the lattice vector p, so the facets of the shortest
+        vectors, the nearest, come first; for a segment sum it is
+        a(p) + b|<p, e>|.
+        """
+        return tuple(sorted(range(len(self.supports)), key=self.supports.__getitem__))
+
+    @functools.cached_property
     def basis(self) -> tuple[int, ...]:
-        """The ids of the first d independent normals (`linalg.independent_rows`); UnboundedCellError if they do not span R^d."""
-        ids = linalg.independent_rows(self.normals)
+        """The ids of the first d independent normals in `order` (`linalg.independent_rows`).
+
+        UnboundedCellError if the normals do not span R^d.  Of a row and its
+        opposite, with one support, the lower id comes first and the other
+        depends on it, so a symmetric system's basis lies in its first half.
+        """
+        order = self.order
+        ids = linalg.independent_rows([self.normals[i] for i in order])
         if len(ids) < self.dim:
             raise UnboundedCellError("normals do not span R^d; cell is unbounded")
-        return tuple(ids)
+        return tuple(order[i] for i in ids)
 
 
 def _reduced(dim: int, normals: tuple[IntVec, ...], supports: Sequence[int], scale: int) -> HPolytope:
@@ -514,22 +537,24 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     at least d, lie on no other inequality, as a smaller face lies on two
     facets or more.
 
-    The pass starts from the parallelepiped that d independent rows
-    (`HPolytope.basis`) and their opposites cut out: with N their normals
-    and S their supports, the vertex with sign pattern sigma is
-    adj(N) (sigma S) / (det(N) Q), tight on row i where
-    sigma_i = + and on its opposite where sigma_i = -.  Vertex 2j has the
-    pattern sigma with first sign + and vertex 2j+1, its mirror image, -sigma:
-    the 2^(d-1) vertices with first sign + are formed and negated.
-    Each further row k then enters with its opposite m = last-1-k: k's
-    hyperplane <n, x> = s lies strictly inside m's half-space
-    <n, x> >= -s, so m cuts off the mirror images of the vertices k cut
-    off, and m's zero set and new vertices are k's mirrored, tight sets
-    mapped i -> last-1-i and vertex masks with adjacent bits swapped.  Only
-    k's edges are searched, and only the even vertex of a pair gets a
-    slack: the odd one's is 2Sq minus it.  After each pair that cuts
-    vertices off, more than VERTEX_BUDGET live vertices raise VRepCapError,
-    whose message names the budget.  At the end the even vertices are
+    The pass starts from the parallelepiped that the first d independent
+    rows in ascending order of support (`HPolytope.basis`) and their
+    opposites cut out: with N their normals and S their supports, the
+    vertex with sign pattern sigma is adj(N) (sigma S) / (det(N) Q), tight
+    on row i where sigma_i = + and on its opposite where sigma_i = -.
+    Vertex 2j has the pattern sigma with first sign + and vertex 2j+1, its
+    mirror image, -sigma: the 2^(d-1) vertices with first sign + are formed
+    and negated.  Each further row k < last/2 then enters, in ascending
+    order of support with a tie to the lower id (`HPolytope.order`), so
+    the nearest first, with its opposite m = last-1-k: k's hyperplane
+    <n, x> = s lies strictly inside m's half-space <n, x> >= -s, so m cuts
+    off the mirror images of the vertices k cut off, and m's zero set and
+    new vertices are k's mirrored, tight sets mapped i -> last-1-i and
+    vertex masks with adjacent bits swapped.  Only k's edges are searched,
+    and only the even vertex of a pair gets a slack: the odd one's is 2Sq
+    minus it.  After each pair that cuts vertices off, more than
+    VERTEX_BUDGET live vertices raise VRepCapError, whose message names
+    the budget.  At the end the even vertices are
     scaled to the common denominator and negated for the odd ones, and the
     facet test runs on rows i < n/2: row n-1-i is a facet iff row i is.
     """
@@ -542,7 +567,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
         raise PolytopeError("row last-1-i must be the opposite of row i, with the same support > 0")
     den = h.scale
     rows = [(s, *(-den * x for x in n)) for n, s in zip(normals, supports)]
-    # the first independent rows: before any row's opposite, as the first half spans what all rows span
+    # the first independent rows in order of support, all in the first half
     basis = h.basis
     adj, det = linalg.adjugate([normals[i] for i in basis])
     det_q = det * den
@@ -566,8 +591,8 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
             on[last - 1 - i] |= 2 << j
     alive = (1 << len(verts)) - 1
     next_id = len(verts)
-    for k in range(last // 2):
-        if k in basis:
+    for k in h.order:
+        if k >= last // 2 or k in basis:
             continue
         if next_id > 2 * len(verts) + _ID_SLACK:
             # the n-th live id in ascending order becomes n: each even id stays even and its

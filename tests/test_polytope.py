@@ -32,6 +32,7 @@ from oracles import (
     mat_mul,
     mat_vec,
     null_basis,
+    random_unimodular,
     segment_as_polytope,
     shadow_boundary,
     support_face,
@@ -613,6 +614,9 @@ def test_enumerate_vertices_matches_oracle_on_random_symmetric_systems(d, exampl
     @given(symmetric_hpolytopes(d))
     @example(_with_opposites(3, _BOX3 + [((1, 1, 0), F(3, 2)), ((2, 2, 0), F(5, 2))]))  # merged into x + y <= 5/4
     @example(_with_opposites(3, _BOX3 + [((1, -1, 1), 1), ((1, 2, 3), 100)]))  # a far pair, which cuts nothing
+    # y + z <= 1/4 is row 1 and the nearest: the seed is rows 1, 0, 3, not the first independent ids 0, 1, 2
+    @example(_with_opposites(3, _BOX3 + [((0, 1, 1), F(1, 4))]))
+    @example(_with_opposites(3, [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2), ((1, 1, 1), 2), ((1, -1, 0), 2)]))
     def check(h):
         v = enumerate_vertices(h)
         assert v.vertices == brute_force_vertices(h)
@@ -936,6 +940,90 @@ def test_gl_d_z_change_of_basis_keeps_the_cell_combinatorics():
                 assert [(x.equal, x.parallelotope.ok, x.parallelotope.failure) for x in r2.results] == [
                     (x.equal, x.parallelotope.ok, x.parallelotope.failure) for x in r.results
                 ]
+
+
+def _check_points_map(a, u, u_inv, b=F(1, 2)):
+    """The cell of U^T A U and its sum with a dual-set segment are U^T times a's: points by U^T, normals by U^-1.
+
+    Facet ids and tight masks must follow the rows, which U reorders, so
+    the image may insert its rows in another sequence; returns whether it
+    did, for the cell or the sum.  The segment is b times the first
+    dual-set member e, and U^T e in the image.
+    """
+    ut = tuple(zip(*u))
+    a2 = lattice.make_form(mat_mul(mat_mul(ut, a.gram), u))
+    v, v2 = voronoi_cell(a), voronoi_cell(a2)
+    e = extension.dual_set(v.hpoly.normals).members[0]
+    s, s2 = (extension.sum_with_segment(w, extension.Direction(f, b)) for w, f in [(v, e), (v2, _apply(ut, e))])
+    moved_order = False
+    for w, w2 in [(v, v2), (s, s2)]:
+        h, h2 = w.hpoly, w2.hpoly
+        ids2 = {n: i for i, n in enumerate(h2.normals)}
+        row_map = [ids2[_apply(u_inv, n)] for n in h.normals]
+        assert (h2.scale, [h2.supports[i] for i in row_map]) == (h.scale, list(h.supports))
+        moved_order |= [row_map[i] for i in h.order] != list(h2.order)
+        assert w2.scale == w.scale
+        assert w2.points == tuple(sorted(_apply(ut, x) for x in w.points))
+        assert w2.facet_ids == tuple(sorted(row_map[i] for i in w.facet_ids))
+        at = {x: t for x, t in zip(w2.points, w2.tights)}
+        for x, t in zip(w.points, w.tights):
+            assert at[_apply(ut, x)] == sum(1 << row_map[i] for i in range(len(row_map)) if t >> i & 1)
+    return moved_order
+
+
+def test_gl_d_z_change_of_basis_maps_the_points():
+    # points map by U^T and normals by U^-1; a U that mapped both one way would pass only when orthogonal
+    rng = random.Random(32)
+    moved = Counter()
+    for name, n, a in lattice.catalog_entries(max_dim=4):
+        for _ in range(2):
+            u, u_inv = random_unimodular(rng, n, 2 * n)
+            moved[_check_points_map(a, u, u_inv)] += 1
+    assert moved[True] > moved[False]
+
+
+def _dominant_gram(d, pick):
+    """A Gram matrix of dimension d with off-diagonal entries pick((0, +-1/2, +-1)), each diagonal
+    entry 1 + pick((0, 1/2)) over its row's absolute sum."""
+    g = [[F(0)] * d for _ in range(d)]
+    for i, j in itertools.combinations(range(d), 2):
+        g[i][j] = g[j][i] = pick((F(0), F(1, 2), F(-1, 2), F(1), F(-1)))
+    for i in range(d):
+        g[i][i] = 1 + sum(map(abs, g[i])) + pick((0, F(1, 2)))
+    return g
+
+
+@st.composite
+def _forms_and_seeds(draw):
+    """A Gram matrix of dimension 2 to 5 (`_dominant_gram`) and a seed for U."""
+    g = _dominant_gram(draw(st.integers(2, 5)), lambda xs: draw(st.sampled_from(xs)))
+    return g, draw(st.integers(0, 2 ** 16))
+
+
+def _pinned_gl_case(d, seed):
+    """A Gram matrix of dimension d drawn by random.Random(seed), and that seed for U."""
+    return _dominant_gram(d, random.Random(seed).choice), seed
+
+
+def test_gl_d_z_change_of_basis_maps_the_points_of_random_forms():
+    moved = Counter()
+
+    # a derandomized draw changes whenever the check's body does, so cases of each dimension are pinned
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(_forms_and_seeds())
+    @example(_pinned_gl_case(2, 1))
+    @example(_pinned_gl_case(3, 2))
+    @example(_pinned_gl_case(4, 3))
+    @example(_pinned_gl_case(5, 4))
+    @example(_pinned_gl_case(5, 5))
+    def check(case):
+        g, seed = case
+        a = lattice.make_form(g)
+        u, u_inv = random_unimodular(random.Random(seed), a.dim, 2 * a.dim)
+        moved[_check_points_map(a, u, u_inv)] += 1
+
+    check()
+    assert moved[True] > moved[False]
 
 
 def _minors(p, q):
