@@ -252,8 +252,9 @@ def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
     normal of the latter is the positive combination of the face's two
     facet normals that kills e.  Each normal's product with e is formed
     once and serves all three.  Every support is an int over the cell's
-    scale Q times the denominator db of b, handed to `hpolytope` as such.
-    Redundant inequalities are pruned.
+    scale Q times the denominator db of b, handed to `hpolytope` as such,
+    marked as a segment sum so that its rows enter the double description
+    in id order (`HPolytope.order`).  Redundant inequalities are pruned.
     """
     h = cell.hpoly
     # over the common denominator Q db, with b = nb/db, a support S/Q becomes S db and b|t| becomes nb Q |t|
@@ -270,7 +271,7 @@ def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
         wi, wj = abs(prods[i]), abs(prods[j])
         q = tuple(wj * x + wi * y for x, y in zip(h.normals[i], h.normals[j]))
         pairs.append((q, wj * sups[i] + wi * sups[j]))
-    summed = polytope.hpolytope(cell.dim, pairs, h.scale * db)
+    summed = polytope.hpolytope(cell.dim, pairs, h.scale * db, segment_sum=True)
     return prune_to_facets(enumerate_vertices(summed))
 
 

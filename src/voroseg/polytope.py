@@ -17,12 +17,15 @@ segment sum, and any other system raises PolytopeError before any
 insertion.  Inequalities are integer rows, vertices primitive homogeneous
 integer pairs and tight sets bitmasks, and the result keeps the vertices
 x as the integer points Q x over one common denominator Q
-(`VPolytope.points`).  Rows enter in ascending order of support, a tie
-going to the lower row id (`HPolytope.order`): for a Voronoi cell the
-support is a(p), so the nearest facets come first, and fewer vertices
-are built only to be cut off later (Fukuda & Prodon 1996; Avis, Bremner
-& Seidel 1997).  The pass starts from the parallelepiped that the first
-d independent rows in that order and their opposites cut out
+(`VPolytope.points`).  The rows of a Voronoi cell enter in ascending
+order of support, a tie going to the lower row id (`HPolytope.order`):
+the support is a(p), so the nearest facets come first, and fewer
+vertices are built only to be cut off later (Fukuda & Prodon 1996;
+Avis, Bremner & Seidel 1997).  The rows of a segment sum enter in id
+order, the lexicographic order of their normals: in order of support the
+sum of E8 with e1 + e2 passes VERTEX_BUDGET, and in id order it peaks at
+44290 live vertices.  The pass starts from the parallelepiped that the
+first d independent rows in that order and their opposites cut out
 (`HPolytope.basis`), its vertices numbered so that 2j+1 is the mirror
 image of 2j, and inserts every further row of the first half with its
 opposite: the opposite row cuts off the mirror images of what the row
@@ -56,7 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -104,13 +107,16 @@ class HPolytope:
     (`basis`), and scale is the least common denominator of the rational
     supports, so equal systems have equal fields.  `ineqs` is the rational
     view, formed on first read.  `order` and `basis` are formed once per
-    system and steer `enumerate_vertices`.
+    system and steer `enumerate_vertices`; `segment_sum`, set by the sum
+    of a cell with a segment, selects the order and is no part of the
+    system's value, so it takes no part in equality.
     """
 
     dim: int
     normals: tuple[IntVec, ...]
     supports: tuple[int, ...]
     scale: int
+    segment_sum: bool = field(default=False, compare=False)
 
     @functools.cached_property
     def ineqs(self) -> tuple[Inequality, ...]:
@@ -120,13 +126,16 @@ class HPolytope:
 
     @functools.cached_property
     def order(self) -> tuple[int, ...]:
-        """The row ids in ascending order of support, a tie going to the lower id.
+        """The row ids in the order `enumerate_vertices` inserts them.
 
-        All supports are over one scale.  For a Voronoi cell the support is
-        a(p), the norm of the lattice vector p, so the facets of the shortest
-        vectors, the nearest, come first; for a segment sum it is
-        a(p) + b|<p, e>|.
+        For a segment sum, the ids in ascending order.  For any other
+        system, the ids in ascending order of support, a tie going to the
+        lower id: all supports are over one scale, and for a Voronoi cell
+        the support is a(p), the norm of the lattice vector p, so the facets
+        of the shortest vectors, the nearest, come first.
         """
+        if self.segment_sum:
+            return tuple(range(len(self.supports)))
         return tuple(sorted(range(len(self.supports)), key=self.supports.__getitem__))
 
     @functools.cached_property
@@ -134,8 +143,9 @@ class HPolytope:
         """The ids of the first d independent normals in `order` (`linalg.independent_rows`).
 
         UnboundedCellError if the normals do not span R^d.  Of a row and its
-        opposite, with one support, the lower id comes first and the other
-        depends on it, so a symmetric system's basis lies in its first half.
+        opposite, with one support, the lower id comes first in either order
+        and the other depends on it, so a symmetric system's basis lies in
+        its first half.
         """
         order = self.order
         ids = linalg.independent_rows([self.normals[i] for i in order])
@@ -144,13 +154,17 @@ class HPolytope:
         return tuple(order[i] for i in ids)
 
 
-def _reduced(dim: int, normals: tuple[IntVec, ...], supports: Sequence[int], scale: int) -> HPolytope:
+def _reduced(
+    dim: int, normals: tuple[IntVec, ...], supports: Sequence[int], scale: int, segment_sum: bool
+) -> HPolytope:
     """The H-polytope of integer supports over scale > 0, both divided by their gcd."""
     g = gcd(scale, *supports)
-    return HPolytope(dim, normals, tuple(s // g for s in supports), scale // g)
+    return HPolytope(dim, normals, tuple(s // g for s in supports), scale // g, segment_sum)
 
 
-def hpolytope(dim: int, pairs: Iterable[tuple[Sequence[int], int | Fraction]], scale: int = 1) -> HPolytope:
+def hpolytope(
+    dim: int, pairs: Iterable[tuple[Sequence[int], int | Fraction]], scale: int = 1, segment_sum: bool = False
+) -> HPolytope:
     """The H-polytope of <normal, x> <= support / scale over the (normal, support) pairs, canonicalised in integers.
 
     Every normal entry is an int and every support an int or a Fraction;
@@ -161,7 +175,8 @@ def hpolytope(dim: int, pairs: Iterable[tuple[Sequence[int], int | Fraction]], s
     Inequalities are keyed by the primitive direction n / gcd(n); of two
     with one key, the bound s / gcd(n) decides, and of equal bounds the
     smaller gcd(n).  The kept supports and their denominator are divided by
-    their gcd, which leaves the least one.
+    their gcd, which leaves the least one.  segment_sum marks the sum of a
+    cell with a segment (`HPolytope.order`).
     """
     if type(scale) is not int or scale <= 0:
         raise ValueError(f"support denominator {scale!r}: give a positive int")
@@ -193,7 +208,7 @@ def hpolytope(dim: int, pairs: Iterable[tuple[Sequence[int], int | Fraction]], s
         if old is None or (s * old[0], g) < (old[2] * g, old[0]):
             by_dir[prim] = (g, n, s)
     kept = sorted(by_dir.values(), key=operator.itemgetter(1))
-    h = _reduced(dim, tuple(n for _, n, _ in kept), [s for _, _, s in kept], scale)
+    h = _reduced(dim, tuple(n for _, n, _ in kept), [s for _, _, s in kept], scale, segment_sum)
     h.basis  # raises unless the normals span R^d; `enumerate_vertices` seeds from it
     return h
 
@@ -538,16 +553,16 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     facets or more.
 
     The pass starts from the parallelepiped that the first d independent
-    rows in ascending order of support (`HPolytope.basis`) and their
-    opposites cut out: with N their normals and S their supports, the
-    vertex with sign pattern sigma is adj(N) (sigma S) / (det(N) Q), tight
-    on row i where sigma_i = + and on its opposite where sigma_i = -.
-    Vertex 2j has the pattern sigma with first sign + and vertex 2j+1, its
-    mirror image, -sigma: the 2^(d-1) vertices with first sign + are formed
-    and negated.  Each further row k < last/2 then enters, in ascending
-    order of support with a tie to the lower id (`HPolytope.order`), so
-    the nearest first, with its opposite m = last-1-k: k's hyperplane
-    <n, x> = s lies strictly inside m's half-space <n, x> >= -s, so m cuts
+    rows in `HPolytope.order` (`HPolytope.basis`) and their opposites cut
+    out: with N their normals and S their supports, the vertex with sign
+    pattern sigma is adj(N) (sigma S) / (det(N) Q), tight on row i where
+    sigma_i = + and on its opposite where sigma_i = -.  Vertex 2j has the
+    pattern sigma with first sign + and vertex 2j+1, its mirror image,
+    -sigma: the 2^(d-1) vertices with first sign + are formed and negated.
+    Each further row k < last/2 then enters in that order (for a Voronoi
+    cell ascending support with a tie to the lower id, so the nearest
+    first, and for a segment sum ascending id) with its opposite
+    m = last-1-k: k's hyperplane <n, x> = s lies strictly inside m's half-space <n, x> >= -s, so m cuts
     off the mirror images of the vertices k cut off, and m's zero set and
     new vertices are k's mirrored, tight sets mapped i -> last-1-i and
     vertex masks with adjacent bits swapped.  Only k's edges are searched,
@@ -567,7 +582,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
         raise PolytopeError("row last-1-i must be the opposite of row i, with the same support > 0")
     den = h.scale
     rows = [(s, *(-den * x for x in n)) for n, s in zip(normals, supports)]
-    # the first independent rows in order of support, all in the first half
+    # the first independent rows in insertion order, all in the first half
     basis = h.basis
     adj, det = linalg.adjugate([normals[i] for i in basis])
     det_q = det * den
@@ -673,7 +688,9 @@ def prune_to_facets(v: VPolytope) -> VPolytope:
     h = v.hpoly
     if len(v.facet_ids) == len(h.normals):
         return v
-    h2 = _reduced(v.dim, tuple(h.normals[i] for i in v.facet_ids), [h.supports[i] for i in v.facet_ids], h.scale)
+    h2 = _reduced(
+        v.dim, tuple(h.normals[i] for i in v.facet_ids), [h.supports[i] for i in v.facet_ids], h.scale, h.segment_sum
+    )
     return VPolytope(
         hpoly=h2,
         scale=v.scale,
