@@ -252,9 +252,10 @@ def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
     normal of the latter is the positive combination of the face's two
     facet normals that kills e.  Each normal's product with e is formed
     once and serves all three.  Every support is an int over the cell's
-    scale Q times the denominator db of b, handed to `hpolytope` as such,
-    marked as a segment sum so that its rows enter the double description
-    in id order (`HPolytope.order`).  Redundant inequalities are pruned.
+    scale Q times the denominator db of b, handed to `hpolytope` as such.
+    The rows enter the double description in id order
+    (`nearest_first=False`): in order of support the sum of E8 with
+    e1 + e2 passes VERTEX_BUDGET.  Redundant inequalities are pruned.
     """
     h = cell.hpoly
     # over the common denominator Q db, with b = nb/db, a support S/Q becomes S db and b|t| becomes nb Q |t|
@@ -271,8 +272,8 @@ def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
         wi, wj = abs(prods[i]), abs(prods[j])
         q = tuple(wj * x + wi * y for x, y in zip(h.normals[i], h.normals[j]))
         pairs.append((q, wj * sups[i] + wi * sups[j]))
-    summed = polytope.hpolytope(cell.dim, pairs, h.scale * db, segment_sum=True)
-    return prune_to_facets(enumerate_vertices(summed))
+    summed = polytope.hpolytope(cell.dim, pairs, h.scale * db)
+    return prune_to_facets(enumerate_vertices(summed, nearest_first=False))
 
 
 def voronoi_of_sum_form(a: QuadForm, dir: Direction) -> HPolytope:

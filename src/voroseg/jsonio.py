@@ -175,14 +175,13 @@ def verdict_to_dict(v: ParallelotopeVerdict) -> dict:
     return out
 
 
-def cell_to_dict(v: VPolytope, belts: Sequence[Belt] | None = None) -> dict:
+def cell_to_dict(v: VPolytope, belts: Sequence[Belt]) -> dict:
     out = hrep_to_dict(v.hpoly)
     out["facet_count"] = len(v.facet_ids)  # inequalities that are not facets are listed too
     out["vertex_count"] = len(v.points)
     out["vertices"] = _vertex_strings(v)
     out["incidence"] = [list(inc) for inc in v.incidence]
-    if belts is not None:
-        out["belt_lengths"] = sorted(b.length for b in belts)
+    out["belt_lengths"] = sorted(b.length for b in belts)
     return out
 
 

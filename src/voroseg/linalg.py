@@ -6,9 +6,9 @@ Fraction entries only (`exact_entries`): a float or a bool would pass for
 a value it is not.  The kernels take and return integers: `ldl` gives an
 integer Gram's leading minors and scaled factors, `adjugate` refuses any
 entry that is not an int, and `independent_rows` picks the first integer
-rows that span, stopping once they do (`HPolytope.basis`, which is
-`hpolytope`'s span check and the seed parallelepiped's rows, and the
-basis of `dual_set`).  The H-side hands them int normals only, and its
+rows that span, stopping once they do (`hpolytope`'s span check, the
+seed parallelepiped's rows of a double description, and the basis of
+`dual_set`).  The H-side hands them int normals only, and its
 supports stay ints over one denominator (`polytope.HPolytope`), so no
 rational vector reaches `polytope`.  Only
 `parse_rational`, `dot` and `solve_linear` form a Fraction.  `dot`,

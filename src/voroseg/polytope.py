@@ -17,25 +17,21 @@ segment sum, and any other system raises PolytopeError before any
 insertion.  Inequalities are integer rows, vertices primitive homogeneous
 integer pairs and tight sets bitmasks, and the result keeps the vertices
 x as the integer points Q x over one common denominator Q
-(`VPolytope.points`).  The rows of a Voronoi cell enter in ascending
-order of support, a tie going to the lower row id (`HPolytope.order`):
-the support is a(p), so the nearest facets come first, and fewer
-vertices are built only to be cut off later (Fukuda & Prodon 1996;
-Avis, Bremner & Seidel 1997).  The rows of a segment sum enter in id
-order, the lexicographic order of their normals: in order of support the
-sum of E8 with e1 + e2 passes VERTEX_BUDGET, and in id order it peaks at
-44290 live vertices.  The pass starts from the parallelepiped that the
-first d independent rows in that order and their opposites cut out
-(`HPolytope.basis`), its vertices numbered so that 2j+1 is the mirror
-image of 2j, and inserts every further row of the first half with its
-opposite: the opposite row cuts off the mirror images of what the row
-cuts off, and its new vertices are the negated new vertices, formed with
-no second edge search.  Per inequality, the mask of the vertices on it
-persists across insertions, and once the ids issued pass twice the live
-vertices plus a slack the live ones are renumbered in order, pairs kept.
-The edges of a simple vertex, tight on exactly d rows, are read from ANDs
-of these masks; only between two non-simple vertices are adjacency
-candidates counted through them and tested.  Whatever symmetry gives is
+(`VPolytope.points`).  A Voronoi cell's rows enter nearest first, in
+ascending order of support, so fewer vertices are built only to be cut
+off later (Fukuda & Prodon 1996; Avis, Bremner & Seidel 1997), and a
+segment sum's in id order (`_insertion_order`).  The pass starts from
+the parallelepiped that the first d independent rows in that order and
+their opposites cut out, its vertices numbered so that 2j+1 is the
+mirror image of 2j, and inserts every further row of the first half with
+its opposite: the opposite row cuts off the mirror images of what the
+row cuts off, and its new vertices are the negated new vertices, formed
+with no second edge search.  Per inequality, the mask of the vertices on
+it persists across insertions, and the ids of a pair cut off go to the
+next new pair, so ids stay below the peak live count.  The edges of a simple vertex, tight on exactly d
+rows, are read from ANDs of these masks; only between two non-simple
+vertices are adjacency candidates counted through them and tested.
+Whatever symmetry gives is
 formed once per mirror pair: the parallelepiped's and each cut's second
 vertices, the odd vertices' points, and the facet test of the rows past
 the first half.  On top of it sit the ridges, belts, the tiling
@@ -59,7 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -70,9 +66,6 @@ from .linalg import Vec
 
 # most live vertices of a double description: over 8!, the most a Voronoi cell of d <= 7 has
 VERTEX_BUDGET = 50000
-# a double description renumbers its live vertices once it has issued more
-# than twice as many ids plus this slack (`enumerate_vertices`)
-_ID_SLACK = 64
 
 
 class PolytopeError(Exception):
@@ -103,20 +96,16 @@ class HPolytope:
 
     Stored in integers and canonical (`hpolytope`): every normal is an int
     vector, no two are positively parallel, they are sorted
-    lexicographically and span R^d, so that a symmetric system is bounded
-    (`basis`), and scale is the least common denominator of the rational
-    supports, so equal systems have equal fields.  `ineqs` is the rational
-    view, formed on first read.  `order` and `basis` are formed once per
-    system and steer `enumerate_vertices`; `segment_sum`, set by the sum
-    of a cell with a segment, selects the order and is no part of the
-    system's value, so it takes no part in equality.
+    lexicographically and span R^d, so that a symmetric system is bounded,
+    and scale is the least common denominator of the rational supports, so
+    equal systems have equal fields.  `ineqs` is the rational view, formed
+    on first read.
     """
 
     dim: int
     normals: tuple[IntVec, ...]
     supports: tuple[int, ...]
     scale: int
-    segment_sum: bool = field(default=False, compare=False)
 
     @functools.cached_property
     def ineqs(self) -> tuple[Inequality, ...]:
@@ -124,47 +113,34 @@ class HPolytope:
         q = self.scale
         return tuple(Inequality(n, Fraction(s, q)) for n, s in zip(self.normals, self.supports))
 
-    @functools.cached_property
-    def order(self) -> tuple[int, ...]:
-        """The row ids in the order `enumerate_vertices` inserts them.
 
-        For a segment sum, the ids in ascending order.  For any other
-        system, the ids in ascending order of support, a tie going to the
-        lower id: all supports are over one scale, and for a Voronoi cell
-        the support is a(p), the norm of the lattice vector p, so the facets
-        of the shortest vectors, the nearest, come first.
-        """
-        if self.segment_sum:
-            return tuple(range(len(self.supports)))
-        return tuple(sorted(range(len(self.supports)), key=self.supports.__getitem__))
+def _insertion_order(h: HPolytope, nearest_first: bool) -> tuple[Sequence[int], list[int]]:
+    """The row ids in the order `enumerate_vertices` inserts them, and the first d independent rows among them.
 
-    @functools.cached_property
-    def basis(self) -> tuple[int, ...]:
-        """The ids of the first d independent normals in `order` (`linalg.independent_rows`).
-
-        UnboundedCellError if the normals do not span R^d.  Of a row and its
-        opposite, with one support, the lower id comes first in either order
-        and the other depends on it, so a symmetric system's basis lies in
-        its first half.
-        """
-        order = self.order
-        ids = linalg.independent_rows([self.normals[i] for i in order])
-        if len(ids) < self.dim:
-            raise UnboundedCellError("normals do not span R^d; cell is unbounded")
-        return tuple(order[i] for i in ids)
+    nearest_first: ascending support, a tie going to the lower id; all
+    supports are over one scale, and for a Voronoi cell the support is
+    a(p), the norm of the lattice vector p, so the facets of the shortest
+    vectors come first.  Else ascending id.  UnboundedCellError if the
+    normals do not span R^d.  Of a row and its opposite, with one support,
+    the lower id comes first in either order and the other depends on it,
+    so a symmetric system's basis lies in its first half.
+    """
+    order = range(len(h.supports))
+    if nearest_first:
+        order = sorted(order, key=h.supports.__getitem__)
+    ids = linalg.independent_rows([h.normals[i] for i in order])
+    if len(ids) < h.dim:
+        raise UnboundedCellError("normals do not span R^d; cell is unbounded")
+    return order, [order[i] for i in ids]
 
 
-def _reduced(
-    dim: int, normals: tuple[IntVec, ...], supports: Sequence[int], scale: int, segment_sum: bool
-) -> HPolytope:
+def _reduced(dim: int, normals: tuple[IntVec, ...], supports: Sequence[int], scale: int) -> HPolytope:
     """The H-polytope of integer supports over scale > 0, both divided by their gcd."""
     g = gcd(scale, *supports)
-    return HPolytope(dim, normals, tuple(s // g for s in supports), scale // g, segment_sum)
+    return HPolytope(dim, normals, tuple(s // g for s in supports), scale // g)
 
 
-def hpolytope(
-    dim: int, pairs: Iterable[tuple[Sequence[int], int | Fraction]], scale: int = 1, segment_sum: bool = False
-) -> HPolytope:
+def hpolytope(dim: int, pairs: Iterable[tuple[Sequence[int], int | Fraction]], scale: int = 1) -> HPolytope:
     """The H-polytope of <normal, x> <= support / scale over the (normal, support) pairs, canonicalised in integers.
 
     Every normal entry is an int and every support an int or a Fraction;
@@ -175,8 +151,8 @@ def hpolytope(
     Inequalities are keyed by the primitive direction n / gcd(n); of two
     with one key, the bound s / gcd(n) decides, and of equal bounds the
     smaller gcd(n).  The kept supports and their denominator are divided by
-    their gcd, which leaves the least one.  segment_sum marks the sum of a
-    cell with a segment (`HPolytope.order`).
+    their gcd, which leaves the least one.  UnboundedCellError if the kept
+    normals do not span R^d.
     """
     if type(scale) is not int or scale <= 0:
         raise ValueError(f"support denominator {scale!r}: give a positive int")
@@ -208,8 +184,8 @@ def hpolytope(
         if old is None or (s * old[0], g) < (old[2] * g, old[0]):
             by_dir[prim] = (g, n, s)
     kept = sorted(by_dir.values(), key=operator.itemgetter(1))
-    h = _reduced(dim, tuple(n for _, n, _ in kept), [s for _, _, s in kept], scale, segment_sum)
-    h.basis  # raises unless the normals span R^d; `enumerate_vertices` seeds from it
+    h = _reduced(dim, tuple(n for _, n, _ in kept), [s for _, _, s in kept], scale)
+    _insertion_order(h, nearest_first=False)  # raises unless the normals span R^d
     return h
 
 
@@ -515,7 +491,7 @@ def _check_budget(live: int) -> None:
         raise VRepCapError(f"double description passed the vertex budget of {VERTEX_BUDGET} live vertices")
 
 
-def enumerate_vertices(h: HPolytope) -> VPolytope:
+def enumerate_vertices(h: HPolytope, nearest_first: bool = True) -> VPolytope:
     """Exact vertex enumeration of a centrally symmetric system, by mirror-pair insertion.
 
     Contract: row last-1-i is the opposite of row i with the same support
@@ -531,13 +507,11 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     u and w are adjacent iff the vertices on every inequality tight at both
     are exactly u and w (Fukuda & Prodon 1996).  Each inequality's mask of
     the live vertices on it is kept across insertions and only changed
-    where vertices leave or arrive, so an id is not reused while the masks
-    run over it: new vertices take fresh ids, and at the start of a mirror
-    pair that finds more than 2 V + _ID_SLACK ids issued for V live
-    vertices, the live ids are renumbered 0, 1, 2, ... in ascending order
-    (even ids stay even, each odd one after its even mirror image) and
-    every mask keeps its bits at the live ids, in order.  A
-    vertex's tight rows have rank d.  When w is simple, tight on exactly d
+    where vertices leave or arrive.  The ids of a pair cut off are cleared
+    from every mask before a new vertex arrives, and the even one goes on a
+    free list; new pairs take their ids from it before a fresh id is
+    taken, so every id stays below the peak live count.  A vertex's tight
+    rows have rank d.  When w is simple, tight on exactly d
     rows, those rows are independent and each d - 1 of them cut out an
     edge whose only other live vertex is the AND of their masks without w
     (Ziegler, Lectures on Polytopes, ch. 3): prefix and suffix ANDs give all
@@ -553,15 +527,15 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     facets or more.
 
     The pass starts from the parallelepiped that the first d independent
-    rows in `HPolytope.order` (`HPolytope.basis`) and their opposites cut
+    rows in insertion order (`_insertion_order`) and their opposites cut
     out: with N their normals and S their supports, the vertex with sign
     pattern sigma is adj(N) (sigma S) / (det(N) Q), tight on row i where
     sigma_i = + and on its opposite where sigma_i = -.  Vertex 2j has the
     pattern sigma with first sign + and vertex 2j+1, its mirror image,
     -sigma: the 2^(d-1) vertices with first sign + are formed and negated.
-    Each further row k < last/2 then enters in that order (for a Voronoi
-    cell ascending support with a tie to the lower id, so the nearest
-    first, and for a segment sum ascending id) with its opposite
+    Each further row k < last/2 then enters in that order (nearest_first:
+    ascending support with a tie to the lower id, so for a Voronoi cell the
+    nearest first; else ascending id) with its opposite
     m = last-1-k: k's hyperplane <n, x> = s lies strictly inside m's half-space <n, x> >= -s, so m cuts
     off the mirror images of the vertices k cut off, and m's zero set and
     new vertices are k's mirrored, tight sets mapped i -> last-1-i and
@@ -583,11 +557,11 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     den = h.scale
     rows = [(s, *(-den * x for x in n)) for n, s in zip(normals, supports)]
     # the first independent rows in insertion order, all in the first half
-    basis = h.basis
+    order, basis = _insertion_order(h, nearest_first)
     adj, det = linalg.adjugate([normals[i] for i in basis])
     det_q = det * den
     # on[i] holds the live vertices tight on processed inequality i, valid across
-    # insertions as a dead id is never reissued; a renumbering rewrites all masks
+    # insertions as a cut-off pair leaves every mask before its ids are reused
     verts: dict[int, tuple[int, ...]] = {}
     tights: dict[int, int] = {}
     on = [0] * last
@@ -606,18 +580,10 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
             on[last - 1 - i] |= 2 << j
     alive = (1 << len(verts)) - 1
     next_id = len(verts)
-    for k in h.order:
+    free: list[int] = []  # the even ids of the pairs cut off, not yet reused
+    for k in order:
         if k >= last // 2 or k in basis:
             continue
-        if next_id > 2 * len(verts) + _ID_SLACK:
-            # the n-th live id in ascending order becomes n: each even id stays even and its
-            # odd mirror image follows it; a mask keeps, in order, its bits at the live ids
-            live = sorted(verts)
-            on = _pick_bits(on, live, next_id)
-            verts = {n: verts[j] for n, j in enumerate(live)}
-            tights = {n: tights[j] for n, j in enumerate(live)}
-            next_id = len(live)
-            alive = (1 << next_id) - 1
         m, bit, row = last - 1 - k, 1 << k, rows[k]
         two_s = 2 * row[0]
         slack = {j: sum(map(operator.mul, row, v)) for j, v in verts.items() if not j & 1}
@@ -636,15 +602,20 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
             for w in minus:
                 touched |= tights.pop(w) | tights.pop(w ^ 1)
                 del verts[w], verts[w ^ 1]
+                free.append(w & ~1)
             for i in _bits(touched):
                 on[i] &= ~gone
             added: dict[int, int] = {}
             for (q, *x), t in new_pts.items():
-                verts[next_id], verts[next_id + 1] = (q, *x), (q, *(-c for c in x))
-                tights[next_id], tights[next_id + 1] = t, _mirror_rows(t, flip)
+                if free:
+                    j = free.pop()
+                else:
+                    j = next_id
+                    next_id += 2
+                verts[j], verts[j + 1] = (q, *x), (q, *(-c for c in x))
+                tights[j], tights[j + 1] = t, _mirror_rows(t, flip)
                 for i in _bits(t):
-                    added[i] = added.get(i, 0) | 1 << next_id
-                next_id += 2
+                    added[i] = added.get(i, 0) | 1 << j
             # row k's new vertices are even, so row m's deltas are k's shifted by one
             for i, mask in added.items():
                 on[i] |= mask
@@ -664,14 +635,14 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
             c = common_q // q
             scaled[j] = tuple(y * c for y in x)
             scaled[j + 1] = tuple(-y for y in scaled[j])
-    order = sorted(verts, key=scaled.__getitem__)
+    by_point = sorted(verts, key=scaled.__getitem__)
     # row last-1-i is a facet iff row i is: its vertices are the mirror images
     half = [i for i in range(last // 2) if on[i].bit_count() >= d and _meet(tights, _bits(on[i]), 1 << i) == 1 << i]
     return VPolytope(
         hpoly=h,
         scale=common_q,
-        points=tuple(scaled[j] for j in order),
-        tights=tuple(tights[j] for j in order),
+        points=tuple(scaled[j] for j in by_point),
+        tights=tuple(tights[j] for j in by_point),
         facet_ids=(*half, *(last - 1 - i for i in reversed(half))),
     )
 
@@ -688,9 +659,7 @@ def prune_to_facets(v: VPolytope) -> VPolytope:
     h = v.hpoly
     if len(v.facet_ids) == len(h.normals):
         return v
-    h2 = _reduced(
-        v.dim, tuple(h.normals[i] for i in v.facet_ids), [h.supports[i] for i in v.facet_ids], h.scale, h.segment_sum
-    )
+    h2 = _reduced(v.dim, tuple(h.normals[i] for i in v.facet_ids), [h.supports[i] for i in v.facet_ids], h.scale)
     return VPolytope(
         hpoly=h2,
         scale=v.scale,

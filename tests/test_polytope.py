@@ -749,37 +749,51 @@ def test_enumerate_vertices_refuses_normals_that_do_not_span():
         enumerate_vertices(slab)
 
 
+def _insertion_ids(h, nearest_first):
+    """h's row ids in insertion order: ascending support with a tie to the lower id, or ascending id."""
+    ids = range(len(h.supports))
+    return sorted(ids, key=h.supports.__getitem__) if nearest_first else list(ids)
+
+
 def test_one_basis_per_segment_sum(monkeypatch):
-    # the basis of hpolytope's span check is the one enumerate_vertices seeds from
+    # each double description seeds from one basis, the first d independent normals in its insertion order
+    systems = []
+    fn = extension.enumerate_vertices
+    monkeypatch.setattr(extension, "enumerate_vertices", lambda h, **kw: systems.append((h, kw)) or fn(h, **kw))
     d4 = catalog("Dn", 4)
     cell = voronoi_cell(d4)
-    members = extension.dual_set(coset_minima(d4).facet_normals()).members
-    calls = Counter()
-    fn = linalg.independent_rows
-    monkeypatch.setattr(linalg, "independent_rows", lambda m: calls.update(["rows"]) or fn(m))
-    for e in members[:3]:
-        calls.clear()
+    for e in extension.dual_set(coset_minima(d4).facet_normals()).members[:3]:
         extension.sum_with_segment(cell, extension.Direction(e, F(1, 2)))
-        assert calls["rows"] == 1
+    systems.append((cell_of("An*", 4).hpoly, {}))
+    seeds = []
+    adjugate = linalg.adjugate
+    monkeypatch.setattr(linalg, "adjugate", lambda m: seeds.append(m) or adjugate(m))
+    differs = []
+    for h, kw in systems:
+        seeds.clear()
+        enumerate_vertices(h, **kw)
+        (seed,) = seeds
+        first = {}
+        for nearest_first in (True, False):
+            rows = [h.normals[i] for i in _insertion_ids(h, nearest_first)]
+            first[nearest_first] = [rows[i] for i in linalg.independent_rows(rows)]
+        assert seed == first[kw.get("nearest_first", True)]
+        differs.append(first[True] != first[False])
+    # the two orders seed differently on the A4* cell and on a sum, so the seeds tell them apart
+    assert differs[-1] and any(differs[:-1])
 
 
 def test_segment_sums_insert_their_rows_in_id_order(monkeypatch):
     # in order of support the sum of E8 with e1 + e2 passes VERTEX_BUDGET; a cell's rows enter nearest first
-    summed = []
+    calls = []
     fn = extension.enumerate_vertices
-    monkeypatch.setattr(extension, "enumerate_vertices", lambda h: summed.append(h) or fn(h))
+    monkeypatch.setattr(extension, "enumerate_vertices", lambda h, **kw: calls.append(kw) or fn(h, **kw))
     d4 = catalog("Dn", 4)
-    cell = voronoi_cell(d4)
     e = extension.dual_set(coset_minima(d4).facet_normals()).members[0]
-    s = extension.sum_with_segment(cell, extension.Direction(e, F(1, 2)))
-    (h,) = summed
-    by_support = tuple(sorted(range(len(h.normals)), key=h.supports.__getitem__))
-    assert h.segment_sum and s.hpoly.segment_sum and not cell.hpoly.segment_sum
-    assert h.order == tuple(range(len(h.normals))) != by_support
-    assert h.basis == tuple(linalg.independent_rows(h.normals))
-    assert cell.hpoly.order == tuple(sorted(range(len(cell.hpoly.normals)), key=cell.hpoly.supports.__getitem__))
-    # the mark selects an order and is no part of the system's value
-    assert h == hpolytope(d4.dim, zip(h.normals, h.supports), h.scale)
+    report = extension.check_theorem(d4, e, [F(1, 2)])
+    assert report.results[0].equal
+    # the sum, then the cell of the perturbed form
+    assert calls == [{"nearest_first": False}, {}]
 
 
 def _ridge_oracle_cells():
@@ -975,12 +989,12 @@ def _check_points_map(a, u, u_inv, b=F(1, 2)):
     e = extension.dual_set(v.hpoly.normals).members[0]
     s, s2 = (extension.sum_with_segment(w, extension.Direction(f, b)) for w, f in [(v, e), (v2, _apply(ut, e))])
     moved_order = False
-    for w, w2 in [(v, v2), (s, s2)]:
+    for w, w2, nearest_first in [(v, v2, True), (s, s2, False)]:
         h, h2 = w.hpoly, w2.hpoly
         ids2 = {n: i for i, n in enumerate(h2.normals)}
         row_map = [ids2[_apply(u_inv, n)] for n in h.normals]
         assert (h2.scale, [h2.supports[i] for i in row_map]) == (h.scale, list(h.supports))
-        moved_order |= [row_map[i] for i in h.order] != list(h2.order)
+        moved_order |= [row_map[i] for i in _insertion_ids(h, nearest_first)] != _insertion_ids(h2, nearest_first)
         assert w2.scale == w.scale
         assert w2.points == tuple(sorted(_apply(ut, x) for x in w.points))
         assert w2.facet_ids == tuple(sorted(row_map[i] for i in w.facet_ids))
@@ -1130,33 +1144,34 @@ def test_one_edge_search_per_mirror_pair(monkeypatch):
 
 @pytest.mark.parametrize("name, n", [("An*", 5), ("E6", None)])
 def test_compacted_vertex_ids_stay_bounded_and_paired(name, n, monkeypatch):
-    # these cells issue over 2 live + slack ids, so their double descriptions renumber
+    # a pair cut off hands its ids to a new pair, so every id stays below the peak live count
     h = cell_of(name, n).hpoly
-    seen = []  # per edge search: the live vertices (the dict that the pair goes on to change), their count, new pairs
+    state = {}  # the double description's live vertices, the peak live count and the pairs formed
 
-    def check_pair(verts, live, new):
-        assert max(verts) < 2 * live + polytope._ID_SLACK + 2 * new
-        assert all(verts.get(j ^ 1) == (v[0], *(-x for x in v[1:])) for j, v in verts.items())
-
-    search = polytope._edge_cuts
-
-    def spy(*args):
-        if seen:
-            check_pair(*seen[-1])  # the state after the previous pair, renumbered or not
-        verts = args[6]
-        assert max(verts) < 2 * len(verts) + polytope._ID_SLACK
+    def edge_cuts(*args):
+        state["verts"] = args[6]
         new = search(*args)
-        seen.append((verts, len(verts), len(new)))
+        state["pairs"] += len(new)
         return new
 
-    monkeypatch.setattr(polytope, "_edge_cuts", spy)
+    def check_budget(live):
+        check_pair(live)
+        return budget(live)
+
+    def check_pair(live):
+        verts = state["verts"]
+        state["peak"] = max(state["peak"], live)
+        assert len(verts) == live and max(verts) < state["peak"]
+        assert all(verts.get(j ^ 1) == (v[0], *(-x for x in v[1:])) for j, v in verts.items())
+
+    search, budget = polytope._edge_cuts, polytope._check_budget
+    monkeypatch.setattr(polytope, "_edge_cuts", edge_cuts)
+    monkeypatch.setattr(polytope, "_check_budget", check_budget)
+    state.update(peak=2 ** h.dim, pairs=2 ** (h.dim - 1))  # the seed parallelepiped's vertices
     v = enumerate_vertices(h)
-    check_pair(*seen[-1])
-    # a renumbering builds a new dict of live vertices
-    assert any(a is not b for (a, _, _), (b, _, _) in zip(seen, seen[1:]))
-    monkeypatch.setattr(polytope, "_edge_cuts", search)
-    monkeypatch.setattr(polytope, "_ID_SLACK", 10 ** 9)
-    assert enumerate_vertices(h) == v
+    check_pair(len(v.points))
+    # fresh ids for every pair would have run past the peak
+    assert 2 * state["pairs"] > state["peak"]
 
 
 def test_codim2_faces_computed_once_per_cell():
