@@ -39,8 +39,8 @@ def _input_error(command: str, why: str) -> NoReturn:
 def _load_form(args) -> tuple[lattice.QuadForm, dict]:
     """The form of the one source given, and the --job document ({} without one), read once.
 
-    Bad input exits with status 2; every command enumerates minima, so a
-    dimension above their cap is bad input, refused before the form is built.
+    Bad input exits with status 2; `lattice.catalog` and `lattice.make_form`
+    refuse a dimension above the minima search's cap before building a Gram.
     """
     flags = [f for f in ("--job", "--form", "--lattice") if hasattr(args, f[2:])]
     given = [f for f in flags + ["--n"] if getattr(args, f[2:]) is not None]
@@ -52,13 +52,11 @@ def _load_form(args) -> tuple[lattice.QuadForm, dict]:
         if given == ["--job"]:
             job = json.loads(Path(args.job).read_text())
             if isinstance(job, dict) and "catalogName" in job:
-                lattice.check_dim_cap(job.get("n"))
                 return catalog(job["catalogName"], job.get("n")), job
             a = jsonio.form_from_dict(job)  # which refuses any document but a dict
         elif given == ["--form"]:
             a = jsonio.form_from_dict(json.loads(Path(args.form).read_text()))
         else:
-            lattice.check_dim_cap(args.n)
             return catalog(args.lattice, args.n), job
     except (OSError, ValueError, lattice.LatticeError) as exc:  # JSONDecodeError is a ValueError
         _input_error(args.command, str(exc))
@@ -209,9 +207,7 @@ def cmd_report(args) -> int:
     for spec in args.lattices.split(","):
         name, _, n = spec.strip().partition(":")
         try:
-            n = int(n) if n else None
-            lattice.check_dim_cap(n)
-            a = catalog(name, n)
+            a = catalog(name, int(n) if n else None)
         except (ValueError, lattice.LatticeError) as exc:
             _input_error("report", f"lattice spec {spec.strip()!r}: {exc}")
         cs = coset_minima(a)

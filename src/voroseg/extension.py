@@ -12,11 +12,12 @@ test oracles.  `dual_set` searches the products sigma of e with a basis
 of the normals depth first, its sparsest coordinates last; each child is
 tested on the normals its coordinate decides, and only then updates the
 partial products of the normals still unchecked in one column sweep.
-Normals and the weights b take int or Fraction entries only
-(`linalg.exact_entries`).  Below `check_theorem` e is an int vector
-(`Direction`), so with the integer facet normals every product <p, e> is
-an int; `sum_with_segment` forms one per inequality and reads from that
-list the shifted supports, the transversal ridges and the weights of the
+Normals take int entries only, as in `polytope.hpolytope`, and the
+weights b int or Fraction ones (`linalg.exact_entries`).  Below
+`check_theorem` e is an int vector (`Direction`, which also refuses a
+zero e and a b <= 0), so every product <p, e> is an int;
+`sum_with_segment` forms one per inequality and reads from that list
+the shifted supports, the transversal ridges and the weights of the
 new normals, which stay integer.  The supports stay integer too: the
 cell's are ints over its scale Q (`HPolytope`), and with b = nb/db every
 support of the sum is an int over Q db, so the sum forms no Fraction
@@ -64,11 +65,17 @@ class CannotNormalizeError(ExtensionError):
         )
 
 
+def _ints(v: Sequence, what: str) -> IntVec:
+    """v as a tuple of ints; an entry that is no int, a Fraction, float or bool included, raises ValueError naming v."""
+    v = tuple(v)
+    if not all(type(x) is int for x in v):
+        raise ValueError(f"{what} {v!r}: give int entries")
+    return v
+
+
 def _int_direction(e: Sequence) -> IntVec:
-    """e as a tuple of ints; a zero e, or any entry that is no int, a bool included, raises ValueError."""
-    e = tuple(e)
-    if not all(type(x) is int for x in e):
-        raise ValueError(f"direction {e!r}: give int entries")
+    """e as a tuple of ints; a zero e, or any entry that is no int, raises ValueError."""
+    e = _ints(e, "direction")
     if not any(e):
         raise ValueError("direction vector must be nonzero")
     return e
@@ -79,7 +86,7 @@ class Direction:
     """A segment direction e, a nonzero int vector, with weight b > 0 (segment = b * [-e, e]).
 
     e's products with the integer facet normals are ints.  b is an int or
-    a Fraction; any other entry raises ValueError, as does a rational e.
+    a Fraction; any other entry, a rational or zero e and a b <= 0 raise ValueError.
     """
 
     e: IntVec
@@ -102,18 +109,13 @@ def perturbed_form(a: QuadForm, dir: Direction) -> QuadForm:
 
 
 def _integer_normals(normals: Iterable[Sequence]) -> list[IntVec]:
-    """The normals as sorted int tuples.
+    """The normals as sorted int tuples; an entry that is no int raises ValueError naming the normal.
 
-    A float or bool entry, or a non-integral one, raises ValueError naming
-    the normal; normals of two lengths raise DimensionMismatchError.
+    Normals of two lengths raise DimensionMismatchError.
     """
     out = []
     for p in normals:
-        p = linalg.exact_entries(p, "facet normal")
-        if Fraction in map(type, p):
-            if any(x.denominator != 1 for x in p):
-                raise ValueError(f"facet normal ({', '.join(map(str, p))}) is not integral")
-            p = tuple(map(int, p))
+        p = _ints(p, "facet normal")
         if out and len(p) != len(out[0]):
             raise linalg.DimensionMismatchError(f"facet normals of lengths {len(out[0])} and {len(p)}")
         out.append(p)
@@ -335,10 +337,10 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
     with a non-normalizable direction the parallelotope verdict is reported
     but flagged theorem-silent.  When the double description of the cell,
     a sum or a perturbed form's cell raises VRepCapError, only the
-    dual-set verdict is given and every b sample is skipped.  A float or
-    bool entry of e or of a b, a zero e or a b <= 0 raises ValueError, and
-    an e whose length is not the form's dimension DimensionMismatchError,
-    before any minima are searched.
+    dual-set verdict is given and every b sample is skipped.  Before any
+    minima are searched, a float or bool entry of e or of a b raises
+    ValueError, an e of a length other than the form's dimension
+    DimensionMismatchError, and each b's converse `Direction` a zero e or b <= 0.
 
     A rational e is scaled once to the integer vector den e, den the lcm
     of its denominators, and the segment b*[-e, e] is the one of den e
@@ -346,16 +348,13 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
     with it as given.
     """
     ev = tuple(map(Fraction, linalg.exact_entries(e_raw, "direction")))
-    if not any(ev):
-        raise ValueError("direction vector must be nonzero")
     if len(ev) != a.dim:
         raise linalg.DimensionMismatchError(f"direction of length {len(ev)} for a form of dim {a.dim}")
     e_int, den = linalg.scale_to_integers(ev)
     bs = tuple(map(Fraction, linalg.exact_entries(b_samples, "segment weights")))
     if not bs:
         raise ValueError("check_theorem needs at least one segment weight b")
-    if min(bs) <= 0:
-        raise ValueError(f"segment weight b must be positive; got {min(bs)}")
+    converse = [Direction(e_int, b / den) for b in bs]
     normals = coset_minima(a).facet_normals()
     try:
         norm_e: IntVec | None = normalize_direction(e_int, normals)
@@ -370,8 +369,8 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
     try:
         cell = voronoi_cell(a)
         irreducible = polytope.irreducibility_graph(cell).connected
-        for b in bs:
-            dir = Direction(norm_e, b) if in_dual else Direction(e_int, b / den)
+        for b, conv in zip(bs, converse):
+            dir = Direction(norm_e, b) if in_dual else conv
             sum_cell = sum_with_segment(cell, dir)
             verdict = is_parallelotope(sum_cell)
             if not in_dual:

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _string
 from math import gcd
 from typing import Sequence
 
-from . import lattice, linalg, polytope
+from . import linalg, polytope
 from .extension import DualSet, ExtensionReport
 from .lattice import ContactVectorSet, QuadForm, make_form
 from .polytope import Belt, ParallelotopeVerdict, VPolytope
@@ -129,7 +129,7 @@ def form_to_dict(a: QuadForm) -> dict:
 def form_from_dict(doc) -> QuadForm:
     """The form of a JSON document {dim, gram}; a document of any other shape raises ValueError.
 
-    A Gram of more rows than the minima search's cap raises DimensionCapError before it is factored.
+    The rows go to `make_form` as given, which reads the entries and refuses a Gram above the cap.
     """
     if isinstance(doc, dict) and "form" in doc:  # allow re-ingesting documents that embed their form
         doc = doc["form"]
@@ -138,9 +138,7 @@ def form_from_dict(doc) -> QuadForm:
     rows = doc["gram"]
     if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == len(rows) for r in rows):
         raise ValueError("gram must be a square list of rows")
-    lattice.check_dim_cap(len(rows))
-    gram = [[linalg.parse_rational(x) for x in row] for row in rows]
-    a = make_form(gram)
+    a = make_form(rows)
     if "dim" in doc and (type(doc["dim"]) is not int or doc["dim"] != a.dim):  # as for n, 4.0 and true are refused
         raise ValueError(f"declared dim {doc['dim']} != gram size {a.dim}")
     return a

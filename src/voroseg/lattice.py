@@ -53,7 +53,7 @@ class UnknownLatticeError(LatticeError):
     pass
 
 
-def check_dim_cap(d) -> None:
+def _check_dim_cap(d) -> None:
     """An int d above DEFAULT_DIM_CAP, the one dimension cap of every minima search, raises DimensionCapError."""
     if type(d) is int and d > DEFAULT_DIM_CAP:
         raise DimensionCapError(f"dimension {d} exceeds enumeration cap {DEFAULT_DIM_CAP}")
@@ -88,15 +88,17 @@ def make_form(gram) -> QuadForm:
     """Validate a Gram matrix and wrap it as a form.
 
     Degenerate (positive semidefinite but singular) input is rejected:
-    the cell machinery needs a full-dimensional bounded cell.  An entry is a
-    Fraction, or an int or string read by `linalg.parse_rational`; a float,
-    a bool or a decimal or exponent string is refused, which Fraction would
-    read as a binary fraction, as 0/1 or with thousands of digits.
+    the cell machinery needs a full-dimensional bounded cell, and more rows
+    than DEFAULT_DIM_CAP raise DimensionCapError before any entry is read.
+    An entry is a Fraction, or an int or string (as in JSON) read by
+    `linalg.parse_rational`; a float, a bool or a decimal or exponent string
+    is refused, which Fraction would read as a binary fraction, as 0/1 or with thousands of digits.
     """
     rows = [tuple(r) for r in gram]
     d = len(rows)
     if d == 0 or any(len(r) != d for r in rows):
         raise NotSymmetricError("Gram matrix must be square and nonempty")
+    _check_dim_cap(d)
 
     def entry(i: int, j: int, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -260,7 +262,7 @@ def coset_minima(a: QuadForm) -> ContactVectorSet:
     Fractions.  Above DEFAULT_DIM_CAP it raises DimensionCapError.
     """
     d = a.dim
-    check_dim_cap(d)
+    _check_dim_cap(d)
     g, den = a.integer_gram
     low, delta = a.ldl
     pairs = list(map(operator.mul, delta, delta[1:]))  # Delta_i Delta_{i+1}
@@ -311,7 +313,9 @@ def catalog(name: str, n: int | None = None) -> QuadForm:
 
     Root lattices use their Cartan matrices as Grams; starred names are the
     dual lattices, whose Gram (in the dual basis) is the inverse matrix.
+    An int n above DEFAULT_DIM_CAP raises DimensionCapError before any other check.
     """
+    _check_dim_cap(n)
     if name not in CATALOG_NAMES:
         raise UnknownLatticeError(f"unknown lattice {name!r}; known: {CATALOG_NAMES}")
     if n is not None and (not isinstance(n, int) or isinstance(n, bool)):

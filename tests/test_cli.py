@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from voroseg import cli, jsonio, linalg, polytope
+from voroseg import cli, jsonio, lattice, linalg, polytope
 from voroseg.cli import main
 
 
@@ -340,13 +340,18 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith(f"voroseg {argv[0]}: error: ") and err.count("\n") == 1
 
 
-def test_dimension_cap_checked_before_the_catalog_form_is_built(monkeypatch):
+def test_dimension_cap_checked_before_the_catalog_form_is_built(monkeypatch, capsys):
     # a huge n must be refused at once, not after building an n x n Gram matrix
-    monkeypatch.setattr(cli, "catalog", lambda *a: pytest.fail("catalog form built"))
+    for name in ("_gram_from_edges", "make_form"):
+        monkeypatch.setattr(lattice, name, lambda *a: pytest.fail("catalog Gram built"))
+    monkeypatch.setattr(linalg, "identity", lambda *a: pytest.fail("catalog Gram built"))
     for argv in (["relevant", "--lattice", "Zn", "--n", str(10**9)], ["report", "--lattices", "An:100000"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"voroseg {argv[0]}: error: ") and err.count("\n") == 1
+        assert "exceeds enumeration cap 8" in err
 
 
 def test_form_above_the_dimension_cap_is_refused_before_it_is_factored(tmp_path, capsys, monkeypatch):

@@ -151,14 +151,18 @@ def test_dual_set_of_no_normals_raises_value_error():
 
 
 def test_dual_set_rejects_non_integral_normal():
-    with pytest.raises(ValueError, match=r"facet normal \(1/2, 0\) is not integral"):
-        dual_set([(F(1, 2), 0), (F(-1, 2), 0), (0, 1), (0, -1)])
+    # normals take int entries only, as in hpolytope: an integral Fraction is refused too
+    for x in (F(1, 2), F(2)):
+        with pytest.raises(ValueError, match=r"facet normal \(Fraction\(.*\), 0\): give int entries"):
+            dual_set([(x, 0), (-x, 0), (0, 1), (0, -1)])
+        with pytest.raises(ValueError, match=r"facet normal \(Fraction\(.*\), 0\): give int entries"):
+            normalize_direction((0, 1), [(x, 0), (-x, 0), (0, 1), (0, -1)])
 
 
 def test_float_bool_and_ragged_input_is_refused():
     # Fraction reads 1.0 and True as 1, and a zip would cut ragged normals to one length
-    for bad in ((1.0, 0), (True, 0)):
-        with pytest.raises(ValueError, match=r"facet normal \(.*\): give int or Fraction entries"):
+    for bad in ((1.0, 0), (True, 0), (F(1), 0)):
+        with pytest.raises(ValueError, match=r"facet normal \(.*\): give int entries"):
             dual_set([bad, (-1, 0), (0, 1), (0, -1)])
         with pytest.raises(ValueError, match="direction"):
             normalize_direction(bad, SQ_NORMALS)
@@ -176,7 +180,6 @@ def test_float_bool_and_ragged_input_is_refused():
     for b in (0.1, True):
         with pytest.raises(ValueError, match="segment weights"):
             check_theorem(A2, (0, 1), [b])
-    assert dual_set([(F(1), 0), (-1, 0), (0, 1), (0, -1)]).members == dual_set(SQ_NORMALS).members
 
 
 def test_dual_set_matches_box_scan_oracle_catalog():
@@ -576,3 +579,35 @@ def test_check_theorem_scaled_direction_normalizes():
     rep = check_theorem(A2, (0, 3), [1])
     assert rep.in_dual_set and rep.normalized_e == (0, 1)
     assert rep.invariants_ok
+
+
+def test_theorem_on_every_dual_set_member_of_the_catalog_to_d5():
+    # the paper's statement covers every e in the dual set: each member up to sign, at b = 1
+    checked = 0
+    for name, n, a in lattice.catalog_entries(5):
+        for e in dual_set(coset_minima(a).facet_normals()).members:
+            if e < tuple(map(operator.neg, e)):
+                continue
+            rep = check_theorem(a, e, [1])
+            assert rep.in_dual_set and rep.invariants_ok, (name, n, e)
+            assert not any(r.skipped for r in rep.results), (name, n, e)
+            checked += 1
+    assert checked == 346
+
+
+def test_six_belt_criterion_agrees_with_the_tiling_test_of_the_sum():
+    # P + b[-e, e] tiles iff every 6-belt of P has a facet parallel to e (Grishukhin 2006;
+    # Dutour Sikiric, Grishukhin & Magazinov 2014); the prediction is compared, never used
+    seen = Counter()
+    for name, n, a in lattice.catalog_entries(4):
+        cell = voronoi_cell(a)
+        normals = cell.hpoly.normals
+        six_belts = [b.facets for b in polytope.belts(cell) if b.length == 6]
+        for e in itertools.product((-1, 0, 1), repeat=n):
+            if e <= tuple(map(operator.neg, e)):  # the zero vector, or the negative of one taken
+                continue
+            predicted = all(any(sum(map(operator.mul, normals[i], e)) == 0 for i in b) for b in six_belts)
+            tiles = is_parallelotope(sum_with_segment(cell, Direction(e, 1))).ok
+            assert predicted == tiles, (name, n, e)
+            seen[tiles] += 1
+    assert sum(seen.values()) == 277 and seen[True] and seen[False]

@@ -159,8 +159,11 @@ def test_e8_facet_normals_at_dim_cap():
 
 
 def test_coset_minima_dimension_cap():
-    with pytest.raises(DimensionCapError):
-        coset_minima(catalog("Zn", 9))
+    # catalog and make_form refuse a Gram above the cap; coset_minima keeps its own check for a form built directly
+    for build in (lambda: catalog("Zn", 9), lambda: make_form(linalg.identity(9)),
+                  lambda: coset_minima(lattice.QuadForm(9, linalg.identity(9)))):
+        with pytest.raises(DimensionCapError, match="dimension 9 exceeds enumeration cap 8"):
+            build()
 
 
 def test_classes_partition_and_negation_closure():

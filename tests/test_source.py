@@ -89,3 +89,15 @@ def test_every_name_a_test_module_imports_is_read():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert not found, found
+
+
+def test_only_lattice_reads_the_dimension_cap():
+    # catalog, make_form and coset_minima refuse d > DEFAULT_DIM_CAP; a command that checked
+    # the cap itself would be a second copy of the rule, free to drift from the first
+    found = []
+    for path in sorted(set(SRC.glob("*.py")) - {SRC / "lattice.py"}):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # a Name's id, an Attribute's attr, an import alias's name
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            found += [(path.name, name) for name in sorted(names & {"DEFAULT_DIM_CAP", "check_dim_cap", "_check_dim_cap"})]
+    assert not found, found
