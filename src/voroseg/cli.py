@@ -15,7 +15,10 @@ only, `check` the dual-set verdict only, `report` n/a for irreducibility, and
 
 All JSON payloads use exact rational strings; only the OFF export renders
 decimals.  Exit code is 1 when a check's report invariants fail and 2 when
-the input is bad (as for argparse's own usage errors).
+the input is bad (as for argparse's own usage errors).  `check` reads e and
+b with `linalg.parse_rational` and refuses a rational e; `check_theorem`
+refuses the rest of a bad segment before the minima search, with its own
+messages, and a fault past that search propagates.
 """
 
 from __future__ import annotations
@@ -63,34 +66,14 @@ def _load_form(args) -> tuple[lattice.QuadForm, dict]:
     return a, job
 
 
-def _rationals(entries) -> tuple[Fraction, ...] | None:
-    """A list's entries as Fractions, or None unless it is a list of exact rationals.
-
-    Entries are integers or strings such as "1/2", as `linalg.parse_rational`
-    reads them; a float or a bool is refused, not rewritten.
-    """
+def _rationals(what: str, entries) -> tuple[Fraction, ...]:
+    """A list's entries as Fractions, read by `linalg.parse_rational`; any other input exits with status 2."""
     if not isinstance(entries, list):
-        return None
+        _input_error("check", f"{what} must be a list; got {entries!r}")
     try:
-        return tuple(linalg.parse_rational(x) for x in entries)
-    except ValueError:
-        return None
-
-
-def _direction(entries, dim: int) -> tuple[int, ...]:
-    """The direction e as integers; any other input exits with status 2."""
-    e = _rationals(entries)
-    if e is None or len(e) != dim or not any(e) or any(x.denominator != 1 for x in e):
-        _input_error("check", f"e must be {dim} integers, not all zero; got {entries!r}")
-    return tuple(int(x) for x in e)
-
-
-def _weights(entries) -> tuple[Fraction, ...]:
-    """The segment weights b; any other input than positive rationals exits with status 2."""
-    b = _rationals(entries)
-    if not b or any(x <= 0 for x in b):
-        _input_error("check", f"b must be a non-empty list of positive rationals; got {entries!r}")
-    return b
+        return tuple(map(linalg.parse_rational, entries))
+    except ValueError as exc:
+        _input_error("check", f"{what} {entries!r}: {exc}")
 
 
 def _write(command: str, path: str, text: str) -> None:
@@ -161,9 +144,15 @@ def cmd_check(args) -> int:
     bs = args.b or job.get("b")
     if e is None:
         _input_error("check", "needs --e (or a --job file with an e entry)")
-    e = _direction(e, a.dim)
-    bs = (Fraction(1),) if bs is None else _weights(bs)
-    rep = extension.check_theorem(a, e, bs)
+    ev = _rationals("e", e)
+    if any(x.denominator != 1 for x in ev):  # check_theorem would scale a rational e
+        _input_error("check", f"e must be integers; got {e!r}")
+    e = tuple(map(int, ev))
+    bs = (Fraction(1),) if bs is None else _rationals("b", bs)
+    try:  # the length of e, a zero e, no b and a b <= 0, all refused before the minima search
+        rep = extension.check_theorem(a, e, bs)
+    except (ValueError, linalg.DimensionMismatchError) as exc:
+        _input_error("check", str(exc))
     doc = {"form": jsonio.form_to_dict(a), "report": jsonio.report_to_dict(rep)}
     status = "ok" if rep.invariants_ok else "INVARIANT VIOLATION"
     if all(r.skipped for r in rep.results):

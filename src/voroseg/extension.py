@@ -337,8 +337,11 @@ def check_theorem(a: QuadForm, e_raw: Sequence, b_samples: Sequence) -> Extensio
     with a non-normalizable direction the parallelotope verdict is reported
     but flagged theorem-silent.  When the double description of the cell,
     a sum or a perturbed form's cell raises VRepCapError, only the
-    dual-set verdict is given and every b sample is skipped.  Before any
-    minima are searched, a float or bool entry of e or of a b raises
+    dual-set verdict is given and every b sample is skipped.
+
+    ValueError and DimensionMismatchError are its input errors, raised
+    before any minima are searched, and `voroseg check` maps them to exit
+    2: a float or bool entry of e or of a b and an empty b list raise
     ValueError, an e of a length other than the form's dimension
     DimensionMismatchError, and each b's converse `Direction` a zero e or b <= 0.
 

@@ -127,16 +127,17 @@ def form_to_dict(a: QuadForm) -> dict:
 
 
 def form_from_dict(doc) -> QuadForm:
-    """The form of a JSON document {dim, gram}; a document of any other shape raises ValueError.
+    """The form of a JSON document {dim, gram}; a document without a list of lists as gram raises ValueError.
 
-    The rows go to `make_form` as given, which reads the entries and refuses a Gram above the cap.
+    A gram that is a list of lists goes to `make_form` as given, which
+    refuses a ragged or empty Gram, a bad entry and a Gram above the cap.
     """
     if isinstance(doc, dict) and "form" in doc:  # allow re-ingesting documents that embed their form
         doc = doc["form"]
     if not isinstance(doc, dict) or "gram" not in doc:
         raise ValueError("no form: expected a gram (or form, or catalogName) entry")
     rows = doc["gram"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == len(rows) for r in rows):
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError("gram must be a square list of rows")
     a = make_form(rows)
     if "dim" in doc and (type(doc["dim"]) is not int or doc["dim"] != a.dim):  # as for n, 4.0 and true are refused

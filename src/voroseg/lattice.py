@@ -105,9 +105,8 @@ def make_form(gram) -> QuadForm:
             return x
         try:
             return linalg.parse_rational(x)
-        except ValueError:
-            hint = 'give an int, a Fraction or a string such as "-7/3"'
-            raise LatticeError(f"Gram entry ({i}, {j}) is {x!r}; {hint}") from None
+        except ValueError as exc:
+            raise LatticeError(f"Gram entry ({i}, {j}) is {x!r}: {exc}") from None
 
     m = tuple(tuple(entry(i, j, x) for j, x in enumerate(r)) for i, r in enumerate(rows))
     if not linalg.is_symmetric(m):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from voroseg import cli, jsonio, lattice, linalg, polytope
+from voroseg import cli, extension, jsonio, lattice, linalg, polytope
 from voroseg.cli import main
 
 
@@ -200,6 +200,8 @@ def test_form_file_input(tmp_path, capsys):
     assert "6 facets" in capsys.readouterr().out
 
 
+# the command refuses what is no list of rationals, and a rational e, with a message that starts
+# "e " or "b "; check_theorem and Direction refuse the rest, before the minima search, with theirs
 @pytest.mark.parametrize("e", [["1/2", "1"], [0, 0], [1, 0, 0], "0,1", "12"])
 def test_check_job_bad_direction_exits_2(tmp_path, capsys, e):
     job = tmp_path / "job.json"
@@ -208,7 +210,9 @@ def test_check_job_bad_direction_exits_2(tmp_path, capsys, e):
         main(["check", "--job", str(job)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("voroseg check: error: e ") and err.count("\n") == 1
+    says = {"['1/2', '1']": "error: e must be integers", "[0, 0]": "must be nonzero", "[1, 0, 0]": "length 3"}
+    assert err.startswith("voroseg check: error: ") and err.count("\n") == 1
+    assert says.get(str(e), "voroseg check: error: e ") in err
 
 
 @pytest.mark.parametrize("e", ["0,0", "1,0,0", "1/2,1"])
@@ -217,7 +221,8 @@ def test_check_bad_direction_flag_exits_2(capsys, e):
         main(["check", "--lattice", "An", "--n", "2", "--e", e])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("voroseg check: error: e ") and err.count("\n") == 1
+    says = {"0,0": "must be nonzero", "1,0,0": "length 3", "1/2,1": "error: e must be integers"}
+    assert err.startswith("voroseg check: error: ") and says[e] in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("b", [["x"], ["-1"], "12", [], [0.1]])
@@ -228,7 +233,9 @@ def test_check_job_bad_weights_exits_2(tmp_path, capsys, b):
         main(["check", "--job", str(job)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("voroseg check: error: b ") and err.count("\n") == 1
+    says = {"['-1']": "must be positive", "[]": "at least one segment weight"}
+    assert err.startswith("voroseg check: error: ") and err.count("\n") == 1
+    assert says.get(str(b), "voroseg check: error: b ") in err
 
 
 @pytest.mark.parametrize("b", ["0", "-1", "1,x"])
@@ -237,7 +244,19 @@ def test_check_bad_weights_flag_exits_2(capsys, b):
         main(["check", "--lattice", "An", "--n", "2", "--e", "0,1", f"--b={b}"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("voroseg check: error: b ") and err.count("\n") == 1
+    says = {"0": "must be positive", "-1": "must be positive", "1,x": "voroseg check: error: b "}
+    assert err.startswith("voroseg check: error: ") and says[b] in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [polytope.PolytopeError, lattice.LatticeError, extension.ExtensionError])
+def test_check_fault_past_the_search_propagates(monkeypatch, error):
+    # only check_theorem's input errors exit 2; a fault in the computation is no bad input
+    def fail(cell, dir):
+        raise error("fault inside the segment sum")
+
+    monkeypatch.setattr(extension, "sum_with_segment", fail)
+    with pytest.raises(error, match="fault inside the segment sum"):
+        main(["check", "--lattice", "An", "--n", "2", "--e", "2,1"])
 
 
 @pytest.mark.parametrize("command", ["relevant", "dual-set", "cell", "verify"])
@@ -338,6 +357,8 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"voroseg {argv[0]}: error: ") and err.count("\n") == 1
+    if argv[-1].endswith("zero_denominator.json"):
+        assert "zero denominator" in err
 
 
 def test_dimension_cap_checked_before_the_catalog_form_is_built(monkeypatch, capsys):

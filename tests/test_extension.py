@@ -23,6 +23,7 @@ from oracles import (
     lemma_l8_holds,
     line_vertices,
     p_e_set,
+    random_pd_form_box6,
     random_unimodular,
     segment_as_polytope,
     sign_pattern_dual_set,
@@ -595,19 +596,61 @@ def test_theorem_on_every_dual_set_member_of_the_catalog_to_d5():
     assert checked == 346
 
 
+def _six_belt_verdicts(a):
+    """(e, predicted, tiles) for each e in {-1, 0, 1}^d up to sign, for the cell of a.
+
+    P + b[-e, e] tiles iff every 6-belt of P has a facet parallel to e (Grishukhin 2006;
+    Dutour Sikiric, Grishukhin & Magazinov 2014); the prediction is compared, never used.
+    """
+    cell = voronoi_cell(a)
+    normals = cell.hpoly.normals
+    six_belts = [b.facets for b in polytope.belts(cell) if b.length == 6]
+    for e in itertools.product((-1, 0, 1), repeat=a.dim):
+        if e <= tuple(map(operator.neg, e)):  # the zero vector, or the negative of one taken
+            continue
+        predicted = all(any(sum(map(operator.mul, normals[i], e)) == 0 for i in b) for b in six_belts)
+        yield e, predicted, is_parallelotope(sum_with_segment(cell, Direction(e, 1))).ok
+
+
 def test_six_belt_criterion_agrees_with_the_tiling_test_of_the_sum():
-    # P + b[-e, e] tiles iff every 6-belt of P has a facet parallel to e (Grishukhin 2006;
-    # Dutour Sikiric, Grishukhin & Magazinov 2014); the prediction is compared, never used
     seen = Counter()
     for name, n, a in lattice.catalog_entries(4):
-        cell = voronoi_cell(a)
-        normals = cell.hpoly.normals
-        six_belts = [b.facets for b in polytope.belts(cell) if b.length == 6]
-        for e in itertools.product((-1, 0, 1), repeat=n):
-            if e <= tuple(map(operator.neg, e)):  # the zero vector, or the negative of one taken
-                continue
-            predicted = all(any(sum(map(operator.mul, normals[i], e)) == 0 for i in b) for b in six_belts)
-            tiles = is_parallelotope(sum_with_segment(cell, Direction(e, 1))).ok
+        for e, predicted, tiles in _six_belt_verdicts(a):
             assert predicted == tiles, (name, n, e)
             seen[tiles] += 1
     assert sum(seen.values()) == 277 and seen[True] and seen[False]
+
+
+def test_six_belt_criterion_agrees_with_the_tiling_test_on_random_forms():
+    # pinned seeds: the forms stay the same whatever the test's source, unlike derandomized draws
+    seen = Counter()
+    for d in (2, 3, 4):
+        for seed in range(10):
+            a = random_pd_form_box6(random.Random(seed), d)
+            for e, predicted, tiles in _six_belt_verdicts(a):
+                assert predicted == tiles, (d, seed, a.gram, e)
+                seen[tiles] += 1
+    assert seen == Counter({True: 238, False: 332})  # 570 pairs over 29 distinct forms
+
+
+def test_converse_on_every_non_normalizable_ternary_direction_of_the_catalog_to_d4():
+    # the paper's converse: on an irreducible cell (Zn has no such e), an e in {-1, 0, 1}^d, up to
+    # sign, that cannot be normalized into the dual set gives a sum that does not tile
+    checked = 0
+    for name, n, a in lattice.catalog_entries(4):
+        normals = coset_minima(a).facet_normals()
+        for e in itertools.product((-1, 0, 1), repeat=n):
+            if e <= tuple(map(operator.neg, e)):
+                continue
+            try:
+                normalize_direction(e, normals)
+                continue
+            except CannotNormalizeError:
+                pass
+            rep = check_theorem(a, e, [1])
+            assert rep.invariants_ok and rep.irreducible_input, (name, n, e)
+            assert not rep.in_dual_set and rep.violating, (name, n, e)
+            (r,) = rep.results
+            assert not r.skipped and not r.parallelotope.ok, (name, n, e)
+            checked += 1
+    assert checked == 140

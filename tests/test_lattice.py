@@ -57,8 +57,9 @@ def test_make_form_refuses_ragged_rows_as_not_symmetric():
 def test_make_form_reads_strings_as_parse_rational_does():
     # an exponent or decimal string would give Fraction thousands of digits or a silent 3/2
     for s in ("1e5000", "1.5", "1/0", " ", "0x10"):
-        with pytest.raises(LatticeError, match=r"entry \(0, 0\) is " + repr(s)):
+        with pytest.raises(LatticeError, match=r"entry \(0, 0\) is " + repr(s)) as exc:
             make_form([[s, 0], [0, 1]])
+        assert ("zero denominator" in str(exc.value)) == (s == "1/0")  # the parser's reason is kept
     assert make_form([["3/2", "-1/2"], ["-1/2", "+1"]]).gram == ((F(3, 2), F(-1, 2)), (F(-1, 2), F(1)))
 
 
