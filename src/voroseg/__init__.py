@@ -11,7 +11,6 @@ from .lattice import (
 )
 from .polytope import (
     Belt,
-    Face,
     HPolytope,
     VPolytope,
     belts,

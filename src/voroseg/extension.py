@@ -97,7 +97,7 @@ class Direction:
         (b,) = linalg.exact_entries((self.b,), "segment weight", self.b)
         object.__setattr__(self, "b", Fraction(b))
         if self.b <= 0:
-            raise ValueError("segment weight b must be positive")
+            raise ValueError(f"segment weight b must be positive; got {self.b}")
 
 
 def perturbed_form(a: QuadForm, dir: Direction) -> QuadForm:
@@ -266,8 +266,7 @@ def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
     sups = [s * db for s in h.supports]
     prods = [linalg.inner(n, dir.e) for n in h.normals]
     pairs: list[tuple[IntVec, int]] = [(n, s + shift * abs(t)) for n, s, t in zip(h.normals, sups, prods)]
-    for face in polytope.codim2_faces(cell):
-        i, j = face.facets
+    for i, j in polytope.codim2_faces(cell):
         # a transversal ridge lies on two facets whose products with e have opposite signs
         if prods[i] * prods[j] >= 0:
             continue

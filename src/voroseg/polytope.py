@@ -44,10 +44,12 @@ ridges come in mirror pairs, as the opposites of a ridge's two facets
 meet in its antipode, and a facet is centrally symmetric iff its
 opposite is.  A ridge's belt is named by the plane of its two facets'
 normals, and the belt's direction space is written down from their 2x2
-minors (`_belt_space`).  Ridges, belts and the tiling verdict are
-computed once per cell and kept on it.  A belt keeps its facets in
-ascending order, not in their cyclic order about it: the tiling test and
-the facet graph read only their count and the ridges.
+minors (`_belt_space`).  The ridges are kept as facet pairs, ascending:
+a ridge's vertices, those on both of its facets, are read by no code in
+the package.  Ridges, belts and the tiling verdict are computed once per
+cell and kept on it.  A belt keeps its
+facets in ascending order, not in their cyclic order about it: the
+tiling test and the facet graph read only their count and the ridges.
 """
 
 from __future__ import annotations
@@ -260,8 +262,8 @@ class VPolytope:
         )
 
     @functools.cached_property
-    def _ridges(self) -> tuple[tuple[Face, ...], tuple[tuple[IntMat, list[int]], ...]]:
-        """The (d-2)-faces sorted by vertex ids, and per belt its direction space and ridges.
+    def _ridges(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[IntMat, list[int]], ...]]:
+        """The ridges as facet pairs (i, j), i < j, ascending, and per belt its direction space and ridges' indices.
 
         In a full-dimensional cell a ridge lies on exactly 2 facets (the diamond
         property) and a smaller face on at least 3, so a facet pair is a ridge iff
@@ -271,44 +273,44 @@ class VPolytope:
         ridge's belt, whose direction space is formed once, from its first ridge's pair (`_belt_space`).
         The cell must be centrally symmetric, as every cell the package builds
         is (else PolytopeError).  Then facets n-1-j < n-1-i, the opposites of
-        i < j, meet in the antipodes V-1-s of the ridge's ids s, with negated
-        minors and so the same key, and only pairs with i + j < n-1 are tested
-        (opposite facets share no vertex, as every support is > 0): facets are
-        sorted, so the loop over j stops at the first j with i + j >= n-1.
+        i < j, meet in the antipode of the ridge, with negated minors and so
+        the same key, and only pairs with i + j < n-1 are tested (opposite
+        facets share no vertex, as every support is > 0): facets are sorted, so
+        the loop over j stops at the first j with i + j >= n-1.
         """
         if not self._symmetric:
             raise PolytopeError("ridges are found in mirror pairs: the cell must be centrally symmetric")
         d = self.dim
         normals = self.hpoly.normals
-        last_ineq, last_vertex = len(normals) - 1, len(self.points) - 1
+        last = len(normals) - 1
         facet_mask = sum(1 << i for i in self.facet_ids)
         inc = self.incidence
         # a facet's vertices as a mask, whose AND with another's counts and lists their common ones
         members = [(i, sum(1 << k for k in inc[i])) for i in self.facet_ids]
+        cols = list(itertools.combinations(range(d), 2))
         found = []
         for a, (i, mi) in enumerate(members):
+            p = normals[i]
             for j, mj in members[a + 1:]:
-                if i + j >= last_ineq:
+                if i + j >= last:
                     break
                 if (common := mi & mj).bit_count() < d - 1:
                     continue
-                ids = _bits(common)
                 pair = 1 << i | 1 << j
-                if _meet(self.tights, ids, pair) & facet_mask == pair:
-                    p, q = normals[i], normals[j]
-                    minors = [p[k] * q[m] - p[m] * q[k] for k, m in itertools.combinations(range(d), 2)]
+                if _meet(self.tights, _bits(common), pair) & facet_mask == pair:
+                    q = normals[j]
+                    minors = [p[k] * q[m] - p[m] * q[k] for k, m in cols]
                     g = gcd(*minors) if _pivot(minors) > 0 else -gcd(*minors)
                     key = tuple(x // g for x in minors)
-                    found.append((tuple(reversed(ids)), i, j, key))
-                    found.append((tuple(last_vertex - k for k in ids), last_ineq - j, last_ineq - i, key))
-        faces: list[Face] = []
+                    found += [(i, j, key), (last - j, last - i, key)]
+        ridges: list[tuple[int, int]] = []
         by_key: dict[IntVec, tuple[IntMat, list[int]]] = {}
-        for ids, i, j, key in sorted(found):
+        for i, j, key in sorted(found):
             if key not in by_key:
                 by_key[key] = (_belt_space(normals[i], normals[j]), [])
-            by_key[key][1].append(len(faces))
-            faces.append(Face((i, j), ids))
-        return tuple(faces), tuple(by_key.values())
+            by_key[key][1].append(len(ridges))
+            ridges.append((i, j))
+        return tuple(ridges), tuple(by_key.values())
 
     @functools.cached_property
     def _belts(self) -> tuple[Belt, ...]:
@@ -317,7 +319,7 @@ class VPolytope:
         Each keeps its direction space, its ridges and its sorted facets.  The
         order is that of the RREF rows, which `check` reports as belt_index.
         """
-        faces, groups = self._ridges
+        ridges, groups = self._ridges
         # a primitive row is its pivot times the RREF row, so over the lcm of all
         # pivots the rows are ints that sort like the RREF rows: the belt order is kept
         den = lcm(*(_pivot(r) for space, _ in groups for r in space))
@@ -329,7 +331,7 @@ class VPolytope:
             Belt(
                 direction_space=space,
                 face_ids=tuple(face_ids),
-                facets=tuple(sorted({f for fi in face_ids for f in faces[fi].facets})),
+                facets=tuple(sorted({f for fi in face_ids for f in ridges[fi]})),
             )
             for space, face_ids in sorted(groups, key=key)
         )
@@ -669,21 +671,13 @@ def prune_to_facets(v: VPolytope) -> VPolytope:
     )
 
 
-@dataclass(frozen=True)
-class Face:
-    """A ridge, a (d-2)-face of the cell: its two facets and its sorted vertex ids.
+def codim2_faces(v: VPolytope) -> tuple[tuple[int, int], ...]:
+    """All (d-2)-faces, each as the pair (i, j), i < j, of the facets it lies on, in ascending order.
 
-    Its direction space is its belt's.  Only `codim2_faces` builds one; a face
-    of any other dimension, such as the contact face of a lattice vector, is
-    found by the test oracles from the cell's points.
+    Computed once per cell and kept on it.  A ridge's vertices are those on
+    both facets; a face of any other dimension, such as the contact face of
+    a lattice vector, is found by the test oracles from the cell's points.
     """
-
-    facets: tuple[int, int]
-    vertex_ids: tuple[int, ...]
-
-
-def codim2_faces(v: VPolytope) -> tuple[Face, ...]:
-    """All (d-2)-faces, sorted by vertex ids; computed once per cell and kept on it."""
     return v._ridges[0]
 
 
@@ -749,13 +743,13 @@ def irreducibility_graph(v: VPolytope) -> FacetGraph:
     last = len(v.hpoly.normals) - 1
     pairs = [(i, last - i) for i in v.facet_ids if 2 * i < last]
     pair_of = {i: k for k, pair in enumerate(pairs) for i in pair}
-    faces = codim2_faces(v)
+    ridges = codim2_faces(v)
     edges: set[tuple[int, int]] = set()
     for belt in belts(v):
         if belt.length != 6:
             continue
         for fi in belt.face_ids:
-            a, b = faces[fi].facets
+            a, b = ridges[fi]
             pa, pb = pair_of[a], pair_of[b]
             if pa != pb:
                 edges.add((min(pa, pb), max(pa, pb)))

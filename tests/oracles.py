@@ -17,10 +17,10 @@ class's start bound by greedy descent from its own 0/1 representative,
 the support-sum inclusion check, the facet adjacency check, a facet's face,
 the three-way classification of a face under e, the shadow boundary of a
 cell under e, the Fraction vectors and the matrix-vector product.  The
-package's faces are its ridges and belts only, so the face where a
-hyperplane supports a cell, a belt's cyclic facet order, lemma L8, a
-parity class, dual-set membership and a null space are found here, from
-the cell's and the form's own fields.
+package's faces are its ridges, as facet pairs, and belts only, so a
+ridge's vertices, the face where a hyperplane supports a cell, a belt's
+cyclic facet order, lemma L8, a parity class, dual-set membership and a
+null space are found here, from the cell's and the form's own fields.
 """
 
 from __future__ import annotations
@@ -430,7 +430,7 @@ def classify_products(prods) -> str:
     return SHIFT
 
 
-def classify_face(v: "polytope.VPolytope", face: "polytope.Face", e) -> str:
+def classify_face(v: "polytope.VPolytope", face: "SupportFace", e) -> str:
     """classify_products of e's products with the normals of the facets on the face."""
     return classify_products([linalg.inner(v.hpoly.ineqs[i].normal, e) for i in face.facets])
 
@@ -457,8 +457,11 @@ class SupportFace:
 def support_face(v: "polytope.VPolytope", p, supp) -> SupportFace | None:
     """Where <p, x> = supp supports the cell (else None): its vertices, the facets on them all and its dimension."""
     ids = support_vertex_ids(v, p, supp)
-    if ids is None:
-        return None
+    return None if ids is None else _face_of(v, ids)
+
+
+def _face_of(v: "polytope.VPolytope", ids: tuple) -> SupportFace:
+    """The face with these vertex ids: the facets on them all, from the points, and its dimension."""
     pts = [v.points[j] for j in ids]
     ineqs = v.hpoly.ineqs
     facets = tuple(
@@ -474,6 +477,17 @@ def facet_face(v: "polytope.VPolytope", facet_id: int) -> SupportFace:
     return support_face(v, iq.normal, iq.support)
 
 
+def ridge_face(v: "polytope.VPolytope", ridge: tuple) -> SupportFace:
+    """The face of a facet pair (i, j): the points where both facets' own hyperplanes support the cell.
+
+    Reads the points only, never the tight masks or the incidences, so on a
+    true ridge its facets are exactly (i, j) and its dimension d - 2.
+    """
+    ineqs = v.hpoly.ineqs
+    first, second = (set(support_vertex_ids(v, ineqs[i].normal, ineqs[i].support)) for i in ridge)
+    return _face_of(v, tuple(sorted(first & second)))
+
+
 class OffBeltNormalError(polytope.PolytopeError):
     pass
 
@@ -481,17 +495,19 @@ class OffBeltNormalError(polytope.PolytopeError):
 def belt_cycle(v: "polytope.VPolytope", belt: "polytope.Belt") -> tuple:
     """A belt's facets in counterclockwise order about its direction space, from the smallest id.
 
-    The direction space is that of the belt's first ridge, by the elimination
-    above of the Gram rows of the ridge's integer points, whose differences
-    span it as the vertices' do, and its RREF rows are kept as int
-    multiples, with the same pivots and null space.  Its null space has the basis that is the
+    The direction space is that of the belt's first ridge (i, j), the null
+    space of its two facet normals, by the elimination above, and its RREF
+    rows are kept as int multiples, with the same pivots and null space; no
+    vertex is read, so a large cell's belts cost no scan of its points, and
+    the ridge tests check that space against the ridge's vertices
+    (`ridge_face`).  Its null space has the basis that is the
     identity at the two non-pivot columns a < b, so a normal orthogonal to
     the space has the coordinates (n_a, n_b) there; a facet normal that is
     not orthogonal to it raises OffBeltNormalError.  The order is exact: the half-plane y > 0, with
     the ray y = 0, x > 0, before the other, then by the sign of the cross product.
     """
-    ridge = polytope.codim2_faces(v)[belt.face_ids[0]]
-    space = _integer_rref(_direction_rows([v.points[j] for j in ridge.vertex_ids]))
+    i, j = polytope.codim2_faces(v)[belt.face_ids[0]]
+    space = _integer_rref(null_basis([v.hpoly.normals[i], v.hpoly.normals[j]], v.dim))
     pivots = {c for c, _ in space}
     a, b = (j for j in range(v.dim) if j not in pivots)
     plane = []
@@ -530,8 +546,7 @@ def lemma_l8_holds(a: "lattice.QuadForm", v: "polytope.VPolytope", e) -> bool:
     cs = lattice.coset_minima(a)
     prods = [sum(x * y for x, y in zip(n, e)) for n in normals]
     on_4_belt = {fi for belt in polytope.belts(v) if belt.length == 4 for fi in belt.face_ids}
-    for fi, face in enumerate(polytope.codim2_faces(v)):
-        i, j = face.facets
+    for fi, (i, j) in enumerate(polytope.codim2_faces(v)):
         if prods[i] * prods[j] >= 0:
             continue
         p = tuple(x + y for x, y in zip(normals[i], normals[j]))
@@ -541,7 +556,7 @@ def lemma_l8_holds(a: "lattice.QuadForm", v: "polytope.VPolytope", e) -> bool:
             sum(x * y for x, y in zip(p, e))
             or cl is None
             or p not in cl.minima
-            or support_vertex_ids(v, p, norm) != face.vertex_ids
+            or support_vertex_ids(v, p, norm) != ridge_face(v, (i, j)).vertex_ids
             or fi not in on_4_belt
         ):
             return False
@@ -550,7 +565,7 @@ def lemma_l8_holds(a: "lattice.QuadForm", v: "polytope.VPolytope", e) -> bool:
 
 @dataclass(frozen=True)
 class ShadowFace:
-    face: "polytope.Face | SupportFace"
+    face: SupportFace
     parallel: bool  # parallel to e (else transversal)
 
 
@@ -566,7 +581,7 @@ def shadow_boundary(v: "polytope.VPolytope", e) -> tuple:
         raise ValueError("direction e must be nonzero")
     prods = [linalg.inner(n, e) for n in v.hpoly.normals]
     out = []
-    for f in [facet_face(v, i) for i in v.facet_ids] + list(polytope.codim2_faces(v)):
+    for f in [facet_face(v, i) for i in v.facet_ids] + [ridge_face(v, r) for r in polytope.codim2_faces(v)]:
         kind = classify_products([prods[i] for i in f.facets])
         if kind != SHIFT:
             out.append(ShadowFace(face=f, parallel=kind == PARALLEL_EXTENSION))

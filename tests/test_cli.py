@@ -238,13 +238,15 @@ def test_check_job_bad_weights_exits_2(tmp_path, capsys, b):
     assert says.get(str(b), "voroseg check: error: b ") in err
 
 
-@pytest.mark.parametrize("b", ["0", "-1", "1,x"])
+@pytest.mark.parametrize("b", ["0", "-1", "1,2,-1", "1,x"])
 def test_check_bad_weights_flag_exits_2(capsys, b):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--lattice", "An", "--n", "2", "--e", "0,1", f"--b={b}"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    says = {"0": "must be positive", "-1": "must be positive", "1,x": "voroseg check: error: b "}
+    # a refused weight is named, so among several the message says which one
+    says = {"0": "must be positive; got 0", "-1": "must be positive; got -1", "1,2,-1": "must be positive; got -1",
+            "1,x": "voroseg check: error: b "}
     assert err.startswith("voroseg check: error: ") and says[b] in err and err.count("\n") == 1
 
 

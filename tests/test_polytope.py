@@ -33,6 +33,7 @@ from oracles import (
     mat_vec,
     null_basis,
     random_unimodular,
+    ridge_face,
     segment_as_polytope,
     shadow_boundary,
     support_face,
@@ -247,6 +248,18 @@ def test_octagon_fails_belt():
     assert not verdict.ok
     assert verdict.failure == "belt"
     assert verdict.belt_length == 8
+
+
+def test_octahedron_and_cuboctahedron_fail_facet_symmetry():
+    # every belt of either has length 4 or 6, so only the facet test refuses them: their
+    # triangles are not centrally symmetric, and facet 0, normal (-1, -1, -1), is one
+    signs = list(itertools.product((1, -1), repeat=3))
+    axes = [(tuple(x * (i == j) for j in range(3)), 1) for i in range(3) for x in (1, -1)]
+    for h in (hpolytope(3, [(s, 1) for s in signs]), hpolytope(3, [(s, 2) for s in signs] + axes)):
+        v = enumerate_vertices(h)
+        assert {b.length for b in belts(v)} <= {4, 6} and h.normals[0] == (-1, -1, -1)
+        verdict = is_parallelotope(v)
+        assert (verdict.ok, verdict.failure, verdict.facet_id) == (False, "facet-symmetry", 0)
 
 
 def test_central_symmetry_failure_detected():
@@ -534,9 +547,10 @@ def test_faces_match_affine_dimension_oracle():
             i for i, pts in enumerate(on) if pts and len(affine_direction_space(pts)) == d - 1
         )
         space_of = {fi: b.direction_space for b in belts(v) for fi in b.face_ids}
-        for fi, f in enumerate(codim2_faces(v)):
+        for fi, ridge in enumerate(codim2_faces(v)):
+            f = ridge_face(v, ridge)
             want = affine_direction_space([v.vertices[j] for j in f.vertex_ids])
-            assert len(want) == d - 2
+            assert f.facets == ridge and len(want) == d - 2
             assert _as_rref(space_of[fi]) == tuple(tuple(r) for r in want)
 
 
@@ -593,10 +607,13 @@ def _with_opposites(d, pairs):
 
 
 def _pin_earlier_draws(check, test_id):
-    """check with an @example for each draw symmetric_hpolytopes made for test_id before it kept supports > 0.
+    """check with an @example for each draw symmetric_hpolytopes made for test_id in an earlier form of the test.
 
     tests/data/symmetric_draws.json keeps, per test, the draws that meet
-    `enumerate_vertices`' contract, each as the first half of its rows.
+    `enumerate_vertices`' contract, each as the first half of its rows: those
+    made before the strategy kept supports > 0, and for a test whose body
+    has changed since (derandomized draws follow the body's source), those
+    made before the change.
     """
     path = Path(__file__).parent / "data" / "symmetric_draws.json"
     for rows in json.loads(path.read_text())[test_id]:
@@ -821,25 +838,27 @@ def _check_ridges_and_belts(v, parallelotope):
     on = [frozenset(j for j, x in enumerate(v.vertices) if prod(iq.normal, x) == iq.support) for iq in v.hpoly.ineqs]
 
     facets = [i for i, ids in enumerate(on) if ids and dim(ids) == d - 1]
-    # every facet pair whose common vertices span a (d-2)-face: none may be missing
-    want = {tuple(sorted(on[i] & on[j])) for i, j in itertools.combinations(facets, 2) if on[i] & on[j]}
-    want = sorted(ids for ids in want if dim(ids) == d - 2)
+    # every facet pair whose common vertices span a (d-2)-face, ascending: none may be missing
+    common = {(i, j): on[i] & on[j] for i, j in itertools.combinations(facets, 2)}
+    want = [pair for pair, ids in common.items() if ids and dim(ids) == d - 2]
     ridges = codim2_faces(v)
-    assert [f.vertex_ids for f in ridges] == want
+    assert list(ridges) == want
+    # each ridge's vertices, found from the points on both facets' hyperplanes
+    assert [frozenset(ridge_face(v, pair).vertex_ids) for pair in ridges] == [common[pair] for pair in want]
     # the belts partition the ridges by the oracle's direction spaces
     by_space = {}
-    for ids in want:
-        space = tuple(tuple(r) for r in affine_direction_space([v.vertices[j] for j in ids]))
-        by_space.setdefault(space, []).append(ids)
+    for pair in want:
+        space = tuple(tuple(r) for r in affine_direction_space([v.vertices[j] for j in sorted(common[pair])]))
+        by_space.setdefault(space, []).append(pair)
     bs = belts(v)
     assert sorted(fi for b in bs for fi in b.face_ids) == list(range(len(ridges)))
-    assert {_as_rref(b.direction_space): [ridges[fi].vertex_ids for fi in b.face_ids] for b in bs} == by_space
+    assert {_as_rref(b.direction_space): [ridges[fi] for fi in b.face_ids] for b in bs} == by_space
     # belts are ordered by the Fraction RREF of their direction spaces, which belt_index reports
     spaces = [_as_rref(b.direction_space) for b in bs]
     assert spaces == sorted(spaces)
     for b in bs:
         # a belt's facets are the facets on its ridges, all parallel to its direction space
-        on_ridges = sorted({i for fi in b.face_ids for i in facets if on[i].issuperset(ridges[fi].vertex_ids)})
+        on_ridges = sorted({i for fi in b.face_ids for i in facets if on[i].issuperset(common[ridges[fi]])})
         assert list(b.facets) == on_ridges
         assert all(parallel(i, b.direction_space) for i in on_ridges)
         if parallelotope:
@@ -894,9 +913,10 @@ def test_counted_facets_and_ridges_match_oracle_on_random_symmetric_systems(d, e
         facets = tuple(i for i, ids in enumerate(on) if ids and dim(ids) == d - 1)
         assert v.facet_ids == facets
         space_of = {fi: b.direction_space for b in belts(v) for fi in b.face_ids}
-        for fi, f in enumerate(codim2_faces(v)):
-            want = affine_direction_space([v.vertices[j] for j in f.vertex_ids])
-            assert f.facets == tuple(i for i in facets if on[i].issuperset(f.vertex_ids))
+        for fi, ridge in enumerate(codim2_faces(v)):
+            ids = ridge_face(v, ridge).vertex_ids
+            want = affine_direction_space([v.vertices[j] for j in ids])
+            assert ridge == tuple(i for i in facets if on[i].issuperset(ids))
             assert len(want) == d - 2
             assert _as_rref(space_of[fi]) == tuple(tuple(r) for r in want)
         # vertex ids of every ridge, none missing, and the belts' grouping and facets
@@ -1243,15 +1263,17 @@ def test_belt_cycles_and_off_golden():
 
 
 # sha256 of the repr of (scale, points, sorted tights, facet_ids, belts, tiling verdict) for
-# cells that no bench workload builds, recorded at commit 4a6786d, before the double
-# description took central symmetry as its contract; elsewhere at d >= 6 only two
+# cells that no bench workload builds, each belt as its direction space, cyclic facet order
+# and ridges as sorted facet pairs, so that no ridge order moves it.  Recorded from the cells
+# of commit d8f16c4, which matched the digests first recorded at commit 4a6786d, before the
+# double description took central symmetry as its contract; elsewhere at d >= 6 only two
 # outputs of the same double description are compared, so a shared bug would pass
 _LARGE_CELL_DIGESTS = {
-    ("An*", 6): "9accce28fa5f019ef0f39f9fac06d80eb5e5195d84b14b9c1cc8d2944ee82e0e",
-    ("E6*", None): "3173ea7ca0c04cd8315ae5e20bdce9a2f555fa09d38628bdee2bc4d036997ca5",
-    ("Dn*", 7): "e4736f2a55a6a04bc8ce1f7d965a0aac561881e9fa1d27d60b0ecfd12541b66e",
-    ("E7*", None): "9a08e669c4f8e559df98b8b3d8877b45def6d2476b78197e375b2a704926f687",
-    ("E8", None): "26f745fc505a9624bf8b1ae0783e965163e5123b7ead5ba7b39197582f436dc9",
+    ("An*", 6): "1bca75faa25bbad52da7e95071a58de2319370053e8575376a4d831e8b80f694",
+    ("E6*", None): "e4aa74e7226f572677b3dfb922c2b055b95132fb5a3da122f815d2c551cde6fb",
+    ("Dn*", 7): "7f278a295fea358fc9a847132f269173eb0aaa13e5753f51956d325d2296d99a",
+    ("E7*", None): "2784d3d6188e978b4fb22d91000add2e77fd11cad811952d17458feb1cc40630",
+    ("E8", None): "066978ed37d0f6f7fe82cdd01d09f075aeae0f90c9e626bc914ed10b8222d08a",
 }
 
 
@@ -1259,12 +1281,16 @@ _LARGE_CELL_DIGESTS = {
 def test_large_cells_match_their_recorded_digests(name, n):
     v = cell_of(name, n)
     verdict = is_parallelotope(v)
+    ridges = codim2_faces(v)
+    belt_docs = tuple(
+        (b.direction_space, belt_cycle(v, b), tuple(sorted(ridges[fi] for fi in b.face_ids))) for b in belts(v)
+    )
     doc = (
         v.scale,
         v.points,
         tuple(tuple(i for i in range(len(v.hpoly.ineqs)) if t >> i & 1) for t in v.tights),
         v.facet_ids,
-        tuple((b.direction_space, belt_cycle(v, b), b.face_ids) for b in belts(v)),
+        belt_docs,
         (verdict.ok, verdict.failure, verdict.belt_index, verdict.belt_length, verdict.facet_id),
     )
     assert hashlib.sha256(repr(doc).encode()).hexdigest() == _LARGE_CELL_DIGESTS[name, n]
