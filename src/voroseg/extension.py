@@ -257,7 +257,9 @@ def sum_with_segment(cell: VPolytope, dir: Direction) -> VPolytope:
     scale Q times the denominator db of b, handed to `hpolytope` as such.
     The rows enter the double description in id order
     (`nearest_first=False`): in order of support the sum of E8 with
-    e1 + e2 passes VERTEX_BUDGET.  Redundant inequalities are pruned.
+    e1 + e2 passes VERTEX_BUDGET.  Every row is a facet, by the normal fan
+    of a Minkowski sum (Ziegler, Lectures on Polytopes, ch. 7);
+    `prune_to_facets`, named so while bench/tracer.py pins it, checks that.
     """
     h = cell.hpoly
     # over the common denominator Q db, with b = nb/db, a support S/Q becomes S db and b|t| becomes nb Q |t|

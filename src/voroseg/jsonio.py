@@ -176,7 +176,7 @@ def verdict_to_dict(v: ParallelotopeVerdict) -> dict:
 
 def cell_to_dict(v: VPolytope, belts: Sequence[Belt]) -> dict:
     out = hrep_to_dict(v.hpoly)
-    out["facet_count"] = len(v.facet_ids)  # inequalities that are not facets are listed too
+    out["facet_count"] = len(v.facet_ids)  # every row: each relevant vector is a facet (Voronoi's theorem)
     out["vertex_count"] = len(v.points)
     out["vertices"] = _vertex_strings(v)
     out["incidence"] = [list(inc) for inc in v.incidence]

@@ -8,7 +8,9 @@ primitive integer direction, comparing bounds in ints, and sorts on int
 tuples.  Every support the package forms is a(p) or a(p) + b|<p, e>|,
 an integer over den(A) den(b), so `build_cell` and the segment sum hand
 ints and that denominator down, and no Fraction is formed between the
-Gram matrix and the vertices.
+Gram matrix and the vertices.  Every system built is irredundant, by
+Voronoi's theorem for a cell and the normal fan of a Minkowski sum for a
+segment sum; `prune_to_facets` checks it, named so while bench/tracer.py pins it.
 
 Vertex enumeration is an incremental double-description pass in integer
 arithmetic for centrally symmetric systems only: row last-1-i must be the
@@ -136,12 +138,6 @@ def _insertion_order(h: HPolytope, nearest_first: bool) -> tuple[Sequence[int], 
     return order, [order[i] for i in ids]
 
 
-def _reduced(dim: int, normals: tuple[IntVec, ...], supports: Sequence[int], scale: int) -> HPolytope:
-    """The H-polytope of integer supports over scale > 0, both divided by their gcd."""
-    g = gcd(scale, *supports)
-    return HPolytope(dim, normals, tuple(s // g for s in supports), scale // g)
-
-
 def hpolytope(dim: int, pairs: Iterable[tuple[Sequence[int], int | Fraction]], scale: int = 1) -> HPolytope:
     """The H-polytope of <normal, x> <= support / scale over the (normal, support) pairs, canonicalised in integers.
 
@@ -186,7 +182,8 @@ def hpolytope(dim: int, pairs: Iterable[tuple[Sequence[int], int | Fraction]], s
         if old is None or (s * old[0], g) < (old[2] * g, old[0]):
             by_dir[prim] = (g, n, s)
     kept = sorted(by_dir.values(), key=operator.itemgetter(1))
-    h = _reduced(dim, tuple(n for _, n, _ in kept), [s for _, _, s in kept], scale)
+    g = gcd(scale, *(s for _, _, s in kept))
+    h = HPolytope(dim, tuple(n for _, n, _ in kept), tuple(s // g for _, _, s in kept), scale // g)
     _insertion_order(h, nearest_first=False)  # raises unless the normals span R^d
     return h
 
@@ -297,7 +294,7 @@ class VPolytope:
                 if (common := mi & mj).bit_count() < d - 1:
                     continue
                 pair = 1 << i | 1 << j
-                if _meet(self.tights, _bits(common), pair) & facet_mask == pair:
+                if _meet(self.tights, common, pair) & facet_mask == pair:
                     q = normals[j]
                     minors = [p[k] * q[m] - p[m] * q[k] for k, m in cols]
                     g = gcd(*minors) if _pivot(minors) > 0 else -gcd(*minors)
@@ -390,13 +387,15 @@ def _pivot(row: Sequence[int]) -> int:
     return next(x for x in row if x)
 
 
-def _meet(masks: dict[int, int] | Sequence[int], ids: Iterable[int], floor: int) -> int:
-    """The AND of masks[j] over ids (-1 over none), stopped once it is floor, a mask each of them contains."""
+def _meet(masks: dict[int, int] | Sequence[int], ids: int, floor: int) -> int:
+    """The AND of masks[j] over the bits j of ids, highest first (-1 over none); stops at floor, in each masks[j]."""
     out = -1
-    for j in ids:
+    while ids:
+        j = ids.bit_length() - 1
         out &= masks[j]
         if out == floor:
             break
+        ids ^= 1 << j
     return out
 
 
@@ -450,7 +449,7 @@ def _edge_cuts(d: int, bit: int, minus: list[int], plus_mask: int, alive: int, s
                 # vertex may be tight wherever both are (combinatorial adjacency),
                 # and the masks on[i] hold live vertices only
                 pair = 1 << u | 1 << w
-                if tights[u].bit_count() > d and _meet(on, _bits(tights[u] & tw), pair) != pair:
+                if tights[u].bit_count() > d and _meet(on, tights[u] & tw, pair) != pair:
                     continue
                 ends.append(u)
         for u in ends:
@@ -463,15 +462,6 @@ def _edge_cuts(d: int, bit: int, minus: list[int], plus_mask: int, alive: int, s
             # tight at x exactly when it is tight at both ends
             new_pts[x] = new_pts.get(x, 0) | common | bit
     return new_pts
-
-
-def _pick_bits(masks: Iterable[int], ids: Sequence[int], width: int) -> list[int]:
-    """Each mask cut down to its bits at ids, in order: bit n of a result is bit ids[n] of its mask.
-
-    Every id is below width; one binary string per mask, picked by `operator.itemgetter`.
-    """
-    keep, fmt = operator.itemgetter(*ids), f"0{width}b"
-    return [int("".join(keep(format(m, fmt)[::-1]))[::-1], 2) if m else 0 for m in masks]
 
 
 def _mirror_rows(mask: int, width: str) -> int:
@@ -639,7 +629,7 @@ def enumerate_vertices(h: HPolytope, nearest_first: bool = True) -> VPolytope:
             scaled[j + 1] = tuple(-y for y in scaled[j])
     by_point = sorted(verts, key=scaled.__getitem__)
     # row last-1-i is a facet iff row i is: its vertices are the mirror images
-    half = [i for i in range(last // 2) if on[i].bit_count() >= d and _meet(tights, _bits(on[i]), 1 << i) == 1 << i]
+    half = [i for i in range(last // 2) if on[i].bit_count() >= d and _meet(tights, on[i], 1 << i) == 1 << i]
     return VPolytope(
         hpoly=h,
         scale=common_q,
@@ -650,25 +640,17 @@ def enumerate_vertices(h: HPolytope, nearest_first: bool = True) -> VPolytope:
 
 
 def prune_to_facets(v: VPolytope) -> VPolytope:
-    """Drop redundant inequalities, keeping only facet-supporting ones.
+    """v when every inequality is a facet, else PolytopeError naming the first that is not.
 
-    The facets keep their sorted order and their supports, over the least
-    common denominator of those kept, so the H-polytope stays canonical;
-    each vertex keeps its tight mask, restricted to the facets and
-    renumbered.  When every inequality is a facet the renumbering is the
-    identity, and v itself is returned.
+    A cell's rows are facets by Voronoi's theorem and a sum's by the normal
+    fan of a Minkowski sum, so nothing is pruned: the name stays only while
+    bench/tracer.py pins it.
     """
-    h = v.hpoly
-    if len(v.facet_ids) == len(h.normals):
-        return v
-    h2 = _reduced(v.dim, tuple(h.normals[i] for i in v.facet_ids), [h.supports[i] for i in v.facet_ids], h.scale)
-    return VPolytope(
-        hpoly=h2,
-        scale=v.scale,
-        points=v.points,
-        tights=tuple(_pick_bits(v.tights, v.facet_ids, len(h.normals))),
-        facet_ids=tuple(range(len(h2.normals))),
-    )
+    n = len(v.hpoly.normals)
+    if len(v.facet_ids) < n:
+        i = next(k for k, f in enumerate((*v.facet_ids, n)) if k != f)  # facet_ids ascend
+        raise PolytopeError(f"row {i} of {n}, normal {v.hpoly.normals[i]}, is no facet")
+    return v
 
 
 def codim2_faces(v: VPolytope) -> tuple[tuple[int, int], ...]:

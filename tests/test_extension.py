@@ -14,6 +14,7 @@ from oracles import (
     SegmentHypothesisError,
     _free_against,
     a_e,
+    affine_direction_space,
     box_scan_dual_set,
     brute_force_vertices,
     box_scan_minima,
@@ -28,6 +29,7 @@ from oracles import (
     segment_as_polytope,
     sign_pattern_dual_set,
     subset_check,
+    support_vertex_ids,
     vec,
     vscale,
 )
@@ -312,6 +314,40 @@ def test_sum_added_normals_kill_e_and_support_facets():
             q = s.hpoly.ineqs[i].normal
             if tuple(q) not in base:
                 assert linalg.inner(q, e) == 0
+
+
+def _ridges_from_points(v):
+    """The facet pairs (i, j), i < j, whose common vertices span a (d-2)-face, read from the points alone."""
+    on = [set(support_vertex_ids(v, iq.normal, iq.support)) for iq in v.hpoly.ineqs]
+    return [
+        (i, j) for i, j in itertools.combinations(range(len(on)), 2)
+        if on[i] & on[j] and len(affine_direction_space([v.points[k] for k in on[i] & on[j]])) == v.dim - 2
+    ]
+
+
+def test_sum_rows_are_the_cell_facets_and_one_per_transversal_ridge():
+    # the facets of P(a) + b[-e, e]: P(a)'s own, moved out by b|<p, e>| or kept where <p, e> = 0,
+    # and R + S for each ridge R whose facets' products with e have opposite signs (Ziegler,
+    # Lectures on Polytopes, ch. 7); a loose row in the sum's system changes the count
+    forms = [a for _, _, a in lattice.catalog_entries(4)]
+    forms += [random_pd_form_box6(random.Random(seed), d) for d in (2, 3, 4) for seed in range(3)]
+    for a in forms:
+        cell = voronoi_cell(a)
+        normals = cell.hpoly.normals
+        ridges = _ridges_from_points(cell)
+        members = dual_set(normals).members
+        # the first e in {0, 1, 2}^d that cannot be normalized: two distinct nonzero |<p, e>|
+        loose = next(
+            e for e in itertools.product(range(3), repeat=a.dim)
+            if len({abs(linalg.inner(p, e)) for p in normals} - {0}) > 1
+        )
+        for e in (*members[:1], loose):
+            prods = [linalg.inner(p, e) for p in normals]
+            transversal = sum(prods[i] * prods[j] < 0 for i, j in ridges)
+            for b in (F(1, 2), F(3)):
+                s = sum_with_segment(cell, Direction(e, b))
+                assert len(s.hpoly.normals) == len(normals) + transversal, (a.gram, e, b)
+                assert set(normals) <= set(s.hpoly.normals), (a.gram, e, b)
 
 
 def test_voronoi_of_sum_form_examples():

@@ -426,15 +426,12 @@ def test_adjacency_all_catalog_facets():
 
 
 def test_prune_drops_redundant():
-    h = hpolytope(
-        2,
-        [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1),
-         ((1, 1), 5), ((-1, -1), 5)],
-    )
-    v = enumerate_vertices(h)
-    pruned = prune_to_facets(v)
-    assert len(pruned.hpoly.ineqs) == 4
-    assert pruned.vertices == v.vertices
+    # every system the package builds is irredundant, so a redundant row is an error:
+    # rows 0 and 5, -(1, 1) and (1, 1) <= 5, touch the square nowhere
+    v = _redundant_square()
+    assert v.facet_ids == (1, 2, 3, 4)
+    with pytest.raises(PolytopeError, match=r"^row 0 of 6, normal \(-1, -1\), is no facet$"):
+        prune_to_facets(v)
 
 
 def test_one_dimensional_cell():
@@ -453,17 +450,15 @@ def _dot_tights(v):
     )
 
 
-def _segment_sums(pruned=True):
-    """D4 and A3 plus a segment along a dual-set and a non-dual e, pruned or as enumerated."""
+def _segment_sums():
+    """D4 and A3 plus a segment along a dual-set and a non-dual e."""
     out = []
-    keep = prune_to_facets if pruned else (lambda v: v)
-    with mock.patch.object(extension, "prune_to_facets", keep):
-        for name, n in [("Dn", 4), ("An", 3)]:
-            a = catalog(name, n)
-            cell = voronoi_cell(a)
-            free = extension.dual_set(coset_minima(a).facet_normals()).members[0]
-            for e in (free, (1, 2) + (0,) * (n - 2)):
-                out.append(extension.sum_with_segment(cell, extension.Direction(e, F(1, 2))))
+    for name, n in [("Dn", 4), ("An", 3)]:
+        a = catalog(name, n)
+        cell = voronoi_cell(a)
+        free = extension.dual_set(coset_minima(a).facet_normals()).members[0]
+        for e in (free, (1, 2) + (0,) * (n - 2)):
+            out.append(extension.sum_with_segment(cell, extension.Direction(e, F(1, 2))))
     return out
 
 
@@ -473,13 +468,11 @@ def test_integer_vertex_data_is_canonical():
     mixed = voronoi_cell(form)
     assert {x.denominator for p in mixed.vertices for x in p} == {1, 3, 5, 15}
     cells = [cell_of(name, n) for name, n, _ in lattice.catalog_entries(max_dim=4)]
-    for v in cells + [mixed] + _segment_sums(pruned=False):
+    for v in cells + [mixed] + _segment_sums():
         assert v.scale == lcm(*(x.denominator for p in v.vertices for x in p))
         assert all(type(c) is int for p in v.points for c in p)
         assert v.points == tuple(tuple(v.scale * x for x in p) for p in v.vertices)
-        pruned = prune_to_facets(v)
-        assert (pruned.scale, pruned.points) == (v.scale, v.points)
-        assert pruned.vertices == v.vertices
+        assert prune_to_facets(v) is v  # every row of a cell or a segment sum is a facet
 
 
 def _contact_cells():
@@ -497,22 +490,13 @@ def _redundant_square():
     ))
 
 
-def test_prune_to_facets_reduces_the_scale():
-    # the one support over 4 is redundant: the facets' supports are over 2
-    box = [((1, 0), 1), ((-1, 0), 1), ((0, 1), F(1, 2)), ((0, -1), F(1, 2))]
-    h = hpolytope(2, box + [((1, 1), F(7, 4)), ((-1, -1), F(7, 4))])
-    pruned = prune_to_facets(enumerate_vertices(h)).hpoly
-    assert (h.scale, pruned.scale, pruned.supports) == (4, 2, (2, 1, 1, 2))
-    assert pruned == hpolytope(2, box)
-
-
 def test_prune_tight_sets_match_dot_products():
     cells = [prune_to_facets(cell_of(name, n)) for name, n, _ in lattice.catalog_entries(max_dim=4)]
-    cells += _segment_sums() + [prune_to_facets(_redundant_square())]
+    cells += _segment_sums()
     for v in cells:
         assert v.tights == _dot_tights(v)
         assert v.facet_ids == tuple(range(len(v.hpoly.ineqs)))
-    for v in _segment_sums(pruned=False) + _contact_cells():
+    for v in _contact_cells() + [_redundant_square()]:
         assert v.tights == _dot_tights(v)
 
 
@@ -532,7 +516,7 @@ def test_tight_masks_come_in_mirror_pairs():
 
 def test_faces_match_affine_dimension_oracle():
     cells = [cell_of(name, n) for name, n, _ in lattice.catalog_entries(max_dim=4)]
-    cells += _segment_sums(pruned=False) + _contact_cells()
+    cells += _segment_sums() + _contact_cells()
     # [-1, 1]^4 with +/-(x1 + x2) <= 2: redundant rows, each on a 2-face of d = 4 vertices
     cube = [(tuple(s * (i == j) for j in range(4)), 1) for i in range(4) for s in (1, -1)]
     cells += [_redundant_square(), enumerate_vertices(hpolytope(4, cube + [((1, 1, 0, 0), 2), ((-1, -1, 0, 0), 2)]))]
@@ -817,7 +801,7 @@ def _ridge_oracle_cells():
     """(cell, whether it is a parallelotope) for the cells of the face oracle test."""
     cells = [(cell_of(name, n), True) for name, n, _ in lattice.catalog_entries(max_dim=4)]
     # _segment_sums alternates a dual-set direction, whose sum tiles, and one that does not
-    cells += [(v, k % 2 == 0) for k, v in enumerate(_segment_sums(pruned=False))]
+    cells += [(v, k % 2 == 0) for k, v in enumerate(_segment_sums())]
     cells += [(v, True) for v in _contact_cells() + [_redundant_square()]]
     return cells
 
