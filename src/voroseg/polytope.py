@@ -27,16 +27,16 @@ the parallelepiped that the first d independent rows in that order and
 their opposites cut out, its vertices numbered so that 2j+1 is the
 mirror image of 2j, and inserts every further row of the first half with
 its opposite: the opposite row cuts off the mirror images of what the
-row cuts off, and its new vertices are the negated new vertices, formed
+row cuts off, and its new vertices are the negated new vertices, found
 with no second edge search.  Per inequality, the mask of the vertices on
 it persists across insertions, and the ids of a pair cut off go to the
 next new pair, so ids stay below the peak live count.  The edges of a simple vertex, tight on exactly d
 rows, are read from ANDs of these masks; only between two non-simple
 vertices are adjacency candidates counted through them and tested.
-Whatever symmetry gives is
-formed once per mirror pair: the parallelepiped's and each cut's second
-vertices, the odd vertices' points, and the facet test of the rows past
-the first half.  On top of it sit the ridges, belts, the tiling
+Whatever symmetry gives is formed once per mirror pair: one record (q, X),
+the even vertex's, whose product with a row gives both slacks; one walk of
+a new tight set for its rows' masks and its twin's; the odd points; and
+the facet test of the rows past the first half.  On top of it sit the ridges, belts, the tiling
 (parallelotope) verifier and the facet graph used for irreducibility.
 Facets and ridges are found by counting the facets on a face through the
 tight masks the double description keeps per vertex: a facet's vertices
@@ -239,8 +239,10 @@ class VPolytope:
         """incidence[i] lists the vertex ids lying on inequality i with equality."""
         rows: list[list[int]] = [[] for _ in self.hpoly.normals]
         for vid, t in enumerate(self.tights):
-            for i in _bits(t):
+            while t:
+                i = t.bit_length() - 1
                 rows[i].append(vid)
+                t ^= 1 << i
         return tuple(tuple(r) for r in rows)
 
     @functools.cached_property
@@ -349,8 +351,11 @@ class VPolytope:
             if 2 * i > last:
                 break
             ids = self.incidence[i]
-            # a point reflection of the facet reverses their order too: it would map its k-th vertex to its (m-1-k)-th
-            if len({linalg.vadd(pts[j], pts[k]) for j, k in zip(ids, reversed(ids))}) > 1:
+            # a point reflection of the facet reverses their order too: it would map its k-th vertex to its
+            # (m-1-k)-th, so the first ceil(m/2) pairs, the middle vertex of an odd facet with itself, must
+            # all have the first pair's sum; the second half repeats the first
+            centre = linalg.vadd(pts[ids[0]], pts[ids[-1]])
+            if any(linalg.vadd(pts[j], pts[k]) != centre for j, k in zip(ids[1:(len(ids) + 1) // 2], ids[-2::-1])):
                 return ParallelotopeVerdict(ok=False, failure="facet-symmetry", facet_id=i)
         return ParallelotopeVerdict(ok=True)
 
@@ -414,13 +419,18 @@ def _edge_cuts(d: int, bit: int, minus: list[int], plus_mask: int, alive: int, s
     """The points where row `bit` crosses the edges from the vertices it cuts off to those it keeps, with tight masks.
 
     minus are the vertices it cuts off, plus_mask those strictly inside it and
-    slack every live vertex's product with it; `enumerate_vertices` tells
-    how the edges are read from the masks.
+    slack every live vertex's product with it.  verts holds the pair (q, X)
+    of even ids only: an odd end is (q, -X), its sign applied where it is
+    read.  `enumerate_vertices` tells how the edges are read from the masks.
     """
     new_pts: dict[IntVec, int] = {}
     for w in minus:
-        tw, sw, vw = tights[w], slack[w], verts[w]
-        rows_w = _bits(tw)
+        tw, sw, vw = tights[w], slack[w], verts[w & ~1]
+        rows_w, rest = [], tw
+        while rest:
+            i = rest.bit_length() - 1
+            rows_w.append(i)
+            rest ^= 1 << i
         ends = []
         if len(rows_w) == d:
             # w is simple: each d - 1 of its rows meet in an edge, whose live vertices
@@ -453,14 +463,16 @@ def _edge_cuts(d: int, bit: int, minus: list[int], plus_mask: int, alive: int, s
                     continue
                 ends.append(u)
         for u in ends:
-            common = tights[u] & tw
-            su = slack[u]
-            x = tuple(su * b - sw * a for a, b in zip(verts[u], vw))
+            su, vu = slack[u], verts[u & ~1]
+            # the point su w - sw u; past q, an odd end's sign -1 goes into the other end's slack factor
+            fw, fu = -su if w & 1 else su, -sw if u & 1 else sw
+            x = [fw * b - fu * a for a, b in zip(vu, vw)]
+            x[0] = su * vw[0] - sw * vu[0]
             g = gcd(*x)
-            x = tuple(c // g for c in x)
+            x = tuple(x) if g == 1 else tuple([c // g for c in x])
             # x lies strictly inside [u, w], so a processed inequality is
             # tight at x exactly when it is tight at both ends
-            new_pts[x] = new_pts.get(x, 0) | common | bit
+            new_pts[x] = new_pts.get(x, 0) | tights[u] & tw | bit
     return new_pts
 
 
@@ -502,7 +514,9 @@ def enumerate_vertices(h: HPolytope, nearest_first: bool = True) -> VPolytope:
     where vertices leave or arrive.  The ids of a pair cut off are cleared
     from every mask before a new vertex arrives, and the even one goes on a
     free list; new pairs take their ids from it before a fresh id is
-    taken, so every id stays below the peak live count.  A vertex's tight
+    taken, so every id stays below the peak live count.  A pair keeps one
+    coordinate record, (q, X) under its even id; the odd vertex is (q, -X),
+    and `_edge_cuts` applies that sign where it reads an odd end.  A vertex's tight
     rows have rank d.  When w is simple, tight on exactly d
     rows, those rows are independent and each d - 1 of them cut out an
     edge whose only other live vertex is the AND of their masks without w
@@ -532,10 +546,12 @@ def enumerate_vertices(h: HPolytope, nearest_first: bool = True) -> VPolytope:
     off the mirror images of the vertices k cut off, and m's zero set and
     new vertices are k's mirrored, tight sets mapped i -> last-1-i and
     vertex masks with adjacent bits swapped.  Only k's edges are searched,
-    and only the even vertex of a pair gets a slack: the odd one's is 2Sq
-    minus it.  After each pair that cuts vertices off, more than
-    VERTEX_BUDGET live vertices raise VRepCapError, whose message names
-    the budget.  At the end the even vertices are
+    and only a pair's record, the even vertex's, is multiplied by row k:
+    the odd vertex's slack is 2Sq minus the even one's.  A new vertex's tight
+    set is walked once, for the rows' deltas and, through a table of each
+    row's opposite bit, its twin's mask.  After each pair that cuts vertices
+    off, more than VERTEX_BUDGET live vertices, twice the records, raise
+    VRepCapError, whose message names the budget.  At the end the records are
     scaled to the common denominator and negated for the odd ones, and the
     facet test runs on rows i < n/2: row n-1-i is a facet iff row i is.
     """
@@ -554,31 +570,30 @@ def enumerate_vertices(h: HPolytope, nearest_first: bool = True) -> VPolytope:
     det_q = det * den
     # on[i] holds the live vertices tight on processed inequality i, valid across
     # insertions as a cut-off pair leaves every mask before its ids are reused
-    verts: dict[int, tuple[int, ...]] = {}
+    verts: dict[int, IntVec] = {}  # the pair (q, X) of each even id; its twin is (q, -X)
     tights: dict[int, int] = {}
     on = [0] * last
-    flip = f"0{last}b"
+    flip = [1 << (last - 1 - i) for i in range(last)]  # flip[i]: the bit of row i's opposite
     for half in itertools.product((1, -1), repeat=d - 1):
         sigma = (1, *half)
-        j = len(verts)
+        j = 2 * len(verts)
         x = [sum(a * s * supports[i] for a, s, i in zip(r, sigma, basis)) for r in adj]
         g = gcd(det_q, *x) if det_q > 0 else -gcd(det_q, *x)
-        x = [c // g for c in x]
-        verts[j], verts[j + 1] = (det_q // g, *x), (det_q // g, *(-c for c in x))
-        t = sum(1 << (i if s > 0 else last - 1 - i) for s, i in zip(sigma, basis))
-        tights[j], tights[j + 1] = t, _mirror_rows(t, flip)
-        for i in _bits(t):
+        verts[j] = (det_q // g, *(c // g for c in x))
+        t = [i if s > 0 else last - 1 - i for s, i in zip(sigma, basis)]
+        tights[j], tights[j + 1] = sum(1 << i for i in t), sum(flip[i] for i in t)
+        for i in t:
             on[i] |= 1 << j
             on[last - 1 - i] |= 2 << j
-    alive = (1 << len(verts)) - 1
-    next_id = len(verts)
+    alive = (1 << 2 * len(verts)) - 1
+    next_id = 2 * len(verts)
     free: list[int] = []  # the even ids of the pairs cut off, not yet reused
     for k in order:
         if k >= last // 2 or k in basis:
             continue
         m, bit, row = last - 1 - k, 1 << k, rows[k]
         two_s = 2 * row[0]
-        slack = {j: sum(map(operator.mul, row, v)) for j, v in verts.items() if not j & 1}
+        slack = {j: sum(map(operator.mul, row, v)) for j, v in verts.items()}
         slack.update([(j + 1, two_s * verts[j][0] - t) for j, t in slack.items()])
         minus = [j for j, t in slack.items() if t < 0]
         zero = [j for j, t in slack.items() if not t]
@@ -593,28 +608,34 @@ def enumerate_vertices(h: HPolytope, nearest_first: bool = True) -> VPolytope:
             touched = 0
             for w in minus:
                 touched |= tights.pop(w) | tights.pop(w ^ 1)
-                del verts[w], verts[w ^ 1]
+                del verts[w & ~1]
                 free.append(w & ~1)
             for i in _bits(touched):
                 on[i] &= ~gone
-            added: dict[int, int] = {}
-            for (q, *x), t in new_pts.items():
+            # added[i]: the new even vertices on row i, each tight set walked once
+            added = [0] * last
+            for x, t in new_pts.items():
                 if free:
                     j = free.pop()
                 else:
                     j = next_id
                     next_id += 2
-                verts[j], verts[j + 1] = (q, *x), (q, *(-c for c in x))
-                tights[j], tights[j + 1] = t, _mirror_rows(t, flip)
-                for i in _bits(t):
-                    added[i] = added.get(i, 0) | 1 << j
+                verts[j] = x
+                mirrored, rest, vbit = 0, t, 1 << j
+                while rest:
+                    i = rest.bit_length() - 1
+                    rest ^= 1 << i
+                    added[i] |= vbit
+                    mirrored |= flip[i]
+                tights[j], tights[j + 1] = t, mirrored
             # row k's new vertices are even, so row m's deltas are k's shifted by one
-            for i, mask in added.items():
-                on[i] |= mask
-                on[last - 1 - i] |= mask << 1
-            new = added.get(k, 0)
+            for i, mask in enumerate(added):
+                if mask:
+                    on[i] |= mask
+                    on[last - 1 - i] |= mask << 1
+            new = added[k]
             alive = alive & ~gone | new | new << 1
-            _check_budget(len(verts))
+            _check_budget(2 * len(verts))
         for j in zero:
             tights[j ^ 1] |= 1 << m
         on[m] = _mirror_ids(on[k])
@@ -622,12 +643,11 @@ def enumerate_vertices(h: HPolytope, nearest_first: bool = True) -> VPolytope:
     # is that of all vertex denominators; the integer points sort like the rationals
     common_q = lcm(*(v[0] for v in verts.values()))
     scaled: dict[int, IntVec] = {}
-    for j, (q, *x) in verts.items():
-        if not j & 1:
-            c = common_q // q
-            scaled[j] = tuple(y * c for y in x)
-            scaled[j + 1] = tuple(-y for y in scaled[j])
-    by_point = sorted(verts, key=scaled.__getitem__)
+    for j, v in verts.items():
+        c = common_q // v[0]
+        scaled[j] = x = tuple([y * c for y in v[1:]])
+        scaled[j + 1] = tuple(map(operator.neg, x))
+    by_point = sorted(scaled, key=scaled.__getitem__)
     # row last-1-i is a facet iff row i is: its vertices are the mirror images
     half = [i for i in range(last // 2) if on[i].bit_count() >= d and _meet(tights, on[i], 1 << i) == 1 << i]
     return VPolytope(

@@ -626,6 +626,28 @@ def test_enumerate_vertices_matches_oracle_on_random_symmetric_systems(d, exampl
     _pin_earlier_draws(check, request.node.name)()
 
 
+@pytest.mark.parametrize("d, examples", [(2, 40), (3, 30), (4, 15)])
+def test_vertex_set_does_not_depend_on_the_insertion_order(d, examples):
+    # rows nearest first and rows in id order seed different parallelepipeds, cut different
+    # vertices and hand out different ids, yet the result is sorted by point and its facets are
+    # counted: the two orders must agree field for field
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(symmetric_hpolytopes(d))
+    # y + z <= 1/4 is row 1 and the nearest: the seed is rows 1, 0, 3 nearest first, rows 0, 1, 2 in id order
+    @example(_with_opposites(3, _BOX3 + [((0, 1, 1), F(1, 4))]))
+    @example(_with_opposites(3, _BOX3 + [((1, -1, 1), 1), ((1, 2, 3), 100)]))  # a far pair, which cuts nothing
+    def check(h):
+        near, by_id = enumerate_vertices(h, nearest_first=True), enumerate_vertices(h, nearest_first=False)
+        assert (near.scale, near.points, near.tights, near.facet_ids) == (
+            by_id.scale, by_id.points, by_id.tights, by_id.facet_ids)
+
+    # the catalog cells of dimension d, and at d = 4 those of dimension 5, which the strategy does not draw
+    for _, n, a in lattice.catalog_entries(5):
+        if min(n, 4) == d:
+            check = example(build_cell(a, coset_minima(a).facet_normals()))(check)
+    check()
+
+
 # the oracle takes seconds on the 24-cell, which two tests check
 _brute_force_once = functools.cache(brute_force_vertices)
 
@@ -1148,12 +1170,17 @@ def test_one_edge_search_per_mirror_pair(monkeypatch):
 
 @pytest.mark.parametrize("name, n", [("An*", 5), ("E6", None)])
 def test_compacted_vertex_ids_stay_bounded_and_paired(name, n, monkeypatch):
-    # a pair cut off hands its ids to a new pair, so every id stays below the peak live count
+    # a pair cut off hands its ids to a new pair, so every id stays below the peak live count;
+    # a pair keeps one coordinate record, under its even id, and a tight mask per id, mirrored
     h = cell_of(name, n).hpoly
-    state = {}  # the double description's live vertices, the peak live count and the pairs formed
+    width = f"0{len(h.normals)}b"
+    state = {}  # the double description's records and masks, the row inserted, the peak live count and the pairs formed
+
+    def mirror(mask):
+        return int(format(mask, width)[::-1], 2)
 
     def edge_cuts(*args):
-        state["verts"] = args[6]
+        state["bit"], state["verts"], state["tights"] = args[1], args[6], args[7]
         new = search(*args)
         state["pairs"] += len(new)
         return new
@@ -1163,16 +1190,20 @@ def test_compacted_vertex_ids_stay_bounded_and_paired(name, n, monkeypatch):
         return budget(live)
 
     def check_pair(live):
-        verts = state["verts"]
+        verts, tights = state["verts"], state["tights"]
         state["peak"] = max(state["peak"], live)
-        assert len(verts) == live and max(verts) < state["peak"]
-        assert all(verts.get(j ^ 1) == (v[0], *(-x for x in v[1:])) for j, v in verts.items())
+        assert 2 * len(verts) == live and all(j % 2 == 0 and j < state["peak"] for j in verts)
+        assert sorted(tights) == sorted(j + s for j in verts for s in (0, 1))
+        # off the row being inserted and its opposite, as the twins of its zero set gain the opposite after the budget check
+        rest = ~(state["bit"] | mirror(state["bit"]))
+        assert all(tights[j + 1] & rest == mirror(tights[j]) & rest for j in verts)
 
     search, budget = polytope._edge_cuts, polytope._check_budget
     monkeypatch.setattr(polytope, "_edge_cuts", edge_cuts)
     monkeypatch.setattr(polytope, "_check_budget", check_budget)
     state.update(peak=2 ** h.dim, pairs=2 ** (h.dim - 1))  # the seed parallelepiped's vertices
     v = enumerate_vertices(h)
+    state["bit"] = 0  # every row is in: each twin's mask is the whole mirror image
     check_pair(len(v.points))
     # fresh ids for every pair would have run past the peak
     assert 2 * state["pairs"] > state["peak"]
