@@ -123,8 +123,8 @@ def cmd_relevant(args) -> int:
     cs = coset_minima(a)
     doc = {"form": jsonio.form_to_dict(a), "contacts": jsonio.contacts_to_dict(cs)}
     summary = (
-        f"relevant: dim {a.dim}, {len(cs.contact_vectors())} contact vectors, "
-        f"{len(cs.facet_normals())} facet normals over {len(cs.classes)} classes"
+        f"relevant: dim {a.dim}, {cs.contact_count} contact vectors, "
+        f"{cs.facet_normal_count} facet normals over {len(cs.classes)} classes"
     )
     _emit(args, doc, summary)
     return 0
@@ -200,8 +200,7 @@ def cmd_report(args) -> int:
         except (ValueError, lattice.LatticeError) as exc:
             _input_error("report", f"lattice spec {spec.strip()!r}: {exc}")
         cs = coset_minima(a)
-        normals = cs.facet_normals()
-        ds = extension.dual_set(normals)
+        ds = extension.dual_set(cs.facet_normals())
         try:
             cell = polytope.voronoi_cell(a)
         except polytope.VRepCapError:
@@ -213,8 +212,8 @@ def cmd_report(args) -> int:
             {
                 "lattice": spec.strip(),
                 "dim": a.dim,
-                "facet_normals": len(normals),
-                "contact_vectors": len(cs.contact_vectors()),
+                "facet_normals": cs.facet_normal_count,
+                "contact_vectors": cs.contact_count,
                 "dual_set": len(ds.members),
                 "irreducible": irreducible,
                 "free_direction": sample,

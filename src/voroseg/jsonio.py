@@ -12,7 +12,8 @@ generator frames on every vector entry.  So a list of ints or of strings
 is one join, a list of nonempty int vectors (minima, dual-set members,
 bases, incidences) one join per vector, and true, false and null are
 written as literals; only a float or an empty container reaches
-`json.dumps`.  The OFF export is the single
+`json.dumps`.  The writers hand the package's tuples to `dumps` uncopied:
+a tuple renders as a list, the empty one as [].  The OFF export is the single
 deliberately lossy surface: display-only decimals at 12 significant digits.
 """
 
@@ -150,15 +151,15 @@ def contacts_to_dict(cs: ContactVectorSet) -> dict:
         "dim": cs.dim,
         "classes": [
             {
-                "parity": list(cl.parity),
+                "parity": cl.parity,
                 "min_norm": rat(cl.min_norm),
-                "minima": [list(p) for p in cl.minima],
+                "minima": cl.minima,
                 "relevant": cl.relevant,
             }
             for cl in cs.classes
         ],
-        "contact_count": len(cs.contact_vectors()),
-        "facet_normal_count": len(cs.facet_normals()),
+        "contact_count": cs.contact_count,
+        "facet_normal_count": cs.facet_normal_count,
     }
 
 
@@ -178,7 +179,7 @@ def cell_to_dict(v: VPolytope, belts: Sequence[Belt]) -> dict:
     out = hrep_to_dict(v.hpoly)
     out["vertex_count"] = len(v.points)
     out["vertices"] = _vertex_strings(v)
-    out["incidence"] = [list(inc) for inc in v.incidence]
+    out["incidence"] = v.incidence
     out["belt_lengths"] = sorted(b.length for b in belts)
     return out
 
@@ -198,8 +199,8 @@ def hrep_to_dict(h: polytope.HPolytope) -> dict:
 def dual_set_to_dict(ds: DualSet) -> dict:
     return {
         "count": len(ds.members),
-        "members": [list(e) for e in ds.members],
-        "basis_used": [list(p) for p in ds.basis_used],
+        "members": ds.members,
+        "basis_used": ds.basis_used,
     }
 
 
@@ -218,7 +219,8 @@ def report_to_dict(rep: ExtensionReport) -> dict:
         }
         if r.equal is not None:
             entry["equal"] = r.equal
-            entry["form_cell_vertices"] = _vertex_strings(r.form_cell)
+            # equal cells have equal (scale, points), so the sum's strings serve
+            entry["form_cell_vertices"] = entry["sum_vertices"] if r.equal else _vertex_strings(r.form_cell)
             if r.discrepancy is not None:
                 entry["discrepancy_vertex"] = rat_vec(r.discrepancy)
         results.append(entry)
@@ -226,17 +228,17 @@ def report_to_dict(rep: ExtensionReport) -> dict:
         "dim": rep.dim,
         "e_raw": rat_vec(rep.e_raw),
         "b_samples": [rat(b) for b in rep.b_samples],
-        "normalized_e": list(rep.normalized_e) if rep.normalized_e is not None else None,
+        "normalized_e": rep.normalized_e,
         "in_dual_set": rep.in_dual_set,
         "cannot_normalize_witnesses": [
-            {"normal": list(p), "abs_product": rat(w)} for p, w in rep.violating
+            {"normal": p, "abs_product": rat(w)} for p, w in rep.violating
         ],
         "results": results,
         "irreducible_input": rep.irreducible_input,
         "theorem_silent": rep.theorem_silent,
-        "notes": list(rep.notes),
+        "notes": rep.notes,
         "invariants_ok": rep.invariants_ok,
-        "invariant_violations": list(rep.invariant_violations),
+        "invariant_violations": rep.invariant_violations,
     }
 
 

@@ -136,21 +136,24 @@ class ClassMinima:
 
 @dataclass(frozen=True)
 class ContactVectorSet:
+    """The minima of every nonzero parity class: the counts sum class sizes, the vector lists concatenate and sort."""
+
     dim: int
     classes: tuple[ClassMinima, ...]  # in increasing binary order of parity
 
+    @property
+    def contact_count(self) -> int:
+        return sum(len(cl.minima) for cl in self.classes)
+
+    @property
+    def facet_normal_count(self) -> int:
+        return sum(len(cl.minima) for cl in self.classes if cl.relevant)
+
     def contact_vectors(self) -> tuple[IntVec, ...]:
-        out: list[IntVec] = []
-        for cl in self.classes:
-            out.extend(cl.minima)
-        return tuple(sorted(out))
+        return tuple(sorted(itertools.chain.from_iterable(cl.minima for cl in self.classes)))
 
     def facet_normals(self) -> tuple[IntVec, ...]:
-        out: list[IntVec] = []
-        for cl in self.classes:
-            if cl.relevant:
-                out.extend(cl.minima)
-        return tuple(sorted(out))
+        return tuple(sorted(itertools.chain.from_iterable(cl.minima for cl in self.classes if cl.relevant)))
 
 
 def _class_start_bounds(g: IntMat) -> list[int]:
@@ -231,8 +234,8 @@ def _enumerate_minima(low: IntMat, mult: IntVec, w: IntVec, bounds: list[int]) -
             c = r | bit if x & 1 else r
             if nxt <= up[c]:
                 coords[i] = x
-                if i:
-                    descend(i - 1, c, nxt, [a + b * x for a, b in zip(svec, row)], all_zero and not x)
+                if i:  # nothing mutates svec, so a child with x = 0 shares its parent's
+                    descend(i - 1, c, nxt, [a + b * x for a, b in zip(svec, row)] if x else svec, all_zero and not x)
                 elif found[c] and nxt == bounds[c]:
                     found[c].append(tuple(coords))
                 else:

@@ -250,14 +250,14 @@ class VPolytope:
         """Whether the cell is centrally symmetric as the face layer reads it.
 
         Negation reverses lexicographic order, so vertex V-1-k must be -k, and
-        as inequality n-1-i is the opposite of inequality i, its tight mask
-        must be k's with each bit i moved to n-1-i (`_mirror_rows`).
+        as inequality n-1-i is the opposite of inequality i, its incidence row
+        must be row i's vertices k mapped to V-1-k: the relation of the
+        mirrored tight masks, read from `incidence`, which every caller reads anyway.
         """
-        width, pts, ts = f"0{len(self.hpoly.normals)}b", self.points, self.tights
-        # each antipodal pair once, from the first half; a middle vertex would be its own antipode
-        return all(
-            pts[-1 - k] == linalg.vneg(pts[k]) and ts[-1 - k] == _mirror_rows(ts[k], width)
-            for k in range((len(pts) + 1) // 2)
+        pts, inc, last = self.points, self.incidence, len(self.points) - 1
+        # each antipodal pair once, from the first half; a middle vertex or row would be its own antipode
+        return all(pts[-1 - k] == linalg.vneg(pts[k]) for k in range((len(pts) + 1) // 2)) and all(
+            inc[-1 - i] == tuple(last - k for k in reversed(inc[i])) for i in range((len(inc) + 1) // 2)
         )
 
     @functools.cached_property
@@ -474,14 +474,6 @@ def _edge_cuts(d: int, bit: int, minus: list[int], plus_mask: int, alive: int, s
             # tight at x exactly when it is tight at both ends
             new_pts[x] = new_pts.get(x, 0) | tights[u] & tw | bit
     return new_pts
-
-
-def _mirror_rows(mask: int, width: str) -> int:
-    """Move each bit i of mask to n-1-i, width being f"0{n}b".
-
-    With row n-1-i the opposite of row i, this is the tight mask of the antipode.
-    """
-    return int(format(mask, width)[::-1], 2)
 
 
 def _mirror_ids(mask: int) -> int:

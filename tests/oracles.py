@@ -48,6 +48,7 @@ def random_pd_form_box6(rng, d: int) -> "lattice.QuadForm":
         2: [0, half, -half, 1, -1, Fraction(3, 2), Fraction(-3, 2)],
         3: [0, half, -half, 1, -1],
         4: [0, half, -half],
+        5: [0, half, -half],
     }[d]
     while True:
         off = [[Fraction(0)] * d for _ in range(d)]

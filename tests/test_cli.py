@@ -62,6 +62,16 @@ def test_relevant_json(tmp_path, capsys):
     assert parities == sorted(parities)
 
 
+def test_relevant_summary_states_the_json_counts(tmp_path, capsys):
+    out = tmp_path / "e8.json"
+    assert main(["relevant", "--lattice", "E8", "--json", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    contacts = json.loads(out.read_text())["contacts"]
+    assert (contacts["contact_count"], contacts["facet_normal_count"]) == (2400, 240)
+    assert summary == (f"relevant: dim 8, {contacts['contact_count']} contact vectors, "
+                       f"{contacts['facet_normal_count']} facet normals over {len(contacts['classes'])} classes")
+
+
 def test_dual_set_json(tmp_path, capsys):
     out = tmp_path / "ds.json"
     assert main(["dual-set", "--lattice", "An", "--n", "2", "--json", str(out)]) == 0

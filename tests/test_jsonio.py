@@ -39,6 +39,9 @@ documents = st.recursive(
 @example([[], [1]])
 @example([[[1]], [2]])
 @example([(1, 2), [3, 4]])
+# the package's tuples, which the writers hand over uncopied: each renders as a list, the empty one as []
+@example({"minima": ((1, 2), (-1, -2)), "parity": (1, 0), "notes": (), "witnesses": ({"normal": (1, -1)},)})
+@example({"incidence": ((0, 2), (), (1,)), "notes": ("a", "b"), "e": None})
 def test_dumps_matches_stdlib_indent_encoder(doc):
     assert jsonio.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

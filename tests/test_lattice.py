@@ -159,6 +159,24 @@ def test_e8_facet_normals_at_dim_cap():
     assert all(eval_form(a, p) == 2 for p in normals)
 
 
+def test_e8_counts_from_class_sizes():
+    # Conway & Sloane, SPLAG ch. 4 and 21: the 240 roots are the facet normals, one +/- pair in each
+    # of 120 classes, and the 2160 vectors of norm 4 fill the other 135 classes, 16 to a class
+    cs = coset_minima(catalog("E8"))
+    assert (cs.contact_count, cs.facet_normal_count, len(cs.classes)) == (2400, 240, 255)
+    sizes = sorted((len(cl.minima), cl.relevant) for cl in cs.classes)
+    assert sizes == [(2, True)] * 120 + [(16, False)] * 135
+
+
+def test_class_size_counts_equal_the_sorted_vector_counts():
+    forms = [a for _, _, a in lattice.catalog_entries(max_dim=8)]
+    forms += [random_pd_form_box6(random.Random(seed), d) for d in (2, 3, 4, 5) for seed in range(3)]
+    for a in forms:
+        cs = coset_minima(a)
+        assert cs.contact_count == len(cs.contact_vectors()), a.gram
+        assert cs.facet_normal_count == len(cs.facet_normals()), a.gram
+
+
 def test_coset_minima_dimension_cap():
     # catalog and make_form refuse a Gram above the cap; coset_minima keeps its own check for a form built directly
     for build in (lambda: catalog("Zn", 9), lambda: make_form(linalg.identity(9)),
